@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: group, basis, compose, hat, counterexample, verify.
-Exit codes: 0 success, 1 assertion or property failure, 2 usage errors.
+Exit codes: 0 success, 1 assertion or property failure, 2 usage errors
+(including inputs beyond an enumeration or catalog bound).
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def cmd_compose(args) -> int:
 def cmd_hat(args) -> int:
     G = group_from_spec(args.group)
     C = group_from_spec(args.fibre)
-    prime = C.order in (2, 3, 5, 7, 11, 13)
+    prime = hat.is_prime(C.order)
     dim, basis = hat.hat_dimension(G, C, args.catalog_max_order)
     data = {"group": G.name, "fibre": C.name, "dimension": dim,
             "prime_fibre": prime}
@@ -159,9 +160,9 @@ def cmd_hat(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    bound = min(args.catalog_max_order, 7)
     try:
-        report = hat.counterexample_verify(catalog_bound=max(bound, 7))
+        report = hat.counterexample_verify(
+            catalog_bound=args.catalog_max_order)
     except hat.VerificationError as exc:
         if args.json:
             print(json.dumps({"ok": False, "failed_step": exc.step,
@@ -314,10 +315,11 @@ def main(argv=None) -> int:
         parser.error("--catalog-max-order must be between 1 and 15")
     try:
         return args.func(args)
-    except (GroupSpecError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (GroupSpecError, BoundExceededError, json.JSONDecodeError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GroupError, BoundExceededError) as exc:
+    except GroupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -426,27 +426,28 @@ def opposite_element(elt: FibredElement) -> FibredElement:
 
 
 def _compose_raw(emb_gh: ProductEmbedding, emb_hk: ProductEmbedding,
-                 C: FiniteGroup, v_elements, nu, u_elements, mu,
-                 only_masks=None):
+                 C: FiniteGroup, v_elements, nu, u_elements, mu):
     """All summands of the composition of transitive classes (V, nu) over
     G x H and (U, mu) over H x K.
 
-    Yields (h, mask, delta) per double-coset representative h that passes
-    the character condition; when ``only_masks`` is given, summands whose
-    star subgroup is not in that set are skipped before any character
-    work.
+    Returns (h, mask, delta) per double-coset representative h that passes
+    the character condition.
     """
-    G, H = emb_gh.factors
+    _, H = emb_gh.factors
     H2, K = emb_hk.factors
     if H is not H2:
         raise GroupError("middle groups do not agree")
-    emb_gk = product_embedding(G, K)
-    cmul = C.mul
-    hmul = H.mul
+    # a summand's elements (g, k) are encoded in G x K inline, as
+    # g * stride + k, and fibre products are read from the flat table
+    stride = K.order
+    cflat = C._flat
+    cn = C.order
     hinv = H.inverses
 
-    v_dec = [emb_gh.decode(x) for x in v_elements]
-    u_dec = [emb_hk.decode(x) for x in u_elements]
+    gh = emb_gh.coords
+    hk = emb_hk.coords
+    v_dec = [gh[x] for x in v_elements]
+    u_dec = [hk[x] for x in u_elements]
     p2v = sorted({h for _, h in v_dec})
     p1u = sorted({h for h, _ in u_dec})
     k2v = [(h, c) for (g, h), c in zip(v_dec, nu) if g == 0]
@@ -459,36 +460,28 @@ def _compose_raw(emb_gh: ProductEmbedding, emb_hk: ProductEmbedding,
     B = Subgroup(H, tuple(p1u), _validate=False)
     out = []
     for h in double_coset_representatives(H, A, B):
-        hi = hinv[h]
-
-        def twist(x, h=h, hi=hi):
-            return hmul(hi, hmul(x, h))
+        twist = H.conjugation_perm(hinv[h])  # x -> h^-1 x h
 
         ok = True
         for hp, c_nu in k2v:
-            c_mu = k1u_vals.get(twist(hp))
+            c_mu = k1u_vals.get(twist[hp])
             if c_mu is None:
                 continue
-            if cmul(c_nu, c_mu) != 0:
+            if cflat[c_nu * cn + c_mu] != 0:
                 ok = False
                 break
         if not ok:
             continue
-        if only_masks is not None:
-            mask = 0
-            for (g, h1), _ in zip(v_dec, nu):
-                for k, _ in u_by_first.get(twist(h1), ()):
-                    mask |= 1 << emb_gk.encode(g, k)
-            if mask not in only_masks:
-                continue
         values: Dict[int, int] = {}
         for (g, h1), c_nu in zip(v_dec, nu):
-            hits = u_by_first.get(twist(h1))
+            hits = u_by_first.get(twist[h1])
             if not hits:
                 continue
+            row = c_nu * cn
+            base = g * stride
             for k, c_mu in hits:
-                e = emb_gk.encode(g, k)
-                val = cmul(c_nu, c_mu)
+                e = base + k
+                val = cflat[row + c_mu]
                 old = values.get(e)
                 if old is None:
                     values[e] = val

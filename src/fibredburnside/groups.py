@@ -13,6 +13,7 @@ safe and every operation is a pure function of its arguments.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Iterable, Optional, Sequence, Union
 
@@ -483,25 +484,29 @@ def conjugate_mask(G: FiniteGroup, mask: int, g: int) -> int:
 
 
 def closure_mask(G: FiniteGroup, seed: Iterable[int]) -> int:
-    """Bitmask of the subgroup generated by ``seed``."""
+    """Bitmask of the subgroup generated by ``seed``.
+
+    In a finite group the monoid generated by the seed is the subgroup it
+    generates, so closing the identity under right multiplication by the
+    distinct non-identity seed elements reaches every element.
+    """
     flat = G._flat
     n = G.order
+    gens = []
+    seen = 1
+    for s in seed:
+        if not (seen >> s) & 1:
+            seen |= 1 << s
+            gens.append(s)
     elems = [0]
     mask = 1
-    work = []
-    for s in seed:
-        if not (mask >> s) & 1:
-            mask |= 1 << s
-            elems.append(s)
-            work.append(s)
-    while work:
-        x = work.pop()
-        for y in list(elems):
-            for z in (flat[x * n + y], flat[y * n + x]):
-                if not (mask >> z) & 1:
-                    mask |= 1 << z
-                    elems.append(z)
-                    work.append(z)
+    for x in elems:
+        row = x * n
+        for g in gens:
+            z = flat[row + g]
+            if not (mask >> z) & 1:
+                mask |= 1 << z
+                elems.append(z)
     return mask
 
 
@@ -626,7 +631,6 @@ def symmetric(n: int) -> FiniteGroup:
         raise GroupError("symmetric group supported only for n <= 4")
 
     def build():
-        import itertools
         perms = [tuple(p) for p in itertools.permutations(range(n))]
         return _perm_group(perms, name=f"S{n}")
 
@@ -637,8 +641,6 @@ def alternating4() -> FiniteGroup:
     """Alternating group on 4 letters."""
 
     def build():
-        import itertools
-
         def sign(p):
             s = 0
             for i in range(4):
@@ -698,37 +700,37 @@ class ProductEmbedding:
     lexicographic in the coordinate tuple.  When all factors but one are
     trivial the ambient *is* that factor (the canonical isomorphism is the
     identity on indices), which keeps subgroup masks interchangeable.
+
+    ``coords[x]`` is the coordinate tuple of ambient element x; the table
+    is built once, and ``decode`` is a lookup in it.  ``encode`` of a
+    two-factor product is ``a * stride + b``; with more factors it is the
+    general mixed-radix sum, which, like ``zip``, reads only as many
+    leading coordinates as it is given.
     """
 
-    __slots__ = ("factors", "ambient", "factor_projections", "_strides")
+    __slots__ = ("factors", "ambient", "coords", "factor_projections",
+                 "_strides")
 
-    def __init__(self, factors: tuple, ambient: FiniteGroup, strides: tuple):
+    def __init__(self, factors: tuple, ambient: FiniteGroup, strides: tuple,
+                 coords: tuple):
         self.factors = factors
         self.ambient = ambient
         self._strides = strides
-        projections = []
-        for i, f in enumerate(factors):
-            images = tuple(self.decode(x)[i] for x in range(ambient.order))
-            projections.append(GroupHom(ambient, f, images, _validate=False))
-        self.factor_projections = tuple(projections)
+        self.coords = coords
+        self.factor_projections = tuple(
+            GroupHom(ambient, f, tuple(c[i] for c in coords),
+                     _validate=False)
+            for i, f in enumerate(factors))
 
     def encode(self, *coords: int) -> int:
-        return sum(c * s for c, s in zip(coords, self._strides))
+        strides = self._strides
+        if len(strides) == 2:
+            a, b = coords
+            return a * strides[0] + b
+        return sum(c * s for c, s in zip(coords, strides))
 
     def decode(self, x: int) -> tuple:
-        out = []
-        for i, s in enumerate(self._strides):
-            out.append(x // s)
-            x %= s
-        return tuple(out)
-
-    def inject(self, i: int, x: int) -> int:
-        """Element with x in slot i and identities elsewhere."""
-        return x * self._strides[i]
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self.ambient
+        return self.coords[x]
 
     def __repr__(self):
         names = " x ".join(f.name for f in self.factors)
@@ -755,35 +757,29 @@ def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
         s *= o
     strides = tuple(reversed(strides))
     total = s
+    coords = tuple(itertools.product(*(range(o) for o in orders)))
     nontrivial = [f for f in factors if f.order > 1]
     if len(nontrivial) <= 1:
         ambient = nontrivial[0] if nontrivial else factors[0]
     else:
-        def decode(x):
-            out = []
-            for st in strides:
-                out.append(x // st)
-                x %= st
-            return out
-
-        table = []
-        for a in range(total):
-            ca = decode(a)
-            row = []
-            for b in range(total):
-                cb = decode(b)
-                row.append(sum(f.mul(x, y) * st for f, x, y, st
-                               in zip(factors, ca, cb, strides)))
-            table.append(row)
+        # fold the factors in from the right: with R the product of the
+        # later factors (order m), row (a, b) of f x R is
+        # f.table[a] x R.table[b] in mixed radix
+        table = factors[-1].table
+        m = factors[-1].order
+        for f in reversed(factors[:-1]):
+            table = [[x * m + y for x in fr for y in r]
+                     for fr in f.table for r in table]
+            m *= f.order
         labels = None
         if all(f.labels is not None for f in factors):
             labels = ["(" + ",".join(f.label(c) for f, c
-                                     in zip(factors, decode(a))) + ")"
-                      for a in range(total)]
+                                     in zip(factors, cs)) + ")"
+                      for cs in coords]
         name = "x".join(f.name for f in factors)
         ambient = FiniteGroup(table, labels=labels, name=name,
                               validate=total <= SUBGROUP_ORDER_BOUND)
-    emb = ProductEmbedding(tuple(factors), ambient, strides)
+    emb = ProductEmbedding(tuple(factors), ambient, strides, coords)
     _product_cache[key] = emb
     return emb
 
@@ -926,7 +922,6 @@ def homomorphisms(domain: Domain, C: FiniteGroup,
             for g_ord in gen_orders:
                 candidates.append([c for c in range(C.order)
                                    if g_ord % C.element_order(c) == 0])
-            import itertools
             for assignment in itertools.product(*candidates):
                 images = _extend_hom(G, els, gens, C, assignment)
                 if images is not None:
@@ -968,7 +963,6 @@ def automorphisms(G: FiniteGroup,
         if not gens:
             autos.append(identity_hom(G))
         else:
-            import itertools
             candidates = [[c for c in range(G.order)
                            if G.element_order(c) == G.element_order(g)]
                           for g in gens]
@@ -1091,7 +1085,6 @@ def isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
     if not gens:
         return identity_hom(G) if G is H else GroupHom(G, H, (0,),
                                                        _validate=False)
-    import itertools
     candidates = [[c for c in range(H.order)
                    if H.element_order(c) == G.element_order(g)]
                   for g in gens]

@@ -67,10 +67,8 @@ __all__ = [
     "frattini_criterion",
     "y_type_class",
     "counterexample_verify",
+    "is_prime",
 ]
-
-_PRIMES = {2, 3, 5, 7, 11, 13}
-
 
 class VerificationError(Exception):
     """A verification step failed; carries the failing step's name."""
@@ -391,8 +389,20 @@ class HatElement:
         return "HatElement(" + " + ".join(sorted(bits)) + ")"
 
 
+def is_prime(n: int) -> bool:
+    """Trial division; fibre orders are small."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def _require_prime_fibre(C: FiniteGroup):
-    if C.order not in _PRIMES:
+    if not is_prime(C.order):
         raise GroupError("this operation needs a fibre of prime order")
 
 
@@ -691,6 +701,7 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
     C = cyclic(4)
     G = quaternion8()
     H = dihedral(8)
+    kats = _catalog_below(G.order, catalog_bound)
     emb = product_embedding(G, H)
     gens = [emb.encode(1, 1), emb.encode(4, 4)]  # (x,a), (y,b)
     D = emb.ambient.generated_subgroup(gens)
@@ -734,7 +745,6 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
          W == element_of(closed), f"{len(W.terms)} term(s)")
     step("W o W = W", is_idempotent(W), "idempotent")
 
-    kats = _catalog_below(G.order, catalog_bound)
     step("catalog covers all orders below 8", len(kats) == 9,
          ", ".join(K.name for K in kats))
     wcls = next(iter(W.terms))

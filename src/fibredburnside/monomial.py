@@ -105,40 +105,6 @@ def coset_action(G: FiniteGroup, subgroup_elements: Sequence[int]) -> FiniteActi
     return FiniteAction(G, table)
 
 
-def _product_action(embs_and_actions) -> Tuple[ProductEmbedding, FiniteAction]:
-    """Componentwise action of a product group on a product of point sets."""
-    groups = [g for g, _ in embs_and_actions]
-    actions = [a for _, a in embs_and_actions]
-    emb = product_embedding(*groups)
-    sizes = [a.size for a in actions]
-    total = 1
-    for s in sizes:
-        total *= s
-    table = []
-    for e in range(emb.ambient.order):
-        coords = emb.decode(e)
-        row = []
-        for p in range(total):
-            q = p
-            pos = []
-            for s in reversed(sizes):
-                pos.append(q % s)
-                q //= s
-            pos.reverse()
-            row.append(_flatten(sizes,
-                                [actions[i].table[coords[i]][pos[i]]
-                                 for i in range(len(sizes))]))
-        table.append(row)
-    return emb, FiniteAction(emb.ambient, table)
-
-
-def _flatten(sizes, pos):
-    out = 0
-    for s, p in zip(sizes, pos):
-        out = out * s + p
-    return out
-
-
 class MonomialSet:
     """A C-free (G x C)-set with explicit points.
 

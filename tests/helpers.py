@@ -52,3 +52,72 @@ def brute_subcharacter_count(G, C):
             seen.add((tuple(x for x, _ in conj),
                       tuple(v for _, v in conj)))
     return count
+
+
+# -- reference kernels: the straightforward forms of the table-driven
+#    coordinate, product-table and closure code in ``groups``
+
+
+def ref_strides(orders):
+    """Mixed-radix strides, last factor varying fastest."""
+    strides = []
+    s = 1
+    for o in reversed(orders):
+        strides.append(s)
+        s *= o
+    return tuple(reversed(strides))
+
+
+def ref_encode(orders, *coords):
+    """Mixed-radix sum over as many leading coordinates as are given."""
+    return sum(c * s for c, s in zip(coords, ref_strides(orders)))
+
+
+def ref_decode(orders, x):
+    out = []
+    for s in ref_strides(orders):
+        out.append(x // s)
+        x %= s
+    return tuple(out)
+
+
+def ref_product_table(factors):
+    """Cayley table of the direct product, one cell at a time from the
+    factor products of the decoded coordinates."""
+    orders = [f.order for f in factors]
+    strides = ref_strides(orders)
+    total = 1
+    for o in orders:
+        total *= o
+    table = []
+    for a in range(total):
+        ca = ref_decode(orders, a)
+        row = []
+        for b in range(total):
+            cb = ref_decode(orders, b)
+            row.append(sum(f.mul(x, y) * st for f, x, y, st
+                           in zip(factors, ca, cb, strides)))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def ref_closure_mask(G, seed):
+    """Close the seed under products of every pair of elements found."""
+    n = G.order
+    elems = [0]
+    mask = 1
+    work = []
+    for s in seed:
+        if not (mask >> s) & 1:
+            mask |= 1 << s
+            elems.append(s)
+            work.append(s)
+    while work:
+        x = work.pop()
+        for y in list(elems):
+            for z in (G.mul(x, y), G.mul(y, x)):
+                if not (mask >> z) & 1:
+                    mask |= 1 << z
+                    elems.append(z)
+                    work.append(z)
+    return mask

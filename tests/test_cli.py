@@ -126,6 +126,30 @@ def test_hat_nonprime_fallback(capsys):
     assert data["dimension"] == 30
 
 
+def test_hat_prime_fibre_beyond_13(capsys):
+    code, out, _ = run_cli(capsys, "--json", "hat", "C5", "C17")
+    assert code == 0
+    data = json.loads(out)
+    assert data["prime_fibre"] is True
+    assert len(data["generators"]) == 4
+    assert data["cross_check_ok"] is True
+    assert data["dimension"] == 4
+
+
+def test_hat_beyond_enumeration_bound_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "hat", "C17", "C2")
+    assert code == 2
+    assert "bound exceeded" in err
+
+
+def test_counterexample_honours_catalog_bound(capsys):
+    code, out, err = run_cli(capsys, "--catalog-max-order", "6",
+                             "counterexample")
+    assert code == 2
+    assert "catalog up to 6 cannot cover orders below 8" in err
+    assert out == ""
+
+
 def test_counterexample_command(capsys):
     code, out, _ = run_cli(capsys, "counterexample")
     assert code == 0

@@ -15,6 +15,7 @@ from fibredburnside.groups import (
     BoundExceededError,
     GroupError,
     GroupSpecError,
+    closure_mask,
     direct_product,
     double_coset_representatives,
     group_from_spec,
@@ -26,6 +27,13 @@ from fibredburnside.groups import (
     small_groups_catalog,
     subgroup_as_group,
     subgroups,
+)
+
+from helpers import (
+    ref_closure_mask,
+    ref_decode,
+    ref_encode,
+    ref_product_table,
 )
 
 
@@ -160,6 +168,55 @@ def test_product_ordering_is_lexicographic(c2, c4):
     emb = direct_product(c2, c4)
     for i in range(8):
         assert emb.decode(i) == (i // 4, i % 4)
+
+
+def _reference_products():
+    """Every ordered pair of catalog groups of order <= 8, three-factor
+    products, and products with trivial factors in every position."""
+    cat = small_groups_catalog(8)
+    c1, c2, c3, c4 = (groups.cyclic(n) for n in (1, 2, 3, 4))
+    s3 = groups.symmetric(3)
+    q8 = quaternion8()
+    return ([(g, h) for g in cat for h in cat]
+            + [(c2, c3, c2), (s3, c2, c4), (c2, c2, c2), (q8, c2, c3),
+               (c3, s3, c1), (c2, c1, c3), (c1, q8, c1), (c1, c1),
+               (c1, c1, c1)])
+
+
+def test_product_tables_match_cell_by_cell_reference():
+    for factors in _reference_products():
+        emb = product_embedding(*factors)
+        assert emb.ambient.table == ref_product_table(factors), factors
+
+
+def test_encode_decode_match_generic_reference():
+    for factors in _reference_products():
+        emb = product_embedding(*factors)
+        orders = [f.order for f in factors]
+        for x in range(emb.ambient.order):
+            coords = emb.decode(x)
+            assert coords == ref_decode(orders, x)
+            assert emb.encode(*coords) == x
+        for coords in itertools.product(*(range(o) for o in orders)):
+            assert emb.encode(*coords) == ref_encode(orders, *coords)
+
+
+def test_encode_with_two_coordinates_on_three_factors(c2, c3, s3):
+    emb = product_embedding(c2, s3, c3)
+    orders = [2, 6, 3]
+    for a in range(2):
+        for b in range(6):
+            expected = a * 18 + b * 3
+            assert emb.encode(a, b) == ref_encode(orders, a, b) == expected
+
+
+def test_closure_mask_matches_pairwise_reference():
+    for G in small_groups_catalog(15):
+        for S in subgroups(G):
+            for g in range(G.order):
+                seed = list(S.elements) + [g]
+                assert closure_mask(G, seed) == ref_closure_mask(G, seed), \
+                    (G.name, S.elements, g)
 
 
 # -- subgroups ---------------------------------------------------------------

@@ -147,6 +147,12 @@ def test_hat_basis_needs_prime_fibre(q8, c4):
         hat_basis_prime(q8, c4)
 
 
+def test_is_prime_by_trial_division():
+    primes = [n for n in range(60) if hat.is_prime(n)]
+    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                      47, 53, 59]
+
+
 # -- generator products -------------------------------------------------------
 
 
