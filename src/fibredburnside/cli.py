@@ -116,6 +116,8 @@ def cmd_hat(args) -> int:
              f"dimension {dim}"]
     if prime:
         gens = hat.hat_basis_prime(G, C)
+        closed_ok = ({hat.hat_generator_class(g).raw for g in gens}
+                     == {X.raw for X in basis})
         report = hat.verify_hat_vs_quotient(G, C, args.catalog_max_order)
         table = []
         for a in gens:
@@ -132,6 +134,7 @@ def cmd_hat(args) -> int:
         data.update({
             "generators": [g.describe() for g in gens],
             "table": table,
+            "closed_form_ok": closed_ok,
             "cross_check_ok": report["ok"],
             "cross_check_pairs": report["pairs"],
             "mismatches": report["mismatches"],
@@ -147,9 +150,11 @@ def cmd_hat(args) -> int:
             cells = " ".join(f"{cell['generator']:>3d}" if cell else "  ."
                              for cell in row)
             lines.append(f"    [{i:>3d}] {cells}")
+        lines.append("  survivors equal the closed-form generator classes: "
+                     + ("ok" if closed_ok else "MISMATCH"))
         lines.append("  cross-check against compose-then-reduce: "
                      + ("ok" if report["ok"] else "MISMATCH"))
-        if not report["ok"]:
+        if not (closed_ok and report["ok"]):
             _emit(data, args.json, lines)
             return EXIT_FAILURE
     else:
@@ -180,6 +185,8 @@ def cmd_counterexample(args) -> int:
                         if stepinfo["detail"] else ""))
     lines.append(f"  searched groups: "
                  + ", ".join(report["searched_groups"]))
+    lines.append("  swept groups: " + ", ".join(report["swept_groups"])
+                 + " (every other searched group embeds in one of these)")
     lines.append("  all steps passed: the idempotent survives in the "
                  "quotient on both sides")
     _emit(report, args.json, lines)

@@ -73,9 +73,9 @@ __all__ = [
 # center.
 
 
-def _conjugate_raw(ambient: FiniteGroup, elements: Tuple[int, ...],
-                   delta: Tuple[int, ...], g: int):
-    perm = ambient.conjugation_perm(g)
+def _permute_raw(perm, elements: Tuple[int, ...], delta: Tuple[int, ...]):
+    """The pair of the image of D under an element map, with the character
+    values carried along."""
     pairs = sorted(zip((perm[x] for x in elements), delta))
     mask = 0
     for x, _ in pairs:
@@ -94,7 +94,7 @@ def _canonical_raw(ambient: FiniteGroup, mask: int, delta: Tuple[int, ...]):
     seen = []
     best = (mask, delta)
     for g in ambient.conjugation_reps():
-        cand = _conjugate_raw(ambient, elements, delta, g)
+        cand = _permute_raw(ambient.conjugation_perm(g), elements, delta)
         seen.append(cand)
         if cand < best:
             best = cand
@@ -105,7 +105,7 @@ def _canonical_raw(ambient: FiniteGroup, mask: int, delta: Tuple[int, ...]):
 
 def _orbit_size(ambient: FiniteGroup, mask: int, delta: Tuple[int, ...]) -> int:
     elements = mask_to_elements(mask)
-    return len({_conjugate_raw(ambient, elements, delta, g)
+    return len({_permute_raw(ambient.conjugation_perm(g), elements, delta)
                 for g in range(ambient.order)})
 
 
@@ -341,7 +341,7 @@ def subcharacter_classes(G: FiniteGroup, C: FiniteGroup) -> List[Subcharacter]:
     they index the basis of the monomial Burnside ring of G."""
     if not C.is_abelian:
         raise GroupError("fibre group must be abelian")
-    key = ("subchar_classes", id(C))
+    key = ("subchar_classes", C)
     cached = G._cache.get(key)
     if cached is None:
         found = set()

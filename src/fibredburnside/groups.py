@@ -908,7 +908,7 @@ def homomorphisms(domain: Domain, C: FiniteGroup,
     els = list(_domain_elements(domain))
     if len(els) > bound or C.order > bound:
         raise BoundExceededError("homomorphism enumeration bound exceeded")
-    key = ("homs", tuple(els), id(C))
+    key = ("homs", tuple(els), C)
     cached = G._cache.get(key)
     if cached is None:
         gens = _generating_sequence(G, els)
@@ -1165,7 +1165,7 @@ def small_groups_catalog(max_order: int = CATALOG_MAX_ORDER) -> list:
 # group spec mini-language
 
 
-_ATOM_RE = re.compile(r"^([A-Z]+)(\d*)$")
+_ATOM_RE = re.compile(r"^([A-Z][a-z]*)(\d*)$")
 
 
 def _atom_from_spec(token: str) -> FiniteGroup:
@@ -1187,13 +1187,21 @@ def _atom_from_spec(token: str) -> FiniteGroup:
         if not 1 <= n <= 4:
             raise GroupSpecError(f"symmetric atom supports n <= 4: {token!r}")
         return symmetric(n)
+    if kind == "A" and num == "4":
+        return alternating4()
+    if kind == "Dic" and num:
+        n = int(num)
+        if n < 2:
+            raise GroupSpecError(f"dicyclic atom needs n >= 2: {token!r}")
+        return dicyclic(4 * n)
     raise GroupSpecError(f"unsupported atom {token!r}")
 
 
 def group_from_spec(spec: str) -> FiniteGroup:
     """Build a group from a spec like ``"Q8"``, ``"C2xC4"`` or ``"D8"``.
 
-    Atoms are Cn, D2n, Q8 and Sn (n <= 4), connected with ``x``.
+    Atoms are Cn, D2n, Q8, Sn (n <= 4), A4 and Dicn (order 4n, n >= 2),
+    connected with ``x``, so every catalog name parses to its group.
     Memoized: the same normalized spec returns the same object.
     """
     if not isinstance(spec, str):

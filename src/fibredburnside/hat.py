@@ -5,8 +5,26 @@ Membership in the ideal is decided by the summand criterion: a canonical
 transitive class is in the ideal exactly when it appears as a summand of
 some composition a o b with a over G x K, b over K x G and |K| < |G|.
 Classes whose projections or reduced kernels are proper factor through a
-quotient of a projection and get an explicit constructed witness; the
-remaining candidates are settled by exhaustive search over the catalog.
+quotient of a projection and get an explicit constructed witness.  The
+remaining candidates have full projections, so they can only be summands
+of compositions whose outer projections are full; they are settled by a
+sweep of such compositions, cut down in three sound ways:
+
+* Only maximal K.  A catalog group K that embeds in a larger one K' of
+  order < |G| is skipped.  Res^K'_K o Ind^K'_K contains Id_K as a summand
+  (Mackey formula), so a o b is a summand of (a o Res) o (Ind o b), whose
+  factors are transitive with the same full outer projections: every
+  summand through K is one through K'.
+* Orbit representatives of pairs.  Twisting a factor by an automorphism
+  twists the composite, (sigma a kappa^-1) o (kappa b tau) =
+  sigma (a o b) tau, so a runs over the orbits of Aut(G) x Aut(K) and b
+  over the orbits of Aut(G) on its outer factor.
+* Closure.  The summands of the representative pairs are closed under
+  Aut(G) on both sides, which gives exactly the summands of all pairs;
+  each witness is twisted along, and keeps its double-coset
+  representative.
+
+The unreduced sweep is kept in the test suite as the oracle for this one.
 
 For a fibre of prime order the surviving classes have a closed
 description: diagonal classes indexed by characters and outer
@@ -35,12 +53,15 @@ from .groups import (
     mask_to_elements,
     product_embedding,
     small_groups_catalog,
+    subgroup_as_group,
+    subgroups,
 )
 from .fibred import (
     TransitiveFibredBiset,
     _canonical_raw,
     _class_from_raw,
     _compose_raw,
+    _permute_raw,
     bouc_factorize,
     canonicalize,
     compose,
@@ -154,24 +175,26 @@ def _iso_to_catalog(grp: FiniteGroup, catalog_bound: int):
     return cached
 
 
+def _side_map(emb_from, emb_to, side: int, images) -> list:
+    """Element map between products that applies ``images`` to one factor
+    (0 = left, 1 = right) and keeps the other."""
+    out = []
+    for coords in emb_from.coords:
+        coords = list(coords)
+        coords[side] = images[coords[side]]
+        out.append(emb_to.encode(*coords))
+    return out
+
+
 def _transport_class(X: TransitiveFibredBiset, side: int,
                      phi: GroupHom) -> TransitiveFibredBiset:
     """Apply an isomorphism to one factor of a class over a product."""
-    emb = X.embedding
     factors = [X.left, X.right]
     factors[side] = phi.codomain
     emb_new = product_embedding(*factors)
-    pairs = []
-    for x, c in zip(X.D.elements, X.delta.images):
-        coords = list(emb.decode(x))
-        coords[side] = phi.images[coords[side]]
-        pairs.append((emb_new.encode(*coords), c))
-    pairs.sort()
-    mask = 0
-    for e, _ in pairs:
-        mask |= 1 << e
-    mask, delta = _canonical_raw(emb_new.ambient, mask,
-                                 tuple(c for _, c in pairs))
+    perm = _side_map(X.embedding, emb_new, side, phi.images)
+    mask, delta = _canonical_raw(
+        emb_new.ambient, *_permute_raw(perm, X.D.elements, X.delta.images))
     return _class_from_raw(factors[0], factors[1], X.fibre, mask, delta,
                            canonical=True)
 
@@ -215,30 +238,127 @@ def _full_side_classes(left: FiniteGroup, right: FiniteGroup,
                        C: FiniteGroup, side: int
                        ) -> List[TransitiveFibredBiset]:
     """Canonical classes over left x right whose projection on the given
-    side (0 = left, 1 = right) is all of that factor."""
+    side (0 = left, 1 = right) is all of that factor, in basis order.
+    Characters are enumerated only on subgroups with that projection."""
     emb = product_embedding(left, right)
+    amb = emb.ambient
+    coords = emb.coords
     target = emb.factors[side].order
-    out = []
-    for cls in transitive_basis(left, right, C):
-        seen = {emb.decode(x)[side] for x in cls.D.elements}
-        if len(seen) == target:
-            out.append(cls)
-    return out
+    found = set()
+    for D in subgroups(amb):
+        if len({coords[x][side] for x in D.elements}) != target:
+            continue
+        for hom in homomorphisms(D, C):
+            found.add(_canonical_raw(amb, D.mask, hom.images))
+    return [_class_from_raw(left, right, C, mask, delta, canonical=True)
+            for mask, delta in sorted(found)]
+
+
+def _aut_generators(G: FiniteGroup) -> Tuple[tuple, ...]:
+    """Image tuples of a few automorphisms that generate Aut(G) together
+    with the inner ones (which fix every canonical class)."""
+    cached = G._cache.get("aut_generators")
+    if cached is None:
+        auts = automorphisms(G)
+        reached = {h.images for h in auts.inner}
+        gens = []
+        for rep in auts.out_representatives:
+            if rep.images in reached:
+                continue
+            gens.append(rep.images)
+            frontier = list(reached)
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    y = tuple(s[v] for v in x)
+                    if y not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+        cached = tuple(gens)
+        G._cache["aut_generators"] = cached
+    return cached
+
+
+def _embeds(K: FiniteGroup, L: FiniteGroup) -> bool:
+    """Whether K is isomorphic to a proper subgroup of L."""
+    if K.order >= L.order or L.order % K.order:
+        return False
+    return any(S.order == K.order
+               and isomorphism(subgroup_as_group(S)[0], K) is not None
+               for S in subgroups(L))
+
+
+def _maximal_below(G: FiniteGroup, catalog_bound: int) -> List[FiniteGroup]:
+    """The catalog groups of order < |G| that embed in no larger catalog
+    group of order < |G|: the only ones the ideal sweep has to visit."""
+    key = ("maximal_below", catalog_bound)
+    cached = G._cache.get(key)
+    if cached is None:
+        kats = _catalog_below(G.order, catalog_bound)
+        cached = [K for K in kats if not any(_embeds(K, L) for L in kats)]
+        G._cache[key] = cached
+    return cached
+
+
+def _orbit_representatives(classes: List[TransitiveFibredBiset],
+                           ambient: FiniteGroup, perms: List[list]
+                           ) -> List[TransitiveFibredBiset]:
+    """The first class of each orbit of the group generated by the element
+    maps ``perms`` acting on canonical classes over ``ambient``."""
+    seen = set()
+    reps = []
+    for cls in classes:
+        if cls.raw in seen:
+            continue
+        reps.append(cls)
+        seen.add(cls.raw)
+        stack = [cls.raw]
+        while stack:
+            mask, delta = stack.pop()
+            elements = mask_to_elements(mask)
+            for perm in perms:
+                raw = _canonical_raw(ambient,
+                                     *_permute_raw(perm, elements, delta))
+                if raw not in seen:
+                    seen.add(raw)
+                    stack.append(raw)
+    return reps
 
 
 def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
     """All canonical summand keys of compositions a o b through K where
-    both outer projections are full, with a witness for each.  This is
-    exactly the part of the ideal that can meet classes with full
-    projections."""
-    key = ("ideal_sweep", id(C), id(K))
+    both outer projections are full.  This is exactly the part of the
+    ideal that can meet classes with full projections.
+
+    Each key maps to ``(a, b, h, sigma, tau)``: the key is the summand at
+    double-coset representative h of (sigma a) o (b tau), where sigma and
+    tau are automorphisms of G (image tuples) applied to the outer factors
+    of a and b; ``_sweep_witness`` builds the witness from it.
+
+    Only orbit representatives are composed.  Twisting a factor by an
+    automorphism twists the composite, (sigma a kappa^-1) o (kappa b tau)
+    = sigma (a o b) tau, so it suffices to take a over the orbits of
+    Aut(G) x Aut(K) and b over the orbits of Aut(G) on its outer factor,
+    and then to close the summand keys under Aut(G) on both sides.  A
+    twisted witness keeps its representative h, because the twist leaves
+    the middle coordinates, and with them the double cosets, unchanged.
+    """
+    key = ("ideal_sweep", C, K)
     cached = G._cache.get(key)
     if cached is None:
-        amb = product_embedding(G, G).ambient
+        emb_gg = product_embedding(G, G)
         emb_gk = product_embedding(G, K)
         emb_kg = product_embedding(K, G)
-        lefts = _full_side_classes(G, K, C, 0)
-        rights = _full_side_classes(K, G, C, 1)
+        amb = emb_gg.ambient
+        gens = _aut_generators(G)
+        lefts = _orbit_representatives(
+            _full_side_classes(G, K, C, 0), emb_gk.ambient,
+            [_side_map(emb_gk, emb_gk, 0, s) for s in gens]
+            + [_side_map(emb_gk, emb_gk, 1, s) for s in _aut_generators(K)])
+        rights = _orbit_representatives(
+            _full_side_classes(K, G, C, 1), emb_kg.ambient,
+            [_side_map(emb_kg, emb_kg, 1, s) for s in gens])
+        one = tuple(range(G.order))
         cached = {}
         for a in lefts:
             for b in rights:
@@ -247,10 +367,44 @@ def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
                         b.D.elements, b.delta.images):
                     raw = _canonical_raw(amb, mask, delta)
                     if raw not in cached:
-                        cached[raw] = FactorizationWitness(
-                            K=K, a=a, b=b, which_summand=h)
+                        cached[raw] = (a, b, h, one, one)
+        moves = [(side, s, _side_map(emb_gg, emb_gg, side, s))
+                 for side in (0, 1) for s in gens]
+        stack = list(cached)
+        while stack:
+            raw = stack.pop()
+            a, b, h, sigma, tau = cached[raw]
+            elements = mask_to_elements(raw[0])
+            for side, s, perm in moves:
+                new = _canonical_raw(amb,
+                                     *_permute_raw(perm, elements, raw[1]))
+                if new in cached:
+                    continue
+                if side == 0:
+                    cached[new] = (a, b, h, tuple(s[x] for x in sigma), tau)
+                else:
+                    cached[new] = (a, b, h, sigma, tuple(s[x] for x in tau))
+                stack.append(new)
         G._cache[key] = cached
     return cached
+
+
+def _twisted(X: TransitiveFibredBiset, side: int,
+             images: tuple) -> TransitiveFibredBiset:
+    """X with an automorphism applied to one factor, left uncanonicalized
+    so that its compositions keep their double-coset representatives."""
+    if images == tuple(range(len(images))):
+        return X
+    emb = X.embedding
+    mask, delta = _permute_raw(_side_map(emb, emb, side, images),
+                               X.D.elements, X.delta.images)
+    return _class_from_raw(X.left, X.right, X.fibre, mask, delta)
+
+
+def _sweep_witness(K: FiniteGroup, entry: tuple) -> FactorizationWitness:
+    a, b, h, sigma, tau = entry
+    return FactorizationWitness(K=K, a=_twisted(a, 0, sigma),
+                                b=_twisted(b, 1, tau), which_summand=h)
 
 
 def is_in_ideal(X: TransitiveFibredBiset, catalog_bound: int = 15
@@ -259,24 +413,24 @@ def is_in_ideal(X: TransitiveFibredBiset, catalog_bound: int = 15
 
     A class with a proper projection or a nontrivial reduced kernel gets
     its witness from the factorization through the projection quotient;
-    the remaining candidates are settled by exhaustive search over the
-    catalog (None means no factorization exists).
+    the remaining candidates are settled by exhaustive search through the
+    maximal catalog groups below |G| (None means no factorization exists).
     """
     if X.left is not X.right:
         raise GroupError("ideal membership is about classes over G x G")
     G = X.left
     X = canonicalize(X)
-    kats = _catalog_below(G.order, catalog_bound)
-    cache = G._cache.setdefault(("ideal_decisions", id(X.fibre),
-                                 catalog_bound), {})
+    swept = _maximal_below(G, catalog_bound)
+    cache = G._cache.setdefault(("ideal_decisions", X.fibre, catalog_bound),
+                                {})
     if X.raw in cache:
         return cache[X.raw]
     witness = _reduction_witness(X, catalog_bound)
     if witness is None:
-        for K in kats:
-            hit = _ideal_sweep(G, X.fibre, K).get(X.raw)
-            if hit is not None:
-                witness = hit
+        for K in swept:
+            entry = _ideal_sweep(G, X.fibre, K).get(X.raw)
+            if entry is not None:
+                witness = _sweep_witness(K, entry)
                 break
     cache[X.raw] = witness
     return witness
@@ -768,6 +922,7 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
         "left_group": G.name,
         "right_group": H.name,
         "searched_groups": [K.name for K in kats],
+        "swept_groups": [K.name for K in _maximal_below(G, catalog_bound)],
         "ideal_membership_criterion":
             "class occurs as a summand of a single composition a o b "
             "through a group of smaller order",

@@ -3,6 +3,11 @@ production enumeration paths."""
 
 import itertools
 
+from fibredburnside.fibred import (
+    _canonical_raw, _compose_raw, transitive_basis)
+from fibredburnside.groups import product_embedding
+from fibredburnside.hat import FactorizationWitness
+
 
 def brute_subgroup_masks(G):
     """Exhaustive subset scan (use only for |G| <= 10 or so)."""
@@ -121,3 +126,35 @@ def ref_closure_mask(G, seed):
                     elems.append(z)
                     work.append(z)
     return mask
+
+
+# -- reference ideal sweep: every pair of full-projection classes through
+#    one intermediate group, no orbit reduction
+
+
+def ref_ideal_sweep(G, C, K):
+    """All canonical summand keys of a o b through K, with a over G x K
+    and b over K x G both having full outer projections, each with the
+    witness of its first occurrence."""
+    def full_side(emb, side):
+        target = emb.factors[side].order
+        return [cls for cls in transitive_basis(*emb.factors, C)
+                if len({emb.decode(x)[side] for x in cls.D.elements})
+                == target]
+
+    amb = product_embedding(G, G).ambient
+    emb_gk = product_embedding(G, K)
+    emb_kg = product_embedding(K, G)
+    lefts = full_side(emb_gk, 0)
+    rights = full_side(emb_kg, 1)
+    out = {}
+    for a in lefts:
+        for b in rights:
+            for h, mask, delta in _compose_raw(
+                    emb_gk, emb_kg, C, a.D.elements, a.delta.images,
+                    b.D.elements, b.delta.images):
+                raw = _canonical_raw(amb, mask, delta)
+                if raw not in out:
+                    out[raw] = FactorizationWitness(
+                        K=K, a=a, b=b, which_summand=h)
+    return out

@@ -47,6 +47,14 @@ def test_group_trivial(capsys):
     assert data["out_order"] == 1
 
 
+@pytest.mark.parametrize("spec,order", [("A4", 12), ("Dic3", 12)])
+def test_group_catalog_names(capsys, spec, order):
+    code, out, _ = run_cli(capsys, "--json", "group", spec)
+    assert code == 0
+    data = json.loads(out)
+    assert data["name"] == spec and data["order"] == order
+
+
 def test_group_parse_error(capsys):
     code, _, err = run_cli(capsys, "group", "E7")
     assert code == 2
@@ -136,6 +144,28 @@ def test_hat_prime_fibre_beyond_13(capsys):
     assert data["dimension"] == 4
 
 
+def test_hat_closed_form_checked_as_classes(capsys):
+    code, out, _ = run_cli(capsys, "--json", "hat", "C3", "C2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["closed_form_ok"] is True
+    assert data["dimension"] == len(data["generators"])
+
+
+def test_hat_closed_form_mismatch_is_failure(capsys, monkeypatch):
+    from fibredburnside import hat
+    real = hat.hat_dimension
+
+    def one_survivor_short(G, C, catalog_bound):
+        dim, survivors = real(G, C, catalog_bound)
+        return dim - 1, survivors[1:]
+
+    monkeypatch.setattr(hat, "hat_dimension", one_survivor_short)
+    code, out, _ = run_cli(capsys, "--json", "hat", "C3", "C2")
+    assert code == 1
+    assert json.loads(out)["closed_form_ok"] is False
+
+
 def test_hat_beyond_enumeration_bound_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "hat", "C17", "C2")
     assert code == 2
@@ -155,6 +185,8 @@ def test_counterexample_command(capsys):
     assert code == 0
     assert "k1(D) = <x^2>" in out
     assert "searched groups" in out
+    assert ("swept groups: C4, C2xC2, C5, C6, S3, C7 (every other searched "
+            "group embeds in one of these)") in out
 
 
 def test_counterexample_json(capsys):
@@ -162,6 +194,7 @@ def test_counterexample_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] and len(data["searched_groups"]) == 9
+    assert data["swept_groups"] == ["C4", "C2xC2", "C5", "C6", "S3", "C7"]
     assert all(s["ok"] for s in data["steps"])
 
 

@@ -126,6 +126,19 @@ def test_spec_errors():
         group_from_spec("")
 
 
+def test_every_catalog_name_parses_to_the_catalog_object():
+    from fibredburnside.fibred import (
+        element_from_json, element_from_subcharacter, element_to_json,
+        subcharacter_classes)
+    for G in small_groups_catalog(15):
+        assert group_from_spec(G.name) is G
+    for name in ("A4", "Dic3"):
+        G = group_from_spec(name)
+        sc = subcharacter_classes(G, groups.cyclic(2))[-1]
+        elt = element_from_subcharacter(sc)
+        assert element_from_json(element_to_json(elt)) == elt
+
+
 def test_spec_is_memoized():
     assert group_from_spec("C2xC4") is group_from_spec("C2xC4")
 

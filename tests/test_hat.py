@@ -326,6 +326,7 @@ def test_counterexample_verify_passes():
     assert report["right_group"] == "D8"
     assert report["fibre"] == "C4"
     assert len(report["searched_groups"]) == 9
+    assert report["swept_groups"] == ["C4", "C2xC2", "C5", "C6", "S3", "C7"]
     names = [s["name"] for s in report["steps"]]
     assert any("k1(D) = <x^2>" in n for n in names)
     assert all(s["ok"] for s in report["steps"])
