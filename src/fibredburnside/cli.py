@@ -2,7 +2,8 @@
 
 Subcommands: group, basis, compose, hat, counterexample, verify.
 Exit codes: 0 success, 1 assertion or property failure, 2 usage errors
-(including inputs beyond an enumeration or catalog bound).
+(including inputs beyond an enumeration or catalog bound and fibre groups
+that are not abelian).
 """
 
 from __future__ import annotations
@@ -79,7 +80,10 @@ def cmd_basis(args) -> int:
         "group": G.name,
         "fibre": C.name,
         "count": len(classes),
-        "classes": [fibred.subcharacter_to_json(sc) for sc in classes],
+        "classes": [{"group_spec": G.name, "fibre": C.name,
+                     "subgroup_elements": list(sc.D.elements),
+                     "delta_images": list(sc.delta.images)}
+                    for sc in classes],
     }
     lines = [f"basis of the {C.name}-monomial Burnside ring of {G.name}: "
              f"{len(classes)} classes"]
@@ -193,6 +197,20 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
+def _check(failures, what, inputs, holds):
+    """Record a failure when ``holds()`` is false or raises GroupError.
+    The line carries the element JSON of the inputs, each quoted in the
+    form that ``compose --check`` accepts."""
+    try:
+        ok, detail = holds(), ""
+    except GroupError as exc:
+        ok, detail = False, f" ({exc})"
+    if not ok:
+        failures.append(f"{what} fails{detail}; inputs: " + " ".join(
+            "'" + json.dumps(fibred.element_to_json(e)) + "'"
+            for e in inputs))
+
+
 def _verify_axioms(rng, failures):
     # every composition here also runs the orbit oracle (check=True)
     from .fibred import compose, element_of, identity_element
@@ -203,10 +221,10 @@ def _verify_axioms(rng, failures):
             idG = identity_element(G, C)
             for X in fibred.transitive_basis(G, G, C):
                 e = element_of(X)
-                if (compose(idG, e, check=True) != e
-                        or compose(e, idG, check=True) != e):
-                    failures.append(f"identity law fails on {G.name} "
-                                    f"({C.name}): {X.describe()}")
+                _check(failures, f"identity law on {G.name} ({C.name})",
+                       (idG, e),
+                       lambda: (compose(idG, e, check=True) == e
+                                and compose(e, idG, check=True) == e))
     for _ in range(50):
         C = group_from_spec(rng.choice(["C2", "C3"]))
         gs = [sampling.random_group(rng, 6) for _ in range(4)]
@@ -214,24 +232,22 @@ def _verify_axioms(rng, failures):
         Y = sampling.random_transitive_class(rng, gs[1], gs[2], C)
         Z = sampling.random_transitive_class(rng, gs[2], gs[3], C)
         ex, ey, ez = map(element_of, (X, Y, Z))
-        left = compose(compose(ex, ey, check=True), ez, check=True)
-        right = compose(ex, compose(ey, ez, check=True), check=True)
-        if left != right:
-            failures.append("associativity fails on "
-                            f"{[g.name for g in gs]}")
+        _check(failures, f"associativity on {[g.name for g in gs]}",
+               (ex, ey, ez),
+               lambda: compose(compose(ex, ey, check=True), ez, check=True)
+               == compose(ex, compose(ey, ez, check=True), check=True))
 
 
 def _verify_oracle(rng, failures):
-    from .fibred import compose, element_of
+    from .fibred import compose, compose_oracle, element_of
     for i in range(60):
         C = group_from_spec(rng.choice(["C2", "C3", "C4"]))
         gs = [sampling.random_group(rng, 8) for _ in range(3)]
         X = sampling.random_transitive_class(rng, gs[0], gs[1], C)
         Y = sampling.random_transitive_class(rng, gs[1], gs[2], C)
-        try:
-            compose(element_of(X), element_of(Y), check=True)
-        except GroupError as exc:
-            failures.append(f"oracle disagreement on sample {i}: {exc}")
+        ex, ey = element_of(X), element_of(Y)
+        _check(failures, f"formula/oracle agreement on sample {i}",
+               (ex, ey), lambda: compose(ex, ey) == compose_oracle(ex, ey))
 
 
 def _verify_prime(rng, failures):
@@ -257,6 +273,8 @@ def cmd_verify(args) -> int:
     for name in chosen:
         before = len(failures)
         suites[name](rng, failures)
+        failures[before:] = [f"seed {args.seed}, suite {name}: {f}"
+                             for f in failures[before:]]
         status = "ok" if len(failures) == before else "FAILED"
         if not args.json:
             print(f"suite {name}: {status}")
@@ -322,8 +340,8 @@ def main(argv=None) -> int:
         parser.error("--catalog-max-order must be between 1 and 15")
     try:
         return args.func(args)
-    except (GroupSpecError, BoundExceededError, json.JSONDecodeError,
-            FileNotFoundError) as exc:
+    except (GroupSpecError, BoundExceededError, fibred.FibreError,
+            json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GroupError as exc:

@@ -10,6 +10,7 @@ agree, and that agreement is the backbone of the test suite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -22,6 +23,7 @@ from .groups import (
     cyclic,
     homomorphisms,
     mask_to_elements,
+    pairs_to_raw,
     product_embedding,
     quotient,
     subgroup_as_group,
@@ -29,10 +31,11 @@ from .groups import (
     double_coset_representatives,
 )
 from . import monomial
+from .goursat import _quotient_of_subgroup
 from .monomial import FiniteAction, MonomialSet
 
 __all__ = [
-    "Subcharacter",
+    "FibreError",
     "TransitiveFibredBiset",
     "FibredElement",
     "subcharacter_classes",
@@ -50,7 +53,6 @@ __all__ = [
     "tensor",
     "ring_product",
     "ring_identity",
-    "element_from_subcharacter",
     "to_monomial_set",
     "from_monomial_set",
     "elementary_fibred_biset",
@@ -58,8 +60,6 @@ __all__ = [
     "bouc_factorize",
     "element_to_json",
     "element_from_json",
-    "subcharacter_to_json",
-    "subcharacter_from_json",
 ]
 
 
@@ -76,11 +76,7 @@ __all__ = [
 def _permute_raw(perm, elements: Tuple[int, ...], delta: Tuple[int, ...]):
     """The pair of the image of D under an element map, with the character
     values carried along."""
-    pairs = sorted(zip((perm[x] for x in elements), delta))
-    mask = 0
-    for x, _ in pairs:
-        mask |= 1 << x
-    return mask, tuple(p[1] for p in pairs)
+    return pairs_to_raw(zip((perm[x] for x in elements), delta))
 
 
 def _canonical_raw(ambient: FiniteGroup, mask: int, delta: Tuple[int, ...]):
@@ -113,55 +109,13 @@ def _orbit_size(ambient: FiniteGroup, mask: int, delta: Tuple[int, ...]) -> int:
 # public types
 
 
-class Subcharacter:
-    """A subgroup D <= G with a character delta: D -> C; the index of a
-    transitive C-fibred G-set."""
-
-    __slots__ = ("group", "fibre", "D", "delta")
-
-    def __init__(self, group: FiniteGroup, fibre: FiniteGroup, D: Subgroup,
-                 delta: GroupHom, _validate=True):
-        self.group = group
-        self.fibre = fibre
-        self.D = D
-        self.delta = delta
-        if _validate:
-            if not fibre.is_abelian:
-                raise GroupError("fibre group must be abelian")
-            if D.parent is not group:
-                raise GroupError("subgroup does not live in the stated group")
-            if delta.domain != D or delta.codomain is not fibre:
-                raise GroupError("character does not match the subgroup")
-
-    @property
-    def raw(self):
-        return self.D.mask, self.delta.images
-
-    def key(self):
-        return (id(self.group), id(self.fibre)) + self.raw
-
-    def is_canonical(self) -> bool:
-        return _canonical_raw(self.group, *self.raw) == self.raw
-
-    def __eq__(self, other):
-        return (isinstance(other, Subcharacter)
-                and self.group is other.group and self.fibre is other.fibre
-                and self.raw == other.raw)
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        names = ",".join(self.group.label(x) for x in self.D.elements[:4])
-        return (f"Subcharacter(D={{{names}"
-                f"{',...' if len(self.D.elements) > 4 else ''}}}, "
-                f"delta={self.delta.images} in {self.fibre.name})")
+class FibreError(GroupError):
+    """The fibre group is not abelian."""
 
 
-def _make_subcharacter(group, fibre, elements, delta):
-    D = Subgroup(group, elements, _validate=False)
-    hom = GroupHom(D, fibre, delta, _validate=False)
-    return Subcharacter(group, fibre, D, hom, _validate=False)
+def _check_fibre(C: FiniteGroup):
+    if not C.is_abelian:
+        raise FibreError(f"fibre group must be abelian, {C.name} is not")
 
 
 class TransitiveFibredBiset:
@@ -181,13 +135,12 @@ class TransitiveFibredBiset:
         self.delta = delta
         self.canonical = canonical
         if _validate:
+            _check_fibre(fibre)
             amb = product_embedding(left, right).ambient
             if D.parent is not amb:
                 raise GroupError("subgroup does not live over (left, right)")
             if delta.domain != D or delta.codomain is not fibre:
                 raise GroupError("character does not match the subgroup")
-            if not fibre.is_abelian:
-                raise GroupError("fibre group must be abelian")
             if canonical and _canonical_raw(amb, *self.raw) != self.raw:
                 raise GroupError("pair is not in canonical form")
 
@@ -234,6 +187,14 @@ def _class_from_raw(left, right, fibre, mask, delta, canonical=False):
                                  canonical=canonical, _validate=False)
 
 
+def _canonical_class(left, right, fibre, mask, delta):
+    """The canonical class of the conjugacy orbit of (mask, delta) over
+    left x right."""
+    amb = product_embedding(left, right).ambient
+    return _class_from_raw(left, right, fibre,
+                           *_canonical_raw(amb, mask, delta), canonical=True)
+
+
 def transitive_fibred_biset(left, right, fibre, d_elements,
                             delta_images) -> TransitiveFibredBiset:
     """Validated public constructor for a transitive class."""
@@ -247,9 +208,7 @@ def canonicalize(X: TransitiveFibredBiset) -> TransitiveFibredBiset:
     """The least (D, delta) in the conjugacy orbit of X; idempotent."""
     if X.canonical:
         return X
-    mask, delta = _canonical_raw(X.ambient, *X.raw)
-    return _class_from_raw(X.left, X.right, X.fibre, mask, delta,
-                           canonical=True)
+    return _canonical_class(X.left, X.right, X.fibre, *X.raw)
 
 
 class FibredElement:
@@ -336,60 +295,59 @@ def zero_element(left, right, fibre) -> FibredElement:
 # bases
 
 
-def subcharacter_classes(G: FiniteGroup, C: FiniteGroup) -> List[Subcharacter]:
-    """Canonical representatives of the G-classes of pairs (D, delta);
-    they index the basis of the monomial Burnside ring of G."""
-    if not C.is_abelian:
-        raise GroupError("fibre group must be abelian")
-    key = ("subchar_classes", C)
-    cached = G._cache.get(key)
+def _class_keys(left: FiniteGroup, right: FiniteGroup, C: FiniteGroup,
+                side: Optional[int] = None) -> List[tuple]:
+    """Sorted canonical (mask, delta) keys of the classes over left x right;
+    with ``side`` (0 = left, 1 = right) only those whose projection on that
+    factor is all of it, enumerating characters only on such subgroups."""
+    _check_fibre(C)
+    emb = product_embedding(left, right)
+    amb = emb.ambient
+    key = ("class_keys", C, left, right, side)
+    cached = amb._cache.get(key)
     if cached is None:
+        subs = subgroups(amb)
+        if side is not None:
+            coords = emb.coords
+            target = emb.factors[side].order
+            subs = [D for D in subs
+                    if len({coords[x][side] for x in D.elements}) == target]
         found = set()
-        for D in subgroups(G):
+        for D in subs:
             for hom in homomorphisms(D, C):
-                found.add(_canonical_raw(G, D.mask, hom.images))
+                found.add(_canonical_raw(amb, D.mask, hom.images))
         cached = sorted(found)
-        G._cache[key] = cached
-    return [_make_subcharacter(G, C, mask_to_elements(m), d)
-            for m, d in cached]
+        amb._cache[key] = cached
+    return cached
 
 
 def transitive_basis(G: FiniteGroup, H: FiniteGroup,
                      C: FiniteGroup) -> List[TransitiveFibredBiset]:
     """Canonical transitive classes over G x H: the basis of the
     morphism group from H to G."""
-    amb = product_embedding(G, H).ambient
-    return [_class_from_raw(G, H, C, *sc.raw, canonical=True)
-            for sc in subcharacter_classes(amb, C)]
+    return [_class_from_raw(G, H, C, mask, delta, canonical=True)
+            for mask, delta in _class_keys(G, H, C)]
 
 
-def element_from_subcharacter(sc: Subcharacter) -> FibredElement:
-    """View a basis class of the ring of G as an element over (G, C1)."""
-    one = cyclic(1)
-    mask, delta = _canonical_raw(sc.group, *sc.raw)
-    cls = _class_from_raw(sc.group, one, sc.fibre, mask, delta,
-                          canonical=True)
-    return element_of(cls)
+def subcharacter_classes(G: FiniteGroup,
+                         C: FiniteGroup) -> List[TransitiveFibredBiset]:
+    """Canonical representatives of the G-classes of pairs (D, delta), as
+    classes over G x C1, whose ambient is G itself; they index the basis
+    of the monomial Burnside ring of G."""
+    return transitive_basis(G, cyclic(1), C)
 
 
 def ring_identity(G: FiniteGroup, C: FiniteGroup) -> FibredElement:
     """The class of C G/G: the identity of the ring of G."""
-    one = cyclic(1)
-    mask = (1 << G.order) - 1
-    delta = (0,) * G.order
-    mask, delta = _canonical_raw(G, mask, delta)
-    return element_of(_class_from_raw(G, one, C, mask, delta, canonical=True))
+    return element_of(_canonical_class(G, cyclic(1), C, (1 << G.order) - 1,
+                                       (0,) * G.order))
 
 
 def identity_element(G: FiniteGroup, C: FiniteGroup) -> FibredElement:
     """The class of C (G x G)/Delta(G): the identity morphism of G."""
     emb = product_embedding(G, G)
-    mask = 0
-    for g in range(G.order):
-        mask |= 1 << emb.encode(g, g)
-    delta = (0,) * G.order
-    mask, delta = _canonical_raw(emb.ambient, mask, delta)
-    return element_of(_class_from_raw(G, G, C, mask, delta, canonical=True))
+    mask, delta = pairs_to_raw((emb.encode(g, g), 0) for g in range(G.order))
+    return element_of(_canonical_class(G, G, C, mask, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +364,7 @@ def opposite(X: TransitiveFibredBiset) -> TransitiveFibredBiset:
     for x, c in zip(X.D.elements, X.delta.images):
         g, h = emb.decode(x)
         pairs.append((emb_op.encode(h, g), inv[c]))
-    pairs.sort()
-    mask = 0
-    for x, _ in pairs:
-        mask |= 1 << x
-    delta = tuple(c for _, c in pairs)
-    mask, delta = _canonical_raw(emb_op.ambient, mask, delta)
-    return _class_from_raw(X.right, X.left, X.fibre, mask, delta,
-                           canonical=True)
+    return _canonical_class(X.right, X.left, X.fibre, *pairs_to_raw(pairs))
 
 
 def opposite_element(elt: FibredElement) -> FibredElement:
@@ -487,11 +438,7 @@ def _compose_raw(emb_gh: ProductEmbedding, emb_hk: ProductEmbedding,
                     values[e] = val
                 elif old != val:
                     raise GroupError("composite character is ill-defined")
-        items = sorted(values.items())
-        mask = 0
-        for e, _ in items:
-            mask |= 1 << e
-        out.append((h, mask, tuple(c for _, c in items)))
+        out.append((h, *pairs_to_raw(values.items())))
     return out
 
 
@@ -539,18 +486,11 @@ def is_idempotent(W: FibredElement) -> bool:
 # monomial-set bridge and the orbit oracle
 
 
-def to_monomial_set(X) -> MonomialSet:
-    """Explicit coset model of a transitive class (over its full ambient
-    group) or of a ring basis class."""
-    if isinstance(X, Subcharacter):
-        acting, (mask, delta) = X.group, X.raw
-    elif isinstance(X, TransitiveFibredBiset):
-        acting, (mask, delta) = X.ambient, X.raw
-    else:
-        raise GroupError("expected a transitive class")
-    elements = mask_to_elements(mask)
-    dmap = dict(zip(elements, delta))
-    return monomial.monomial_set_from_pair(acting, X.fibre, elements,
+def to_monomial_set(X: TransitiveFibredBiset) -> MonomialSet:
+    """Explicit coset model of a transitive class over its full ambient
+    group (for a ring basis class over G x C1, that is G)."""
+    dmap = dict(zip(X.D.elements, X.delta.images))
+    return monomial.monomial_set_from_pair(X.ambient, X.fibre, X.D.elements,
                                            dmap.__getitem__)
 
 
@@ -720,27 +660,16 @@ def _graph_class(left: FiniteGroup, right: FiniteGroup, C: FiniteGroup,
                  ) -> TransitiveFibredBiset:
     emb = product_embedding(left, right)
     if values is None:
-        encoded = sorted(emb.encode(a, b) for a, b in pairs)
-        delta = (0,) * len(encoded)
-        mask = 0
-        for e in encoded:
-            mask |= 1 << e
-    else:
-        items: Dict[int, int] = {}
-        for (a, b), v in zip(pairs, values):
-            e = emb.encode(a, b)
-            old = items.get(e)
-            if old is None:
-                items[e] = v
-            elif old != v:
-                raise GroupError("character is ill-defined on the subgroup")
-        enc = sorted(items.items())
-        mask = 0
-        for e, _ in enc:
-            mask |= 1 << e
-        delta = tuple(v for _, v in enc)
-    mask, delta = _canonical_raw(emb.ambient, mask, delta)
-    return _class_from_raw(left, right, C, mask, delta, canonical=True)
+        values = itertools.repeat(0)
+    items: Dict[int, int] = {}
+    for (a, b), v in zip(pairs, values):
+        e = emb.encode(a, b)
+        old = items.get(e)
+        if old is None:
+            items[e] = v
+        elif old != v:
+            raise GroupError("character is ill-defined on the subgroup")
+    return _canonical_class(left, right, C, *pairs_to_raw(items.items()))
 
 
 def elementary_fibred_biset(kind: str, C: FiniteGroup, *,
@@ -821,41 +750,27 @@ def bouc_factorize(X: TransitiveFibredBiset) -> BoucFactorization:
     G, H = emb.factors
     C = X.fibre
 
+    coords = [emb.decode(x) for x in X.D.elements]
+
     # left side
-    E_els = sorted({emb.decode(x)[0] for x in X.D.elements})
-    E = Subgroup(G, tuple(E_els), _validate=False)
-    k1 = _reduced_kernel(emb, X, 0)
-    E_grp, incl = subgroup_as_group(E)
-    pos_e = {x: i for i, x in enumerate(E.elements)}
-    k1_local = Subgroup(E_grp, tuple(sorted(pos_e[x] for x in k1)),
-                        _validate=False)
-    E_quot, proj_e = quotient(E_grp, k1_local)
+    E = Subgroup(G, tuple(sorted({g for g, _ in coords})), _validate=False)
+    k1 = Subgroup(G, tuple(_reduced_kernel(emb, X, 0)), _validate=False)
+    E_quot, proj_e = _quotient_of_subgroup(E, k1)
+    pe = proj_e.as_map()
     left_elementary = _graph_class(G, E_quot, C,
-                                   [(g, proj_e.images[pos_e[g]])
-                                    for g in E.elements])
-    beta1 = _graph_class(
-        E_quot, H, C,
-        [(proj_e.images[pos_e[emb.decode(x)[0]]], emb.decode(x)[1])
-         for x in X.D.elements],
-        values=X.delta.images)
+                                   [(g, pe[g]) for g in E.elements])
+    beta1 = _graph_class(E_quot, H, C, [(pe[g], h) for g, h in coords],
+                         values=X.delta.images)
 
     # right side
-    F_els = sorted({emb.decode(x)[1] for x in X.D.elements})
-    F = Subgroup(H, tuple(F_els), _validate=False)
-    k2 = _reduced_kernel(emb, X, 1)
-    F_grp, _ = subgroup_as_group(F)
-    pos_f = {x: i for i, x in enumerate(F.elements)}
-    k2_local = Subgroup(F_grp, tuple(sorted(pos_f[x] for x in k2)),
-                        _validate=False)
-    F_quot, proj_f = quotient(F_grp, k2_local)
+    F = Subgroup(H, tuple(sorted({h for _, h in coords})), _validate=False)
+    k2 = Subgroup(H, tuple(_reduced_kernel(emb, X, 1)), _validate=False)
+    F_quot, proj_f = _quotient_of_subgroup(F, k2)
+    pf = proj_f.as_map()
     right_elementary = _graph_class(F_quot, H, C,
-                                    [(proj_f.images[pos_f[h]], h)
-                                     for h in F.elements])
-    beta2 = _graph_class(
-        G, F_quot, C,
-        [(emb.decode(x)[0], proj_f.images[pos_f[emb.decode(x)[1]]])
-         for x in X.D.elements],
-        values=X.delta.images)
+                                    [(pf[h], h) for h in F.elements])
+    beta2 = _graph_class(G, F_quot, C, [(g, pf[h]) for g, h in coords],
+                         values=X.delta.images)
 
     return BoucFactorization(left_elementary=left_elementary, beta1=beta1,
                              beta2=beta2, right_elementary=right_elementary,
@@ -864,21 +779,6 @@ def bouc_factorize(X: TransitiveFibredBiset) -> BoucFactorization:
 
 # ---------------------------------------------------------------------------
 # JSON wire format
-
-
-def subcharacter_to_json(sc: Subcharacter) -> dict:
-    return {"group_spec": sc.group.name, "fibre": sc.fibre.name,
-            "subgroup_elements": list(sc.D.elements),
-            "delta_images": list(sc.delta.images)}
-
-
-def subcharacter_from_json(data: dict) -> Subcharacter:
-    from .groups import group_from_spec
-    G = group_from_spec(data["group_spec"])
-    C = group_from_spec(data["fibre"])
-    D = G.subgroup(data["subgroup_elements"])
-    hom = GroupHom(D, C, tuple(data["delta_images"]))
-    return Subcharacter(G, C, D, hom)
 
 
 def element_to_json(elt: FibredElement) -> dict:

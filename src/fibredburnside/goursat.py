@@ -1,6 +1,6 @@
 """Subgroups of direct products: coordinate projections and kernels,
-the star product, Goursat decomposition, and conjugation of subgroups
-and subgroup/character pairs."""
+the star product, Goursat decomposition, and conjugation of
+subgroup/character pairs."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from .groups import (
     GroupHom,
     ProductEmbedding,
     Subgroup,
-    conjugate_mask,
     mask_to_elements,
+    pairs_to_raw,
     product_embedding,
     quotient,
     subgroup_as_group,
@@ -27,7 +27,6 @@ __all__ = [
     "GoursatData",
     "goursat_decompose",
     "rebuild_from_goursat",
-    "conjugate_subgroup",
     "conjugate_pair",
 ]
 
@@ -176,20 +175,12 @@ def rebuild_from_goursat(emb: ProductEmbedding, data: GoursatData) -> Subgroup:
     return Subgroup(emb.ambient, tuple(sorted(out)), _validate=False)
 
 
-def conjugate_subgroup(D: Subgroup, g: int) -> Subgroup:
-    """^g D = g D g^-1 inside the parent group."""
-    mask = conjugate_mask(D.parent, D.mask, g)
-    return Subgroup(D.parent, mask_to_elements(mask), _validate=False)
-
-
 def conjugate_pair(D: Subgroup, delta: GroupHom,
                    g: int) -> Tuple[Subgroup, GroupHom]:
     """^g (D, delta) = (^g D, ^g delta) with ^g delta(x) = delta(g^-1 x g)."""
     G = D.parent
     perm = G.conjugation_perm(g)
-    dmap = delta.as_map()
-    pairs = sorted((perm[x], c) for x, c in dmap.items())
-    newD = Subgroup(G, tuple(p[0] for p in pairs), _validate=False)
-    newdelta = GroupHom(newD, delta.codomain, tuple(p[1] for p in pairs),
-                        _validate=False)
-    return newD, newdelta
+    mask, images = pairs_to_raw(zip((perm[x] for x in D.elements),
+                                    delta.images))
+    newD = Subgroup(G, mask_to_elements(mask), _validate=False)
+    return newD, GroupHom(newD, delta.codomain, images, _validate=False)

@@ -17,8 +17,6 @@ import itertools
 import re
 from typing import Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 __all__ = [
     "GroupError",
     "GroupSpecError",
@@ -35,7 +33,6 @@ __all__ = [
     "alternating4",
     "dicyclic",
     "group_from_spec",
-    "direct_product",
     "product_embedding",
     "subgroups",
     "center",
@@ -47,7 +44,6 @@ __all__ = [
     "double_coset_representatives",
     "isomorphism",
     "small_groups_catalog",
-    "compose_homs",
 ]
 
 SUBGROUP_ORDER_BOUND = 64
@@ -110,8 +106,8 @@ class FiniteGroup:
         n = self.order
         if n <= 0:
             raise GroupError("group must be nonempty")
-        arr = np.array(self.table, dtype=np.int64)
-        if arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
+        if any(len(row) != n or min(row) < 0 or max(row) >= n
+               for row in self.table):
             raise GroupError("table entries out of range")
         for a in range(n):
             if len(set(self.table[a])) != n:
@@ -123,11 +119,17 @@ class FiniteGroup:
         for a in range(n):
             if 0 not in self.table[a]:
                 raise GroupError(f"element {a} has no inverse")
-        # full associativity scan; beyond the bound the constructions used
-        # here (direct products of validated tables) are associative anyway
-        if n <= SUBGROUP_ORDER_BOUND:
-            if not np.array_equal(arr[arr, :], arr[:, arr]):
-                raise GroupError("table is not associative")
+        # Light's test: the g with (xg)y = x(gy) for all x, y contain 0
+        # and are closed under products, and right multiplication by a
+        # generating sequence reaches every element from 0, so checking
+        # the generators checks the whole table
+        f = self._flat
+        for g in _generating_sequence(self, range(n)):
+            for x in range(n):
+                xg = f[x * n + g] * n
+                for y in range(n):
+                    if f[xg + y] != f[x * n + f[g * n + y]]:
+                        raise GroupError("table is not associative")
 
     # -- basic operations ---------------------------------------------------
 
@@ -142,9 +144,6 @@ class FiniteGroup:
         f = self._flat
         n = self.order
         return f[f[g * n + x] * n + self.inverses[g]]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def element_order(self, a: int) -> int:
         orders = self._cache.get("element_orders")
@@ -413,10 +412,6 @@ class GroupHom:
                if fa == 0]
         return Subgroup(amb, tuple(els), _validate=False)
 
-    def image(self) -> Subgroup:
-        return Subgroup(self.codomain, tuple(sorted(set(self.images))),
-                        _validate=False)
-
     def is_trivial(self) -> bool:
         return all(x == 0 for x in self.images)
 
@@ -446,13 +441,6 @@ def trivial_hom(domain: Domain, codomain: FiniteGroup) -> GroupHom:
                     _validate=False)
 
 
-def compose_homs(outer: GroupHom, inner: GroupHom) -> GroupHom:
-    """outer o inner; the image of inner must land in outer's domain."""
-    out = outer.as_map()
-    images = tuple(out[y] for y in inner.images)
-    return GroupHom(inner.domain, outer.codomain, images, _validate=False)
-
-
 # ---------------------------------------------------------------------------
 # bitmask helpers
 
@@ -471,6 +459,14 @@ def elements_to_mask(elements: Iterable[int]) -> int:
     for x in elements:
         m |= 1 << x
     return m
+
+
+def pairs_to_raw(pairs) -> tuple:
+    """The (mask, delta) pair of unsorted (element, value) pairs: the
+    bitmask of the elements and the values in ascending element order.
+    There is at least one pair, as a subgroup holds the identity."""
+    elements, delta = zip(*sorted(pairs))
+    return elements_to_mask(elements), delta
 
 
 def conjugate_mask(G: FiniteGroup, mask: int, g: int) -> int:
@@ -742,9 +738,9 @@ _product_cache: dict = {}
 
 def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
     """Memoized product: the same factor tuple yields the same embedding
-    (and hence the very same ambient group object)."""
-    key = tuple(id(f) for f in factors)
-    emb = _product_cache.get(key)
+    (and hence the very same ambient group object).  Groups hash by
+    identity, so the key holds the factor groups themselves."""
+    emb = _product_cache.get(factors)
     if emb is not None:
         return emb
     if not factors:
@@ -780,13 +776,8 @@ def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
         ambient = FiniteGroup(table, labels=labels, name=name,
                               validate=total <= SUBGROUP_ORDER_BOUND)
     emb = ProductEmbedding(tuple(factors), ambient, strides, coords)
-    _product_cache[key] = emb
+    _product_cache[factors] = emb
     return emb
-
-
-def direct_product(G: FiniteGroup, H: FiniteGroup) -> ProductEmbedding:
-    """Direct product of two groups, with its projection homomorphisms."""
-    return product_embedding(G, H)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from .groups import (
     homomorphisms,
     isomorphism,
     mask_to_elements,
+    pairs_to_raw,
     product_embedding,
     small_groups_catalog,
     subgroup_as_group,
@@ -58,8 +59,10 @@ from .groups import (
 )
 from .fibred import (
     TransitiveFibredBiset,
+    _canonical_class,
     _canonical_raw,
     _class_from_raw,
+    _class_keys,
     _compose_raw,
     _permute_raw,
     bouc_factorize,
@@ -193,10 +196,8 @@ def _transport_class(X: TransitiveFibredBiset, side: int,
     factors[side] = phi.codomain
     emb_new = product_embedding(*factors)
     perm = _side_map(X.embedding, emb_new, side, phi.images)
-    mask, delta = _canonical_raw(
-        emb_new.ambient, *_permute_raw(perm, X.D.elements, X.delta.images))
-    return _class_from_raw(factors[0], factors[1], X.fibre, mask, delta,
-                           canonical=True)
+    return _canonical_class(factors[0], factors[1], X.fibre,
+                            *_permute_raw(perm, X.D.elements, X.delta.images))
 
 
 def _summand_index(X: TransitiveFibredBiset, a: TransitiveFibredBiset,
@@ -240,18 +241,8 @@ def _full_side_classes(left: FiniteGroup, right: FiniteGroup,
     """Canonical classes over left x right whose projection on the given
     side (0 = left, 1 = right) is all of that factor, in basis order.
     Characters are enumerated only on subgroups with that projection."""
-    emb = product_embedding(left, right)
-    amb = emb.ambient
-    coords = emb.coords
-    target = emb.factors[side].order
-    found = set()
-    for D in subgroups(amb):
-        if len({coords[x][side] for x in D.elements}) != target:
-            continue
-        for hom in homomorphisms(D, C):
-            found.add(_canonical_raw(amb, D.mask, hom.images))
     return [_class_from_raw(left, right, C, mask, delta, canonical=True)
-            for mask, delta in sorted(found)]
+            for mask, delta in _class_keys(left, right, C, side)]
 
 
 def _aut_generators(G: FiniteGroup) -> Tuple[tuple, ...]:
@@ -607,23 +598,14 @@ def hat_generator_class(gen: HatGenerator) -> TransitiveFibredBiset:
     cinv = C.inverses
     if gen.variant == "X":
         t, sigma = gen.t, gen.sigma
-        pairs = sorted((emb.encode(sigma.images[g], g), cinv[t.images[g]])
-                       for g in range(G.order))
+        pairs = [(emb.encode(sigma.images[g], g), cinv[t.images[g]])
+                 for g in range(G.order)]
     else:
         omega, zeta = gen.omega, gen.zeta
-        items = {}
-        for g in range(G.order):
-            wg = omega.images[g]
-            for c in range(C.order):
-                e = emb.encode(G.mul(wg, zeta.images[c]), g)
-                items[e] = cinv[c]
-        pairs = sorted(items.items())
-    mask = 0
-    for e, _ in pairs:
-        mask |= 1 << e
-    mask, delta = _canonical_raw(emb.ambient, mask,
-                                 tuple(c for _, c in pairs))
-    return _class_from_raw(G, G, C, mask, delta, canonical=True)
+        pairs = [(emb.encode(G.mul(omega.images[g], zeta.images[c]), g),
+                  cinv[c])
+                 for g in range(G.order) for c in range(C.order)]
+    return _canonical_class(G, G, C, *pairs_to_raw(pairs))
 
 
 def y_type_class(G: FiniteGroup, C: FiniteGroup, omega: GroupHom,

@@ -105,6 +105,26 @@ def test_compose_mismatch_is_failure(capsys):
     assert code == 1
 
 
+def test_basis_non_abelian_fibre_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "basis", "C2", "S3")
+    assert code == 2
+    assert "fibre group must be abelian" in err
+
+
+def test_hat_non_abelian_fibre_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "hat", "C2", "S3")
+    assert code == 2
+    assert "fibre group must be abelian" in err
+
+
+def test_compose_non_abelian_fibre_is_usage_error(capsys):
+    blob = json.dumps({"left": "C2", "right": "C2", "fibre": "S3",
+                       "terms": [{"D": [0], "delta": [0], "coeff": 1}]})
+    code, _, err = run_cli(capsys, "compose", blob, blob, "--check")
+    assert code == 2
+    assert "fibre group must be abelian" in err
+
+
 def test_compose_malformed_input(capsys):
     code, _, err = run_cli(capsys, "compose", "{not json", "{}")
     assert code == 2
@@ -203,6 +223,31 @@ def test_verify_axioms(capsys):
                            "--seed", "11")
     assert code == 0
     assert "suite axioms: ok" in out
+
+
+@pytest.mark.parametrize("suite", ["axioms", "oracle"])
+def test_verify_failures_carry_seed_and_inputs(capsys, monkeypatch, suite):
+    def broken(X, Y, check=False):
+        raise fibred.GroupError("composition broke")
+
+    monkeypatch.setattr(fibred, "compose", broken)
+    code, out, _ = run_cli(capsys, "--json", "verify", "--suite", suite,
+                           "--seed", "5")
+    monkeypatch.undo()
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert failures
+    for line in failures:
+        assert line.startswith(f"seed 5, suite {suite}: ")
+        assert "(composition broke); inputs: '" in line
+    # the quoted inputs of a failure reproduce it with compose --check
+    inputs = failures[-1].split("; inputs: ")[1]
+    blobs = [b for b in inputs.split("'") if b.strip()]
+    assert len(blobs) == (3 if suite == "axioms" else 2)
+    code, out, _ = run_cli(capsys, "--json", "compose", blobs[0], blobs[1],
+                           "--check")
+    assert code == 0
+    assert json.loads(out)["left"] == json.loads(blobs[0])["left"]
 
 
 def test_verify_prime_json(capsys):

@@ -88,7 +88,8 @@ def test_subcharacter_classes_s3_counts(s3, c2, c3):
 def test_subcharacter_classes_are_canonical_and_distinct(d8, c2):
     classes = subcharacter_classes(d8, c2)
     assert len({sc.raw for sc in classes}) == len(classes)
-    assert all(sc.is_canonical() for sc in classes)
+    assert all(fibred._canonical_raw(d8, *sc.raw) == sc.raw
+               for sc in classes)
 
 
 # -- canonical forms ----------------------------------------------------------
@@ -152,8 +153,8 @@ def test_monomial_disjoint_union_adds(q8, c2):
                      + [n1 + v for v in T2.action.table[a]])
     both = MonomialSet(q8, c2, FiniteAction(T1.action.group, table))
     total = from_monomial_set(both)
-    assert total == (fibred.element_from_subcharacter(sc[0])
-                     + fibred.element_from_subcharacter(sc[-1]))
+    assert total == (element_of(sc[0])
+                     + element_of(sc[-1]))
 
 
 def test_oracle_scale_completes_quickly():
@@ -171,7 +172,7 @@ def test_oracle_scale_completes_quickly():
 def test_tensor_unit_law(c1, c2, d8):
     unit = ring_identity(c1, c2)
     for sc in subcharacter_classes(d8, c2)[:6]:
-        y = fibred.element_from_subcharacter(sc)
+        y = element_of(sc)
         left = tensor(unit, y)
         # ambient of (C1, D8) product is D8 itself: classes comparable
         assert {cls.raw: v for cls, v in left.terms.items()} == \
@@ -224,7 +225,7 @@ def test_tensor_associative_up_to_regrouping(rng, c2):
 def test_ring_product_unit(d8, c2):
     unit = ring_identity(d8, c2)
     for sc in subcharacter_classes(d8, c2)[::4]:
-        y = fibred.element_from_subcharacter(sc)
+        y = element_of(sc)
         assert ring_product(unit, y) == y
         assert ring_product(y, unit) == y
 
@@ -235,8 +236,8 @@ def test_ring_product_matches_direct_orbit_count(c2):
     classes = subcharacter_classes(c2, c2)
     for sc1 in classes:
         for sc2 in classes:
-            x = fibred.element_from_subcharacter(sc1)
-            y = fibred.element_from_subcharacter(sc2)
+            x = element_of(sc1)
+            y = element_of(sc2)
             result = ring_product(x, y)
             # direct model: pairs (t, u) of twisted cosets modulo the
             # antidiagonal fibre action, with diagonal group action
@@ -550,8 +551,7 @@ def test_element_json_round_trip(rng, c4):
 
 
 def test_subcharacter_json_round_trip(q8, c2):
-    from fibredburnside.fibred import (subcharacter_from_json,
-                                       subcharacter_to_json)
     for sc in subcharacter_classes(q8, c2):
-        back = subcharacter_from_json(subcharacter_to_json(sc))
-        assert back.raw == sc.raw
+        back = element_from_json(element_to_json(element_of(sc)))
+        assert back == element_of(sc)
+        assert [cls.raw for cls in back.terms] == [sc.raw]

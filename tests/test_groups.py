@@ -16,7 +16,6 @@ from fibredburnside.groups import (
     GroupError,
     GroupSpecError,
     closure_mask,
-    direct_product,
     double_coset_representatives,
     group_from_spec,
     homomorphisms,
@@ -128,14 +127,14 @@ def test_spec_errors():
 
 def test_every_catalog_name_parses_to_the_catalog_object():
     from fibredburnside.fibred import (
-        element_from_json, element_from_subcharacter, element_to_json,
+        element_from_json, element_of, element_to_json,
         subcharacter_classes)
     for G in small_groups_catalog(15):
         assert group_from_spec(G.name) is G
     for name in ("A4", "Dic3"):
         G = group_from_spec(name)
         sc = subcharacter_classes(G, groups.cyclic(2))[-1]
-        elt = element_from_subcharacter(sc)
+        elt = element_of(sc)
         assert element_from_json(element_to_json(elt)) == elt
 
 
@@ -150,24 +149,43 @@ def test_table_validation_rejects_bad_tables():
         groups.FiniteGroup([[1, 0], [0, 1]])
 
 
+# the smallest loop (Latin square with identity) that is not associative
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_table_validation_rejects_non_associative_loop():
+    with pytest.raises(GroupError, match="not associative"):
+        groups.FiniteGroup(LOOP5)
+
+
+def test_from_json_rejects_large_non_associative_table():
+    # LOOP5 x C16 has order 80, beyond the subgroup enumeration bound
+    m = 16
+    table = [[LOOP5[a // m][b // m] * m + (a + b) % m for b in range(80)]
+             for a in range(80)]
+    with pytest.raises(GroupError, match="not associative"):
+        groups.FiniteGroup.from_json({"order": 80, "table": table})
+
+
 # -- direct products ---------------------------------------------------------
 
 
 def test_product_with_trivial_is_identity(c1, q8):
-    emb = direct_product(c1, q8)
+    emb = product_embedding(c1, q8)
     assert emb.ambient is q8
     assert emb.factor_projections[1].images == tuple(range(8))
 
 
 def test_product_klein(c2):
-    emb = direct_product(c2, c2)
+    emb = product_embedding(c2, c2)
     G = emb.ambient
     assert G.order == 4
     assert all(G.element_order(a) == 2 for a in range(1, 4))
 
 
 def test_product_order_and_projections(q8, d8):
-    emb = direct_product(q8, d8)
+    emb = product_embedding(q8, d8)
     assert emb.ambient.order == 64
     p1, p2 = emb.factor_projections
     for _ in range(10):
@@ -177,8 +195,15 @@ def test_product_order_and_projections(q8, d8):
         assert p2.images[c] == d8.mul(p2.images[a], p2.images[b])
 
 
+def test_product_cache_keys_hold_the_factor_groups(c2, c3):
+    emb = product_embedding(c2, c3)
+    assert groups._product_cache[(c2, c3)] is emb
+    assert all(isinstance(f, groups.FiniteGroup)
+               for key in groups._product_cache for f in key)
+
+
 def test_product_ordering_is_lexicographic(c2, c4):
-    emb = direct_product(c2, c4)
+    emb = product_embedding(c2, c4)
     for i in range(8):
         assert emb.decode(i) == (i // 4, i % 4)
 
