@@ -123,6 +123,7 @@ def cmd_hat(args) -> int:
         closed_ok = ({hat.hat_generator_class(g).raw for g in gens}
                      == {X.raw for X in basis})
         report = hat.verify_hat_vs_quotient(G, C, args.catalog_max_order)
+        position = {g.key(): i for i, g in enumerate(gens)}
         table = []
         for a in gens:
             row = []
@@ -132,7 +133,7 @@ def cmd_hat(args) -> int:
                     row.append(None)
                 else:
                     ((g, coeff),) = prod.coefficients.items()
-                    row.append({"generator": gens.index(g),
+                    row.append({"generator": position[g.key()],
                                 "coeff": str(coeff)})
             table.append(row)
         data.update({

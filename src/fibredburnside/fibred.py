@@ -522,7 +522,9 @@ def _compose_oracle_transitive(tx: TransitiveFibredBiset,
                                ty: TransitiveFibredBiset) -> FibredElement:
     """Set-theoretic composition of two transitive classes: orbits of the
     product under the middle-group/fibre action, keeping the part on
-    which the fibre acts freely."""
+    which the fibre acts freely.  The orbits are glued from the moves of
+    (h, 1) and (1, c) for h and c in generating sets of H and C, which
+    generate H x C."""
     G, H = tx.left, tx.right
     K = ty.right
     C = tx.fibre
@@ -531,45 +533,35 @@ def _compose_oracle_transitive(tx: TransitiveFibredBiset,
     emb_gk = product_embedding(G, K)
     T1 = to_monomial_set(tx)
     T2 = to_monomial_set(ty)
-    e1 = T1.embedding
-    e2 = T2.embedding
+    t1, e1 = T1.action.table, T1.embedding
+    t2, e2 = T2.action.table, T2.embedding
     n2 = T2.size
-    n_pairs = T1.size * n2
     inv = C.inverses
 
-    moves = []
-    for h in range(H.order):
-        for c in range(C.order):
-            r1 = T1.action.table[e1.encode(emb_gh.encode(0, h), c)]
-            r2 = T2.action.table[e2.encode(emb_hk.encode(h, 0), inv[c])]
-            moves.append([r1[p // n2] * n2 + r2[p % n2]
-                          for p in range(n_pairs)])
-    find_rep, roots = monomial._orbit_partition(n_pairs, moves)
+    moves = [monomial._pair_move(t1[e1.encode(emb_gh.encode(0, h), 0)],
+                                 t2[e2.encode(emb_hk.encode(h, 0), 0)], n2)
+             for h in H.generators()]
+    moves += [monomial._pair_move(t1[e1.encode(0, c)],
+                                  t2[e2.encode(0, inv[c])], n2)
+              for c in C.generators()]
+    find_rep, roots = monomial._orbit_partition(T1.size * n2, moves)
 
-    def pair_move(p, a1, a2):
-        return (T1.action.table[a1][p // n2] * n2
-                + T2.action.table[a2][p % n2])
-
-    # keep the orbits on which the fibre acts freely
-    kept = []
-    for root in roots:
-        free = True
-        for c in range(1, C.order):
-            q = pair_move(root, e1.encode(0, c), e2.encode(0, 0))
-            if find_rep[q] == root:
-                free = False
-                break
-        if free:
-            kept.append(root)
+    # keep the orbits on which the fibre acts freely: (1, c) for c != 1
+    # moves the root (i, j) to (c.i, j), which must leave its orbit
+    fibre_rows = [t1[e1.encode(0, c)] for c in range(1, C.order)]
+    kept = [root for root in roots
+            if all(find_rep[r1[root // n2] * n2 + root % n2] != root
+                   for r1 in fibre_rows)]
     index = {r: i for i, r in enumerate(kept)}
+    label = [index.get(r) for r in find_rep]
+    split = [divmod(r, n2) for r in kept]
     emb_res = product_embedding(emb_gk.ambient, C)
     table = []
-    for e in range(emb_res.ambient.order):
-        gk, c = emb_res.decode(e)
-        g, k = emb_gk.decode(gk)
-        a1 = e1.encode(emb_gh.encode(g, 0), c)
-        a2 = e2.encode(emb_hk.encode(0, k), 0)
-        table.append([index[find_rep[pair_move(r, a1, a2)]] for r in kept])
+    for gk, c in emb_res.coords:
+        g, k = emb_gk.coords[gk]
+        r1 = t1[e1.encode(emb_gh.encode(g, 0), c)]
+        r2 = t2[e2.encode(emb_hk.encode(0, k), 0)]
+        table.append([label[r1[i] * n2 + r2[j]] for i, j in split])
     result = MonomialSet(emb_gk.ambient, C,
                          FiniteAction(emb_res.ambient, table),
                          validate=False)

@@ -124,7 +124,7 @@ class FiniteGroup:
         # generating sequence reaches every element from 0, so checking
         # the generators checks the whole table
         f = self._flat
-        for g in _generating_sequence(self, range(n)):
+        for g in self.generators():
             for x in range(n):
                 xg = f[x * n + g] * n
                 for y in range(n):
@@ -144,6 +144,13 @@ class FiniteGroup:
         f = self._flat
         n = self.order
         return f[f[g * n + x] * n + self.inverses[g]]
+
+    def generators(self) -> tuple:
+        """A small generating set of the whole group, computed once."""
+        if "generators" not in self._cache:
+            self._cache["generators"] = tuple(
+                _generating_sequence(self, range(self.order)))
+        return self._cache["generators"]
 
     def element_order(self, a: int) -> int:
         orders = self._cache.get("element_orders")
@@ -949,7 +956,7 @@ def automorphisms(G: FiniteGroup,
     cached = G._cache.get("automorphisms")
     if cached is None:
         els = list(range(G.order))
-        gens = _generating_sequence(G, els)
+        gens = G.generators()
         autos = []
         if not gens:
             autos.append(identity_hom(G))
@@ -1072,7 +1079,7 @@ def isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
     if G.order_census() != H.order_census():
         return None
     els = list(range(G.order))
-    gens = _generating_sequence(G, els)
+    gens = G.generators()
     if not gens:
         return identity_hom(G) if G is H else GroupHom(G, H, (0,),
                                                        _validate=False)

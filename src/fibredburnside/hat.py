@@ -638,17 +638,6 @@ def _out_rep_lookup(G: FiniteGroup) -> dict:
     return cached
 
 
-def _hom_product(G: FiniteGroup, C: FiniteGroup, *homs) -> tuple:
-    """Pointwise product of maps G -> C, as an image tuple."""
-    out = []
-    for g in range(G.order):
-        v = 0
-        for h in homs:
-            v = C.mul(v, h[g])
-        out.append(v)
-    return tuple(out)
-
-
 def hat_multiply(a: HatGenerator, b: HatGenerator) -> HatElement:
     """Product of two generators, re-canonicalized to basis symbols.
 

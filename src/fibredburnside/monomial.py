@@ -5,6 +5,12 @@ freely; these are the brute-force counterparts of the formal classes in
 the ring module.  Everything here works with concrete points and action
 tables, so it is slow but independent of any composition formula: this
 module is the oracle the formulas are tested against.
+
+Every gluing here takes the orbits of a group acting on pairs of points.
+A finite group's orbits are the connected components of the graph whose
+edges are the moves of any generating set (an inverse is a power of its
+element), so each gluing builds moves only for a small generating set of
+the acting group, never for all of its elements.
 """
 
 from __future__ import annotations
@@ -56,9 +62,7 @@ class FiniteAction:
             if sorted(row) != list(range(n)):
                 raise GroupError("action row is not a permutation")
         # compatibility against a generating set implies it everywhere
-        from .groups import _generating_sequence
-        gens = _generating_sequence(self.group, range(self.group.order))
-        for g in gens:
+        for g in self.group.generators():
             rg = self.table[g]
             for a in range(self.group.order):
                 ra = self.table[a]
@@ -92,6 +96,7 @@ def coset_action(G: FiniteGroup, subgroup_elements: Sequence[int]) -> FiniteActi
     """Left translation on the left cosets of a subgroup; points are
     ordered by least coset representative."""
     n = G.order
+    f = G._flat
     coset_of = [-1] * n
     reps = []
     for g in range(n):
@@ -99,9 +104,11 @@ def coset_action(G: FiniteGroup, subgroup_elements: Sequence[int]) -> FiniteActi
             continue
         idx = len(reps)
         reps.append(g)
+        row = g * n
         for s in subgroup_elements:
-            coset_of[G.mul(g, s)] = idx
-    table = [[coset_of[G.mul(a, r)] for r in reps] for a in range(n)]
+            coset_of[f[row + s]] = idx
+    table = [[coset_of[f[row + r]] for r in reps]
+             for row in range(0, n * n, n)]
     return FiniteAction(G, table)
 
 
@@ -184,29 +191,36 @@ def decompose_monomial(T: MonomialSet) -> List[Tuple[Tuple[int, ...],
     return out
 
 
+def _pair_move(r1: Sequence[int], r2: Sequence[int], n2: int) -> list:
+    """The move of two action rows on pairs, pair (i, j) being point
+    i * n2 + j."""
+    return [x * n2 + y for x in r1 for y in r2]
+
+
 def _orbit_partition(n_points: int, moves: List[Sequence[int]]):
-    """Orbits of a point set under a list of permutations (as maps)."""
-    rep = list(range(n_points))
-
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for mv in moves:
-        for p in range(n_points):
-            a, b = find(p), find(mv[p])
-            if a != b:
-                if a < b:
-                    rep[b] = a
-                else:
-                    rep[a] = b
+    """Orbits of a point set under the group generated by a list of
+    permutations (as maps).  The orbits of a finite group are the
+    components reached by its generators' forward moves alone, so
+    ``moves`` need only come from a generating set.  Returns the least
+    point of each point's orbit, and those roots numbered in ascending
+    order."""
+    rep = [-1] * n_points
     roots = {}
     for p in range(n_points):
-        r = find(p)
-        roots.setdefault(r, len(roots))
-    return [find(p) for p in range(n_points)], roots
+        if rep[p] >= 0:
+            continue
+        # every smaller point lies in an orbit already labelled
+        roots[p] = len(roots)
+        rep[p] = p
+        stack = [p]
+        while stack:
+            x = stack.pop()
+            for mv in moves:
+                y = mv[x]
+                if rep[y] < 0:
+                    rep[y] = p
+                    stack.append(y)
+    return rep, roots
 
 
 def mackey_glue(emb_ab: ProductEmbedding, X: FiniteAction,
@@ -221,24 +235,18 @@ def mackey_glue(emb_ab: ProductEmbedding, X: FiniteAction,
     if B is not B2:
         raise GroupError("middle groups do not agree")
     nx, nt = X.size, T.size
-    n_pairs = nx * nt
-    moves = []
-    for b in range(B.order):
-        xr = X.table[emb_ab.encode(0, b)]
-        tr = T.table[emb_br.encode(b, 0)]
-        moves.append([xr[p // nt] * nt + tr[p % nt] for p in range(n_pairs)])
-    find_rep, roots = _orbit_partition(n_pairs, moves)
+    moves = [_pair_move(X.table[emb_ab.encode(0, b)],
+                        T.table[emb_br.encode(b, 0)], nt)
+             for b in B.generators()]
+    find_rep, roots = _orbit_partition(nx * nt, moves)
+    label = [roots[r] for r in find_rep]
+    split = [divmod(root, nt) for root in roots]
     emb_ar = product_embedding(A, R)
     table = []
-    for e in range(emb_ar.ambient.order):
-        a, r = emb_ar.decode(e)
+    for a, r in emb_ar.coords:
         xr = X.table[emb_ab.encode(a, 0)]
         tr = T.table[emb_br.encode(0, r)]
-        row = []
-        for root, idx in roots.items():
-            q = xr[root // nt] * nt + tr[root % nt]
-            row.append(roots[find_rep[q]])
-        table.append(row)
+        table.append([label[xr[i] * nt + tr[j]] for i, j in split])
     return emb_ar, FiniteAction(emb_ar.ambient, table)
 
 
@@ -253,27 +261,21 @@ def tensor_sets(emb_ac: ProductEmbedding, T: FiniteAction,
     if C is not C2:
         raise GroupError("fibre groups do not agree")
     nt, ny = T.size, Y.size
-    n_pairs = nt * ny
     inv = C.inverses
-    moves = []
-    for c in range(1, C.order):
-        tr = T.table[emb_ac.encode(0, c)]
-        yr = Y.table[emb_bc.encode(0, inv[c])]
-        moves.append([tr[p // ny] * ny + yr[p % ny] for p in range(n_pairs)])
-    find_rep, roots = _orbit_partition(n_pairs, moves)
+    moves = [_pair_move(T.table[emb_ac.encode(0, c)],
+                        Y.table[emb_bc.encode(0, inv[c])], ny)
+             for c in C.generators()]
+    find_rep, roots = _orbit_partition(nt * ny, moves)
+    label = [roots[r] for r in find_rep]
+    split = [divmod(root, ny) for root in roots]
     emb_ab = product_embedding(A, B)
     emb_abc = product_embedding(emb_ab.ambient, C)
     table = []
-    for e in range(emb_abc.ambient.order):
-        ab, c = emb_abc.decode(e)
-        a, b = emb_ab.decode(ab)
+    for ab, c in emb_abc.coords:
+        a, b = emb_ab.coords[ab]
         tr = T.table[emb_ac.encode(a, c)]
         yr = Y.table[emb_bc.encode(b, 0)]
-        row = []
-        for root, idx in roots.items():
-            q = tr[root // ny] * ny + yr[root % ny]
-            row.append(roots[find_rep[q]])
-        table.append(row)
+        table.append([label[tr[i] * ny + yr[j]] for i, j in split])
     return emb_abc, FiniteAction(emb_abc.ambient, table)
 
 

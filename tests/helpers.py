@@ -4,7 +4,7 @@ production enumeration paths."""
 import itertools
 
 from fibredburnside.fibred import (
-    _canonical_raw, _compose_raw, transitive_basis)
+    _canonical_raw, _compose_raw, to_monomial_set, transitive_basis)
 from fibredburnside.groups import product_embedding
 from fibredburnside.hat import FactorizationWitness
 
@@ -158,3 +158,71 @@ def ref_ideal_sweep(G, C, K):
                     out[raw] = FactorizationWitness(
                         K=K, a=a, b=b, which_summand=h)
     return out
+
+
+# -- reference gluing: union-find over the moves of every element of the
+#    acting group, as the orbit oracle glued before it used generators
+
+
+def ref_orbit_partition(n_points, moves):
+    """Orbits of a point set under a list of permutations (as maps), by
+    union-find with the smaller root kept.  Returns each point's root and
+    the roots numbered in ascending order."""
+    rep = list(range(n_points))
+
+    def find(x):
+        while rep[x] != x:
+            rep[x] = rep[rep[x]]
+            x = rep[x]
+        return x
+
+    for mv in moves:
+        for p in range(n_points):
+            a, b = find(p), find(mv[p])
+            if a != b:
+                if a < b:
+                    rep[b] = a
+                else:
+                    rep[a] = b
+    roots = {}
+    for p in range(n_points):
+        r = find(p)
+        roots.setdefault(r, len(roots))
+    return [find(p) for p in range(n_points)], roots
+
+
+def _ref_pair_move(r1, r2, n2):
+    return [r1[p // n2] * n2 + r2[p % n2] for p in range(len(r1) * n2)]
+
+
+def ref_oracle_moves(tx, ty):
+    """The move of every (h, c) in H x C on the pairs of points of the
+    coset models of tx over G x H and ty over H x K: (x, y) goes to
+    ((1, h, c).x, (h, 1, c^-1).y).  Keyed by (h, c)."""
+    G, H, K, C = tx.left, tx.right, ty.right, tx.fibre
+    emb_gh = product_embedding(G, H)
+    emb_hk = product_embedding(H, K)
+    T1, T2 = to_monomial_set(tx), to_monomial_set(ty)
+    e1, e2 = T1.embedding, T2.embedding
+    return {(h, c): _ref_pair_move(
+                T1.action.table[e1.encode(emb_gh.encode(0, h), c)],
+                T2.action.table[e2.encode(emb_hk.encode(h, 0),
+                                          C.inverses[c])], T2.size)
+            for h in range(H.order) for c in range(C.order)}
+
+
+def ref_mackey_moves(emb_ab, X, emb_br, T):
+    """The move of every b in B on X x T in ``mackey_glue``, keyed by b."""
+    B = emb_ab.factors[1]
+    return {b: _ref_pair_move(X.table[emb_ab.encode(0, b)],
+                              T.table[emb_br.encode(b, 0)], T.size)
+            for b in range(B.order)}
+
+
+def ref_tensor_moves(emb_ac, T, emb_bc, Y):
+    """The move of every c in C on T x Y in ``tensor_sets``, keyed by c."""
+    C = emb_ac.factors[1]
+    return {c: _ref_pair_move(T.table[emb_ac.encode(0, c)],
+                              Y.table[emb_bc.encode(0, C.inverses[c])],
+                              Y.size)
+            for c in range(C.order)}

@@ -186,6 +186,34 @@ def test_hat_closed_form_mismatch_is_failure(capsys, monkeypatch):
     assert json.loads(out)["closed_form_ok"] is False
 
 
+@pytest.mark.parametrize("group, fibre", [("S3", "C3"), ("C2xC2", "C2")])
+def test_hat_table_matches_generator_scan(capsys, group, fibre):
+    # the table looks each product up by generator key; the reference
+    # finds it by scanning the generator list with ==
+    from fibredburnside import hat
+    code, out, _ = run_cli(capsys, "--json", "hat", group, fibre)
+    assert code == 0
+    table = json.loads(out)["table"]
+    gens = hat.hat_basis_prime(group_from_spec(group), group_from_spec(fibre))
+    expected = []
+    for a in gens:
+        row = []
+        for b in gens:
+            prod = hat.hat_multiply(a, b)
+            if prod.is_zero():
+                row.append(None)
+            else:
+                ((g, coeff),) = prod.coefficients.items()
+                row.append({"coeff": str(coeff), "generator": gens.index(g)})
+        expected.append(row)
+    assert table == expected
+    if group == "S3":
+        assert table == [[{"coeff": "1", "generator": 0}]]
+    else:
+        assert len(table) == 24
+        assert [cell["generator"] for cell in table[1][:4]] == [1, 0, 4, 5]
+
+
 def test_hat_beyond_enumeration_bound_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "hat", "C17", "C2")
     assert code == 2
