@@ -99,12 +99,6 @@ def _canonical_raw(ambient: FiniteGroup, mask: int, delta: Tuple[int, ...]):
     return best
 
 
-def _orbit_size(ambient: FiniteGroup, mask: int, delta: Tuple[int, ...]) -> int:
-    elements = mask_to_elements(mask)
-    return len({_permute_raw(ambient.conjugation_perm(g), elements, delta)
-                for g in range(ambient.order)})
-
-
 # ---------------------------------------------------------------------------
 # public types
 

@@ -78,16 +78,31 @@ class FiniteGroup:
                  "_flat", "_cache")
 
     def __init__(self, table, labels=None, name=None, validate=True):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        rows = tuple(tuple(row) for row in table)
+        # an entry like 0.7 or "1" is rejected, never truncated or parsed
+        if any(type(x) is not int for row in rows for x in row):
+            raise GroupError("table entries must be integers")
+        if labels is not None:
+            labels = tuple(str(x) for x in labels)
+            if len(labels) != len(rows):
+                raise GroupError("labels length does not match order")
+        self._setup(rows, labels, name, validate)
+
+    @classmethod
+    def _from_rows(cls, rows: tuple, labels, name, validate) -> "FiniteGroup":
+        """A group on rows that are already tuples of ints and labels that
+        are already a tuple of strings, computed here from validated
+        tables; skips the per-entry checks of the public constructor."""
+        self = cls.__new__(cls)
+        self._setup(rows, labels, name, validate)
+        return self
+
+    def _setup(self, rows, labels, name, validate):
         n = len(rows)
         self.order = n
         self.table = rows
         self.identity = 0
         self.name = name or f"group{n}"
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise GroupError("labels length does not match order")
         self.labels = labels
         flat = []
         for row in rows:
@@ -104,32 +119,33 @@ class FiniteGroup:
 
     def _validate(self):
         n = self.order
+        table = self.table
         if n <= 0:
             raise GroupError("group must be nonempty")
         if any(len(row) != n or min(row) < 0 or max(row) >= n
-               for row in self.table):
+               for row in table):
             raise GroupError("table entries out of range")
+        columns = list(zip(*table))
         for a in range(n):
-            if len(set(self.table[a])) != n:
+            if len(set(table[a])) != n:
                 raise GroupError(f"row {a} is not a permutation")
-            if len({self.table[b][a] for b in range(n)}) != n:
+            if len(set(columns[a])) != n:
                 raise GroupError(f"column {a} is not a permutation")
-        if any(self.table[0][a] != a or self.table[a][0] != a for a in range(n)):
+        if any(table[0][a] != a or table[a][0] != a for a in range(n)):
             raise GroupError("element 0 does not act as identity")
         for a in range(n):
-            if 0 not in self.table[a]:
+            if 0 not in table[a]:
                 raise GroupError(f"element {a} has no inverse")
         # Light's test: the g with (xg)y = x(gy) for all x, y contain 0
         # and are closed under products, and right multiplication by a
         # generating sequence reaches every element from 0, so checking
-        # the generators checks the whole table
-        f = self._flat
+        # the generators checks the whole table; for each x the row of
+        # xg is compared with row x permuted by row g
         for g in self.generators():
-            for x in range(n):
-                xg = f[x * n + g] * n
-                for y in range(n):
-                    if f[xg + y] != f[x * n + f[g * n + y]]:
-                        raise GroupError("table is not associative")
+            row_g = table[g]
+            for row_x in table:
+                if table[row_x[g]] != tuple(map(row_x.__getitem__, row_g)):
+                    raise GroupError("table is not associative")
 
     # -- basic operations ---------------------------------------------------
 
@@ -244,8 +260,12 @@ class FiniteGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
-        return cls(data["table"], labels=data.get("labels"),
-                   name=data.get("name"))
+        table = data["table"]
+        order = data.get("order", len(table))
+        if type(order) is not int or order != len(table):
+            raise GroupError(f"order {order!r} does not match the "
+                             f"{len(table)} rows of the table")
+        return cls(table, labels=data.get("labels"), name=data.get("name"))
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -486,12 +506,20 @@ def conjugate_mask(G: FiniteGroup, mask: int, g: int) -> int:
     return out
 
 
-def closure_mask(G: FiniteGroup, seed: Iterable[int]) -> int:
-    """Bitmask of the subgroup generated by ``seed``.
+def closure_mask(G: FiniteGroup, seed: Iterable[int],
+                 base: Sequence[int] = (0,)) -> int:
+    """Bitmask of the subgroup generated by ``seed``, closed coset by coset.
 
-    In a finite group the monoid generated by the seed is the subgroup it
-    generates, so closing the identity under right multiplication by the
-    distinct non-identity seed elements reaches every element.
+    ``base`` is the element tuple of a subgroup B inside the result, the
+    trivial group by default.  In a finite group the monoid generated by
+    the seed is the subgroup it generates, so the result is the least set
+    holding 1 that is closed under right multiplication by the seed.  The
+    kernel grows a union of right cosets B r from r = 1: for each
+    representative r and seed element s with z = r s new, it adds the
+    whole coset B z.  The union stays closed because (B r) s = B (r s),
+    and r s lies in a coset added by then, so every product is covered
+    with one multiplication per (representative, seed element) plus one
+    per element added.  With the trivial base each coset is one element.
     """
     flat = G._flat
     n = G.order
@@ -501,15 +529,19 @@ def closure_mask(G: FiniteGroup, seed: Iterable[int]) -> int:
         if not (seen >> s) & 1:
             seen |= 1 << s
             gens.append(s)
-    elems = [0]
-    mask = 1
-    for x in elems:
-        row = x * n
+    rows = [x * n for x in base]
+    mask = 0
+    for x in base:
+        mask |= 1 << x
+    reps = [0]
+    for r in reps:
+        row = r * n
         for g in gens:
             z = flat[row + g]
             if not (mask >> z) & 1:
-                mask |= 1 << z
-                elems.append(z)
+                for x in rows:
+                    mask |= 1 << flat[x + z]
+                reps.append(z)
     return mask
 
 
@@ -767,21 +799,29 @@ def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
     else:
         # fold the factors in from the right: with R the product of the
         # later factors (order m), row (a, b) of f x R is
-        # f.table[a] x R.table[b] in mixed radix
-        table = factors[-1].table
+        # f.table[a] x R.table[b] in mixed radix, that is the blocks
+        # x*m + R.table[b] for x in f.table[a], each block built once
+        rows = factors[-1].table
         m = factors[-1].order
         for f in reversed(factors[:-1]):
-            table = [[x * m + y for x in fr for y in r]
-                     for fr in f.table for r in table]
+            shifts = [(x * m).__add__ for x in range(f.order)]
+            blocks = [[list(map(s, r)) for s in shifts] for r in rows]
+            table = []
+            for fr in f.table:
+                for blk in blocks:
+                    row = []
+                    for x in fr:
+                        row += blk[x]
+                    table.append(tuple(row))
+            rows = tuple(table)
             m *= f.order
         labels = None
         if all(f.labels is not None for f in factors):
-            labels = ["(" + ",".join(f.label(c) for f, c
-                                     in zip(factors, cs)) + ")"
-                      for cs in coords]
+            labels = tuple("(" + ",".join(ls) + ")" for ls in
+                           itertools.product(*(f.labels for f in factors)))
         name = "x".join(f.name for f in factors)
-        ambient = FiniteGroup(table, labels=labels, name=name,
-                              validate=total <= SUBGROUP_ORDER_BOUND)
+        ambient = FiniteGroup._from_rows(
+            rows, labels, name, validate=total <= SUBGROUP_ORDER_BOUND)
     emb = ProductEmbedding(tuple(factors), ambient, strides, coords)
     _product_cache[factors] = emb
     return emb
@@ -795,7 +835,11 @@ def subgroups(G: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND) -> list:
     """All subgroups of G, each exactly once, sorted by (order, elements).
 
     Found by closing generated subgroups layer by layer: every subgroup
-    arises from a smaller one by adjoining a single coset representative.
+    arises from a smaller one S by adjoining a single coset
+    representative g.  Each subgroup keeps the seed that found it (its
+    parent's seed plus g), which generates it, so <S, g> is the closure
+    of that seed plus g with S as the base: it is built from whole right
+    cosets of S (see :func:`closure_mask`).
     """
     if G.order > bound:
         raise BoundExceededError(
@@ -805,11 +849,13 @@ def subgroups(G: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND) -> list:
         flat = G._flat
         n = G.order
         found = {1: (0,)}
+        seeds = {1: []}
         frontier = [1]
         while frontier:
             new = []
             for m in frontier:
                 els = found[m]
+                seed = seeds[m]
                 covered = m
                 for g in range(1, n):
                     if (covered >> g) & 1:
@@ -817,9 +863,10 @@ def subgroups(G: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND) -> list:
                     # mark the whole coset: adjoining m*g generates the same
                     for x in els:
                         covered |= 1 << flat[x * n + g]
-                    res = closure_mask(G, list(els) + [g])
+                    res = closure_mask(G, seed + [g], base=els)
                     if res not in found:
                         found[res] = mask_to_elements(res)
+                        seeds[res] = seed + [g]
                         new.append(res)
             frontier = new
         subs = [Subgroup(G, els, _validate=False)
@@ -855,14 +902,17 @@ def frattini(G: FiniteGroup) -> Subgroup:
 
 
 def _generating_sequence(G: FiniteGroup, elements: Sequence[int]) -> list:
-    """Greedy small generating set (least new element each step)."""
+    """Greedy small generating set (least new element each step).
+
+    Each step extends the running subgroup, which lies in the next one,
+    by closing with it as the base."""
     mask = elements_to_mask(elements)
     gens = []
     cur = 1
     for x in elements:
         if not (cur >> x) & 1:
             gens.append(x)
-            cur = closure_mask(G, gens)
+            cur = closure_mask(G, gens, base=mask_to_elements(cur))
             if cur == mask:
                 break
     return gens
@@ -1001,10 +1051,10 @@ def subgroup_as_group(S: Subgroup):
     if cached is None:
         els = S.elements
         pos = {x: i for i, x in enumerate(els)}
-        table = [[pos[G.mul(a, b)] for b in els] for a in els]
-        labels = [G.label(x) for x in els] if G.labels else None
-        sub = FiniteGroup(table, labels=labels,
-                          name=f"{G.name}|{len(els)}", validate=False)
+        table = tuple(tuple([pos[G.mul(a, b)] for b in els]) for a in els)
+        labels = tuple(G.labels[x] for x in els) if G.labels else None
+        sub = FiniteGroup._from_rows(table, labels, f"{G.name}|{len(els)}",
+                                     validate=False)
         inclusion = GroupHom(sub, G, els, _validate=False)
         cached = (sub, inclusion)
         G._cache[key] = cached
@@ -1040,12 +1090,14 @@ def quotient(G: FiniteGroup, N: Subgroup):
             for x in N.elements:
                 coset_of[G.mul(g, x)] = idx
         q = len(reps)
-        table = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
+        table = tuple(tuple([coset_of[G.mul(a, b)] for b in reps])
+                      for a in reps)
         labels = None
         if G.labels is not None:
-            labels = [f"[{G.label(r)}]" for r in reps]
-        Q = FiniteGroup(table, labels=labels,
-                        name=f"{G.name}/{len(N.elements)}", validate=False)
+            labels = tuple(f"[{G.labels[r]}]" for r in reps)
+        Q = FiniteGroup._from_rows(table, labels,
+                                   f"{G.name}/{len(N.elements)}",
+                                   validate=False)
         proj = GroupHom(G, Q, tuple(coset_of), _validate=False)
         cached = (Q, proj)
         G._cache[key] = cached

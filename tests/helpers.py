@@ -4,8 +4,9 @@ production enumeration paths."""
 import itertools
 
 from fibredburnside.fibred import (
-    _canonical_raw, _compose_raw, to_monomial_set, transitive_basis)
-from fibredburnside.groups import product_embedding
+    _canonical_raw, _compose_raw, _permute_raw, to_monomial_set,
+    transitive_basis)
+from fibredburnside.groups import mask_to_elements, product_embedding
 from fibredburnside.hat import FactorizationWitness
 
 
@@ -126,6 +127,73 @@ def ref_closure_mask(G, seed):
                     elems.append(z)
                     work.append(z)
     return mask
+
+
+def ref_seed_closure_mask(G, seed):
+    """Close the identity under right multiplication by the distinct
+    non-identity seed elements, one element at a time."""
+    gens = []
+    for s in seed:
+        if s != 0 and s not in gens:
+            gens.append(s)
+    elems = [0]
+    mask = 1
+    for x in elems:
+        for g in gens:
+            z = G.mul(x, g)
+            if not (mask >> z) & 1:
+                mask |= 1 << z
+                elems.append(z)
+    return mask
+
+
+def ref_subgroups(G):
+    """Element tuples of all subgroups, sorted by (order, elements), by
+    closing every subgroup S with each coset representative g from scratch
+    on the seed S + [g]."""
+    n = G.order
+    found = {1: (0,)}
+    frontier = [1]
+    while frontier:
+        new = []
+        for m in frontier:
+            els = found[m]
+            covered = m
+            for g in range(1, n):
+                if (covered >> g) & 1:
+                    continue
+                for x in els:
+                    covered |= 1 << G.mul(x, g)
+                res = ref_seed_closure_mask(G, list(els) + [g])
+                if res not in found:
+                    found[res] = mask_to_elements(res)
+                    new.append(res)
+        frontier = new
+    return sorted(found.values(), key=lambda e: (len(e), e))
+
+
+def ref_generating_sequence(G, elements):
+    """Greedy generating sequence, closing the generators from scratch at
+    each step."""
+    target = 0
+    for x in elements:
+        target |= 1 << x
+    gens = []
+    cur = 1
+    for x in elements:
+        if not (cur >> x) & 1:
+            gens.append(x)
+            cur = ref_seed_closure_mask(G, gens)
+            if cur == target:
+                break
+    return gens
+
+
+def orbit_size(ambient, mask, delta):
+    """Size of the conjugation orbit of a (mask, delta) pair."""
+    elements = mask_to_elements(mask)
+    return len({_permute_raw(ambient.conjugation_perm(g), elements, delta)
+                for g in range(ambient.order)})
 
 
 # -- reference ideal sweep: every pair of full-projection classes through

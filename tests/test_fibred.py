@@ -41,7 +41,7 @@ from fibredburnside.groups import (
 )
 from fibredburnside.monomial import monomial_set_from_pair
 
-from helpers import brute_subcharacter_count
+from helpers import brute_subcharacter_count, orbit_size
 
 
 def counterexample_class(canonical=True):
@@ -118,10 +118,9 @@ def test_canonicalize_conjugation_invariant(rng, c2):
 def test_canonical_orbit_size_divides_group_order(rng, c2):
     d8 = group_from_spec("D8")
     emb = product_embedding(d8, d8)
-    from fibredburnside.fibred import _orbit_size
     for _ in range(8):
         X = sampling.random_transitive_class(rng, d8, d8, c2)
-        assert emb.ambient.order % _orbit_size(emb.ambient, *X.raw) == 0
+        assert emb.ambient.order % orbit_size(emb.ambient, *X.raw) == 0
 
 
 # -- monomial bridge ----------------------------------------------------------

@@ -32,7 +32,9 @@ from helpers import (
     ref_closure_mask,
     ref_decode,
     ref_encode,
+    ref_generating_sequence,
     ref_product_table,
+    ref_subgroups,
 )
 
 
@@ -159,6 +161,28 @@ def test_table_validation_rejects_non_associative_loop():
         groups.FiniteGroup(LOOP5)
 
 
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1, 0.7]],
+    [[0, 1], [1, "0"]],
+    [[0, 1.0], [1, 0]],
+    [[0, 1], [1, False]],
+])
+def test_table_entries_must_be_ints(table):
+    # each of these once built C2, the entry truncated or parsed by int()
+    with pytest.raises(GroupError, match="integers"):
+        groups.FiniteGroup(table)
+    with pytest.raises(GroupError, match="integers"):
+        groups.FiniteGroup.from_json({"table": table})
+
+
+@pytest.mark.parametrize("order", [1, 3, "2", 2.0, True, None])
+def test_from_json_rejects_mismatched_order(order):
+    with pytest.raises(GroupError, match="does not match"):
+        groups.FiniteGroup.from_json({"order": order,
+                                      "table": [[0, 1], [1, 0]]})
+    assert groups.FiniteGroup.from_json({"table": [[0, 1], [1, 0]]}).order == 2
+
+
 def test_from_json_rejects_large_non_associative_table():
     # LOOP5 x C16 has order 80, beyond the subgroup enumeration bound
     m = 16
@@ -227,6 +251,20 @@ def test_product_tables_match_cell_by_cell_reference():
         assert emb.ambient.table == ref_product_table(factors), factors
 
 
+def test_internal_tables_are_tuples_of_ints(q8, d8):
+    # product, subgroup and quotient tables skip the public constructor's
+    # entry check, so they must be built as tuples of ints
+    built = [product_embedding(q8, d8).ambient,
+             product_embedding(d8, q8, groups.cyclic(3)).ambient,
+             subgroup_as_group(q8.subgroup([0, 1, 2, 3]))[0],
+             quotient(q8, groups.center(q8))[0]]
+    for H in built:
+        assert type(H.table) is tuple and type(H.labels) is tuple
+        assert all(type(row) is tuple and all(type(x) is int for x in row)
+                   for row in H.table), H.name
+        assert groups.FiniteGroup(H.table, labels=H.labels).table == H.table
+
+
 def test_encode_decode_match_generic_reference():
     for factors in _reference_products():
         emb = product_embedding(*factors)
@@ -248,13 +286,66 @@ def test_encode_with_two_coordinates_on_three_factors(c2, c3, s3):
             assert emb.encode(a, b) == ref_encode(orders, a, b) == expected
 
 
-def test_closure_mask_matches_pairwise_reference():
+def test_closure_mask_matches_pairwise_reference(monkeypatch):
+    # every subgroup S as the base, under two seeds that generate it (its
+    # greedy generating sequence and all its elements) plus each g
     for G in small_groups_catalog(15):
         for S in subgroups(G):
-            for g in range(G.order):
-                seed = list(S.elements) + [g]
-                assert closure_mask(G, seed) == ref_closure_mask(G, seed), \
-                    (G.name, S.elements, g)
+            for seed in (groups._generating_sequence(G, S.elements),
+                         list(S.elements)):
+                for g in range(G.order):
+                    ref = ref_closure_mask(G, seed + [g])
+                    assert closure_mask(G, seed + [g]) == ref, \
+                        (G.name, S.elements, g)
+                    assert closure_mask(G, seed + [g], base=S.elements) \
+                        == ref, (G.name, S.elements, seed, g)
+    # a one-element seed g with every subgroup of <g> as the base: here
+    # the cosets of the base are the only route to some elements
+    for G in small_groups_catalog(15):
+        for g in range(G.order):
+            ref = ref_closure_mask(G, [g])
+            for S in subgroups(G):
+                if S.mask & ~ref == 0:
+                    assert closure_mask(G, [g], base=S.elements) == ref, \
+                        (G.name, g, S.elements)
+    # and every (seed, base) that the enumeration itself closes
+    calls = []
+
+    def recording(G, seed, base=(0,)):
+        calls.append((G, list(seed), base))
+        return closure_mask(G, seed, base)
+
+    monkeypatch.setattr(groups, "closure_mask", recording)
+    for G in small_groups_catalog(15):
+        subgroups(groups.FiniteGroup(G.table))
+    assert calls
+    for G, seed, base in calls:
+        ref = ref_closure_mask(G, seed)
+        assert ref & groups.elements_to_mask(base) == \
+            groups.elements_to_mask(base)
+        assert closure_mask(G, seed, base) == ref, (seed, base)
+
+
+def _enumeration_range():
+    """Every catalog group of order <= 15 and all 196 ordered products of
+    catalog groups of order <= 8."""
+    cat = small_groups_catalog(8)
+    return small_groups_catalog(15) + [product_embedding(g, h).ambient
+                                       for g in cat for h in cat]
+
+
+def test_subgroups_match_reference_enumeration():
+    for G in _enumeration_range():
+        assert [S.elements for S in subgroups(G)] == ref_subgroups(G), G.name
+
+
+def test_generating_sequences_match_reference():
+    for G in _enumeration_range():
+        assert G.generators() == tuple(
+            ref_generating_sequence(G, range(G.order))), G.name
+        for S in subgroups(G):
+            assert groups._generating_sequence(G, S.elements) == \
+                ref_generating_sequence(G, S.elements), (G.name, S.elements)
 
 
 # -- subgroups ---------------------------------------------------------------
