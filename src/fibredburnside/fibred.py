@@ -10,6 +10,7 @@ agree, and that agreement is the backbone of the test suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -79,10 +80,17 @@ def _permute_raw(perm, elements: Tuple[int, ...], delta: Tuple[int, ...]):
     return pairs_to_raw(zip((perm[x] for x in elements), delta))
 
 
+@functools.cache
+def _canonical_pairs(ambient: FiniteGroup) -> dict:
+    """Canonical form of every pair met so far over ambient.  One miss
+    fills the whole conjugacy orbit, which a per-pair memo could not."""
+    return {}
+
+
 def _canonical_raw(ambient: FiniteGroup, mask: int, delta: Tuple[int, ...]):
     if ambient.is_abelian:
         return mask, delta
-    cache = ambient._cache.setdefault("canonical_pairs", {})
+    cache = _canonical_pairs(ambient)
     hit = cache.get((mask, delta))
     if hit is not None:
         return hit
@@ -289,6 +297,7 @@ def zero_element(left, right, fibre) -> FibredElement:
 # bases
 
 
+@functools.cache
 def _class_keys(left: FiniteGroup, right: FiniteGroup, C: FiniteGroup,
                 side: Optional[int] = None) -> List[tuple]:
     """Sorted canonical (mask, delta) keys of the classes over left x right;
@@ -297,22 +306,17 @@ def _class_keys(left: FiniteGroup, right: FiniteGroup, C: FiniteGroup,
     _check_fibre(C)
     emb = product_embedding(left, right)
     amb = emb.ambient
-    key = ("class_keys", C, left, right, side)
-    cached = amb._cache.get(key)
-    if cached is None:
-        subs = subgroups(amb)
-        if side is not None:
-            coords = emb.coords
-            target = emb.factors[side].order
-            subs = [D for D in subs
-                    if len({coords[x][side] for x in D.elements}) == target]
-        found = set()
-        for D in subs:
-            for hom in homomorphisms(D, C):
-                found.add(_canonical_raw(amb, D.mask, hom.images))
-        cached = sorted(found)
-        amb._cache[key] = cached
-    return cached
+    subs = subgroups(amb)
+    if side is not None:
+        coords = emb.coords
+        target = emb.factors[side].order
+        subs = [D for D in subs
+                if len({coords[x][side] for x in D.elements}) == target]
+    found = set()
+    for D in subs:
+        for hom in homomorphisms(D, C):
+            found.add(_canonical_raw(amb, D.mask, hom.images))
+    return sorted(found)
 
 
 def transitive_basis(G: FiniteGroup, H: FiniteGroup,
@@ -779,6 +783,16 @@ def element_to_json(elt: FibredElement) -> dict:
     }
 
 
+def _json_ints(value, field: str) -> list:
+    """A list of ints from the wire format; a float, a numeric string or a
+    bool is rejected, never truncated or parsed."""
+    if (not isinstance(value, (list, tuple))
+            or any(type(x) is not int for x in value)):
+        raise GroupError(f"term field {field!r} must be a list of integers, "
+                         f"got {value!r}")
+    return value
+
+
 def element_from_json(data: dict) -> FibredElement:
     from .groups import group_from_spec
     left = group_from_spec(data["left"])
@@ -786,8 +800,13 @@ def element_from_json(data: dict) -> FibredElement:
     fibre = group_from_spec(data["fibre"])
     terms: Dict[TransitiveFibredBiset, int] = {}
     for item in data["terms"]:
-        cls = transitive_fibred_biset(left, right, fibre, item["D"],
-                                      item["delta"])
+        coeff = item.get("coeff", 1)
+        if type(coeff) is not int:
+            raise GroupError(f"term coefficient must be an integer, "
+                             f"got {coeff!r}")
+        cls = transitive_fibred_biset(left, right, fibre,
+                                      _json_ints(item["D"], "D"),
+                                      _json_ints(item["delta"], "delta"))
         cls = canonicalize(cls)
-        terms[cls] = terms.get(cls, 0) + int(item.get("coeff", 1))
+        terms[cls] = terms.get(cls, 0) + coeff
     return FibredElement(left, right, fibre, terms)

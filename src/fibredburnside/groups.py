@@ -6,13 +6,17 @@ Element convention: elements of a group of order n are the indices
 0..n-1, with 0 always the identity.  Conjugation is ``^g x = g x g^-1``
 and ``x^g = g^-1 x g`` throughout.
 
-All values are immutable after construction; the internal caches only
-ever store idempotently recomputable data, so sharing across threads is
-safe and every operation is a pure function of its arguments.
+All values are immutable after construction, and every operation is a
+pure function of its arguments.  Derived data is memoized with
+``functools.cache`` on the function that computes it, keyed by the
+objects it depends on (groups by identity); each such function offers
+``cache_info()`` and ``cache_clear()``.  The caches hold their arguments
+and results for the life of the process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from typing import Iterable, Optional, Sequence, Union
@@ -71,11 +75,14 @@ class FiniteGroup:
 
     Instances compare by identity (two structurally equal tables are still
     distinct groups); use :func:`isomorphism` for mathematical comparison.
-    Instances are immutable after construction and cache derived data.
+    Instances are immutable after construction.  Derived data (generators,
+    element orders, conjugation, subgroups, homomorphisms, ...) lives in
+    module-level ``functools.cache`` caches keyed by the group itself, so
+    a group that has been queried stays alive for the life of the process.
     """
 
     __slots__ = ("order", "table", "identity", "inverses", "labels", "name",
-                 "_flat", "_cache")
+                 "_flat")
 
     def __init__(self, table, labels=None, name=None, validate=True):
         rows = tuple(tuple(row) for row in table)
@@ -108,7 +115,6 @@ class FiniteGroup:
         for row in rows:
             flat.extend(row)
         self._flat = flat
-        self._cache = {}
         if validate:
             self._validate()
         inv = [-1] * n
@@ -161,39 +167,34 @@ class FiniteGroup:
         n = self.order
         return f[f[g * n + x] * n + self.inverses[g]]
 
+    @functools.cache
     def generators(self) -> tuple:
         """A small generating set of the whole group, computed once."""
-        if "generators" not in self._cache:
-            self._cache["generators"] = tuple(
-                _generating_sequence(self, range(self.order)))
-        return self._cache["generators"]
+        return tuple(_generating_sequence(self, range(self.order)))
 
     def element_order(self, a: int) -> int:
-        orders = self._cache.get("element_orders")
-        if orders is None:
-            orders = []
-            for x in range(self.order):
-                k, y = 1, x
-                while y != 0:
-                    y = self.mul(y, x)
-                    k += 1
-                orders.append(k)
-            orders = tuple(orders)
-            self._cache["element_orders"] = orders
-        return orders[a]
+        return self._element_orders()[a]
+
+    @functools.cache
+    def _element_orders(self) -> tuple:
+        orders = []
+        for x in range(self.order):
+            k, y = 1, x
+            while y != 0:
+                y = self.mul(y, x)
+                k += 1
+            orders.append(k)
+        return tuple(orders)
 
     def order_census(self) -> tuple:
         """Sorted multiset of element orders (an isomorphism invariant)."""
         return tuple(sorted(self.element_order(a) for a in range(self.order)))
 
     @property
+    @functools.cache
     def is_abelian(self) -> bool:
-        val = self._cache.get("abelian")
-        if val is None:
-            val = all(self.mul(a, b) == self.mul(b, a)
-                      for a in range(self.order) for b in range(a))
-            self._cache["abelian"] = val
-        return val
+        return all(self.mul(a, b) == self.mul(b, a)
+                   for a in range(self.order) for b in range(a))
 
     def label(self, a: int) -> str:
         if self.labels is not None:
@@ -215,38 +216,31 @@ class FiniteGroup:
 
     # -- conjugation helpers ------------------------------------------------
 
+    @functools.cache
     def conjugation_perm(self, g: int) -> tuple:
         """The permutation x -> g x g^-1 as a tuple."""
-        perms = self._cache.setdefault("conj_perms", {})
-        p = perms.get(g)
-        if p is None:
-            f = self._flat
-            n = self.order
-            gi = self.inverses[g]
-            row = g * n
-            p = tuple(f[f[row + x] * n + gi] for x in range(n))
-            perms[g] = p
-        return p
+        f = self._flat
+        n = self.order
+        gi = self.inverses[g]
+        row = g * n
+        return tuple(f[f[row + x] * n + gi] for x in range(n))
 
+    @functools.cache
     def conjugation_reps(self) -> tuple:
         """Coset representatives of the center; conjugation by any element
         equals conjugation by one of these."""
-        reps = self._cache.get("conj_reps")
-        if reps is None:
-            z = center(self).mask
-            seen = 0
-            out = []
-            for g in range(self.order):
-                if not (seen >> g) & 1:
-                    out.append(g)
-                    m = z
-                    while m:
-                        b = m & -m
-                        seen |= 1 << self.mul(g, b.bit_length() - 1)
-                        m ^= b
-            reps = tuple(out)
-            self._cache["conj_reps"] = reps
-        return reps
+        z = center(self).mask
+        seen = 0
+        out = []
+        for g in range(self.order):
+            if not (seen >> g) & 1:
+                out.append(g)
+                m = z
+                while m:
+                    b = m & -m
+                    seen |= 1 << self.mul(g, b.bit_length() - 1)
+                    m ^= b
+        return tuple(out)
 
     # -- serialization ------------------------------------------------------
 
@@ -549,31 +543,25 @@ def closure_mask(G: FiniteGroup, seed: Iterable[int],
 # constructors
 
 
-_atom_cache: dict = {}
-
-
-def _cached_atom(key, builder):
-    grp = _atom_cache.get(key)
-    if grp is None:
-        grp = builder()
-        _atom_cache[key] = grp
-    return grp
+# The public constructors check their argument and hand it, positionally,
+# to a cached builder, so every call for one group returns the same object.
 
 
 def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n; element i is c^i."""
     if n < 1:
         raise GroupError("cyclic order must be positive")
+    return _cyclic(n)
 
-    def build():
-        table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        if n == 1:
-            labels = ["1"]
-        else:
-            labels = ["1", "c"] + [f"c{i}" for i in range(2, n)]
-        return FiniteGroup(table, labels=labels, name=f"C{n}")
 
-    return _cached_atom(("C", n), build)
+@functools.cache
+def _cyclic(n: int) -> FiniteGroup:
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    if n == 1:
+        labels = ["1"]
+    else:
+        labels = ["1", "c"] + [f"c{i}" for i in range(2, n)]
+    return FiniteGroup(table, labels=labels, name=f"C{n}")
 
 
 def dihedral(order: int) -> FiniteGroup:
@@ -582,51 +570,49 @@ def dihedral(order: int) -> FiniteGroup:
     Element i + n*j stands for a^i b^j."""
     if order < 2 or order % 2:
         raise GroupError("dihedral order must be even and >= 2")
+    return _dihedral(order)
+
+
+@functools.cache
+def _dihedral(order: int) -> FiniteGroup:
     n = order // 2
-
-    def build():
-        table = [[0] * order for _ in range(order)]
-        for i in range(n):
-            for j in (0, 1):
-                for k in range(n):
-                    for l in (0, 1):
-                        if j == 0:
-                            ii, jj = (i + k) % n, l
-                        else:
-                            ii, jj = (i - k) % n, 1 - l
-                        table[i + n * j][k + n * l] = ii + n * jj
-        labels = []
+    table = [[0] * order for _ in range(order)]
+    for i in range(n):
         for j in (0, 1):
-            for i in range(n):
-                s = "" if i == 0 else ("a" if i == 1 else f"a{i}")
-                s += "b" if j else ""
-                labels.append(s or "1")
-        return FiniteGroup(table, labels=labels, name=f"D{order}")
+            for k in range(n):
+                for l in (0, 1):
+                    if j == 0:
+                        ii, jj = (i + k) % n, l
+                    else:
+                        ii, jj = (i - k) % n, 1 - l
+                    table[i + n * j][k + n * l] = ii + n * jj
+    labels = []
+    for j in (0, 1):
+        for i in range(n):
+            s = "" if i == 0 else ("a" if i == 1 else f"a{i}")
+            s += "b" if j else ""
+            labels.append(s or "1")
+    return FiniteGroup(table, labels=labels, name=f"D{order}")
 
-    return _cached_atom(("D", order), build)
 
-
+@functools.cache
 def quaternion8() -> FiniteGroup:
     """Quaternion group <x, y | x^4 = 1, y x y^-1 = x^-1, x^2 = y^2>.
     Element i + 4*j stands for x^i y^j."""
-
-    def build():
-        table = [[0] * 8 for _ in range(8)]
-        for i in range(4):
-            for j in (0, 1):
-                for k in range(4):
-                    for l in (0, 1):
-                        if j == 0:
-                            ii, jj = (i + k) % 4, l
-                        elif l == 0:
-                            ii, jj = (i - k) % 4, 1
-                        else:
-                            ii, jj = (i - k + 2) % 4, 0
-                        table[i + 4 * j][k + 4 * l] = ii + 4 * jj
-        labels = ["1", "x", "x2", "x3", "y", "xy", "x2y", "x3y"]
-        return FiniteGroup(table, labels=labels, name="Q8")
-
-    return _cached_atom(("Q", 8), build)
+    table = [[0] * 8 for _ in range(8)]
+    for i in range(4):
+        for j in (0, 1):
+            for k in range(4):
+                for l in (0, 1):
+                    if j == 0:
+                        ii, jj = (i + k) % 4, l
+                    elif l == 0:
+                        ii, jj = (i - k) % 4, 1
+                    else:
+                        ii, jj = (i - k + 2) % 4, 0
+                    table[i + 4 * j][k + 4 * l] = ii + 4 * jj
+    labels = ["1", "x", "x2", "x3", "y", "xy", "x2y", "x3y"]
+    return FiniteGroup(table, labels=labels, name="Q8")
 
 
 def _perm_label(p: tuple) -> str:
@@ -664,30 +650,29 @@ def symmetric(n: int) -> FiniteGroup:
     order of permutation tuples, identity first."""
     if not 1 <= n <= 4:
         raise GroupError("symmetric group supported only for n <= 4")
-
-    def build():
-        perms = [tuple(p) for p in itertools.permutations(range(n))]
-        return _perm_group(perms, name=f"S{n}")
-
-    return _cached_atom(("S", n), build)
+    return _symmetric(n)
 
 
+@functools.cache
+def _symmetric(n: int) -> FiniteGroup:
+    perms = [tuple(p) for p in itertools.permutations(range(n))]
+    return _perm_group(perms, name=f"S{n}")
+
+
+@functools.cache
 def alternating4() -> FiniteGroup:
     """Alternating group on 4 letters."""
 
-    def build():
-        def sign(p):
-            s = 0
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    s += p[i] > p[j]
-            return s % 2
+    def sign(p):
+        s = 0
+        for i in range(4):
+            for j in range(i + 1, 4):
+                s += p[i] > p[j]
+        return s % 2
 
-        perms = [tuple(p) for p in itertools.permutations(range(4))
-                 if sign(p) == 0]
-        return _perm_group(perms, name="A4")
-
-    return _cached_atom(("A", 4), build)
+    perms = [tuple(p) for p in itertools.permutations(range(4))
+             if sign(p) == 0]
+    return _perm_group(perms, name="A4")
 
 
 def dicyclic(order: int) -> FiniteGroup:
@@ -696,31 +681,32 @@ def dicyclic(order: int) -> FiniteGroup:
     Element i + 2m*j stands for a^i b^j."""
     if order % 4 or order < 8:
         raise GroupError("dicyclic order must be a multiple of 4, >= 8")
+    return _dicyclic(order)
+
+
+@functools.cache
+def _dicyclic(order: int) -> FiniteGroup:
     m = order // 4
     n = 2 * m
-
-    def build():
-        table = [[0] * order for _ in range(order)]
-        for i in range(n):
-            for j in (0, 1):
-                for k in range(n):
-                    for l in (0, 1):
-                        if j == 0:
-                            ii, jj = (i + k) % n, l
-                        elif l == 0:
-                            ii, jj = (i - k) % n, 1
-                        else:
-                            ii, jj = (i - k + m) % n, 0
-                        table[i + n * j][k + n * l] = ii + n * jj
-        labels = []
+    table = [[0] * order for _ in range(order)]
+    for i in range(n):
         for j in (0, 1):
-            for i in range(n):
-                s = "" if i == 0 else ("a" if i == 1 else f"a{i}")
-                s += "b" if j else ""
-                labels.append(s or "1")
-        return FiniteGroup(table, labels=labels, name=f"Dic{m}")
-
-    return _cached_atom(("Dic", order), build)
+            for k in range(n):
+                for l in (0, 1):
+                    if j == 0:
+                        ii, jj = (i + k) % n, l
+                    elif l == 0:
+                        ii, jj = (i - k) % n, 1
+                    else:
+                        ii, jj = (i - k + m) % n, 0
+                    table[i + n * j][k + n * l] = ii + n * jj
+    labels = []
+    for j in (0, 1):
+        for i in range(n):
+            s = "" if i == 0 else ("a" if i == 1 else f"a{i}")
+            s += "b" if j else ""
+            labels.append(s or "1")
+    return FiniteGroup(table, labels=labels, name=f"Dic{m}")
 
 
 # ---------------------------------------------------------------------------
@@ -772,16 +758,11 @@ class ProductEmbedding:
         return f"ProductEmbedding({names})"
 
 
-_product_cache: dict = {}
-
-
+@functools.cache
 def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
     """Memoized product: the same factor tuple yields the same embedding
     (and hence the very same ambient group object).  Groups hash by
     identity, so the key holds the factor groups themselves."""
-    emb = _product_cache.get(factors)
-    if emb is not None:
-        return emb
     if not factors:
         raise GroupError("product of no factors")
     orders = [f.order for f in factors]
@@ -822,9 +803,7 @@ def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
         name = "x".join(f.name for f in factors)
         ambient = FiniteGroup._from_rows(
             rows, labels, name, validate=total <= SUBGROUP_ORDER_BOUND)
-    emb = ProductEmbedding(tuple(factors), ambient, strides, coords)
-    _product_cache[factors] = emb
-    return emb
+    return ProductEmbedding(factors, ambient, strides, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -844,61 +823,55 @@ def subgroups(G: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND) -> list:
     if G.order > bound:
         raise BoundExceededError(
             f"subgroup enumeration bound exceeded: {G.order} > {bound}")
-    cached = G._cache.get("subgroups")
-    if cached is None:
-        flat = G._flat
-        n = G.order
-        found = {1: (0,)}
-        seeds = {1: []}
-        frontier = [1]
-        while frontier:
-            new = []
-            for m in frontier:
-                els = found[m]
-                seed = seeds[m]
-                covered = m
-                for g in range(1, n):
-                    if (covered >> g) & 1:
-                        continue
-                    # mark the whole coset: adjoining m*g generates the same
-                    for x in els:
-                        covered |= 1 << flat[x * n + g]
-                    res = closure_mask(G, seed + [g], base=els)
-                    if res not in found:
-                        found[res] = mask_to_elements(res)
-                        seeds[res] = seed + [g]
-                        new.append(res)
-            frontier = new
-        subs = [Subgroup(G, els, _validate=False)
-                for els in sorted(found.values(), key=lambda e: (len(e), e))]
-        cached = subs
-        G._cache["subgroups"] = cached
-    return list(cached)
+    return list(_subgroups(G))
 
 
+@functools.cache
+def _subgroups(G: FiniteGroup) -> tuple:
+    flat = G._flat
+    n = G.order
+    found = {1: (0,)}
+    seeds = {1: []}
+    frontier = [1]
+    while frontier:
+        new = []
+        for m in frontier:
+            els = found[m]
+            seed = seeds[m]
+            covered = m
+            for g in range(1, n):
+                if (covered >> g) & 1:
+                    continue
+                # mark the whole coset: adjoining m*g generates the same
+                for x in els:
+                    covered |= 1 << flat[x * n + g]
+                res = closure_mask(G, seed + [g], base=els)
+                if res not in found:
+                    found[res] = mask_to_elements(res)
+                    seeds[res] = seed + [g]
+                    new.append(res)
+        frontier = new
+    return tuple(Subgroup(G, els, _validate=False)
+                 for els in sorted(found.values(), key=lambda e: (len(e), e)))
+
+
+@functools.cache
 def center(G: FiniteGroup) -> Subgroup:
-    sub = G._cache.get("center")
-    if sub is None:
-        els = [a for a in range(G.order)
-               if all(G.mul(a, b) == G.mul(b, a) for b in range(G.order))]
-        sub = Subgroup(G, tuple(els), _validate=False)
-        G._cache["center"] = sub
-    return sub
+    els = [a for a in range(G.order)
+           if all(G.mul(a, b) == G.mul(b, a) for b in range(G.order))]
+    return Subgroup(G, tuple(els), _validate=False)
 
 
+@functools.cache
 def frattini(G: FiniteGroup) -> Subgroup:
     """Intersection of all maximal subgroups (the whole group if none)."""
-    sub = G._cache.get("frattini")
-    if sub is None:
-        proper = [s.mask for s in subgroups(G) if s.order < G.order]
-        maximal = [m for m in proper
-                   if not any(m != m2 and m & ~m2 == 0 for m2 in proper)]
-        mask = (1 << G.order) - 1
-        for m in maximal:
-            mask &= m
-        sub = Subgroup(G, mask_to_elements(mask), _validate=False)
-        G._cache["frattini"] = sub
-    return sub
+    proper = [s.mask for s in subgroups(G) if s.order < G.order]
+    maximal = [m for m in proper
+               if not any(m != m2 and m & ~m2 == 0 for m2 in proper)]
+    mask = (1 << G.order) - 1
+    for m in maximal:
+        mask &= m
+    return Subgroup(G, mask_to_elements(mask), _validate=False)
 
 
 def _generating_sequence(G: FiniteGroup, elements: Sequence[int]) -> list:
@@ -952,34 +925,35 @@ def homomorphisms(domain: Domain, C: FiniteGroup,
                   bound: int = SUBGROUP_ORDER_BOUND) -> list:
     """All homomorphisms from a group or subgroup into C, in a
     deterministic order (sorted by image tuple)."""
+    if len(_domain_elements(domain)) > bound or C.order > bound:
+        raise BoundExceededError("homomorphism enumeration bound exceeded")
+    return list(_homomorphisms(domain, C))
+
+
+@functools.cache
+def _homomorphisms(domain: Domain, C: FiniteGroup) -> tuple:
+    """Keyed by the domain object: a group and its full subgroup have the
+    same elements but give homomorphisms with different domains."""
     G = _domain_group(domain)
     els = list(_domain_elements(domain))
-    if len(els) > bound or C.order > bound:
-        raise BoundExceededError("homomorphism enumeration bound exceeded")
-    key = ("homs", tuple(els), C)
-    cached = G._cache.get(key)
-    if cached is None:
-        gens = _generating_sequence(G, els)
-        results = []
-        if not gens:
-            results.append(GroupHom(domain, C, (0,) * len(els),
-                                    _validate=False))
-        else:
-            gen_orders = [G.element_order(g) for g in gens]
-            candidates = []
-            for g_ord in gen_orders:
-                candidates.append([c for c in range(C.order)
-                                   if g_ord % C.element_order(c) == 0])
-            for assignment in itertools.product(*candidates):
-                images = _extend_hom(G, els, gens, C, assignment)
-                if images is not None:
-                    results.append(GroupHom(
-                        domain, C, tuple(images[a] for a in els),
-                        _validate=False))
-        results.sort(key=lambda h: h.images)
-        cached = results
-        G._cache[key] = cached
-    return list(cached)
+    gens = _generating_sequence(G, els)
+    results = []
+    if not gens:
+        results.append(GroupHom(domain, C, (0,) * len(els), _validate=False))
+    else:
+        gen_orders = [G.element_order(g) for g in gens]
+        candidates = []
+        for g_ord in gen_orders:
+            candidates.append([c for c in range(C.order)
+                               if g_ord % C.element_order(c) == 0])
+        for assignment in itertools.product(*candidates):
+            images = _extend_hom(G, els, gens, C, assignment)
+            if images is not None:
+                results.append(GroupHom(
+                    domain, C, tuple(images[a] for a in els),
+                    _validate=False))
+    results.sort(key=lambda h: h.images)
+    return tuple(results)
 
 
 class AutomorphismData:
@@ -1003,37 +977,38 @@ def automorphisms(G: FiniteGroup,
                   bound: int = SUBGROUP_ORDER_BOUND) -> AutomorphismData:
     if G.order > bound:
         raise BoundExceededError("automorphism enumeration bound exceeded")
-    cached = G._cache.get("automorphisms")
-    if cached is None:
-        els = list(range(G.order))
-        gens = G.generators()
-        autos = []
-        if not gens:
-            autos.append(identity_hom(G))
-        else:
-            candidates = [[c for c in range(G.order)
-                           if G.element_order(c) == G.element_order(g)]
-                          for g in gens]
-            for assignment in itertools.product(*candidates):
-                images = _extend_hom(G, els, gens, G, assignment)
-                if images is None or len(set(images.values())) != G.order:
-                    continue
-                autos.append(GroupHom(G, G, tuple(images[a] for a in els),
-                                      _validate=False))
-        autos.sort(key=lambda h: h.images)
-        inner_images = {tuple(G.conjugation_perm(g)) for g in range(G.order)}
-        inner = [h for h in autos if h.images in inner_images]
-        seen = set()
-        out_reps = []
-        for h in autos:  # ascending image tuples: first hit is the least rep
-            if h.images in seen:
+    return _automorphisms(G)
+
+
+@functools.cache
+def _automorphisms(G: FiniteGroup) -> AutomorphismData:
+    els = list(range(G.order))
+    gens = G.generators()
+    autos = []
+    if not gens:
+        autos.append(identity_hom(G))
+    else:
+        candidates = [[c for c in range(G.order)
+                       if G.element_order(c) == G.element_order(g)]
+                      for g in gens]
+        for assignment in itertools.product(*candidates):
+            images = _extend_hom(G, els, gens, G, assignment)
+            if images is None or len(set(images.values())) != G.order:
                 continue
-            out_reps.append(h)
-            for k in inner:
-                seen.add(tuple(h.images[x] for x in k.images))
-        cached = AutomorphismData(G, autos, inner, out_reps)
-        G._cache["automorphisms"] = cached
-    return cached
+            autos.append(GroupHom(G, G, tuple(images[a] for a in els),
+                                  _validate=False))
+    autos.sort(key=lambda h: h.images)
+    inner_images = {tuple(G.conjugation_perm(g)) for g in range(G.order)}
+    inner = [h for h in autos if h.images in inner_images]
+    seen = set()
+    out_reps = []
+    for h in autos:  # ascending image tuples: first hit is the least rep
+        if h.images in seen:
+            continue
+        out_reps.append(h)
+        for k in inner:
+            seen.add(tuple(h.images[x] for x in k.images))
+    return AutomorphismData(G, autos, inner, out_reps)
 
 
 def subgroup_as_group(S: Subgroup):
@@ -1046,19 +1021,19 @@ def subgroup_as_group(S: Subgroup):
     G = S.parent
     if len(S.elements) == G.order:
         return G, identity_hom(G)
-    key = ("as_group", S.elements)
-    cached = G._cache.get(key)
-    if cached is None:
-        els = S.elements
-        pos = {x: i for i, x in enumerate(els)}
-        table = tuple(tuple([pos[G.mul(a, b)] for b in els]) for a in els)
-        labels = tuple(G.labels[x] for x in els) if G.labels else None
-        sub = FiniteGroup._from_rows(table, labels, f"{G.name}|{len(els)}",
-                                     validate=False)
-        inclusion = GroupHom(sub, G, els, _validate=False)
-        cached = (sub, inclusion)
-        G._cache[key] = cached
-    return cached
+    return _subgroup_as_group(S)
+
+
+@functools.cache
+def _subgroup_as_group(S: Subgroup):
+    G = S.parent
+    els = S.elements
+    pos = {x: i for i, x in enumerate(els)}
+    table = tuple(tuple([pos[G.mul(a, b)] for b in els]) for a in els)
+    labels = tuple(G.labels[x] for x in els) if G.labels else None
+    sub = FiniteGroup._from_rows(table, labels, f"{G.name}|{len(els)}",
+                                 validate=False)
+    return sub, GroupHom(sub, G, els, _validate=False)
 
 
 def quotient(G: FiniteGroup, N: Subgroup):
@@ -1076,32 +1051,29 @@ def quotient(G: FiniteGroup, N: Subgroup):
     if N.order == G.order:
         one = cyclic(1)
         return one, trivial_hom(G, one)
-    key = ("quotient", N.elements)
-    cached = G._cache.get(key)
-    if cached is None:
-        n = G.order
-        coset_of = [-1] * n
-        reps = []
-        for g in range(n):
-            if coset_of[g] >= 0:
-                continue
-            idx = len(reps)
-            reps.append(g)
-            for x in N.elements:
-                coset_of[G.mul(g, x)] = idx
-        q = len(reps)
-        table = tuple(tuple([coset_of[G.mul(a, b)] for b in reps])
-                      for a in reps)
-        labels = None
-        if G.labels is not None:
-            labels = tuple(f"[{G.labels[r]}]" for r in reps)
-        Q = FiniteGroup._from_rows(table, labels,
-                                   f"{G.name}/{len(N.elements)}",
-                                   validate=False)
-        proj = GroupHom(G, Q, tuple(coset_of), _validate=False)
-        cached = (Q, proj)
-        G._cache[key] = cached
-    return cached
+    return _quotient(N)
+
+
+@functools.cache
+def _quotient(N: Subgroup):
+    G = N.parent
+    n = G.order
+    coset_of = [-1] * n
+    reps = []
+    for g in range(n):
+        if coset_of[g] >= 0:
+            continue
+        idx = len(reps)
+        reps.append(g)
+        for x in N.elements:
+            coset_of[G.mul(g, x)] = idx
+    table = tuple(tuple([coset_of[G.mul(a, b)] for b in reps]) for a in reps)
+    labels = None
+    if G.labels is not None:
+        labels = tuple(f"[{G.labels[r]}]" for r in reps)
+    Q = FiniteGroup._from_rows(table, labels, f"{G.name}/{len(N.elements)}",
+                               validate=False)
+    return Q, GroupHom(G, Q, tuple(coset_of), _validate=False)
 
 
 def double_coset_representatives(G: FiniteGroup, A: Subgroup,
@@ -1190,25 +1162,27 @@ def small_groups_catalog(max_order: int = CATALOG_MAX_ORDER) -> list:
     if not 1 <= max_order <= CATALOG_MAX_ORDER:
         raise BoundExceededError(
             f"catalog supports orders 1..{CATALOG_MAX_ORDER}")
-    full = _atom_cache.get("catalog")
-    if full is None:
-        full = []
-        builders = _catalog_builders()
-        for order in range(1, CATALOG_MAX_ORDER + 1):
-            groups = [b() for b in builders[order]]
-            if len(groups) != _EXPECTED_CLASS_COUNTS[order - 1]:
-                raise GroupError(f"catalog miscount at order {order}")
-            for i, g in enumerate(groups):
-                if g.order != order:
-                    raise GroupError(f"catalog order mismatch for {g.name}")
-                for h in groups[:i]:
-                    if isomorphism(g, h) is not None:
-                        raise GroupError(
-                            f"catalog entries {g.name} and {h.name} are "
-                            "isomorphic")
-            full.extend(groups)
-        _atom_cache["catalog"] = full
-    return [g for g in full if g.order <= max_order]
+    return [g for g in _full_catalog() if g.order <= max_order]
+
+
+@functools.cache
+def _full_catalog() -> tuple:
+    full = []
+    builders = _catalog_builders()
+    for order in range(1, CATALOG_MAX_ORDER + 1):
+        groups = [b() for b in builders[order]]
+        if len(groups) != _EXPECTED_CLASS_COUNTS[order - 1]:
+            raise GroupError(f"catalog miscount at order {order}")
+        for i, g in enumerate(groups):
+            if g.order != order:
+                raise GroupError(f"catalog order mismatch for {g.name}")
+            for h in groups[:i]:
+                if isomorphism(g, h) is not None:
+                    raise GroupError(
+                        f"catalog entries {g.name} and {h.name} are "
+                        "isomorphic")
+        full.extend(groups)
+    return tuple(full)
 
 
 # ---------------------------------------------------------------------------
@@ -1252,23 +1226,18 @@ def group_from_spec(spec: str) -> FiniteGroup:
 
     Atoms are Cn, D2n, Q8, Sn (n <= 4), A4 and Dicn (order 4n, n >= 2),
     connected with ``x``, so every catalog name parses to its group.
-    Memoized: the same normalized spec returns the same object.
+    The same normalized spec returns the same object, as atoms and
+    products are memoized.
     """
     if not isinstance(spec, str):
         raise GroupSpecError("spec must be a string")
     norm = spec.replace(" ", "").replace("X", "x")
     if not norm:
         raise GroupSpecError("empty group spec")
-    cached = _atom_cache.get(("spec", norm))
-    if cached is not None:
-        return cached
     tokens = norm.split("x")
     if any(not t for t in tokens):
         raise GroupSpecError(f"cannot parse spec {spec!r}")
     factors = [_atom_from_spec(t) for t in tokens]
     if len(factors) == 1:
-        grp = factors[0]
-    else:
-        grp = product_embedding(*factors).ambient
-    _atom_cache[("spec", norm)] = grp
-    return grp
+        return factors[0]
+    return product_embedding(*factors).ambient

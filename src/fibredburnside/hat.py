@@ -36,6 +36,7 @@ against compose-then-reduce.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -160,22 +161,17 @@ def _catalog_below(order: int, catalog_bound: int) -> List[FiniteGroup]:
             if K.order < order]
 
 
+@functools.cache
 def _iso_to_catalog(grp: FiniteGroup, catalog_bound: int):
     """A catalog group isomorphic to grp, with the isomorphism."""
-    cached = grp._cache.get("iso_to_catalog")
-    if cached is None:
-        for K in small_groups_catalog(catalog_bound):
-            if K.order != grp.order:
-                continue
-            phi = isomorphism(grp, K)
-            if phi is not None:
-                cached = (K, phi)
-                break
-        else:
-            raise GroupError(f"no catalog group of order {grp.order} "
-                             f"matches {grp.name}")
-        grp._cache["iso_to_catalog"] = cached
-    return cached
+    for K in small_groups_catalog(catalog_bound):
+        if K.order != grp.order:
+            continue
+        phi = isomorphism(grp, K)
+        if phi is not None:
+            return K, phi
+    raise GroupError(f"no catalog group of order {grp.order} "
+                     f"matches {grp.name}")
 
 
 def _side_map(emb_from, emb_to, side: int, images) -> list:
@@ -245,29 +241,26 @@ def _full_side_classes(left: FiniteGroup, right: FiniteGroup,
             for mask, delta in _class_keys(left, right, C, side)]
 
 
+@functools.cache
 def _aut_generators(G: FiniteGroup) -> Tuple[tuple, ...]:
     """Image tuples of a few automorphisms that generate Aut(G) together
     with the inner ones (which fix every canonical class)."""
-    cached = G._cache.get("aut_generators")
-    if cached is None:
-        auts = automorphisms(G)
-        reached = {h.images for h in auts.inner}
-        gens = []
-        for rep in auts.out_representatives:
-            if rep.images in reached:
-                continue
-            gens.append(rep.images)
-            frontier = list(reached)
-            while frontier:
-                x = frontier.pop()
-                for s in gens:
-                    y = tuple(s[v] for v in x)
-                    if y not in reached:
-                        reached.add(y)
-                        frontier.append(y)
-        cached = tuple(gens)
-        G._cache["aut_generators"] = cached
-    return cached
+    auts = automorphisms(G)
+    reached = {h.images for h in auts.inner}
+    gens = []
+    for rep in auts.out_representatives:
+        if rep.images in reached:
+            continue
+        gens.append(rep.images)
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                y = tuple(s[v] for v in x)
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    return tuple(gens)
 
 
 def _embeds(K: FiniteGroup, L: FiniteGroup) -> bool:
@@ -279,16 +272,12 @@ def _embeds(K: FiniteGroup, L: FiniteGroup) -> bool:
                for S in subgroups(L))
 
 
+@functools.cache
 def _maximal_below(G: FiniteGroup, catalog_bound: int) -> List[FiniteGroup]:
     """The catalog groups of order < |G| that embed in no larger catalog
     group of order < |G|: the only ones the ideal sweep has to visit."""
-    key = ("maximal_below", catalog_bound)
-    cached = G._cache.get(key)
-    if cached is None:
-        kats = _catalog_below(G.order, catalog_bound)
-        cached = [K for K in kats if not any(_embeds(K, L) for L in kats)]
-        G._cache[key] = cached
-    return cached
+    kats = _catalog_below(G.order, catalog_bound)
+    return [K for K in kats if not any(_embeds(K, L) for L in kats)]
 
 
 def _orbit_representatives(classes: List[TransitiveFibredBiset],
@@ -316,6 +305,7 @@ def _orbit_representatives(classes: List[TransitiveFibredBiset],
     return reps
 
 
+@functools.cache
 def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
     """All canonical summand keys of compositions a o b through K where
     both outer projections are full.  This is exactly the part of the
@@ -334,50 +324,46 @@ def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
     twisted witness keeps its representative h, because the twist leaves
     the middle coordinates, and with them the double cosets, unchanged.
     """
-    key = ("ideal_sweep", C, K)
-    cached = G._cache.get(key)
-    if cached is None:
-        emb_gg = product_embedding(G, G)
-        emb_gk = product_embedding(G, K)
-        emb_kg = product_embedding(K, G)
-        amb = emb_gg.ambient
-        gens = _aut_generators(G)
-        lefts = _orbit_representatives(
-            _full_side_classes(G, K, C, 0), emb_gk.ambient,
-            [_side_map(emb_gk, emb_gk, 0, s) for s in gens]
-            + [_side_map(emb_gk, emb_gk, 1, s) for s in _aut_generators(K)])
-        rights = _orbit_representatives(
-            _full_side_classes(K, G, C, 1), emb_kg.ambient,
-            [_side_map(emb_kg, emb_kg, 1, s) for s in gens])
-        one = tuple(range(G.order))
-        cached = {}
-        for a in lefts:
-            for b in rights:
-                for h, mask, delta in _compose_raw(
-                        emb_gk, emb_kg, C, a.D.elements, a.delta.images,
-                        b.D.elements, b.delta.images):
-                    raw = _canonical_raw(amb, mask, delta)
-                    if raw not in cached:
-                        cached[raw] = (a, b, h, one, one)
-        moves = [(side, s, _side_map(emb_gg, emb_gg, side, s))
-                 for side in (0, 1) for s in gens]
-        stack = list(cached)
-        while stack:
-            raw = stack.pop()
-            a, b, h, sigma, tau = cached[raw]
-            elements = mask_to_elements(raw[0])
-            for side, s, perm in moves:
-                new = _canonical_raw(amb,
-                                     *_permute_raw(perm, elements, raw[1]))
-                if new in cached:
-                    continue
-                if side == 0:
-                    cached[new] = (a, b, h, tuple(s[x] for x in sigma), tau)
-                else:
-                    cached[new] = (a, b, h, sigma, tuple(s[x] for x in tau))
-                stack.append(new)
-        G._cache[key] = cached
-    return cached
+    emb_gg = product_embedding(G, G)
+    emb_gk = product_embedding(G, K)
+    emb_kg = product_embedding(K, G)
+    amb = emb_gg.ambient
+    gens = _aut_generators(G)
+    lefts = _orbit_representatives(
+        _full_side_classes(G, K, C, 0), emb_gk.ambient,
+        [_side_map(emb_gk, emb_gk, 0, s) for s in gens]
+        + [_side_map(emb_gk, emb_gk, 1, s) for s in _aut_generators(K)])
+    rights = _orbit_representatives(
+        _full_side_classes(K, G, C, 1), emb_kg.ambient,
+        [_side_map(emb_kg, emb_kg, 1, s) for s in gens])
+    one = tuple(range(G.order))
+    found = {}
+    for a in lefts:
+        for b in rights:
+            for h, mask, delta in _compose_raw(
+                    emb_gk, emb_kg, C, a.D.elements, a.delta.images,
+                    b.D.elements, b.delta.images):
+                raw = _canonical_raw(amb, mask, delta)
+                if raw not in found:
+                    found[raw] = (a, b, h, one, one)
+    moves = [(side, s, _side_map(emb_gg, emb_gg, side, s))
+             for side in (0, 1) for s in gens]
+    stack = list(found)
+    while stack:
+        raw = stack.pop()
+        a, b, h, sigma, tau = found[raw]
+        elements = mask_to_elements(raw[0])
+        for side, s, perm in moves:
+            new = _canonical_raw(amb,
+                                 *_permute_raw(perm, elements, raw[1]))
+            if new in found:
+                continue
+            if side == 0:
+                found[new] = (a, b, h, tuple(s[x] for x in sigma), tau)
+            else:
+                found[new] = (a, b, h, sigma, tuple(s[x] for x in tau))
+            stack.append(new)
+    return found
 
 
 def _twisted(X: TransitiveFibredBiset, side: int,
@@ -409,21 +395,23 @@ def is_in_ideal(X: TransitiveFibredBiset, catalog_bound: int = 15
     """
     if X.left is not X.right:
         raise GroupError("ideal membership is about classes over G x G")
-    G = X.left
-    X = canonicalize(X)
+    return _ideal_decision(X.left, X.fibre, canonicalize(X).raw,
+                           catalog_bound)
+
+
+@functools.cache
+def _ideal_decision(G: FiniteGroup, C: FiniteGroup, raw: tuple,
+                    catalog_bound: int) -> Optional[FactorizationWitness]:
+    """Keyed by the canonical (mask, delta) pair rather than the class
+    object, so that a decision costs no more memory than its key."""
     swept = _maximal_below(G, catalog_bound)
-    cache = G._cache.setdefault(("ideal_decisions", X.fibre, catalog_bound),
-                                {})
-    if X.raw in cache:
-        return cache[X.raw]
+    X = _class_from_raw(G, G, C, *raw, canonical=True)
     witness = _reduction_witness(X, catalog_bound)
     if witness is None:
         for K in swept:
-            entry = _ideal_sweep(G, X.fibre, K).get(X.raw)
+            entry = _ideal_sweep(G, C, K).get(raw)
             if entry is not None:
-                witness = _sweep_witness(K, entry)
-                break
-    cache[X.raw] = witness
+                return _sweep_witness(K, entry)
     return witness
 
 
@@ -623,19 +611,17 @@ def frattini_criterion(G: FiniteGroup, C: FiniteGroup,
                for mu in homomorphisms(G, C))
 
 
+@functools.cache
 def _out_rep_lookup(G: FiniteGroup) -> dict:
     """Map from any automorphism's image tuple to its coset representative."""
-    cached = G._cache.get("out_rep_lookup")
-    if cached is None:
-        auts = automorphisms(G)
-        cached = {}
-        for rep in auts.out_representatives:
-            for inner in auts.inner:
-                composite = tuple(rep.images[inner.images[g]]
-                                  for g in range(G.order))
-                cached[composite] = rep
-        G._cache["out_rep_lookup"] = cached
-    return cached
+    auts = automorphisms(G)
+    lookup = {}
+    for rep in auts.out_representatives:
+        for inner in auts.inner:
+            composite = tuple(rep.images[inner.images[g]]
+                              for g in range(G.order))
+            lookup[composite] = rep
+    return lookup
 
 
 def hat_multiply(a: HatGenerator, b: HatGenerator) -> HatElement:

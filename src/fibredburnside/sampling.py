@@ -3,6 +3,7 @@ catalog, transitive classes over products, and composable tuples."""
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import List, Optional
 
@@ -42,24 +43,21 @@ def random_transitive_class(rng: random.Random, left: FiniteGroup,
                                               _validate=False))
 
 
+@functools.cache
 def _full_projection_subgroups(left: FiniteGroup,
                                right: FiniteGroup) -> List[Subgroup]:
     emb = product_embedding(left, right)
-    key = ("full_projection_subgroups",)
-    cached = emb.ambient._cache.get(key)
-    if cached is None:
-        cached = []
-        for D in subgroups(emb.ambient):
-            firsts = set()
-            seconds = set()
-            for x in D.elements:
-                a, b = emb.decode(x)
-                firsts.add(a)
-                seconds.add(b)
-            if len(firsts) == left.order and len(seconds) == right.order:
-                cached.append(D)
-        emb.ambient._cache[key] = cached
-    return cached
+    out = []
+    for D in subgroups(emb.ambient):
+        firsts = set()
+        seconds = set()
+        for x in D.elements:
+            a, b = emb.decode(x)
+            firsts.add(a)
+            seconds.add(b)
+        if len(firsts) == left.order and len(seconds) == right.order:
+            out.append(D)
+    return out
 
 
 def random_full_projection_class(rng: random.Random, left: FiniteGroup,

@@ -130,6 +130,18 @@ def test_compose_malformed_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("term", [
+    {"D": [0], "delta": [0], "coeff": 0.7},
+    {"D": [0], "delta": [0], "coeff": "3"},
+    {"D": [0.0], "delta": [0]}])
+def test_compose_rejects_non_integer_fields(capsys, term):
+    blob = json.dumps({"left": "C2", "right": "C2", "fibre": "C2",
+                       "terms": [term]})
+    code, out, err = run_cli(capsys, "compose", blob, blob)
+    assert code == 1 and not out
+    assert "integer" in err
+
+
 def test_hat_prime_path(capsys):
     code, out, _ = run_cli(capsys, "--json", "hat", "C4", "C2")
     assert code == 0

@@ -549,6 +549,20 @@ def test_element_json_round_trip(rng, c4):
     assert back == elt
 
 
+@pytest.mark.parametrize("field,value", [
+    ("coeff", 0.7), ("coeff", "3"), ("coeff", True),
+    ("D", [0, 3.0]), ("D", [0, "3"]), ("delta", [0, 1.0]),
+    ("delta", [False, 1]), ("D", "03")])
+def test_element_from_json_rejects_non_integers(field, value):
+    # the diagonal of C2 x C2 with its nontrivial character
+    term = {"D": [0, 3], "delta": [0, 1], "coeff": 2}
+    data = {"left": "C2", "right": "C2", "fibre": "C2", "terms": [term]}
+    assert list(element_from_json(data).terms.values()) == [2]
+    term[field] = value
+    with pytest.raises(GroupError, match="integer"):
+        element_from_json(data)
+
+
 def test_subcharacter_json_round_trip(q8, c2):
     for sc in subcharacter_classes(q8, c2):
         back = element_from_json(element_to_json(element_of(sc)))

@@ -221,9 +221,14 @@ def test_product_order_and_projections(q8, d8):
 
 def test_product_cache_keys_hold_the_factor_groups(c2, c3):
     emb = product_embedding(c2, c3)
-    assert groups._product_cache[(c2, c3)] is emb
-    assert all(isinstance(f, groups.FiniteGroup)
-               for key in groups._product_cache for f in key)
+    assert product_embedding(c2, c3) is emb
+    # two groups on one table are two keys, each embedding its own factor
+    a = groups.FiniteGroup(c3.table)
+    b = groups.FiniteGroup(c3.table)
+    emb_a = product_embedding(c2, a)
+    emb_b = product_embedding(c2, b)
+    assert emb_a is not emb_b and emb_a.ambient is not emb_b.ambient
+    assert emb_a.factors[1] is a and emb_b.factors[1] is b
 
 
 def test_product_ordering_is_lexicographic(c2, c4):
@@ -452,6 +457,17 @@ def test_hom_on_subgroup(q8, c2):
         for a in d.elements:
             for b in d.elements:
                 assert h.apply(q8.mul(a, b)) == c2.mul(h.apply(a), h.apply(b))
+
+
+def test_homs_of_a_group_and_its_full_subgroup_kept_apart(c2):
+    from fibredburnside.fibred import subcharacter_classes
+    # a fresh group: nothing about it is cached before this test runs
+    G = groups.FiniteGroup(groups.symmetric(3).table)
+    subcharacter_classes(G, c2)  # enumerates homs of the full subgroup
+    assert all(h.domain is G and h == groups.GroupHom(G, c2, h.images)
+               for h in homomorphisms(G, c2))
+    full = G.full_subgroup()
+    assert all(h.domain == full for h in homomorphisms(full, c2))
 
 
 # -- automorphisms -----------------------------------------------------------

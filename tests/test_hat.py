@@ -1,10 +1,15 @@
 """Ideal membership, the quotient algebra, the prime-fibre structure and
 the end-to-end counterexample."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import fibredburnside
 from fibredburnside import hat
 from fibredburnside.fibred import (
     canonicalize,
@@ -330,6 +335,60 @@ def test_counterexample_verify_passes():
     names = [s["name"] for s in report["steps"]]
     assert any("k1(D) = <x^2>" in n for n in names)
     assert all(s["ok"] for s in report["steps"])
+
+
+# Run in a fresh interpreter: the session fixtures hold group objects that
+# a cleared cache would no longer hand out.
+_CLEAR_AND_RERUN = """
+import json, sys
+from fibredburnside.hat import counterexample_verify
+
+def caches():
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "fibredburnside":
+            continue
+        for value in vars(module).values():
+            members = [value]
+            if isinstance(value, type):
+                members += [getattr(v, "fget", v) for v in vars(value).values()]
+            for f in members:
+                if (hasattr(f, "cache_clear")
+                        and getattr(f, "__module__", "").startswith(
+                            "fibredburnside")):
+                    found[f"{f.__module__}.{f.__qualname__}"] = f
+    return found
+
+first = counterexample_verify(7)
+filled = {n: f.cache_info().currsize for n, f in caches().items()}
+for f in caches().values():
+    f.cache_clear()
+cleared = {n: f.cache_info().currsize for n, f in caches().items()}
+second = counterexample_verify(7)
+print(json.dumps({"first": first, "second": second, "filled": filled,
+                  "cleared": cleared}))
+"""
+
+
+def test_cleared_caches_give_the_same_counterexample_report():
+    src = os.path.dirname(os.path.dirname(fibredburnside.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _CLEAR_AND_RERUN],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    # the caches the run fills, among them the ideal decisions and sweeps
+    used = {n for n, size in data["filled"].items() if size}
+    assert {"fibredburnside.hat._ideal_decision",
+            "fibredburnside.hat._ideal_sweep",
+            "fibredburnside.groups.product_embedding",
+            "fibredburnside.groups._subgroups",
+            "fibredburnside.groups._homomorphisms",
+            "fibredburnside.fibred._canonical_pairs"} <= used
+    assert not any(data["cleared"].values())
+    assert json.dumps(data["first"]) == json.dumps(data["second"])
 
 
 def test_counterexample_contrast_with_prime_fibre(q8, d8, c2):

@@ -11,7 +11,7 @@ import pytest
 from fibredburnside import hat
 from fibredburnside.fibred import _class_from_raw, transitive_basis
 from fibredburnside.groups import (
-    cyclic, group_from_spec, small_groups_catalog)
+    FiniteGroup, cyclic, group_from_spec, small_groups_catalog)
 
 from helpers import ref_ideal_sweep
 
@@ -67,18 +67,23 @@ def test_every_sweep_witness_recomposes(s3, c3):
             assert hat._witness_matches(X, hat._sweep_witness(K, entry))
 
 
-def test_sweep_caches_hold_the_fibre_object(c4):
+def test_sweep_caches_hold_the_fibre_object(monkeypatch):
+    # a fresh group, so that no decision about it is cached yet
+    G = FiniteGroup(cyclic(4).table)
     C = cyclic(3)
-    for X in transitive_basis(c4, c4, C):
+    calls = []
+    sweep = hat._ideal_sweep
+
+    def recording(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(hat, "_ideal_sweep", recording)
+    for X in transitive_basis(G, G, C):
         hat.is_in_ideal(X, 7)
-    keys = [k for k in c4._cache if isinstance(k, tuple)
-            and k[0] in ("ideal_sweep", "ideal_decisions")]
-    decisions = [k for k in keys if k[0] == "ideal_decisions"]
-    sweeps = [k for k in keys if k[0] == "ideal_sweep"]
-    assert any(k[1] is C for k in decisions)
-    assert any(k[1] is C for k in sweeps)
-    assert all(k[2] in hat._maximal_below(c4, 7) for k in sweeps)
-    assert not any(id(C) in k for k in keys)
+    maximal = hat._maximal_below(G, 7)
+    assert calls
+    assert all(g is G and c is C and K in maximal for g, c, K in calls)
 
 
 if __name__ == "__main__":
