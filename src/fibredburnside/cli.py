@@ -342,7 +342,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (GroupSpecError, BoundExceededError, fibred.FibreError,
-            json.JSONDecodeError, FileNotFoundError) as exc:
+            json.JSONDecodeError, FileNotFoundError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GroupError as exc:

@@ -533,33 +533,19 @@ def _compose_oracle_transitive(tx: TransitiveFibredBiset,
     T2 = to_monomial_set(ty)
     t1, e1 = T1.action.table, T1.embedding
     t2, e2 = T2.action.table, T2.embedding
-    n2 = T2.size
-    inv = C.inverses
-
-    moves = [monomial._pair_move(t1[e1.encode(emb_gh.encode(0, h), 0)],
-                                 t2[e2.encode(emb_hk.encode(h, 0), 0)], n2)
-             for h in H.generators()]
-    moves += [monomial._pair_move(t1[e1.encode(0, c)],
-                                  t2[e2.encode(0, inv[c])], n2)
-              for c in C.generators()]
-    find_rep, roots = monomial._orbit_partition(T1.size * n2, moves)
-
-    # keep the orbits on which the fibre acts freely: (1, c) for c != 1
-    # moves the root (i, j) to (c.i, j), which must leave its orbit
-    fibre_rows = [t1[e1.encode(0, c)] for c in range(1, C.order)]
-    kept = [root for root in roots
-            if all(find_rep[r1[root // n2] * n2 + root % n2] != root
-                   for r1 in fibre_rows)]
-    index = {r: i for i, r in enumerate(kept)}
-    label = [index.get(r) for r in find_rep]
-    split = [divmod(r, n2) for r in kept]
     emb_res = product_embedding(emb_gk.ambient, C)
-    table = []
-    for gk, c in emb_res.coords:
-        g, k = emb_gk.coords[gk]
-        r1 = t1[e1.encode(emb_gh.encode(g, 0), c)]
-        r2 = t2[e2.encode(emb_hk.encode(0, k), 0)]
-        table.append([label[r1[i] * n2 + r2[j]] for i, j in split])
+    # the fibre acts freely on an orbit when (1, c), c != 1, moves its
+    # root (i, j) to (c.i, j) outside it
+    table = monomial._glue(
+        T1.size, T2.size,
+        [(t1[e1.encode(emb_gh.encode(0, h), 0)],
+          t2[e2.encode(emb_hk.encode(h, 0), 0)]) for h in H.generators()]
+        + [(t1[e1.encode(0, c)], t2[e2.encode(0, C.inverses[c])])
+           for c in C.generators()],
+        [(t1[e1.encode(emb_gh.encode(g, 0), c)],
+          t2[e2.encode(emb_hk.encode(0, k), 0)])
+         for gk, c in emb_res.coords for g, k in [emb_gk.coords[gk]]],
+        free=[t1[e1.encode(0, c)] for c in range(1, C.order)])
     result = MonomialSet(emb_gk.ambient, C,
                          FiniteAction(emb_res.ambient, table),
                          validate=False)
@@ -793,20 +779,33 @@ def _json_ints(value, field: str) -> list:
     return value
 
 
+def _json_field(obj, field: str, where: str):
+    """A field of a JSON object; a missing field, or an ``obj`` that is no
+    object, is a ``GroupError`` that names it."""
+    if not isinstance(obj, dict):
+        raise GroupError(f"{where} must be a JSON object, got {obj!r}")
+    if field not in obj:
+        raise GroupError(f"{where} has no field {field!r}")
+    return obj[field]
+
+
 def element_from_json(data: dict) -> FibredElement:
     from .groups import group_from_spec
-    left = group_from_spec(data["left"])
-    right = group_from_spec(data["right"])
-    fibre = group_from_spec(data["fibre"])
+    left, right, fibre = (group_from_spec(_json_field(data, f, "element"))
+                          for f in ("left", "right", "fibre"))
+    items = _json_field(data, "terms", "element")
+    if not isinstance(items, list):
+        raise GroupError(f"element field 'terms' must be a list, "
+                         f"got {items!r}")
     terms: Dict[TransitiveFibredBiset, int] = {}
-    for item in data["terms"]:
+    for item in items:
+        d_elements = _json_ints(_json_field(item, "D", "term"), "D")
+        delta = _json_ints(_json_field(item, "delta", "term"), "delta")
         coeff = item.get("coeff", 1)
         if type(coeff) is not int:
             raise GroupError(f"term coefficient must be an integer, "
                              f"got {coeff!r}")
-        cls = transitive_fibred_biset(left, right, fibre,
-                                      _json_ints(item["D"], "D"),
-                                      _json_ints(item["delta"], "delta"))
-        cls = canonicalize(cls)
+        cls = canonicalize(transitive_fibred_biset(left, right, fibre,
+                                                   d_elements, delta))
         terms[cls] = terms.get(cls, 0) + coeff
     return FibredElement(left, right, fibre, terms)

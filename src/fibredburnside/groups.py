@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from typing import Iterable, Optional, Sequence, Union
 
@@ -570,49 +571,37 @@ def dihedral(order: int) -> FiniteGroup:
     Element i + n*j stands for a^i b^j."""
     if order < 2 or order % 2:
         raise GroupError("dihedral order must be even and >= 2")
-    return _dihedral(order)
+    return _inverting_extension(order // 2, 0, "ab", f"D{order}")
 
 
-@functools.cache
-def _dihedral(order: int) -> FiniteGroup:
-    n = order // 2
-    table = [[0] * order for _ in range(order)]
-    for i in range(n):
-        for j in (0, 1):
-            for k in range(n):
-                for l in (0, 1):
-                    if j == 0:
-                        ii, jj = (i + k) % n, l
-                    else:
-                        ii, jj = (i - k) % n, 1 - l
-                    table[i + n * j][k + n * l] = ii + n * jj
-    labels = []
-    for j in (0, 1):
-        for i in range(n):
-            s = "" if i == 0 else ("a" if i == 1 else f"a{i}")
-            s += "b" if j else ""
-            labels.append(s or "1")
-    return FiniteGroup(table, labels=labels, name=f"D{order}")
-
-
-@functools.cache
 def quaternion8() -> FiniteGroup:
     """Quaternion group <x, y | x^4 = 1, y x y^-1 = x^-1, x^2 = y^2>.
     Element i + 4*j stands for x^i y^j."""
-    table = [[0] * 8 for _ in range(8)]
-    for i in range(4):
-        for j in (0, 1):
-            for k in range(4):
-                for l in (0, 1):
-                    if j == 0:
-                        ii, jj = (i + k) % 4, l
-                    elif l == 0:
-                        ii, jj = (i - k) % 4, 1
-                    else:
-                        ii, jj = (i - k + 2) % 4, 0
-                    table[i + 4 * j][k + 4 * l] = ii + 4 * jj
-    labels = ["1", "x", "x2", "x3", "y", "xy", "x2y", "x3y"]
-    return FiniteGroup(table, labels=labels, name="Q8")
+    return _inverting_extension(4, 2, "xy", "Q8")
+
+
+@functools.cache
+def _inverting_extension(n: int, s: int, letters: str,
+                         name: str) -> FiniteGroup:
+    """<a, b | a^n = 1, b a b^-1 = a^-1, b^2 = a^s>, with element i + n*j
+    standing for a^i b^j and the letters a and b spelled ``letters``:
+    a^i b^j times a^k b^l is a^(i+k) b^l if j = 0, else a^(i-k) b^(1+l),
+    where b^2 = a^s."""
+    x, y = letters
+    table = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for k in range(n):
+            for l in (0, 1):
+                table[i][k + n * l] = (i + k) % n + n * l
+                table[i + n][k + n * l] = ((i - k + s * l) % n
+                                           + n * (1 - l))
+    labels = []
+    for j in (0, 1):
+        for i in range(n):
+            w = "" if i == 0 else (x if i == 1 else f"{x}{i}")
+            w += y if j else ""
+            labels.append(w or "1")
+    return FiniteGroup(table, labels=labels, name=name)
 
 
 def _perm_label(p: tuple) -> str:
@@ -681,32 +670,8 @@ def dicyclic(order: int) -> FiniteGroup:
     Element i + 2m*j stands for a^i b^j."""
     if order % 4 or order < 8:
         raise GroupError("dicyclic order must be a multiple of 4, >= 8")
-    return _dicyclic(order)
-
-
-@functools.cache
-def _dicyclic(order: int) -> FiniteGroup:
     m = order // 4
-    n = 2 * m
-    table = [[0] * order for _ in range(order)]
-    for i in range(n):
-        for j in (0, 1):
-            for k in range(n):
-                for l in (0, 1):
-                    if j == 0:
-                        ii, jj = (i + k) % n, l
-                    elif l == 0:
-                        ii, jj = (i - k) % n, 1
-                    else:
-                        ii, jj = (i - k + m) % n, 0
-                    table[i + n * j][k + n * l] = ii + n * jj
-    labels = []
-    for j in (0, 1):
-        for i in range(n):
-            s = "" if i == 0 else ("a" if i == 1 else f"a{i}")
-            s += "b" if j else ""
-            labels.append(s or "1")
-    return FiniteGroup(table, labels=labels, name=f"Dic{m}")
+    return _inverting_extension(2 * m, m, "ab", f"Dic{m}")
 
 
 # ---------------------------------------------------------------------------
@@ -930,28 +895,36 @@ def homomorphisms(domain: Domain, C: FiniteGroup,
     return list(_homomorphisms(domain, C))
 
 
+def _hom_search(G: FiniteGroup, els: Sequence[int], gens: list,
+                H: FiniteGroup, bijective: bool):
+    """Yield the image dict of every homomorphism from the subgroup
+    ``els`` of G, generated by ``gens``, into H; only the bijective ones
+    if ``bijective``.  A generator's image runs over the elements of H,
+    ascending, whose order divides (equals, for a bijection) its own, and
+    ``_extend_hom`` checks each assignment.  With no generators the one
+    empty assignment gives the trivial map."""
+    def fits(g, c):
+        o, p = G.element_order(g), H.element_order(c)
+        return o == p if bijective else o % p == 0
+
+    candidates = [[c for c in range(H.order) if fits(g, c)] for g in gens]
+    for assignment in itertools.product(*candidates):
+        images = _extend_hom(G, els, gens, H, assignment)
+        if images is not None and (not bijective
+                                   or len(set(images.values())) == len(els)):
+            yield images
+
+
 @functools.cache
 def _homomorphisms(domain: Domain, C: FiniteGroup) -> tuple:
     """Keyed by the domain object: a group and its full subgroup have the
     same elements but give homomorphisms with different domains."""
     G = _domain_group(domain)
     els = list(_domain_elements(domain))
-    gens = _generating_sequence(G, els)
-    results = []
-    if not gens:
-        results.append(GroupHom(domain, C, (0,) * len(els), _validate=False))
-    else:
-        gen_orders = [G.element_order(g) for g in gens]
-        candidates = []
-        for g_ord in gen_orders:
-            candidates.append([c for c in range(C.order)
-                               if g_ord % C.element_order(c) == 0])
-        for assignment in itertools.product(*candidates):
-            images = _extend_hom(G, els, gens, C, assignment)
-            if images is not None:
-                results.append(GroupHom(
-                    domain, C, tuple(images[a] for a in els),
-                    _validate=False))
+    results = [GroupHom(domain, C, tuple(images[a] for a in els),
+                        _validate=False)
+               for images in _hom_search(G, els, _generating_sequence(G, els),
+                                         C, bijective=False)]
     results.sort(key=lambda h: h.images)
     return tuple(results)
 
@@ -983,20 +956,9 @@ def automorphisms(G: FiniteGroup,
 @functools.cache
 def _automorphisms(G: FiniteGroup) -> AutomorphismData:
     els = list(range(G.order))
-    gens = G.generators()
-    autos = []
-    if not gens:
-        autos.append(identity_hom(G))
-    else:
-        candidates = [[c for c in range(G.order)
-                       if G.element_order(c) == G.element_order(g)]
-                      for g in gens]
-        for assignment in itertools.product(*candidates):
-            images = _extend_hom(G, els, gens, G, assignment)
-            if images is None or len(set(images.values())) != G.order:
-                continue
-            autos.append(GroupHom(G, G, tuple(images[a] for a in els),
-                                  _validate=False))
+    autos = [GroupHom(G, G, tuple(images[a] for a in els), _validate=False)
+             for images in _hom_search(G, els, G.generators(), G,
+                                       bijective=True)]
     autos.sort(key=lambda h: h.images)
     inner_images = {tuple(G.conjugation_perm(g)) for g in range(G.order)}
     inner = [h for h in autos if h.images in inner_images]
@@ -1103,18 +1065,8 @@ def isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
     if G.order_census() != H.order_census():
         return None
     els = list(range(G.order))
-    gens = G.generators()
-    if not gens:
-        return identity_hom(G) if G is H else GroupHom(G, H, (0,),
-                                                       _validate=False)
-    candidates = [[c for c in range(H.order)
-                   if H.element_order(c) == G.element_order(g)]
-                  for g in gens]
-    for assignment in itertools.product(*candidates):
-        images = _extend_hom(G, els, gens, H, assignment)
-        if images is not None and len(set(images.values())) == G.order:
-            return GroupHom(G, H, tuple(images[a] for a in els),
-                            _validate=False)
+    for images in _hom_search(G, els, G.generators(), H, bijective=True):
+        return GroupHom(G, H, tuple(images[a] for a in els), _validate=False)
     return None
 
 
@@ -1192,32 +1144,40 @@ def _full_catalog() -> tuple:
 _ATOM_RE = re.compile(r"^([A-Z][a-z]*)(\d*)$")
 
 
-def _atom_from_spec(token: str) -> FiniteGroup:
+def _parse_atom(token: str):
+    """The order of an atom and a builder of its group, which is not
+    built yet."""
     m = _ATOM_RE.match(token)
     if not m:
         raise GroupSpecError(f"cannot parse atom {token!r}")
     kind, num = m.group(1), m.group(2)
+    digits = num.lstrip("0")
+    # five digits are past any bound, and int() refuses over 4,300
+    if len(digits) > 4:
+        raise BoundExceededError(f"group order bound exceeded: "
+                                 f"{token[:12]}... > {SUBGROUP_ORDER_BOUND}")
+    n = int(digits or "0")
     if kind == "C" and num:
-        return cyclic(int(num))
+        if n < 1:
+            raise GroupSpecError(f"cyclic atom needs a positive order: "
+                                 f"{token!r}")
+        return n, lambda: cyclic(n)
     if kind == "D" and num:
-        n = int(num)
         if n < 2 or n % 2:
             raise GroupSpecError(f"dihedral atom needs an even order: {token!r}")
-        return dihedral(n)
+        return n, lambda: dihedral(n)
     if kind == "Q" and num == "8":
-        return quaternion8()
+        return 8, quaternion8
     if kind == "S" and num:
-        n = int(num)
         if not 1 <= n <= 4:
             raise GroupSpecError(f"symmetric atom supports n <= 4: {token!r}")
-        return symmetric(n)
+        return math.factorial(n), lambda: symmetric(n)
     if kind == "A" and num == "4":
-        return alternating4()
+        return 12, alternating4
     if kind == "Dic" and num:
-        n = int(num)
         if n < 2:
             raise GroupSpecError(f"dicyclic atom needs n >= 2: {token!r}")
-        return dicyclic(4 * n)
+        return 4 * n, lambda: dicyclic(4 * n)
     raise GroupSpecError(f"unsupported atom {token!r}")
 
 
@@ -1227,7 +1187,9 @@ def group_from_spec(spec: str) -> FiniteGroup:
     Atoms are Cn, D2n, Q8, Sn (n <= 4), A4 and Dicn (order 4n, n >= 2),
     connected with ``x``, so every catalog name parses to its group.
     The same normalized spec returns the same object, as atoms and
-    products are memoized.
+    products are memoized.  A spec of order above
+    ``SUBGROUP_ORDER_BOUND`` raises ``BoundExceededError`` before any
+    table is built.
     """
     if not isinstance(spec, str):
         raise GroupSpecError("spec must be a string")
@@ -1237,7 +1199,12 @@ def group_from_spec(spec: str) -> FiniteGroup:
     tokens = norm.split("x")
     if any(not t for t in tokens):
         raise GroupSpecError(f"cannot parse spec {spec!r}")
-    factors = [_atom_from_spec(t) for t in tokens]
+    atoms = [_parse_atom(t) for t in tokens]
+    order = math.prod(o for o, _ in atoms)
+    if order > SUBGROUP_ORDER_BOUND:
+        raise BoundExceededError(f"group order bound exceeded: {order} > "
+                                 f"{SUBGROUP_ORDER_BOUND}")
+    factors = [build() for _, build in atoms]
     if len(factors) == 1:
         return factors[0]
     return product_embedding(*factors).ambient

@@ -6,11 +6,14 @@ the ring module.  Everything here works with concrete points and action
 tables, so it is slow but independent of any composition formula: this
 module is the oracle the formulas are tested against.
 
-Every gluing here takes the orbits of a group acting on pairs of points.
-A finite group's orbits are the connected components of the graph whose
-edges are the moves of any generating set (an inverse is a power of its
-element), so each gluing builds moves only for a small generating set of
-the acting group, never for all of its elements.
+Every gluing takes the orbits of a group acting on pairs of points, and
+all of them (``mackey_glue``, ``tensor_sets`` and the orbit oracle of the
+ring module) go through one kernel, ``_glue``: pair moves, one orbit
+partition, root labels, the split of each root into its two points, and
+the result rows.  A finite group's orbits are the connected components
+of the graph whose edges are the moves of any generating set (an inverse
+is a power of its element), so each gluing builds moves only for a small
+generating set of the acting group, never for all of its elements.
 """
 
 from __future__ import annotations
@@ -191,12 +194,6 @@ def decompose_monomial(T: MonomialSet) -> List[Tuple[Tuple[int, ...],
     return out
 
 
-def _pair_move(r1: Sequence[int], r2: Sequence[int], n2: int) -> list:
-    """The move of two action rows on pairs, pair (i, j) being point
-    i * n2 + j."""
-    return [x * n2 + y for x in r1 for y in r2]
-
-
 def _orbit_partition(n_points: int, moves: List[Sequence[int]]):
     """Orbits of a point set under the group generated by a list of
     permutations (as maps).  The orbits of a finite group are the
@@ -223,6 +220,28 @@ def _orbit_partition(n_points: int, moves: List[Sequence[int]]):
     return rep, roots
 
 
+def _glue(n1: int, n2: int, moves, rows, free=()) -> List[List[int]]:
+    """The action on the orbits of pairs of points of two sets of sizes
+    n1 and n2, pair (i, j) being point i * n2 + j.  Each row pair
+    (r1, r2) moves (i, j) to (r1[i], r2[j]): ``moves`` come from a
+    generating set of the group whose orbits are glued, ``rows`` from
+    each element of the group acting on the result.  A root (i, j) is
+    dropped when a row r of ``free`` (a fibre element other than 1)
+    leaves (r[i], j) in its orbit.  The kept orbits are numbered by
+    their least points, ascending; returns one result row per row pair
+    of ``rows``."""
+    find_rep, roots = _orbit_partition(
+        n1 * n2, [[x * n2 + y for x in r1 for y in r2] for r1, r2 in moves])
+    kept = [root for root in roots
+            if all(find_rep[r[root // n2] * n2 + root % n2] != root
+                   for r in free)]
+    index = {root: k for k, root in enumerate(kept)}
+    label = [index.get(r) for r in find_rep]
+    split = [divmod(root, n2) for root in kept]
+    return [[label[r1[i] * n2 + r2[j]] for i, j in split]
+            for r1, r2 in rows]
+
+
 def mackey_glue(emb_ab: ProductEmbedding, X: FiniteAction,
                 emb_br: ProductEmbedding, T: FiniteAction
                 ) -> Tuple[ProductEmbedding, FiniteAction]:
@@ -234,19 +253,13 @@ def mackey_glue(emb_ab: ProductEmbedding, X: FiniteAction,
     B2, R = emb_br.factors
     if B is not B2:
         raise GroupError("middle groups do not agree")
-    nx, nt = X.size, T.size
-    moves = [_pair_move(X.table[emb_ab.encode(0, b)],
-                        T.table[emb_br.encode(b, 0)], nt)
-             for b in B.generators()]
-    find_rep, roots = _orbit_partition(nx * nt, moves)
-    label = [roots[r] for r in find_rep]
-    split = [divmod(root, nt) for root in roots]
     emb_ar = product_embedding(A, R)
-    table = []
-    for a, r in emb_ar.coords:
-        xr = X.table[emb_ab.encode(a, 0)]
-        tr = T.table[emb_br.encode(0, r)]
-        table.append([label[xr[i] * nt + tr[j]] for i, j in split])
+    table = _glue(
+        X.size, T.size,
+        [(X.table[emb_ab.encode(0, b)], T.table[emb_br.encode(b, 0)])
+         for b in B.generators()],
+        [(X.table[emb_ab.encode(a, 0)], T.table[emb_br.encode(0, r)])
+         for a, r in emb_ar.coords])
     return emb_ar, FiniteAction(emb_ar.ambient, table)
 
 
@@ -260,22 +273,15 @@ def tensor_sets(emb_ac: ProductEmbedding, T: FiniteAction,
     B, C2 = emb_bc.factors
     if C is not C2:
         raise GroupError("fibre groups do not agree")
-    nt, ny = T.size, Y.size
     inv = C.inverses
-    moves = [_pair_move(T.table[emb_ac.encode(0, c)],
-                        Y.table[emb_bc.encode(0, inv[c])], ny)
-             for c in C.generators()]
-    find_rep, roots = _orbit_partition(nt * ny, moves)
-    label = [roots[r] for r in find_rep]
-    split = [divmod(root, ny) for root in roots]
     emb_ab = product_embedding(A, B)
     emb_abc = product_embedding(emb_ab.ambient, C)
-    table = []
-    for ab, c in emb_abc.coords:
-        a, b = emb_ab.coords[ab]
-        tr = T.table[emb_ac.encode(a, c)]
-        yr = Y.table[emb_bc.encode(b, 0)]
-        table.append([label[tr[i] * ny + yr[j]] for i, j in split])
+    table = _glue(
+        T.size, Y.size,
+        [(T.table[emb_ac.encode(0, c)], Y.table[emb_bc.encode(0, inv[c])])
+         for c in C.generators()],
+        [(T.table[emb_ac.encode(a, c)], Y.table[emb_bc.encode(b, 0)])
+         for ab, c in emb_abc.coords for a, b in [emb_ab.coords[ab]]])
     return emb_abc, FiniteAction(emb_abc.ambient, table)
 
 
@@ -348,13 +354,10 @@ def equivariant_isomorphism(S: FiniteAction,
     mapping = [-1] * S.size
     for orbit in S.orbits():
         base = orbit[0]
-        stab = tuple(a for a in range(n_el) if S.table[a][base] == base)
+        stab = S.stabilizer_elements(base)
         image = -1
         for q in range(T.size):
-            if not t_unused[q]:
-                continue
-            if tuple(a for a in range(n_el)
-                     if T.table[a][q] == q) == stab:
+            if t_unused[q] and T.stabilizer_elements(q) == stab:
                 image = q
                 break
         if image < 0:

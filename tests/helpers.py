@@ -6,7 +6,8 @@ import itertools
 from fibredburnside.fibred import (
     _canonical_raw, _compose_raw, _permute_raw, to_monomial_set,
     transitive_basis)
-from fibredburnside.groups import mask_to_elements, product_embedding
+from fibredburnside.groups import (
+    _extend_hom, _generating_sequence, mask_to_elements, product_embedding)
 from fibredburnside.hat import FactorizationWitness
 
 
@@ -294,3 +295,127 @@ def ref_tensor_moves(emb_ac, T, emb_bc, Y):
                               Y.table[emb_bc.encode(0, C.inverses[c])],
                               Y.size)
             for c in range(C.order)}
+
+
+# -- reference homomorphism search: the generator-image loops each of
+#    homomorphisms, automorphisms and isomorphism ran on its own, every
+#    assignment from ``itertools.product`` checked by ``_extend_hom``
+
+
+def ref_homomorphisms(G, els, C):
+    """Image tuples of all homomorphisms from the subgroup ``els`` of G
+    into C, sorted."""
+    els = list(els)
+    gens = _generating_sequence(G, els)
+    if not gens:
+        return [(0,) * len(els)]
+    candidates = [[c for c in range(C.order)
+                   if G.element_order(g) % C.element_order(c) == 0]
+                  for g in gens]
+    results = []
+    for assignment in itertools.product(*candidates):
+        images = _extend_hom(G, els, gens, C, assignment)
+        if images is not None:
+            results.append(tuple(images[a] for a in els))
+    return sorted(results)
+
+
+def ref_automorphisms(G):
+    """Image tuples of all automorphisms of G, sorted."""
+    els = list(range(G.order))
+    gens = G.generators()
+    if not gens:
+        return [tuple(els)]
+    candidates = [[c for c in range(G.order)
+                   if G.element_order(c) == G.element_order(g)]
+                  for g in gens]
+    autos = []
+    for assignment in itertools.product(*candidates):
+        images = _extend_hom(G, els, gens, G, assignment)
+        if images is None or len(set(images.values())) != G.order:
+            continue
+        autos.append(tuple(images[a] for a in els))
+    return sorted(autos)
+
+
+def ref_isomorphism(G, H):
+    """Image tuple of the first isomorphism G -> H found with generator
+    images tried in ascending order, or None."""
+    if G.order != H.order or G.order_census() != H.order_census():
+        return None
+    els = list(range(G.order))
+    gens = G.generators()
+    if not gens:
+        return (0,)
+    candidates = [[c for c in range(H.order)
+                   if H.element_order(c) == G.element_order(g)]
+                  for g in gens]
+    for assignment in itertools.product(*candidates):
+        images = _extend_hom(G, els, gens, H, assignment)
+        if images is not None and len(set(images.values())) == G.order:
+            return tuple(images[a] for a in els)
+    return None
+
+
+# -- reference builders: the dihedral, quaternion and dicyclic tables as
+#    each was built on its own; each returns (table, labels, name)
+
+
+def _ref_labels(n, x, y):
+    labels = []
+    for j in (0, 1):
+        for i in range(n):
+            s = "" if i == 0 else (x if i == 1 else f"{x}{i}")
+            s += y if j else ""
+            labels.append(s or "1")
+    return labels
+
+
+def ref_dihedral(order):
+    n = order // 2
+    table = [[0] * order for _ in range(order)]
+    for i in range(n):
+        for j in (0, 1):
+            for k in range(n):
+                for l in (0, 1):
+                    if j == 0:
+                        ii, jj = (i + k) % n, l
+                    else:
+                        ii, jj = (i - k) % n, 1 - l
+                    table[i + n * j][k + n * l] = ii + n * jj
+    return table, _ref_labels(n, "a", "b"), f"D{order}"
+
+
+def ref_quaternion8():
+    table = [[0] * 8 for _ in range(8)]
+    for i in range(4):
+        for j in (0, 1):
+            for k in range(4):
+                for l in (0, 1):
+                    if j == 0:
+                        ii, jj = (i + k) % 4, l
+                    elif l == 0:
+                        ii, jj = (i - k) % 4, 1
+                    else:
+                        ii, jj = (i - k + 2) % 4, 0
+                    table[i + 4 * j][k + 4 * l] = ii + 4 * jj
+    labels = ["1", "x", "x2", "x3", "y", "xy", "x2y", "x3y"]
+    return table, labels, "Q8"
+
+
+def ref_dicyclic(order):
+    m = order // 4
+    n = 2 * m
+    table = [[0] * order for _ in range(order)]
+    for i in range(n):
+        for j in (0, 1):
+            for k in range(n):
+                for l in (0, 1):
+                    if j == 0:
+                        ii, jj = (i + k) % n, l
+                    elif l == 0:
+                        ii, jj = (i - k) % n, 1
+                    else:
+                        ii, jj = (i - k + m) % n, 0
+                    table[i + n * j][k + n * l] = ii + n * jj
+    return table, _ref_labels(n, "a", "b"), f"Dic{m}"

@@ -142,6 +142,58 @@ def test_compose_rejects_non_integer_fields(capsys, term):
     assert "integer" in err
 
 
+def _run_module(*argv):
+    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
+    import subprocess
+    import sys
+    proc = subprocess.run([sys.executable, "-m", "fibredburnside", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_GOOD = {"left": "C2", "right": "C2", "fibre": "C2",
+         "terms": [{"D": [0], "delta": [0], "coeff": 1}]}
+
+
+@pytest.mark.parametrize("blob, message", [
+    ({k: v for k, v in _GOOD.items() if k != "right"},
+     "element has no field 'right'"),
+    (dict(_GOOD, terms=5), "element field 'terms' must be a list, got 5"),
+    (dict(_GOOD, terms=[{"delta": [0], "coeff": 1}]),
+     "term has no field 'D'"),
+    (dict(_GOOD, terms=[{"D": [0], "coeff": 1}]),
+     "term has no field 'delta'"),
+    (dict(_GOOD, terms=[7]), "term must be a JSON object, got 7"),
+    ([1, 2], "element must be a JSON object, got [1, 2]"),
+])
+def test_compose_malformed_element_names_the_field(tmp_path, blob, message):
+    # read from a file: an inline argument must start with "{"
+    path = tmp_path / "left.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    code, out, err = _run_module("compose", str(path), json.dumps(_GOOD))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
+def test_compose_directory_path_is_usage_error(tmp_path):
+    code, out, err = _run_module("compose", str(tmp_path), json.dumps(_GOOD))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("C0", "cyclic atom needs a positive order: 'C0'"),
+    ("C65", "group order bound exceeded: 65 > 64"),
+    ("C2xC2xC2xC2xC2xC2xC2", "group order bound exceeded: 128 > 64"),
+    ("C" + "9" * 5000, "group order bound exceeded: C99999999999... > 64"),
+])
+def test_group_spec_out_of_range_is_usage_error(capsys, spec, message):
+    code, out, err = run_cli(capsys, "group", spec)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_hat_prime_path(capsys):
     code, out, _ = run_cli(capsys, "--json", "hat", "C4", "C2")
     assert code == 0

@@ -29,11 +29,17 @@ from fibredburnside.groups import (
 )
 
 from helpers import (
+    ref_automorphisms,
     ref_closure_mask,
     ref_decode,
+    ref_dicyclic,
+    ref_dihedral,
     ref_encode,
     ref_generating_sequence,
+    ref_homomorphisms,
+    ref_isomorphism,
     ref_product_table,
+    ref_quaternion8,
     ref_subgroups,
 )
 
@@ -122,9 +128,34 @@ def test_spec_errors():
     with pytest.raises(GroupSpecError):
         group_from_spec("S5")
     with pytest.raises(GroupSpecError):
+        group_from_spec("C0")
+    with pytest.raises(GroupSpecError):
         group_from_spec("C2x")
     with pytest.raises(GroupSpecError):
         group_from_spec("")
+
+
+@pytest.mark.parametrize("spec,order", [
+    ("C65", 65), ("C2xC2xC2xC2xC2xC2xC2", 128)])
+def test_spec_beyond_the_order_bound_builds_nothing(monkeypatch, spec,
+                                                    order):
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(groups.FiniteGroup, "_setup", refuse)
+    with pytest.raises(BoundExceededError, match=f"{order} > 64"):
+        group_from_spec(spec)
+
+
+def test_inverting_extensions_match_reference_builders():
+    def built(G):
+        return [list(row) for row in G.table], list(G.labels), G.name
+
+    for order in range(2, 31, 2):
+        assert built(groups.dihedral(order)) == ref_dihedral(order)
+    for order in range(8, 41, 4):
+        assert built(groups.dicyclic(order)) == ref_dicyclic(order)
+    assert built(quaternion8()) == ref_quaternion8()
 
 
 def test_every_catalog_name_parses_to_the_catalog_object():
@@ -500,6 +531,47 @@ def test_out_representatives_partition(d8):
         assert not coset & seen
         seen |= coset
     assert len(seen) == len(data.all)
+
+
+# -- the one generator-image search ------------------------------------------
+
+
+def _hom_search_range():
+    """Every catalog group of order <= 15 and every ordered product of two
+    non-trivial catalog groups with order <= 16."""
+    cat = small_groups_catalog(15)
+    return cat + [product_embedding(g, h).ambient for g in cat for h in cat
+                  if 1 < g.order and 1 < h.order and g.order * h.order <= 16]
+
+
+def test_homomorphisms_match_reference_search():
+    targets = [group_from_spec(s) for s in ("C2", "C3", "C4", "C2xC2", "C6")]
+    for G in _hom_search_range():
+        for S in subgroups(G):
+            for C in targets:
+                assert ([h.images for h in homomorphisms(S, C)]
+                        == ref_homomorphisms(G, S.elements, C)), \
+                    (G.name, S.elements, C.name)
+
+
+def test_automorphisms_and_isomorphism_match_reference_search():
+    # every subgroup of the range as a group, one per multiplication
+    # table: the search reads nothing else of a group
+    pool = {}
+    for G in _hom_search_range():
+        for S in subgroups(G):
+            X = subgroup_as_group(S)[0]
+            pool.setdefault(X.table, X)
+    by_order = {}
+    for X in pool.values():
+        by_order.setdefault(X.order, []).append(X)
+    for X in pool.values():
+        assert ([h.images for h in groups.automorphisms(X).all]
+                == ref_automorphisms(X)), X.name
+        for Y in by_order[X.order]:
+            iso = isomorphism(X, Y)
+            assert (iso.images if iso else None) == ref_isomorphism(X, Y), \
+                (X.name, Y.name)
 
 
 # -- quotients ---------------------------------------------------------------

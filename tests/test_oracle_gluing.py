@@ -113,3 +113,33 @@ def test_mackey_and_tensor_gluing_match_reference_on_criterion_8(
     # five gluings over the middle group and two tensors per instance
     assert glued.count("mackey") == 250
     assert glued.count("tensor") == 100
+
+
+def test_oracle_runs_without_the_formula_path(monkeypatch):
+    """The orbit oracle uses nothing of the double-coset formula: with
+    ``_compose_raw`` and ``double_coset_representatives`` made to raise
+    in every module that binds them, it still gives the formula's
+    results."""
+    from fibredburnside import goursat, groups, hat
+
+    rng = random.Random(8)
+    pool = small_groups_catalog(8)
+    fibres = [group_from_spec(s) for s in ("C2", "C3", "C4")]
+    pairs = []
+    for _ in range(40):
+        C = fibres[rng.randrange(len(fibres))]
+        G, H, K = (pool[rng.randrange(len(pool))] for _ in range(3))
+        X = sampling.random_transitive_class(rng, G, H, C)
+        Y = sampling.random_transitive_class(rng, H, K, C)
+        pairs.append((fibred.element_of(X), fibred.element_of(Y, 2)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached the formula path")
+
+    for module in (groups, goursat, monomial, fibred, hat, sampling):
+        for name in ("_compose_raw", "double_coset_representatives"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    results = [fibred.compose_oracle(X, Y) for X, Y in pairs]
+    monkeypatch.undo()
+    assert results == [fibred.compose(X, Y) for X, Y in pairs]
