@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 
 def _load_element(arg: str) -> fibred.FibredElement:
     text = arg.strip()
-    if not text.startswith("{"):
+    if not text.startswith(("{", "[")):
         text = Path(arg).read_text(encoding="utf-8")
     return fibred.element_from_json(json.loads(text))
 

@@ -22,6 +22,7 @@ from .groups import (
     ProductEmbedding,
     Subgroup,
     cyclic,
+    group_from_spec,
     homomorphisms,
     mask_to_elements,
     pairs_to_raw,
@@ -32,7 +33,7 @@ from .groups import (
     double_coset_representatives,
 )
 from . import monomial
-from .goursat import _quotient_of_subgroup
+from .goursat import _quotient_of_subgroup, kernel_part, projection
 from .monomial import FiniteAction, MonomialSet
 
 __all__ = [
@@ -308,10 +309,9 @@ def _class_keys(left: FiniteGroup, right: FiniteGroup, C: FiniteGroup,
     amb = emb.ambient
     subs = subgroups(amb)
     if side is not None:
-        coords = emb.coords
         target = emb.factors[side].order
         subs = [D for D in subs
-                if len({coords[x][side] for x in D.elements}) == target]
+                if projection(emb, D, (side + 1,)).order == target]
     found = set()
     for D in subs:
         for hom in homomorphisms(D, C):
@@ -319,12 +319,14 @@ def _class_keys(left: FiniteGroup, right: FiniteGroup, C: FiniteGroup,
     return sorted(found)
 
 
-def transitive_basis(G: FiniteGroup, H: FiniteGroup,
-                     C: FiniteGroup) -> List[TransitiveFibredBiset]:
+def transitive_basis(G: FiniteGroup, H: FiniteGroup, C: FiniteGroup,
+                     side: Optional[int] = None
+                     ) -> List[TransitiveFibredBiset]:
     """Canonical transitive classes over G x H: the basis of the
-    morphism group from H to G."""
+    morphism group from H to G.  With ``side`` (0 = left, 1 = right) only
+    the classes whose projection on that factor is all of it."""
     return [_class_from_raw(G, H, C, mask, delta, canonical=True)
-            for mask, delta in _class_keys(G, H, C)]
+            for mask, delta in _class_keys(G, H, C, side)]
 
 
 def subcharacter_classes(G: FiniteGroup,
@@ -702,35 +704,22 @@ class BoucFactorization:
     right_middle: FiniteGroup
 
 
-def _reduced_kernel(emb: ProductEmbedding, X: TransitiveFibredBiset,
-                    side: int) -> list:
-    """Elements g of the side's factor with (g embedded alone) in D and
-    trivial character; this is the kernel that the twisted diagonal of
-    (D, delta) sees on that side."""
-    out = []
-    for x, c in zip(X.D.elements, X.delta.images):
-        coords = emb.decode(x)
-        other = coords[1 - side]
-        if other == 0 and c == 0:
-            out.append(coords[side])
-    return sorted(out)
-
-
 def bouc_factorize(X: TransitiveFibredBiset) -> BoucFactorization:
     """Factor a transitive class over G x H through the quotients of its
-    projections.  With E = p1(D) and k1 the left reduced kernel, the left
-    factorization passes through E' = E/k1; symmetrically on the right.
-    Both recompositions return X exactly.
+    projections.  With E = p1(D) and k1 = k_1(ker delta) the left reduced
+    kernel, the left factorization passes through E' = E/k1; symmetrically
+    on the right.  Both recompositions return X exactly.
     """
     emb = X.embedding
     G, H = emb.factors
     C = X.fibre
+    reduced = X.delta.kernel()
 
     coords = [emb.decode(x) for x in X.D.elements]
 
     # left side
-    E = Subgroup(G, tuple(sorted({g for g, _ in coords})), _validate=False)
-    k1 = Subgroup(G, tuple(_reduced_kernel(emb, X, 0)), _validate=False)
+    E = projection(emb, X.D, (1,))
+    k1 = kernel_part(emb, reduced, (1,))
     E_quot, proj_e = _quotient_of_subgroup(E, k1)
     pe = proj_e.as_map()
     left_elementary = _graph_class(G, E_quot, C,
@@ -739,8 +728,8 @@ def bouc_factorize(X: TransitiveFibredBiset) -> BoucFactorization:
                          values=X.delta.images)
 
     # right side
-    F = Subgroup(H, tuple(sorted({h for _, h in coords})), _validate=False)
-    k2 = Subgroup(H, tuple(_reduced_kernel(emb, X, 1)), _validate=False)
+    F = projection(emb, X.D, (2,))
+    k2 = kernel_part(emb, reduced, (2,))
     F_quot, proj_f = _quotient_of_subgroup(F, k2)
     pf = proj_f.as_map()
     right_elementary = _graph_class(F_quot, H, C,
@@ -789,9 +778,18 @@ def _json_field(obj, field: str, where: str):
     return obj[field]
 
 
+def _json_group(data, field: str) -> FiniteGroup:
+    """A group spec field; a non-string is a ``GroupError`` that names it,
+    a malformed spec string the parser's own error."""
+    spec = _json_field(data, field, "element")
+    if not isinstance(spec, str):
+        raise GroupError(f"element field {field!r} must be a group spec "
+                         f"string, got {spec!r}")
+    return group_from_spec(spec)
+
+
 def element_from_json(data: dict) -> FibredElement:
-    from .groups import group_from_spec
-    left, right, fibre = (group_from_spec(_json_field(data, f, "element"))
+    left, right, fibre = (_json_group(data, f)
                           for f in ("left", "right", "fibre"))
     items = _json_field(data, "terms", "element")
     if not isinstance(items, list):

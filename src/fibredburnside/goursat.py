@@ -41,47 +41,35 @@ def _check_indices(emb: ProductEmbedding, indices: Sequence[int]) -> tuple:
     return ids
 
 
-def _target(emb: ProductEmbedding, ids: tuple):
-    """Target embedding/group for a projection onto the given coordinates."""
-    if len(ids) == 1:
-        f = emb.factors[ids[0] - 1]
-        return None, f
-    sub = product_embedding(*(emb.factors[i - 1] for i in ids))
-    return sub, sub.ambient
-
-
 def projection(emb: ProductEmbedding, D: Subgroup,
                indices: Sequence[int]) -> Subgroup:
     """Image of D under the coordinate projection p_i (or p_{i,j}, ...)."""
     if D.parent is not emb.ambient:
         raise GroupError("subgroup does not live in this product")
     ids = _check_indices(emb, indices)
-    sub, target = _target(emb, ids)
-    out = set()
-    for x in D.elements:
-        coords = emb.decode(x)
-        picked = tuple(coords[i - 1] for i in ids)
-        out.add(picked[0] if sub is None else sub.encode(*picked))
-    return Subgroup(target, tuple(sorted(out)), _validate=False)
+    if len(ids) == 1:
+        p = emb.factor_projections[ids[0] - 1].images
+        return Subgroup(emb.factors[ids[0] - 1],
+                        tuple(sorted({p[x] for x in D.elements})),
+                        _validate=False)
+    sub = product_embedding(*(emb.factors[i - 1] for i in ids))
+    coords = emb.coords
+    out = {sub.encode(*(coords[x][i - 1] for i in ids)) for x in D.elements}
+    return Subgroup(sub.ambient, tuple(sorted(out)), _validate=False)
 
 
 def kernel_part(emb: ProductEmbedding, D: Subgroup,
                 indices: Sequence[int]) -> Subgroup:
-    """k_i(D) (or k_{i,j}(D)): the part of p_i(D) whose extension by
-    identities in the remaining coordinates lies in D."""
+    """k_i(D) (or k_{i,j}(D)): the projection of the part of D that is
+    trivial off the chosen coordinates."""
     if D.parent is not emb.ambient:
         raise GroupError("subgroup does not live in this product")
-    ids = _check_indices(emb, indices)
-    sub, target = _target(emb, ids)
-    others = [i for i in range(1, len(emb.factors) + 1) if i not in ids]
-    out = set()
-    for x in D.elements:
-        coords = emb.decode(x)
-        if any(coords[i - 1] != 0 for i in others):
-            continue
-        picked = tuple(coords[i - 1] for i in ids)
-        out.add(picked[0] if sub is None else sub.encode(*picked))
-    return Subgroup(target, tuple(sorted(out)), _validate=False)
+    part = D.elements
+    for i, p in enumerate(emb.factor_projections, 1):
+        if i not in indices:
+            images = p.images
+            part = [x for x in part if not images[x]]
+    return projection(emb, Subgroup(D.parent, part, _validate=False), indices)
 
 
 def star(emb_gh: ProductEmbedding, U: Subgroup,

@@ -162,12 +162,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def conj(self, g: int, x: int) -> int:
-        """``^g x = g x g^-1``."""
-        f = self._flat
-        n = self.order
-        return f[f[g * n + x] * n + self.inverses[g]]
-
     @functools.cache
     def generators(self) -> tuple:
         """A small generating set of the whole group, computed once."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .groups import (
     BoundExceededError,
@@ -63,7 +63,6 @@ from .fibred import (
     _canonical_class,
     _canonical_raw,
     _class_from_raw,
-    _class_keys,
     _compose_raw,
     _permute_raw,
     bouc_factorize,
@@ -132,20 +131,23 @@ class FactorizationWitness:
         }
 
 
-def _witness_matches(X: TransitiveFibredBiset,
-                     w: FactorizationWitness) -> bool:
-    if w.K.order >= X.left.order:
-        return False
-    emb_gk = product_embedding(w.a.left, w.a.right)
-    emb_kg = product_embedding(w.b.left, w.b.right)
+def _summand_reps(X: TransitiveFibredBiset, a: TransitiveFibredBiset,
+                  b: TransitiveFibredBiset) -> Iterator[int]:
+    """The double-coset representatives h at which X occurs in
+    compose(a, b), lazily."""
     amb = X.ambient
     for h, mask, delta in _compose_raw(
-            emb_gk, emb_kg, X.fibre,
-            w.a.D.elements, w.a.delta.images,
-            w.b.D.elements, w.b.delta.images):
-        if h == w.which_summand:
-            return _canonical_raw(amb, mask, delta) == X.raw
-    return False
+            product_embedding(a.left, a.right),
+            product_embedding(b.left, b.right), X.fibre,
+            a.D.elements, a.delta.images, b.D.elements, b.delta.images):
+        if _canonical_raw(amb, mask, delta) == X.raw:
+            yield h
+
+
+def _witness_matches(X: TransitiveFibredBiset,
+                     w: FactorizationWitness) -> bool:
+    return (w.K.order < X.left.order
+            and w.which_summand in _summand_reps(X, w.a, w.b))
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +198,6 @@ def _transport_class(X: TransitiveFibredBiset, side: int,
                             *_permute_raw(perm, X.D.elements, X.delta.images))
 
 
-def _summand_index(X: TransitiveFibredBiset, a: TransitiveFibredBiset,
-                   b: TransitiveFibredBiset) -> Optional[int]:
-    """Double-coset representative at which X occurs in compose(a, b)."""
-    amb = X.ambient
-    for h, mask, delta in _compose_raw(
-            product_embedding(a.left, a.right),
-            product_embedding(b.left, b.right), X.fibre,
-            a.D.elements, a.delta.images, b.D.elements, b.delta.images):
-        if _canonical_raw(amb, mask, delta) == X.raw:
-            return h
-    return None
-
-
 def _reduction_witness(X: TransitiveFibredBiset,
                        catalog_bound: int) -> Optional[FactorizationWitness]:
     """Constructed witness when a projection or reduced kernel is proper:
@@ -224,21 +213,11 @@ def _reduction_witness(X: TransitiveFibredBiset,
         K, phi = _iso_to_catalog(middle, catalog_bound)
         a = _transport_class(left_cls, 1, phi)
         b = _transport_class(right_cls, 0, phi)
-        h = _summand_index(X, a, b)
+        h = next(_summand_reps(X, a, b), None)
         if h is None:
             raise GroupError("constructed factorization lost the class")
         return FactorizationWitness(K=K, a=a, b=b, which_summand=h)
     return None
-
-
-def _full_side_classes(left: FiniteGroup, right: FiniteGroup,
-                       C: FiniteGroup, side: int
-                       ) -> List[TransitiveFibredBiset]:
-    """Canonical classes over left x right whose projection on the given
-    side (0 = left, 1 = right) is all of that factor, in basis order.
-    Characters are enumerated only on subgroups with that projection."""
-    return [_class_from_raw(left, right, C, mask, delta, canonical=True)
-            for mask, delta in _class_keys(left, right, C, side)]
 
 
 @functools.cache
@@ -330,11 +309,11 @@ def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
     amb = emb_gg.ambient
     gens = _aut_generators(G)
     lefts = _orbit_representatives(
-        _full_side_classes(G, K, C, 0), emb_gk.ambient,
+        transitive_basis(G, K, C, 0), emb_gk.ambient,
         [_side_map(emb_gk, emb_gk, 0, s) for s in gens]
         + [_side_map(emb_gk, emb_gk, 1, s) for s in _aut_generators(K)])
     rights = _orbit_representatives(
-        _full_side_classes(K, G, C, 1), emb_kg.ambient,
+        transitive_basis(K, G, C, 1), emb_kg.ambient,
         [_side_map(emb_kg, emb_kg, 1, s) for s in gens])
     one = tuple(range(G.order))
     found = {}

@@ -16,6 +16,7 @@ from .groups import (
     subgroups,
 )
 from .fibred import TransitiveFibredBiset, canonicalize
+from .goursat import projection
 
 __all__ = [
     "random_group",
@@ -47,17 +48,9 @@ def random_transitive_class(rng: random.Random, left: FiniteGroup,
 def _full_projection_subgroups(left: FiniteGroup,
                                right: FiniteGroup) -> List[Subgroup]:
     emb = product_embedding(left, right)
-    out = []
-    for D in subgroups(emb.ambient):
-        firsts = set()
-        seconds = set()
-        for x in D.elements:
-            a, b = emb.decode(x)
-            firsts.add(a)
-            seconds.add(b)
-        if len(firsts) == left.order and len(seconds) == right.order:
-            out.append(D)
-    return out
+    return [D for D in subgroups(emb.ambient)
+            if projection(emb, D, (1,)).order == left.order
+            and projection(emb, D, (2,)).order == right.order]
 
 
 def random_full_projection_class(rng: random.Random, left: FiniteGroup,

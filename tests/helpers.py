@@ -4,10 +4,12 @@ production enumeration paths."""
 import itertools
 
 from fibredburnside.fibred import (
-    _canonical_raw, _compose_raw, _permute_raw, to_monomial_set,
-    transitive_basis)
+    BoucFactorization, _canonical_raw, _compose_raw, _graph_class,
+    _permute_raw, to_monomial_set, transitive_basis)
+from fibredburnside.goursat import _quotient_of_subgroup
 from fibredburnside.groups import (
-    _extend_hom, _generating_sequence, mask_to_elements, product_embedding)
+    Subgroup, _extend_hom, _generating_sequence, homomorphisms,
+    mask_to_elements, product_embedding, subgroups)
 from fibredburnside.hat import FactorizationWitness
 
 
@@ -419,3 +421,99 @@ def ref_dicyclic(order):
                         ii, jj = (i - k + m) % n, 0
                     table[i + n * j][k + n * l] = ii + n * jj
     return table, _ref_labels(n, "a", "b"), f"Dic{m}"
+
+
+# -- reference section readers: the decode loops that read projections,
+#    kernel parts, reduced kernels and full projections of a subgroup of
+#    a product before they all went through ``goursat.projection`` and
+#    ``goursat.kernel_part``
+
+
+def _ref_pick(emb, D, indices, trivial_off):
+    """Decode every element of D and encode its chosen coordinates; with
+    ``trivial_off`` skip the elements that are not trivial off them.
+    Returns (target group, sorted elements)."""
+    sub = (None if len(indices) == 1
+           else product_embedding(*(emb.factors[i - 1] for i in indices)))
+    others = [i for i in range(1, len(emb.factors) + 1) if i not in indices]
+    out = set()
+    for x in D.elements:
+        coords = emb.decode(x)
+        if trivial_off and any(coords[i - 1] != 0 for i in others):
+            continue
+        picked = tuple(coords[i - 1] for i in indices)
+        out.add(picked[0] if sub is None else sub.encode(*picked))
+    target = emb.factors[indices[0] - 1] if sub is None else sub.ambient
+    return target, tuple(sorted(out))
+
+
+def ref_projection(emb, D, indices):
+    return _ref_pick(emb, D, indices, False)
+
+
+def ref_kernel_part(emb, D, indices):
+    return _ref_pick(emb, D, indices, True)
+
+
+def ref_reduced_kernel(emb, X, side):
+    """Elements g of the side's factor with (g embedded alone) in D and
+    trivial character."""
+    out = []
+    for x, c in zip(X.D.elements, X.delta.images):
+        coords = emb.decode(x)
+        if coords[1 - side] == 0 and c == 0:
+            out.append(coords[side])
+    return sorted(out)
+
+
+def ref_bouc_factorize(X):
+    """``bouc_factorize`` with the projections and reduced kernels read
+    off the decoded elements of D."""
+    emb = X.embedding
+    G, H = emb.factors
+    C = X.fibre
+    coords = [emb.decode(x) for x in X.D.elements]
+    E = Subgroup(G, tuple(sorted({g for g, _ in coords})), _validate=False)
+    k1 = Subgroup(G, tuple(ref_reduced_kernel(emb, X, 0)), _validate=False)
+    E_quot, proj_e = _quotient_of_subgroup(E, k1)
+    pe = proj_e.as_map()
+    F = Subgroup(H, tuple(sorted({h for _, h in coords})), _validate=False)
+    k2 = Subgroup(H, tuple(ref_reduced_kernel(emb, X, 1)), _validate=False)
+    F_quot, proj_f = _quotient_of_subgroup(F, k2)
+    pf = proj_f.as_map()
+    return BoucFactorization(
+        left_elementary=_graph_class(G, E_quot, C,
+                                     [(g, pe[g]) for g in E.elements]),
+        beta1=_graph_class(E_quot, H, C, [(pe[g], h) for g, h in coords],
+                           values=X.delta.images),
+        beta2=_graph_class(G, F_quot, C, [(g, pf[h]) for g, h in coords],
+                           values=X.delta.images),
+        right_elementary=_graph_class(F_quot, H, C,
+                                      [(pf[h], h) for h in F.elements]),
+        left_middle=E_quot, right_middle=F_quot)
+
+
+def ref_class_keys(left, right, C, side=None):
+    """Sorted canonical keys of the classes over left x right, filtered
+    to a full projection on ``side`` by decoding every element."""
+    emb = product_embedding(left, right)
+    subs = subgroups(emb.ambient)
+    if side is not None:
+        target = emb.factors[side].order
+        subs = [D for D in subs
+                if len({emb.coords[x][side] for x in D.elements}) == target]
+    return sorted({_canonical_raw(emb.ambient, D.mask, hom.images)
+                   for D in subs for hom in homomorphisms(D, C)})
+
+
+def ref_full_projection_subgroups(left, right):
+    """Subgroups of left x right that project onto both factors, in
+    enumeration order."""
+    emb = product_embedding(left, right)
+    out = []
+    for D in subgroups(emb.ambient):
+        firsts = {emb.decode(x)[0] for x in D.elements}
+        seconds = {emb.decode(x)[1] for x in D.elements}
+        if len(firsts) == left.order and len(seconds) == right.order:
+            out.append(D)
+    return out

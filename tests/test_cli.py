@@ -1,6 +1,7 @@
 """Command-line interface: outputs, JSON schemas and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -165,15 +166,28 @@ _GOOD = {"left": "C2", "right": "C2", "fibre": "C2",
      "term has no field 'delta'"),
     (dict(_GOOD, terms=[7]), "term must be a JSON object, got 7"),
     ([1, 2], "element must be a JSON object, got [1, 2]"),
+    (dict(_GOOD, left=5),
+     "element field 'left' must be a group spec string, got 5"),
+    (dict(_GOOD, fibre=None),
+     "element field 'fibre' must be a group spec string, got None"),
 ])
 def test_compose_malformed_element_names_the_field(tmp_path, blob, message):
-    # read from a file: an inline argument must start with "{"
+    # an argument that starts with "{" or "[" is inline JSON, anything
+    # else a file path; both must name the malformed field
     path = tmp_path / "left.json"
     path.write_text(json.dumps(blob), encoding="utf-8")
-    code, out, err = _run_module("compose", str(path), json.dumps(_GOOD))
-    assert (code, out) == (1, "")
-    assert err == f"error: {message}\n"
-    assert "Traceback" not in err
+    for arg in (json.dumps(blob), str(path)):
+        code, out, err = _run_module("compose", arg, json.dumps(_GOOD))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+
+
+def test_compose_malformed_spec_string_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "compose",
+                             json.dumps(dict(_GOOD, left="Q9")),
+                             json.dumps(_GOOD))
+    assert (code, out, err) == (2, "", "error: unsupported atom 'Q9'\n")
 
 
 def test_compose_directory_path_is_usage_error(tmp_path):
@@ -372,3 +386,17 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 6
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "D8xD8"), ("basis", "Q8", "C2"), ("hat", "D8", "C2"),
+    ("hat", "Q8", "C4"), ("counterexample",)], ids=" ".join)
+def test_json_output_matches_golden(capsys, argv):
+    # the recorded outputs pin results across refactors; rewrite a file
+    # only for an intended change of results
+    code, out, err = run_cli(capsys, "--json", *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"{'_'.join(argv)}.json").read_bytes()
