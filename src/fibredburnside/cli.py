@@ -35,7 +35,11 @@ EXIT_USAGE = 2
 def _load_element(arg: str) -> fibred.FibredElement:
     text = arg.strip()
     if not text.startswith(("{", "[")):
-        text = Path(arg).read_text(encoding="utf-8")
+        try:
+            text = Path(arg).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise OSError(f"element file is not UTF-8 text: {arg!r} "
+                          f"({exc.reason} at byte {exc.start})") from None
     return fibred.element_from_json(json.loads(text))
 
 
@@ -342,8 +346,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (GroupSpecError, BoundExceededError, fibred.FibreError,
-            json.JSONDecodeError, FileNotFoundError,
-            IsADirectoryError) as exc:
+            json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GroupError as exc:

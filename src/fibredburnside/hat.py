@@ -6,9 +6,9 @@ transitive class is in the ideal exactly when it appears as a summand of
 some composition a o b with a over G x K, b over K x G and |K| < |G|.
 Classes whose projections or reduced kernels are proper factor through a
 quotient of a projection and get an explicit constructed witness.  The
-remaining candidates have full projections, so they can only be summands
-of compositions whose outer projections are full; they are settled by a
-sweep of such compositions, cut down in three sound ways:
+remaining candidates have full projections and trivial reduced kernels;
+they are settled by a sweep of compositions whose outer projections are
+full, cut down in four sound ways:
 
 * Only maximal K.  A catalog group K that embeds in a larger one K' of
   order < |G| is skipped.  Res^K'_K o Ind^K'_K contains Id_K as a summand
@@ -20,9 +20,16 @@ sweep of such compositions, cut down in three sound ways:
   sigma (a o b) tau, so a runs over the orbits of Aut(G) x Aut(K) and b
   over the orbits of Aut(G) on its outer factor.
 * Closure.  The summands of the representative pairs are closed under
-  Aut(G) on both sides, which gives exactly the summands of all pairs;
-  each witness is twisted along, and keeps its double-coset
+  Aut(G) on both sides, which gives exactly the summands of all swept
+  pairs; each witness is twisted along, and keeps its double-coset
   representative.
+* Trivial reduced kernels.  If g lies in k1(ker nu) for a = (V, nu),
+  then (g,1) in V pairs with (1,1) in U at every representative h, so
+  g lies in k1(ker delta) of every summand (D, delta) of a o b; likewise
+  k2(ker mu) lies in k2(ker delta) for b = (U, mu).  So a factor with a
+  nontrivial outer reduced kernel only yields summands that get a
+  constructed witness, and the sweep drops it.  Twists keep a kernel
+  trivial, so whole orbits are dropped.
 
 The unreduced sweep is kept in the test suite as the oracle for this one.
 
@@ -58,6 +65,7 @@ from .groups import (
     subgroup_as_group,
     subgroups,
 )
+from .goursat import kernel_part
 from .fibred import (
     TransitiveFibredBiset,
     _canonical_class,
@@ -284,11 +292,18 @@ def _orbit_representatives(classes: List[TransitiveFibredBiset],
     return reps
 
 
+def _outer_kernel_trivial(X: TransitiveFibredBiset, i: int) -> bool:
+    """Whether the reduced kernel k_i(ker delta) of X is trivial."""
+    return kernel_part(X.embedding, X.delta.kernel(), (i,)).order == 1
+
+
 @functools.cache
 def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
-    """All canonical summand keys of compositions a o b through K where
-    both outer projections are full.  This is exactly the part of the
-    ideal that can meet classes with full projections.
+    """Canonical summand keys of compositions a o b through K where both
+    outer projections are full and both outer reduced kernels trivial.
+    On classes with full projections and trivial reduced kernels, the only
+    ones ``_ideal_decision`` looks up, these are exactly the keys of the
+    ideal through K; on any other class they are a subset.
 
     Each key maps to ``(a, b, h, sigma, tau)``: the key is the summand at
     double-coset representative h of (sigma a) o (b tau), where sigma and
@@ -309,11 +324,13 @@ def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
     amb = emb_gg.ambient
     gens = _aut_generators(G)
     lefts = _orbit_representatives(
-        transitive_basis(G, K, C, 0), emb_gk.ambient,
+        [a for a in transitive_basis(G, K, C, 0)
+         if _outer_kernel_trivial(a, 1)], emb_gk.ambient,
         [_side_map(emb_gk, emb_gk, 0, s) for s in gens]
         + [_side_map(emb_gk, emb_gk, 1, s) for s in _aut_generators(K)])
     rights = _orbit_representatives(
-        transitive_basis(K, G, C, 1), emb_kg.ambient,
+        [b for b in transitive_basis(K, G, C, 1)
+         if _outer_kernel_trivial(b, 2)], emb_kg.ambient,
         [_side_map(emb_kg, emb_kg, 1, s) for s in gens])
     one = tuple(range(G.order))
     found = {}

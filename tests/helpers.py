@@ -203,21 +203,23 @@ def orbit_size(ambient, mask, delta):
 #    one intermediate group, no orbit reduction
 
 
+def ref_full_side(emb, C, side):
+    """The classes over the two factors of ``emb`` whose projection on
+    ``side`` (0 = left, 1 = right) is the whole factor."""
+    target = emb.factors[side].order
+    return [cls for cls in transitive_basis(*emb.factors, C)
+            if len({emb.decode(x)[side] for x in cls.D.elements}) == target]
+
+
 def ref_ideal_sweep(G, C, K):
     """All canonical summand keys of a o b through K, with a over G x K
     and b over K x G both having full outer projections, each with the
     witness of its first occurrence."""
-    def full_side(emb, side):
-        target = emb.factors[side].order
-        return [cls for cls in transitive_basis(*emb.factors, C)
-                if len({emb.decode(x)[side] for x in cls.D.elements})
-                == target]
-
     amb = product_embedding(G, G).ambient
     emb_gk = product_embedding(G, K)
     emb_kg = product_embedding(K, G)
-    lefts = full_side(emb_gk, 0)
-    rights = full_side(emb_kg, 1)
+    lefts = ref_full_side(emb_gk, C, 0)
+    rights = ref_full_side(emb_kg, C, 1)
     out = {}
     for a in lefts:
         for b in rights:
@@ -458,8 +460,14 @@ def ref_kernel_part(emb, D, indices):
 def ref_reduced_kernel(emb, X, side):
     """Elements g of the side's factor with (g embedded alone) in D and
     trivial character."""
+    return ref_raw_reduced_kernel(emb, X.D.elements, X.delta.images, side)
+
+
+def ref_raw_reduced_kernel(emb, elements, values, side):
+    """``ref_reduced_kernel`` of the pair given by its elements and their
+    character values."""
     out = []
-    for x, c in zip(X.D.elements, X.delta.images):
+    for x, c in zip(elements, values):
         coords = emb.decode(x)
         if coords[1 - side] == 0 and c == 0:
             out.append(coords[side])

@@ -197,6 +197,15 @@ def test_compose_directory_path_is_usage_error(tmp_path):
     assert "Traceback" not in err
 
 
+def test_compose_file_not_utf8_is_usage_error(tmp_path):
+    path = tmp_path / "element.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = _run_module("compose", str(path), json.dumps(_GOOD))
+    assert (code, out) == (2, "")
+    assert err == (f"error: element file is not UTF-8 text: {str(path)!r} "
+                   "(invalid start byte at byte 0)\n")
+
+
 @pytest.mark.parametrize("spec, message", [
     ("C0", "cyclic atom needs a positive order: 'C0'"),
     ("C65", "group order bound exceeded: 65 > 64"),

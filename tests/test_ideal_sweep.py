@@ -6,14 +6,20 @@ unreduced sweep kept in ``helpers.ref_ideal_sweep``.
 catalog group of order <= 8 with fibres C2, C3 and C4 (a few minutes).
 """
 
+import functools
+
 import pytest
 
 from fibredburnside import hat
-from fibredburnside.fibred import _class_from_raw, transitive_basis
+from fibredburnside.fibred import (
+    _class_from_raw, _compose_raw, transitive_basis)
 from fibredburnside.groups import (
-    FiniteGroup, cyclic, group_from_spec, small_groups_catalog)
+    FiniteGroup, cyclic, group_from_spec, mask_to_elements,
+    product_embedding, small_groups_catalog)
 
-from helpers import ref_ideal_sweep
+from helpers import (
+    ref_full_side, ref_ideal_sweep, ref_raw_reduced_kernel,
+    ref_reduced_kernel)
 
 CASES = ([(G.name, "C2") for G in small_groups_catalog(8)
           if G.name != "C2xC2xC2"]
@@ -21,21 +27,34 @@ CASES = ([(G.name, "C2") for G in small_groups_catalog(8)
 
 
 def compare_with_reference(G, C, catalog_bound=15):
-    """Assert the three properties that make the reduced sweep exact."""
+    """Assert the three properties that make the reduced sweep exact on
+    the keys ``_ideal_decision`` consults: those of the classes for which
+    ``_reduction_witness`` finds no constructed witness."""
     kats = hat._catalog_below(G.order, catalog_bound)
     swept = hat._maximal_below(G, catalog_bound)
-    # a swept K gives exactly the unreduced key set
+
+    @functools.cache
+    def consulted(raw):
+        X = _class_from_raw(G, G, C, *raw, canonical=True)
+        return hat._reduction_witness(X, catalog_bound) is None
+
+    # a swept K gives a subset of the unreduced key set, and all of it on
+    # the consulted keys
     for K in swept:
         reduced = set(hat._ideal_sweep(G, C, K))
-        assert reduced == set(ref_ideal_sweep(G, C, K)), \
-            f"{G.name}/{C.name}: key sets differ through {K.name}"
-    # a skipped K gives a subset of the keys of every K' it embeds in
+        full = set(ref_ideal_sweep(G, C, K))
+        assert reduced <= full, \
+            f"{G.name}/{C.name}: keys through {K.name} outside the reference"
+        assert ({k for k in reduced if consulted(k)}
+                == {k for k in full if consulted(k)}), \
+            f"{G.name}/{C.name}: consulted keys differ through {K.name}"
+    # the consulted keys of a skipped K are keys of every K' it embeds in
     for K in kats:
         if K in swept:
             continue
         larger = [L for L in swept if hat._embeds(K, L)]
         assert larger, f"{K.name} is skipped but embeds in no swept group"
-        keys = set(ref_ideal_sweep(G, C, K))
+        keys = {k for k in ref_ideal_sweep(G, C, K) if consulted(k)}
         for L in larger:
             assert keys <= set(hat._ideal_sweep(G, C, L)), \
                 f"{G.name}/{C.name}: S({K.name}) not inside S({L.name})"
@@ -59,12 +78,57 @@ def test_maximal_groups_below_order_8(q8):
         ["C4", "C2xC2", "C5", "C6", "S3", "C7"]
 
 
-def test_every_sweep_witness_recomposes(s3, c3):
-    for K in hat._maximal_below(s3, 15):
-        sweep = hat._ideal_sweep(s3, c3, K)
-        for (mask, delta), entry in sweep.items():
-            X = _class_from_raw(s3, s3, c3, mask, delta, canonical=True)
-            assert hat._witness_matches(X, hat._sweep_witness(K, entry))
+def test_every_sweep_witness_recomposes():
+    # sweep sizes: the (S3, C3) sweep is empty, since no factor through a
+    # smaller group has a trivial outer reduced kernel
+    sizes = {("S3", "C3"): 0, ("C2xC2", "C2"): 18, ("C6", "C2"): 2,
+             ("C4xC2", "C2"): 16}
+    checked = 0
+    for (g_spec, c_spec), size in sizes.items():
+        G, C = group_from_spec(g_spec), group_from_spec(c_spec)
+        keys = 0
+        for K in hat._maximal_below(G, 15):
+            for (mask, delta), entry in hat._ideal_sweep(G, C, K).items():
+                X = _class_from_raw(G, G, C, mask, delta, canonical=True)
+                assert hat._witness_matches(X, hat._sweep_witness(K, entry))
+                keys += 1
+        assert keys == size, f"{g_spec}/{c_spec}: {keys} sweep keys"
+        checked += keys
+    assert checked
+
+
+@pytest.mark.parametrize("order", range(2, 7))
+def test_nontrivial_outer_kernel_stays_in_every_summand(order):
+    """k1(ker nu) of a = (V, nu) lies in k1(ker delta) of every summand
+    (D, delta) of a o b, and k2(ker mu) of b = (U, mu) in k2(ker delta):
+    the reason the sweep may drop such factors."""
+    pairs = 0
+    for G in small_groups_catalog(order):
+        if G.order != order:
+            continue
+        emb_gg = product_embedding(G, G)
+        for K in hat._catalog_below(G.order, 15):
+            emb_gk = product_embedding(G, K)
+            emb_kg = product_embedding(K, G)
+            for c_spec in ("C2", "C3", "C4"):
+                C = group_from_spec(c_spec)
+                lefts = [(a, set(ref_reduced_kernel(emb_gk, a, 0)))
+                         for a in ref_full_side(emb_gk, C, 0)]
+                rights = [(b, set(ref_reduced_kernel(emb_kg, b, 1)))
+                          for b in ref_full_side(emb_kg, C, 1)]
+                for a, ka in lefts:
+                    for b, kb in rights:
+                        pairs += 1
+                        for _, mask, delta in _compose_raw(
+                                emb_gk, emb_kg, C, a.D.elements,
+                                a.delta.images, b.D.elements,
+                                b.delta.images):
+                            elements = mask_to_elements(mask)
+                            assert ka <= set(ref_raw_reduced_kernel(
+                                emb_gg, elements, delta, 0))
+                            assert kb <= set(ref_raw_reduced_kernel(
+                                emb_gg, elements, delta, 1))
+    assert pairs
 
 
 def test_sweep_caches_hold_the_fibre_object(monkeypatch):
