@@ -2,8 +2,8 @@
 
 Subcommands: group, basis, compose, hat, counterexample, verify.
 Exit codes: 0 success, 1 assertion or property failure, 2 usage errors
-(including inputs beyond an enumeration or catalog bound and fibre groups
-that are not abelian).
+(including inputs beyond the order-64 enumeration bound or the fixed
+order-15 catalog, and fibre groups that are not abelian).
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def cmd_hat(args) -> int:
     G = group_from_spec(args.group)
     C = group_from_spec(args.fibre)
     prime = hat.is_prime(C.order)
-    dim, basis = hat.hat_dimension(G, C, args.catalog_max_order)
+    dim, basis = hat.hat_dimension(G, C)
     data = {"group": G.name, "fibre": C.name, "dimension": dim,
             "prime_fibre": prime}
     lines = [f"quotient algebra of {G.name} with fibre {C.name}: "
@@ -126,7 +126,7 @@ def cmd_hat(args) -> int:
         gens = hat.hat_basis_prime(G, C)
         closed_ok = ({hat.hat_generator_class(g).raw for g in gens}
                      == {X.raw for X in basis})
-        report = hat.verify_hat_vs_quotient(G, C, args.catalog_max_order)
+        report = hat.verify_hat_vs_quotient(G, C)
         position = {g.key(): i for i, g in enumerate(gens)}
         table = []
         for a in gens:
@@ -175,8 +175,7 @@ def cmd_hat(args) -> int:
 
 def cmd_counterexample(args) -> int:
     try:
-        report = hat.counterexample_verify(
-            catalog_bound=args.catalog_max_order)
+        report = hat.counterexample_verify()
     except hat.VerificationError as exc:
         if args.json:
             print(json.dumps({"ok": False, "failed_step": exc.step,
@@ -300,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the quotient algebra over finite groups.")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
-    parser.add_argument("--catalog-max-order", type=int, default=15,
-                        metavar="N", help="largest catalog order (<= 15)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", help="census of a group spec")
@@ -341,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 1 <= args.catalog_max_order <= 15:
-        parser.error("--catalog-max-order must be between 1 and 15")
     try:
         return args.func(args)
     except (GroupSpecError, BoundExceededError, fibred.FibreError,

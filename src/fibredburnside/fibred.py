@@ -200,10 +200,18 @@ def _canonical_class(left, right, fibre, mask, delta):
 
 def transitive_fibred_biset(left, right, fibre, d_elements,
                             delta_images) -> TransitiveFibredBiset:
-    """Validated public constructor for a transitive class."""
+    """Validated public constructor for a transitive class.  The i-th
+    value of ``delta_images`` belongs to the i-th element of
+    ``d_elements``, in whatever order the elements are listed."""
+    d_elements, delta_images = list(d_elements), list(delta_images)
+    if len(d_elements) != len(delta_images):
+        raise GroupError(f"term field 'delta' must list one value per "
+                         f"element of 'D': got {len(delta_images)} for "
+                         f"{len(d_elements)}")
+    pairs = sorted(zip(d_elements, delta_images))
     amb = product_embedding(left, right).ambient
-    D = Subgroup(amb, tuple(sorted(d_elements)))
-    hom = GroupHom(D, fibre, tuple(delta_images))
+    D = Subgroup(amb, tuple(x for x, _ in pairs))
+    hom = GroupHom(D, fibre, tuple(v for _, v in pairs))
     return TransitiveFibredBiset(left, right, fibre, D, hom)
 
 

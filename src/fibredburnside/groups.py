@@ -12,6 +12,12 @@ pure function of its arguments.  Derived data is memoized with
 objects it depends on (groups by identity); each such function offers
 ``cache_info()`` and ``cache_clear()``.  The caches hold their arguments
 and results for the life of the process.
+
+The enumerations of subgroups, homomorphisms and automorphisms refuse
+groups above ``SUBGROUP_ORDER_BOUND``, and the catalog stops at
+``CATALOG_MAX_ORDER``.  Both are module constants, not parameters; the
+enumeration functions read the bound at call time, so it is set in one
+place.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ class FiniteGroup:
     __slots__ = ("order", "table", "identity", "inverses", "labels", "name",
                  "_flat")
 
-    def __init__(self, table, labels=None, name=None, validate=True):
+    def __init__(self, table, labels=None, name=None):
         rows = tuple(tuple(row) for row in table)
         # an entry like 0.7 or "1" is rejected, never truncated or parsed
         if any(type(x) is not int for row in rows for x in row):
@@ -94,7 +100,7 @@ class FiniteGroup:
             labels = tuple(str(x) for x in labels)
             if len(labels) != len(rows):
                 raise GroupError("labels length does not match order")
-        self._setup(rows, labels, name, validate)
+        self._setup(rows, labels, name, validate=True)
 
     @classmethod
     def _from_rows(cls, rows: tuple, labels, name, validate) -> "FiniteGroup":
@@ -769,7 +775,7 @@ def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
 # subgroup enumeration and friends
 
 
-def subgroups(G: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND) -> list:
+def subgroups(G: FiniteGroup) -> list:
     """All subgroups of G, each exactly once, sorted by (order, elements).
 
     Found by closing generated subgroups layer by layer: every subgroup
@@ -779,9 +785,10 @@ def subgroups(G: FiniteGroup, bound: int = SUBGROUP_ORDER_BOUND) -> list:
     of that seed plus g with S as the base: it is built from whole right
     cosets of S (see :func:`closure_mask`).
     """
-    if G.order > bound:
+    if G.order > SUBGROUP_ORDER_BOUND:
         raise BoundExceededError(
-            f"subgroup enumeration bound exceeded: {G.order} > {bound}")
+            f"subgroup enumeration bound exceeded: {G.order} > "
+            f"{SUBGROUP_ORDER_BOUND}")
     return list(_subgroups(G))
 
 
@@ -880,11 +887,10 @@ def _extend_hom(G: FiniteGroup, elements: Sequence[int], gens: list,
     return images
 
 
-def homomorphisms(domain: Domain, C: FiniteGroup,
-                  bound: int = SUBGROUP_ORDER_BOUND) -> list:
+def homomorphisms(domain: Domain, C: FiniteGroup) -> list:
     """All homomorphisms from a group or subgroup into C, in a
     deterministic order (sorted by image tuple)."""
-    if len(_domain_elements(domain)) > bound or C.order > bound:
+    if max(len(_domain_elements(domain)), C.order) > SUBGROUP_ORDER_BOUND:
         raise BoundExceededError("homomorphism enumeration bound exceeded")
     return list(_homomorphisms(domain, C))
 
@@ -924,25 +930,28 @@ def _homomorphisms(domain: Domain, C: FiniteGroup) -> tuple:
 
 
 class AutomorphismData:
-    """Automorphism census: all of Aut, the inner ones, and one
-    representative per coset of Inn (least image tuple)."""
+    """Automorphism census: all of Aut, the inner ones, one representative
+    per coset of Inn (least image tuple), and ``out_rep_of``, the map from
+    the image tuple of every automorphism to the representative of its
+    coset."""
 
-    __slots__ = ("group", "all", "inner", "out_representatives")
+    __slots__ = ("group", "all", "inner", "out_representatives",
+                 "out_rep_of")
 
-    def __init__(self, group, all_autos, inner, out_reps):
+    def __init__(self, group, all_autos, inner, out_reps, out_rep_of):
         self.group = group
         self.all = all_autos
         self.inner = inner
         self.out_representatives = out_reps
+        self.out_rep_of = out_rep_of
 
     @property
     def out_order(self) -> int:
         return len(self.out_representatives)
 
 
-def automorphisms(G: FiniteGroup,
-                  bound: int = SUBGROUP_ORDER_BOUND) -> AutomorphismData:
-    if G.order > bound:
+def automorphisms(G: FiniteGroup) -> AutomorphismData:
+    if G.order > SUBGROUP_ORDER_BOUND:
         raise BoundExceededError("automorphism enumeration bound exceeded")
     return _automorphisms(G)
 
@@ -956,15 +965,15 @@ def _automorphisms(G: FiniteGroup) -> AutomorphismData:
     autos.sort(key=lambda h: h.images)
     inner_images = {tuple(G.conjugation_perm(g)) for g in range(G.order)}
     inner = [h for h in autos if h.images in inner_images]
-    seen = set()
+    out_rep_of = {}
     out_reps = []
     for h in autos:  # ascending image tuples: first hit is the least rep
-        if h.images in seen:
+        if h.images in out_rep_of:
             continue
         out_reps.append(h)
         for k in inner:
-            seen.add(tuple(h.images[x] for x in k.images))
-    return AutomorphismData(G, autos, inner, out_reps)
+            out_rep_of[tuple(h.images[x] for x in k.images)] = h
+    return AutomorphismData(G, autos, inner, out_reps, out_rep_of)
 
 
 def subgroup_as_group(S: Subgroup):

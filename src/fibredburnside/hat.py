@@ -49,6 +49,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .groups import (
+    CATALOG_MAX_ORDER,
     BoundExceededError,
     FiniteGroup,
     GroupError,
@@ -162,19 +163,18 @@ def _witness_matches(X: TransitiveFibredBiset,
 # ideal membership
 
 
-def _catalog_below(order: int, catalog_bound: int) -> List[FiniteGroup]:
-    if catalog_bound < order - 1:
+def _catalog_below(order: int) -> List[FiniteGroup]:
+    if CATALOG_MAX_ORDER < order - 1:
         raise BoundExceededError(
-            f"catalog up to {catalog_bound} cannot cover orders below "
+            f"catalog up to {CATALOG_MAX_ORDER} cannot cover orders below "
             f"{order}")
-    return [K for K in small_groups_catalog(catalog_bound)
-            if K.order < order]
+    return [K for K in small_groups_catalog() if K.order < order]
 
 
 @functools.cache
-def _iso_to_catalog(grp: FiniteGroup, catalog_bound: int):
+def _iso_to_catalog(grp: FiniteGroup):
     """A catalog group isomorphic to grp, with the isomorphism."""
-    for K in small_groups_catalog(catalog_bound):
+    for K in small_groups_catalog():
         if K.order != grp.order:
             continue
         phi = isomorphism(grp, K)
@@ -195,19 +195,8 @@ def _side_map(emb_from, emb_to, side: int, images) -> list:
     return out
 
 
-def _transport_class(X: TransitiveFibredBiset, side: int,
-                     phi: GroupHom) -> TransitiveFibredBiset:
-    """Apply an isomorphism to one factor of a class over a product."""
-    factors = [X.left, X.right]
-    factors[side] = phi.codomain
-    emb_new = product_embedding(*factors)
-    perm = _side_map(X.embedding, emb_new, side, phi.images)
-    return _canonical_class(factors[0], factors[1], X.fibre,
-                            *_permute_raw(perm, X.D.elements, X.delta.images))
-
-
-def _reduction_witness(X: TransitiveFibredBiset,
-                       catalog_bound: int) -> Optional[FactorizationWitness]:
+def _reduction_witness(X: TransitiveFibredBiset
+                       ) -> Optional[FactorizationWitness]:
     """Constructed witness when a projection or reduced kernel is proper:
     the class then factors through the quotient of a projection, which is
     strictly smaller and has a catalog twin."""
@@ -218,9 +207,9 @@ def _reduction_witness(X: TransitiveFibredBiset,
             (fac.right_middle, fac.beta2, fac.right_elementary)):
         if middle.order >= G.order:
             continue
-        K, phi = _iso_to_catalog(middle, catalog_bound)
-        a = _transport_class(left_cls, 1, phi)
-        b = _transport_class(right_cls, 0, phi)
+        K, phi = _iso_to_catalog(middle)
+        a = canonicalize(_twisted(left_cls, 1, phi.images, K))
+        b = canonicalize(_twisted(right_cls, 0, phi.images, K))
         h = next(_summand_reps(X, a, b), None)
         if h is None:
             raise GroupError("constructed factorization lost the class")
@@ -260,10 +249,10 @@ def _embeds(K: FiniteGroup, L: FiniteGroup) -> bool:
 
 
 @functools.cache
-def _maximal_below(G: FiniteGroup, catalog_bound: int) -> List[FiniteGroup]:
+def _maximal_below(G: FiniteGroup) -> List[FiniteGroup]:
     """The catalog groups of order < |G| that embed in no larger catalog
     group of order < |G|: the only ones the ideal sweep has to visit."""
-    kats = _catalog_below(G.order, catalog_bound)
+    kats = _catalog_below(G.order)
     return [K for K in kats if not any(_embeds(K, L) for L in kats)]
 
 
@@ -362,16 +351,22 @@ def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
     return found
 
 
-def _twisted(X: TransitiveFibredBiset, side: int,
-             images: tuple) -> TransitiveFibredBiset:
-    """X with an automorphism applied to one factor, left uncanonicalized
-    so that its compositions keep their double-coset representatives."""
-    if images == tuple(range(len(images))):
+def _twisted(X: TransitiveFibredBiset, side: int, images: tuple,
+             target: Optional[FiniteGroup] = None) -> TransitiveFibredBiset:
+    """X with a map applied to one factor (0 = left, 1 = right): an
+    automorphism of that factor, or an isomorphism onto ``target``.  The
+    result is left uncanonicalized so that its compositions keep their
+    double-coset representatives."""
+    factors = [X.left, X.right]
+    emb = emb_to = X.embedding
+    if target is not None:
+        factors[side] = target
+        emb_to = product_embedding(*factors)
+    elif images == tuple(range(len(images))):
         return X
-    emb = X.embedding
-    mask, delta = _permute_raw(_side_map(emb, emb, side, images),
+    mask, delta = _permute_raw(_side_map(emb, emb_to, side, images),
                                X.D.elements, X.delta.images)
-    return _class_from_raw(X.left, X.right, X.fibre, mask, delta)
+    return _class_from_raw(factors[0], factors[1], X.fibre, mask, delta)
 
 
 def _sweep_witness(K: FiniteGroup, entry: tuple) -> FactorizationWitness:
@@ -380,8 +375,7 @@ def _sweep_witness(K: FiniteGroup, entry: tuple) -> FactorizationWitness:
                                 b=_twisted(b, 1, tau), which_summand=h)
 
 
-def is_in_ideal(X: TransitiveFibredBiset, catalog_bound: int = 15
-                ) -> Optional[FactorizationWitness]:
+def is_in_ideal(X: TransitiveFibredBiset) -> Optional[FactorizationWitness]:
     """Search for a factorization of X through a group of order < |G|.
 
     A class with a proper projection or a nontrivial reduced kernel gets
@@ -391,18 +385,17 @@ def is_in_ideal(X: TransitiveFibredBiset, catalog_bound: int = 15
     """
     if X.left is not X.right:
         raise GroupError("ideal membership is about classes over G x G")
-    return _ideal_decision(X.left, X.fibre, canonicalize(X).raw,
-                           catalog_bound)
+    return _ideal_decision(X.left, X.fibre, canonicalize(X).raw)
 
 
 @functools.cache
-def _ideal_decision(G: FiniteGroup, C: FiniteGroup, raw: tuple,
-                    catalog_bound: int) -> Optional[FactorizationWitness]:
+def _ideal_decision(G: FiniteGroup, C: FiniteGroup, raw: tuple
+                    ) -> Optional[FactorizationWitness]:
     """Keyed by the canonical (mask, delta) pair rather than the class
     object, so that a decision costs no more memory than its key."""
-    swept = _maximal_below(G, catalog_bound)
+    swept = _maximal_below(G)
     X = _class_from_raw(G, G, C, *raw, canonical=True)
-    witness = _reduction_witness(X, catalog_bound)
+    witness = _reduction_witness(X)
     if witness is None:
         for K in swept:
             entry = _ideal_sweep(G, C, K).get(raw)
@@ -411,12 +404,12 @@ def _ideal_decision(G: FiniteGroup, C: FiniteGroup, raw: tuple,
     return witness
 
 
-def hat_dimension(G: FiniteGroup, C: FiniteGroup, catalog_bound: int = 15
+def hat_dimension(G: FiniteGroup, C: FiniteGroup
                   ) -> Tuple[int, List[TransitiveFibredBiset]]:
     """Number of canonical transitive classes over G x G that survive in
     the quotient, together with those classes (the working basis)."""
     basis = transitive_basis(G, G, C)
-    survivors = [X for X in basis if is_in_ideal(X, catalog_bound) is None]
+    survivors = [X for X in basis if is_in_ideal(X) is None]
     return len(survivors), survivors
 
 
@@ -607,19 +600,6 @@ def frattini_criterion(G: FiniteGroup, C: FiniteGroup,
                for mu in homomorphisms(G, C))
 
 
-@functools.cache
-def _out_rep_lookup(G: FiniteGroup) -> dict:
-    """Map from any automorphism's image tuple to its coset representative."""
-    auts = automorphisms(G)
-    lookup = {}
-    for rep in auts.out_representatives:
-        for inner in auts.inner:
-            composite = tuple(rep.images[inner.images[g]]
-                              for g in range(G.order))
-            lookup[composite] = rep
-    return lookup
-
-
 def hat_multiply(a: HatGenerator, b: HatGenerator) -> HatElement:
     """Product of two generators, re-canonicalized to basis symbols.
 
@@ -632,7 +612,7 @@ def hat_multiply(a: HatGenerator, b: HatGenerator) -> HatElement:
         raise GroupError("generators live over different groups")
     G, C = a.group, a.fibre
     _require_prime_fibre(C)
-    reps = _out_rep_lookup(G)
+    reps = automorphisms(G).out_rep_of
 
     if a.variant == "X" and b.variant == "X":
         t1, s1 = a.t.images, a.sigma.images
@@ -680,14 +660,6 @@ def hat_multiply(a: HatGenerator, b: HatGenerator) -> HatElement:
     return HatElement.of(HatGenerator("Y", G, C, omega=omega, zeta=a.zeta))
 
 
-def hat_multiply_elements(x: HatElement, y: HatElement) -> HatElement:
-    out = HatElement.zero()
-    for g1, v1 in x.coefficients.items():
-        for g2, v2 in y.coefficients.items():
-            out = out + hat_multiply(g1, g2).scaled(v1 * v2)
-    return out
-
-
 def transport_hat_generator(gen: HatGenerator,
                             phi: GroupHom) -> HatGenerator:
     """Move a generator along an isomorphism phi: G -> H."""
@@ -695,7 +667,7 @@ def transport_hat_generator(gen: HatGenerator,
         raise GroupError("transport needs an isomorphism out of the "
                          "generator's group")
     H = phi.codomain
-    reps = _out_rep_lookup(H)
+    reps = automorphisms(H).out_rep_of
     phi_inv = [0] * H.order
     for g in range(gen.group.order):
         phi_inv[phi.images[g]] = g
@@ -714,7 +686,6 @@ def transport_hat_generator(gen: HatGenerator,
 
 
 def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
-                           catalog_bound: int = 15,
                            check: bool = False) -> dict:
     """Check the generator product rules against the ring: multiply the
     attached classes with compose, drop ideal summands, and compare with
@@ -734,7 +705,7 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
             reduced: Dict[HatGenerator, Fraction] = {}
             unknown = []
             for cls, coeff in composed.terms.items():
-                if is_in_ideal(cls, catalog_bound) is not None:
+                if is_in_ideal(cls) is not None:
                     continue
                 gen = by_raw.get(cls.raw)
                 if gen is None:
@@ -808,7 +779,13 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
     C = cyclic(4)
     G = quaternion8()
     H = dihedral(8)
-    kats = _catalog_below(G.order, catalog_bound)
+    # the search covers every order below |G| whatever the bound; the
+    # bound is kept only as this guard
+    if catalog_bound < G.order - 1:
+        raise BoundExceededError(
+            f"catalog up to {catalog_bound} cannot cover orders below "
+            f"{G.order}")
+    kats = _catalog_below(G.order)
     emb = product_embedding(G, H)
     gens = [emb.encode(1, 1), emb.encode(4, 4)]  # (x,a), (y,b)
     D = emb.ambient.generated_subgroup(gens)
@@ -855,7 +832,7 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
     step("catalog covers all orders below 8", len(kats) == 9,
          ", ".join(K.name for K in kats))
     wcls = next(iter(W.terms))
-    witness = is_in_ideal(wcls, catalog_bound)
+    witness = is_in_ideal(wcls)
     step("W does not factor through any group of order < 8",
          witness is None,
          "searched " + ", ".join(K.name for K in kats))
@@ -864,7 +841,7 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
     step("W_H = X-op o X is idempotent over H x H", is_idempotent(WH),
          f"{len(WH.terms)} term(s)")
     whcls = next(iter(WH.terms))
-    witness_h = is_in_ideal(whcls, catalog_bound)
+    witness_h = is_in_ideal(whcls)
     step("W_H does not factor through any group of order < 8",
          witness_h is None,
          "searched " + ", ".join(K.name for K in kats))
@@ -875,7 +852,7 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
         "left_group": G.name,
         "right_group": H.name,
         "searched_groups": [K.name for K in kats],
-        "swept_groups": [K.name for K in _maximal_below(G, catalog_bound)],
+        "swept_groups": [K.name for K in _maximal_below(G)],
         "ideal_membership_criterion":
             "class occurs as a summand of a single composition a o b "
             "through a group of smaller order",

@@ -47,15 +47,12 @@ class FiniteAction:
 
     __slots__ = ("group", "size", "table")
 
-    def __init__(self, group: FiniteGroup, table: Sequence[Sequence[int]],
-                 validate: bool = False):
+    def __init__(self, group: FiniteGroup, table: Sequence[Sequence[int]]):
         self.group = group
         self.table = [tuple(row) for row in table]
         self.size = len(self.table[0]) if self.table else 0
         if len(self.table) != group.order:
             raise GroupError("action table must have one row per element")
-        if validate:
-            self.validate()
 
     def validate(self):
         n = self.size

@@ -25,10 +25,8 @@ __all__ = [
 ]
 
 
-def random_group(rng: random.Random, max_order: int,
-                 min_order: int = 1) -> FiniteGroup:
-    pool = [g for g in small_groups_catalog(min(max_order, 15))
-            if g.order >= min_order]
+def random_group(rng: random.Random, max_order: int) -> FiniteGroup:
+    pool = small_groups_catalog(max_order)
     return pool[rng.randrange(len(pool))]
 
 

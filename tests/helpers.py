@@ -8,8 +8,8 @@ from fibredburnside.fibred import (
     _permute_raw, to_monomial_set, transitive_basis)
 from fibredburnside.goursat import _quotient_of_subgroup
 from fibredburnside.groups import (
-    Subgroup, _extend_hom, _generating_sequence, homomorphisms,
-    mask_to_elements, product_embedding, subgroups)
+    Subgroup, _extend_hom, _generating_sequence, automorphisms,
+    homomorphisms, mask_to_elements, product_embedding, subgroups)
 from fibredburnside.hat import FactorizationWitness
 
 
@@ -340,6 +340,20 @@ def ref_automorphisms(G):
             continue
         autos.append(tuple(images[a] for a in els))
     return sorted(autos)
+
+
+def ref_out_rep_lookup(G):
+    """Map from the image tuple of every automorphism of G to its coset
+    representative in Out(G), built as rep o inner for every
+    representative and every inner automorphism."""
+    auts = automorphisms(G)
+    lookup = {}
+    for rep in auts.out_representatives:
+        for inner in auts.inner:
+            composite = tuple(rep.images[inner.images[g]]
+                              for g in range(G.order))
+            lookup[composite] = rep
+    return lookup
 
 
 def ref_isomorphism(G, H):

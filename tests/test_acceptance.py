@@ -92,9 +92,9 @@ def test_criterion_1_counterexample_regression():
     WH = compose(element_of(opposite(X)), element_of(X), check=True)
     whcls = next(iter(WH.terms))
     ok_d = (len(kats) == 9
-            and hat.is_in_ideal(wcls, 7) is None
+            and hat.is_in_ideal(wcls) is None
             and is_idempotent(WH)
-            and hat.is_in_ideal(whcls, 7) is None)
+            and hat.is_in_ideal(whcls) is None)
 
     full_report = hat.counterexample_verify()
     elapsed = time.monotonic() - start
@@ -228,7 +228,7 @@ def test_criterion_7_no_shared_minimal_groups_for_prime_fibre():
     survivors = 0
     for X in basis:
         W = compose(element_of(X), element_of(opposite(X)))
-        if any(hat.is_in_ideal(cls, 7) is None for cls in W.terms):
+        if any(hat.is_in_ideal(cls) is None for cls in W.terms):
             survivors += 1
     report(7, "no surviving idempotent across Q8/D8 with prime fibre",
            survivors == 0,

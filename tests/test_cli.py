@@ -97,6 +97,27 @@ def test_compose_counterexample(capsys, tmp_path):
     assert len(data["terms"][0]["D"]) == 16
 
 
+def test_delta_values_follow_their_elements(capsys):
+    # delta[i] is the value on D[i]: listing D out of order, with delta in
+    # the same order, names the same class
+    G, C1, C2 = group_from_spec("C2xC2"), cyclic(1), cyclic(2)
+    listings = [([0, 2, 1, 3], [0, 1, 0, 1]), ([0, 1, 2, 3], [0, 0, 1, 1])]
+    classes = [fibred.canonicalize(fibred.transitive_fibred_biset(
+        G, C1, C2, d, delta)) for d, delta in listings]
+    assert classes[0] == classes[1]
+    ident = json.dumps(element_to_json(identity_element(C1, C2)))
+    outs = []
+    for d, delta in listings:
+        blob = json.dumps({"left": "C2xC2", "right": "C1", "fibre": "C2",
+                           "terms": [{"D": d, "delta": delta}]})
+        code, out, _ = run_cli(capsys, "--json", "compose", blob, ident,
+                               "--check")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert element_from_json(json.loads(outs[0])) == element_of(classes[1])
+
+
 def test_compose_mismatch_is_failure(capsys):
     a = identity_element(group_from_spec("C4"), cyclic(2))
     b = identity_element(group_from_spec("C2"), cyclic(2))
@@ -170,6 +191,9 @@ _GOOD = {"left": "C2", "right": "C2", "fibre": "C2",
      "element field 'left' must be a group spec string, got 5"),
     (dict(_GOOD, fibre=None),
      "element field 'fibre' must be a group spec string, got None"),
+    (dict(_GOOD, terms=[{"D": [0, 1], "delta": [0]}]),
+     "term field 'delta' must list one value per element of 'D': "
+     "got 1 for 2"),
 ])
 def test_compose_malformed_element_names_the_field(tmp_path, blob, message):
     # an argument that starts with "{" or "[" is inline JSON, anything
@@ -263,8 +287,8 @@ def test_hat_closed_form_mismatch_is_failure(capsys, monkeypatch):
     from fibredburnside import hat
     real = hat.hat_dimension
 
-    def one_survivor_short(G, C, catalog_bound):
-        dim, survivors = real(G, C, catalog_bound)
+    def one_survivor_short(G, C):
+        dim, survivors = real(G, C)
         return dim - 1, survivors[1:]
 
     monkeypatch.setattr(hat, "hat_dimension", one_survivor_short)
@@ -305,14 +329,6 @@ def test_hat_beyond_enumeration_bound_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "hat", "C17", "C2")
     assert code == 2
     assert "bound exceeded" in err
-
-
-def test_counterexample_honours_catalog_bound(capsys):
-    code, out, err = run_cli(capsys, "--catalog-max-order", "6",
-                             "counterexample")
-    assert code == 2
-    assert "catalog up to 6 cannot cover orders below 8" in err
-    assert out == ""
 
 
 def test_counterexample_command(capsys):

@@ -38,6 +38,7 @@ from helpers import (
     ref_generating_sequence,
     ref_homomorphisms,
     ref_isomorphism,
+    ref_out_rep_lookup,
     ref_product_table,
     ref_quaternion8,
     ref_subgroups,
@@ -412,9 +413,11 @@ def test_lagrange(q8, d8, s3):
 
 
 def test_subgroup_bound():
-    big = product_embedding(quaternion8(), quaternion8()).ambient
+    big = product_embedding(quaternion8(), quaternion8(),
+                            groups.cyclic(2)).ambient
+    assert big.order == 128
     with pytest.raises(BoundExceededError):
-        subgroups(big, bound=32)
+        subgroups(big)
 
 
 def test_subgroup_validation(q8):
@@ -572,6 +575,17 @@ def test_automorphisms_and_isomorphism_match_reference_search():
             iso = isomorphism(X, Y)
             assert (iso.images if iso else None) == ref_isomorphism(X, Y), \
                 (X.name, Y.name)
+
+
+def test_out_rep_of_matches_reference_lookup():
+    # the coset map kept by the automorphism census against the one built
+    # again from its representatives and inner automorphisms
+    for G in small_groups_catalog():
+        auts = groups.automorphisms(G)
+        ref = ref_out_rep_lookup(G)
+        assert set(auts.out_rep_of) == {h.images for h in auts.all}, G.name
+        assert auts.out_rep_of.keys() == ref.keys(), G.name
+        assert all(auts.out_rep_of[k] is ref[k] for k in ref), G.name
 
 
 # -- quotients ---------------------------------------------------------------

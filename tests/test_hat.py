@@ -21,6 +21,7 @@ from fibredburnside.fibred import (
     transitive_fibred_biset,
 )
 from fibredburnside.groups import (
+    BoundExceededError,
     GroupError,
     automorphisms,
     cyclic,
@@ -63,14 +64,14 @@ def test_counterexample_idempotent_not_in_ideal():
     X = counterexample_class()
     W = compose(element_of(X), element_of(opposite(X)))
     (wcls, _), = W.terms.items()
-    assert is_in_ideal(wcls, 7) is None
+    assert is_in_ideal(wcls) is None
 
 
 def test_full_product_class_factors(c4, c2):
     emb = product_embedding(c4, c4)
     X = canonicalize(transitive_fibred_biset(
         c4, c4, c2, range(16), [0] * 16))
-    w = is_in_ideal(X, 7)
+    w = is_in_ideal(X)
     assert w is not None
     assert w.K.order < 4
     assert hat._witness_matches(X, w)
@@ -79,7 +80,7 @@ def test_full_product_class_factors(c4, c2):
 def test_witnesses_are_valid_on_sample(d8, c2):
     checked = 0
     for X in transitive_basis(d8, d8, c2):
-        w = is_in_ideal(X, 7)
+        w = is_in_ideal(X)
         if w is not None:
             assert w.K.order < 8
             assert hat._witness_matches(X, w)
@@ -97,10 +98,13 @@ def test_ideal_count_matches_basis_split(s3, c2):
     assert all(X not in in_ideal for X in survivors)
 
 
-def test_catalog_bound_guard(q8, c2):
-    ident = next(iter(identity_element(q8, c2).terms))
-    with pytest.raises(Exception):
-        is_in_ideal(ident, catalog_bound=5)
+def test_catalog_bound_guard(c2):
+    # C17 x C17 is beyond every enumeration, but its identity class needs
+    # none; the catalog stops at 15, short of the orders below 17
+    ident = next(iter(identity_element(cyclic(17), c2).terms))
+    with pytest.raises(BoundExceededError,
+                       match="catalog up to 15 cannot cover orders below 17"):
+        is_in_ideal(ident)
 
 
 # -- hat dimensions -----------------------------------------------------------
@@ -223,14 +227,24 @@ def test_yy_zero_branch_with_two_embeddings(c3):
     assert hat_multiply(b, b) == HatElement.of(b)
 
 
+def hat_multiply_elements(x: HatElement, y: HatElement) -> HatElement:
+    """The product of two rational combinations of generators, bilinear
+    in hat_multiply."""
+    out = HatElement.zero()
+    for g1, v1 in x.coefficients.items():
+        for g2, v2 in y.coefficients.items():
+            out = out + hat_multiply(g1, g2).scaled(v1 * v2)
+    return out
+
+
 def test_hat_multiply_associative_q8(q8, c2):
     gens = hat_basis_prime(q8, c2)
     for a in gens[::5]:
         for b in gens:
             ab = hat_multiply(a, b)
             for c in gens[::7]:
-                left = hat.hat_multiply_elements(ab, HatElement.of(c))
-                right = hat.hat_multiply_elements(
+                left = hat_multiply_elements(ab, HatElement.of(c))
+                right = hat_multiply_elements(
                     HatElement.of(a), hat_multiply(b, c))
                 assert left == right
 
@@ -242,8 +256,8 @@ def test_hat_multiply_associative_on_generators(c4, c2, s3):
             for b in gens:
                 ab = hat_multiply(a, b)
                 for c in gens:
-                    left = hat.hat_multiply_elements(ab, HatElement.of(c))
-                    right = hat.hat_multiply_elements(
+                    left = hat_multiply_elements(ab, HatElement.of(c))
+                    right = hat_multiply_elements(
                         HatElement.of(a), hat_multiply(b, c))
                     assert left == right
 
@@ -276,7 +290,7 @@ def test_frattini_criterion_matches_membership():
             lands_in_phi = all((phi_mask >> z) & 1 for z in zeta.images)
             assert frattini_criterion(G, c2, zeta) == lands_in_phi
             cls = y_type_class(G, c2, ident, zeta)
-            witness = is_in_ideal(cls, 7)
+            witness = is_in_ideal(cls)
             assert (witness is None) == lands_in_phi
 
 
@@ -370,13 +384,18 @@ print(json.dumps({"first": first, "second": second, "filled": filled,
 """
 
 
-def test_cleared_caches_give_the_same_counterexample_report():
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(fibredburnside.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _CLEAR_AND_RERUN],
+    return subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env)
+
+
+def test_cleared_caches_give_the_same_counterexample_report():
+    proc = _run_fresh(_CLEAR_AND_RERUN)
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
     # the caches the run fills, among them the ideal decisions and sweeps
@@ -391,6 +410,23 @@ def test_cleared_caches_give_the_same_counterexample_report():
     assert json.dumps(data["first"]) == json.dumps(data["second"])
 
 
+_MAXIMAL_BELOW_ENTRIES = """
+from fibredburnside import groups, hat
+hat.counterexample_verify(7)
+for g_spec in ("Q8", "D8"):
+    hat.hat_dimension(groups.group_from_spec(g_spec),
+                      groups.group_from_spec("C4"))
+print(hat._maximal_below.cache_info().currsize)
+"""
+
+
+def test_maximal_groups_are_cached_once_per_group():
+    # the quotient workload asks about Q8 and D8 only, so one list each
+    proc = _run_fresh(_MAXIMAL_BELOW_ENTRIES)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"]
+
+
 def test_counterexample_contrast_with_prime_fibre(q8, d8, c2):
     # with a prime fibre the same subgroup's idempotent dies in the
     # quotient: no class survives on both sides
@@ -401,4 +437,4 @@ def test_counterexample_contrast_with_prime_fibre(q8, d8, c2):
         X = canonicalize(
             transitive_fibred_biset(q8, d8, c2, D.elements, delta.images))
         W = compose(element_of(X), element_of(opposite(X)))
-        assert all(is_in_ideal(cls, 7) is not None for cls in W.terms)
+        assert all(is_in_ideal(cls) is not None for cls in W.terms)

@@ -26,17 +26,17 @@ CASES = ([(G.name, "C2") for G in small_groups_catalog(8)
          + [("Q8", "C4"), ("D8", "C4"), ("C2xC2", "C3"), ("S3", "C3")])
 
 
-def compare_with_reference(G, C, catalog_bound=15):
+def compare_with_reference(G, C):
     """Assert the three properties that make the reduced sweep exact on
     the keys ``_ideal_decision`` consults: those of the classes for which
     ``_reduction_witness`` finds no constructed witness."""
-    kats = hat._catalog_below(G.order, catalog_bound)
-    swept = hat._maximal_below(G, catalog_bound)
+    kats = hat._catalog_below(G.order)
+    swept = hat._maximal_below(G)
 
     @functools.cache
     def consulted(raw):
         X = _class_from_raw(G, G, C, *raw, canonical=True)
-        return hat._reduction_witness(X, catalog_bound) is None
+        return hat._reduction_witness(X) is None
 
     # a swept K gives a subset of the unreduced key set, and all of it on
     # the consulted keys
@@ -60,7 +60,7 @@ def compare_with_reference(G, C, catalog_bound=15):
                 f"{G.name}/{C.name}: S({K.name}) not inside S({L.name})"
     # every witness recomposes to its class
     for X in transitive_basis(G, G, C):
-        w = hat.is_in_ideal(X, catalog_bound)
+        w = hat.is_in_ideal(X)
         if w is not None:
             assert hat._witness_matches(X, w), \
                 f"{G.name}/{C.name}: witness through {w.K.name} fails"
@@ -72,9 +72,7 @@ def test_reduced_sweep_matches_reference(g_spec, c_spec):
 
 
 def test_maximal_groups_below_order_8(q8):
-    assert [K.name for K in hat._maximal_below(q8, 15)] == \
-        ["C4", "C2xC2", "C5", "C6", "S3", "C7"]
-    assert [K.name for K in hat._maximal_below(q8, 7)] == \
+    assert [K.name for K in hat._maximal_below(q8)] == \
         ["C4", "C2xC2", "C5", "C6", "S3", "C7"]
 
 
@@ -87,7 +85,7 @@ def test_every_sweep_witness_recomposes():
     for (g_spec, c_spec), size in sizes.items():
         G, C = group_from_spec(g_spec), group_from_spec(c_spec)
         keys = 0
-        for K in hat._maximal_below(G, 15):
+        for K in hat._maximal_below(G):
             for (mask, delta), entry in hat._ideal_sweep(G, C, K).items():
                 X = _class_from_raw(G, G, C, mask, delta, canonical=True)
                 assert hat._witness_matches(X, hat._sweep_witness(K, entry))
@@ -107,7 +105,7 @@ def test_nontrivial_outer_kernel_stays_in_every_summand(order):
         if G.order != order:
             continue
         emb_gg = product_embedding(G, G)
-        for K in hat._catalog_below(G.order, 15):
+        for K in hat._catalog_below(G.order):
             emb_gk = product_embedding(G, K)
             emb_kg = product_embedding(K, G)
             for c_spec in ("C2", "C3", "C4"):
@@ -144,8 +142,8 @@ def test_sweep_caches_hold_the_fibre_object(monkeypatch):
 
     monkeypatch.setattr(hat, "_ideal_sweep", recording)
     for X in transitive_basis(G, G, C):
-        hat.is_in_ideal(X, 7)
-    maximal = hat._maximal_below(G, 7)
+        hat.is_in_ideal(X)
+    maximal = hat._maximal_below(G)
     assert calls
     assert all(g is G and c is C and K in maximal for g, c, K in calls)
 
