@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import fibred, hat, sampling
 from .groups import (
@@ -335,8 +336,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unknown_global_option(argv) -> Optional[str]:
+    """The first option before the command that is not a global one.
+    argparse would take the word after it for the command and report that
+    word, not the option."""
+    for token in argv:
+        if token == "--" or not token.startswith("-"):
+            return None
+        name = token.split("=", 1)[0]
+        if name != "-h" and not any(opt.startswith(name)
+                                    for opt in ("--json", "--help")):
+            return name
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    unknown = _unknown_global_option(argv)
+    if unknown is not None:
+        parser.error(f"unrecognized option {unknown!r} before the command "
+                     f"(the only global option is --json)")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -307,34 +307,25 @@ def zero_element(left, right, fibre) -> FibredElement:
 
 
 @functools.cache
-def _class_keys(left: FiniteGroup, right: FiniteGroup, C: FiniteGroup,
-                side: Optional[int] = None) -> List[tuple]:
-    """Sorted canonical (mask, delta) keys of the classes over left x right;
-    with ``side`` (0 = left, 1 = right) only those whose projection on that
-    factor is all of it, enumerating characters only on such subgroups."""
+def _class_keys(left: FiniteGroup, right: FiniteGroup,
+                C: FiniteGroup) -> List[tuple]:
+    """Sorted canonical (mask, delta) keys of the classes over left x
+    right."""
     _check_fibre(C)
-    emb = product_embedding(left, right)
-    amb = emb.ambient
-    subs = subgroups(amb)
-    if side is not None:
-        target = emb.factors[side].order
-        subs = [D for D in subs
-                if projection(emb, D, (side + 1,)).order == target]
+    amb = product_embedding(left, right).ambient
     found = set()
-    for D in subs:
+    for D in subgroups(amb):
         for hom in homomorphisms(D, C):
             found.add(_canonical_raw(amb, D.mask, hom.images))
     return sorted(found)
 
 
-def transitive_basis(G: FiniteGroup, H: FiniteGroup, C: FiniteGroup,
-                     side: Optional[int] = None
-                     ) -> List[TransitiveFibredBiset]:
+def transitive_basis(G: FiniteGroup, H: FiniteGroup,
+                     C: FiniteGroup) -> List[TransitiveFibredBiset]:
     """Canonical transitive classes over G x H: the basis of the
-    morphism group from H to G.  With ``side`` (0 = left, 1 = right) only
-    the classes whose projection on that factor is all of it."""
+    morphism group from H to G."""
     return [_class_from_raw(G, H, C, mask, delta, canonical=True)
-            for mask, delta in _class_keys(G, H, C, side)]
+            for mask, delta in _class_keys(G, H, C)]
 
 
 def subcharacter_classes(G: FiniteGroup,

@@ -8,7 +8,7 @@ Classes whose projections or reduced kernels are proper factor through a
 quotient of a projection and get an explicit constructed witness.  The
 remaining candidates have full projections and trivial reduced kernels;
 they are settled by a sweep of compositions whose outer projections are
-full, cut down in four sound ways:
+full, cut down in five sound ways:
 
 * Only maximal K.  A catalog group K that embeds in a larger one K' of
   order < |G| is skipped.  Res^K'_K o Ind^K'_K contains Id_K as a summand
@@ -30,8 +30,24 @@ full, cut down in four sound ways:
   nontrivial outer reduced kernel only yields summands that get a
   constructed witness, and the sweep drops it.  Twists keep a kernel
   trivial, so whole orbits are dropped.
+* Goursat data.  A kept left factor a = (V, nu) over G x K has
+  p1(V) = G and k1(ker nu) = 1.  Let N = k1(V).  By Goursat's lemma
+  G/N is isomorphic to E/k2 with E = p2(V) <= K and k2 = k2(V), so N is
+  nontrivial when |K| < |G|.  nu is injective on N x 1, since its kernel
+  there is k1(ker nu) x 1, so N embeds in C.  And N is central: for n in
+  N and (g, k) in V the commutator [(n,1), (g,k)] = ([n,g], 1) lies in
+  N x 1 and is killed by nu, as C is abelian, so [n,g] = 1.  So the
+  lefts are built from the tuples (N, E, k2, theta) with N <= Z(G)
+  embedding in C, k2 normal in E <= K and theta: E/k2 -> G/N an
+  isomorphism, and the characters of V injective on N x 1; nothing else
+  over G x K is enumerated.  The kept right factors over K x G are the
+  opposites of the lefts.  When Z(G) has no nontrivial subgroup that
+  embeds in C (S3, D10, A4, or a fibre of order prime to |Z(G)|) there
+  are no lefts, and the sweep through every K is empty.
 
-The unreduced sweep is kept in the test suite as the oracle for this one.
+The unreduced sweep is kept in the test suite as the oracle for this one,
+and the kept factors are held there to the full-projection classes
+filtered by their outer reduced kernels.
 
 For a fibre of prime order the surviving classes have a closed
 description: diagonal classes indexed by characters and outer
@@ -56,6 +72,7 @@ from .groups import (
     GroupHom,
     automorphisms,
     center,
+    conjugate_mask,
     frattini,
     homomorphisms,
     isomorphism,
@@ -66,7 +83,7 @@ from .groups import (
     subgroup_as_group,
     subgroups,
 )
-from .goursat import kernel_part
+from .goursat import GoursatData, _quotient_of_subgroup, rebuild_from_goursat
 from .fibred import (
     TransitiveFibredBiset,
     _canonical_class,
@@ -281,18 +298,67 @@ def _orbit_representatives(classes: List[TransitiveFibredBiset],
     return reps
 
 
-def _outer_kernel_trivial(X: TransitiveFibredBiset, i: int) -> bool:
-    """Whether the reduced kernel k_i(ker delta) of X is trivial."""
-    return kernel_part(X.embedding, X.delta.kernel(), (i,)).order == 1
+def _kept_factors(G: FiniteGroup, K: FiniteGroup, C: FiniteGroup
+                  ) -> Tuple[List[TransitiveFibredBiset],
+                             List[TransitiveFibredBiset]]:
+    """The factors the sweep through K composes, as canonical classes in
+    key order: the lefts a = (V, nu) over G x K with p1(V) = G and
+    k1(ker nu) = 1, and their opposites, the rights over K x G with
+    p2(U) = G and k2(ker mu) = 1.
+
+    A left is built from its Goursat data (the fifth cut of the module
+    docstring): N = k1(V) is central and embeds in C, k2 is normal in
+    E = p2(V) <= K, and theta: E/k2 -> G/N is an isomorphism; nu runs over
+    the characters of V that are injective on N x 1."""
+    emb = product_embedding(G, K)
+    amb = emb.ambient
+    whole = G.full_subgroup()
+    zmask = center(G).mask
+    found = set()
+    for N in subgroups(G):
+        # |E/k2| = |G/N| divides |K|
+        if (N.mask & ~zmask or K.order * N.order % G.order
+                or not any(h.is_injective for h in homomorphisms(N, C))):
+            continue
+        GQ, gproj = _quotient_of_subgroup(whole, N)
+        thetas = automorphisms(GQ).all
+        outer = [emb.encode(n, 0) for n in N.elements]
+        below = subgroups(K)
+        for E in below:
+            for k2 in below:
+                if (k2.order * GQ.order != E.order or k2.mask & ~E.mask
+                        or any(conjugate_mask(K, k2.mask, e) != k2.mask
+                               for e in E.elements)):
+                    continue
+                EQ, eproj = _quotient_of_subgroup(E, k2)
+                phi = isomorphism(EQ, GQ)
+                if phi is None:
+                    continue
+                for alpha in thetas:
+                    iso = GroupHom(EQ, GQ, tuple(alpha.images[q]
+                                                 for q in phi.images),
+                                   _validate=False)
+                    V = rebuild_from_goursat(emb, GoursatData(
+                        E=whole, k1=N, F=E, k2=k2, iso=iso, e_quotient=GQ,
+                        e_projection=gproj, f_quotient=EQ,
+                        f_projection=eproj))
+                    at = [V.index_of(x) for x in outer]
+                    for nu in homomorphisms(V, C):
+                        if len({nu.images[i] for i in at}) == len(at):
+                            found.add(_canonical_raw(amb, V.mask, nu.images))
+    lefts = [_class_from_raw(G, K, C, mask, delta, canonical=True)
+             for mask, delta in sorted(found)]
+    return lefts, sorted(map(opposite, lefts), key=lambda b: b.raw)
 
 
 @functools.cache
 def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
     """Canonical summand keys of compositions a o b through K where both
-    outer projections are full and both outer reduced kernels trivial.
-    On classes with full projections and trivial reduced kernels, the only
-    ones ``_ideal_decision`` looks up, these are exactly the keys of the
-    ideal through K; on any other class they are a subset.
+    outer projections are full and both outer reduced kernels trivial,
+    the factors of ``_kept_factors``.  On classes with full projections
+    and trivial reduced kernels, the only ones ``_ideal_decision`` looks
+    up, these are exactly the keys of the ideal through K; on any other
+    class they are a subset.
 
     Each key maps to ``(a, b, h, sigma, tau)``: the key is the summand at
     double-coset representative h of (sigma a) o (b tau), where sigma and
@@ -307,19 +373,20 @@ def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
     twisted witness keeps its representative h, because the twist leaves
     the middle coordinates, and with them the double cosets, unchanged.
     """
+    lefts, rights = _kept_factors(G, K, C)
+    if not lefts:
+        return {}
     emb_gg = product_embedding(G, G)
     emb_gk = product_embedding(G, K)
     emb_kg = product_embedding(K, G)
     amb = emb_gg.ambient
     gens = _aut_generators(G)
     lefts = _orbit_representatives(
-        [a for a in transitive_basis(G, K, C, 0)
-         if _outer_kernel_trivial(a, 1)], emb_gk.ambient,
+        lefts, emb_gk.ambient,
         [_side_map(emb_gk, emb_gk, 0, s) for s in gens]
         + [_side_map(emb_gk, emb_gk, 1, s) for s in _aut_generators(K)])
     rights = _orbit_representatives(
-        [b for b in transitive_basis(K, G, C, 1)
-         if _outer_kernel_trivial(b, 2)], emb_kg.ambient,
+        rights, emb_kg.ambient,
         [_side_map(emb_kg, emb_kg, 1, s) for s in gens])
     one = tuple(range(G.order))
     found = {}

@@ -528,6 +528,21 @@ def ref_class_keys(left, right, C, side=None):
                    for D in subs for hom in homomorphisms(D, C)})
 
 
+def ref_kept_keys(G, K, C):
+    """The keys of the factors the ideal sweep through K composes, by the
+    path it took before they were built from Goursat data: the classes
+    over G x K with a full left projection and trivial k1(ker nu), and
+    those over K x G with a full right projection and trivial k2(ker mu),
+    as two sorted key lists."""
+    def kept(left, right, side):
+        emb = product_embedding(left, right)
+        return [(mask, delta) for mask, delta
+                in ref_class_keys(left, right, C, side)
+                if ref_raw_reduced_kernel(emb, mask_to_elements(mask),
+                                          delta, side) == [0]]
+    return kept(G, K, 0), kept(K, G, 1)
+
+
 def ref_full_projection_subgroups(left, right):
     """Subgroups of left x right that project onto both factors, in
     enumeration order."""

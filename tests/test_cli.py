@@ -398,9 +398,22 @@ def test_verify_deterministic(capsys):
 
 
 def test_bad_catalog_bound(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["--catalog-max-order", "99", "group", "C2"])
-    assert err.value.code == 2
+    # an unknown option before the command is named, not the word after it
+    for argv, option in (
+            (["--catalog-max-order", "99", "group", "C2"],
+             "--catalog-max-order"),
+            (["--catalog-max-order", "7", "counterexample"],
+             "--catalog-max-order"),
+            (["--catalog-max-order=7", "counterexample"],
+             "--catalog-max-order"),
+            (["--json", "--seed", "3", "verify"], "--seed")):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2, argv
+        err_text = capsys.readouterr().err
+        assert (f"unrecognized option {option!r} before the command"
+                in err_text), argv
+        assert "invalid choice" not in err_text, argv
 
 
 def test_module_entry_point():

@@ -427,6 +427,68 @@ def test_maximal_groups_are_cached_once_per_group():
     assert proc.stdout.split() == ["2"]
 
 
+_SWEEP_BUILDS_NOTHING = """
+import json
+from fibredburnside import groups, hat
+
+subgroups_of, homomorphisms_on = [], []
+subgroups, homomorphisms = groups._subgroups, groups._homomorphisms
+
+def record_subgroups(G):
+    subgroups_of.append(G)
+    return subgroups(G)
+
+def record_homomorphisms(domain, C):
+    homomorphisms_on.append(domain)
+    return homomorphisms(domain, C)
+
+groups._subgroups = record_subgroups
+groups._homomorphisms = record_homomorphisms
+
+def products(G):
+    # G x C1 is G itself, whose subgroups the sweep does read
+    return {groups.product_embedding(*pair).ambient
+            for K in hat._catalog_below(G.order) if K.order > 1
+            for pair in ((G, K), (K, G))}
+
+out = {}
+for g_spec, c_spec in (("Q8", "C4"), ("D8", "C4")):
+    G, C = groups.group_from_spec(g_spec), groups.group_from_spec(c_spec)
+    hat.hat_dimension(G, C)
+    through = products(G)
+    out[g_spec + "/" + c_spec] = {
+        "sweeps": [len(hat._ideal_sweep(G, C, K))
+                   for K in hat._maximal_below(G)],
+        "products": sum(S in through for S in subgroups_of)}
+for g_spec, c_spec in (("S3", "C2"), ("S3", "C3"), ("C3", "C2")):
+    G, C = groups.group_from_spec(g_spec), groups.group_from_spec(c_spec)
+    del homomorphisms_on[:]
+    sweeps = [len(hat._ideal_sweep(G, C, K)) for K in hat._maximal_below(G)]
+    through = products(G)
+    out[g_spec + "/" + c_spec] = {
+        "sweeps": sweeps,
+        "products": sum(getattr(D, "parent", None) in through
+                        for D in homomorphisms_on)}
+print(json.dumps(out))
+"""
+
+
+def test_sweep_builds_no_subgroup_of_a_product_through_k():
+    # the kept factors come from Goursat data over G and K: no sweep
+    # enumerates the subgroups of G x K, nor the characters of one, and
+    # the sweeps of these groups are empty
+    proc = _run_fresh(_SWEEP_BUILDS_NOTHING)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data == {
+        "Q8/C4": {"sweeps": [0] * 6, "products": 0},
+        "D8/C4": {"sweeps": [0] * 6, "products": 0},
+        "S3/C2": {"sweeps": [0] * 4, "products": 0},
+        "S3/C3": {"sweeps": [0] * 4, "products": 0},
+        "C3/C2": {"sweeps": [0], "products": 0},
+    }
+
+
 def test_counterexample_contrast_with_prime_fibre(q8, d8, c2):
     # with a prime fibre the same subgroup's idempotent dies in the
     # quotient: no class survives on both sides

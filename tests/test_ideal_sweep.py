@@ -1,9 +1,13 @@
 """The reduced ideal sweep (maximal intermediate groups, orbit
-representatives of pairs, closure under automorphisms) against the
-unreduced sweep kept in ``helpers.ref_ideal_sweep``.
+representatives of pairs, closure under automorphisms, factors built
+from Goursat data) against the unreduced sweep kept in
+``helpers.ref_ideal_sweep``, and its factors against the filtered
+full-side classes kept in ``helpers.ref_kept_keys``.
 
-``python tests/test_ideal_sweep.py`` runs the same comparison over every
-catalog group of order <= 8 with fibres C2, C3 and C4 (a few minutes).
+``python tests/test_ideal_sweep.py`` runs the same comparisons over every
+catalog group of order <= 8 with fibres C2, C3 and C4 (a few minutes),
+and the factor comparison also with fibres C2xC2 and C6, which are not
+cyclic of prime order.
 """
 
 import functools
@@ -18,7 +22,7 @@ from fibredburnside.groups import (
     product_embedding, small_groups_catalog)
 
 from helpers import (
-    ref_full_side, ref_ideal_sweep, ref_raw_reduced_kernel,
+    ref_full_side, ref_ideal_sweep, ref_kept_keys, ref_raw_reduced_kernel,
     ref_reduced_kernel)
 
 CASES = ([(G.name, "C2") for G in small_groups_catalog(8)
@@ -66,9 +70,24 @@ def compare_with_reference(G, C):
                 f"{G.name}/{C.name}: witness through {w.K.name} fails"
 
 
+def compare_kept_factors(G, C):
+    """Assert that the factors of every sweep over G, through each maximal
+    K, are the filtered full-side classes, as ordered key lists."""
+    for K in hat._maximal_below(G):
+        lefts, rights = hat._kept_factors(G, K, C)
+        assert ([a.raw for a in lefts], [b.raw for b in rights]) == \
+            ref_kept_keys(G, K, C), f"{G.name}/{C.name} through {K.name}"
+
+
 @pytest.mark.parametrize("g_spec,c_spec", CASES)
 def test_reduced_sweep_matches_reference(g_spec, c_spec):
     compare_with_reference(group_from_spec(g_spec), group_from_spec(c_spec))
+
+
+@pytest.mark.parametrize("g_spec", [G.name for G in small_groups_catalog(8)])
+def test_kept_factors_match_reference(g_spec):
+    for c_spec in ("C2", "C3", "C4"):
+        compare_kept_factors(group_from_spec(g_spec), group_from_spec(c_spec))
 
 
 def test_maximal_groups_below_order_8(q8):
@@ -151,8 +170,11 @@ def test_sweep_caches_hold_the_fibre_object(monkeypatch):
 if __name__ == "__main__":
     import time
     for G in small_groups_catalog(8):
-        for c_spec in ("C2", "C3", "C4"):
+        for c_spec in ("C2", "C3", "C4", "C2xC2", "C6"):
             start = time.monotonic()
-            compare_with_reference(G, group_from_spec(c_spec))
+            C = group_from_spec(c_spec)
+            compare_kept_factors(G, C)
+            if c_spec in ("C2", "C3", "C4"):
+                compare_with_reference(G, C)
             print(f"{G.name} {c_spec}: ok ({time.monotonic() - start:.1f}s)",
                   flush=True)

@@ -7,14 +7,14 @@ import itertools
 
 import pytest
 
-from fibredburnside import goursat, sampling
-from fibredburnside.fibred import _class_keys, bouc_factorize, transitive_basis
+from fibredburnside import goursat, hat, sampling
+from fibredburnside.fibred import bouc_factorize, transitive_basis
 from fibredburnside.groups import (
     cyclic, dihedral, product_embedding, quaternion8, small_groups_catalog,
     subgroups)
 
 from helpers import (
-    ref_bouc_factorize, ref_class_keys, ref_full_projection_subgroups,
+    ref_bouc_factorize, ref_full_projection_subgroups, ref_kept_keys,
     ref_kernel_part, ref_projection)
 
 CATALOG = small_groups_catalog(6)
@@ -74,10 +74,12 @@ def test_bouc_factorize_matches_reference(name):
 
 @pytest.mark.parametrize("name", CASES)
 def test_full_side_class_keys_match_reference(name):
+    # the ideal sweep's factors, built from Goursat data, against the
+    # full-side classes filtered by their outer reduced kernels
     for G, H, C in CASES[name]:
-        for side in (0, 1):
-            assert _class_keys(G, H, C, side) == \
-                ref_class_keys(G, H, C, side), (G, H, C, side)
+        lefts, rights = hat._kept_factors(G, H, C)
+        assert ([a.raw for a in lefts], [b.raw for b in rights]) == \
+            ref_kept_keys(G, H, C), (G, H, C)
 
 
 @pytest.mark.parametrize("name", CASES)
