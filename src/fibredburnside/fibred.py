@@ -548,8 +548,7 @@ def _compose_oracle_transitive(tx: TransitiveFibredBiset,
          for gk, c in emb_res.coords for g, k in [emb_gk.coords[gk]]],
         free=[t1[e1.encode(0, c)] for c in range(1, C.order)])
     result = MonomialSet(emb_gk.ambient, C,
-                         FiniteAction(emb_res.ambient, table),
-                         validate=False)
+                         FiniteAction(emb_res.ambient, table))
     return from_monomial_set(result, G, K)
 
 
@@ -591,7 +590,7 @@ def tensor(X: FibredElement, Y: FibredElement) -> FibredElement:
             _, action = monomial.tensor_sets(emb_gc, T.action,
                                              emb_hc, U.action)
             amb = product_embedding(G, H).ambient
-            res = MonomialSet(amb, C, action, validate=False)
+            res = MonomialSet(amb, C, action)
             out = out + from_monomial_set(res, G, H).scaled(cx * cy)
     return out
 
@@ -611,8 +610,7 @@ def _restrict_to_diagonal(elt: FibredElement) -> FibredElement:
             g, c = emb_dst.decode(e)
             table.append(T.action.table[emb_src.encode(
                 emb_gg.encode(g, g), c)])
-        res = MonomialSet(G, C, FiniteAction(emb_dst.ambient, table),
-                          validate=False)
+        res = MonomialSet(G, C, FiniteAction(emb_dst.ambient, table))
         out = out + from_monomial_set(res).scaled(coeff)
     return out
 

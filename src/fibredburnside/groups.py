@@ -785,11 +785,15 @@ def subgroups(G: FiniteGroup) -> list:
     of that seed plus g with S as the base: it is built from whole right
     cosets of S (see :func:`closure_mask`).
     """
-    if G.order > SUBGROUP_ORDER_BOUND:
-        raise BoundExceededError(
-            f"subgroup enumeration bound exceeded: {G.order} > "
-            f"{SUBGROUP_ORDER_BOUND}")
+    _check_subgroup_bound(G.order)
     return list(_subgroups(G))
+
+
+def _check_subgroup_bound(order: int):
+    if order > SUBGROUP_ORDER_BOUND:
+        raise BoundExceededError(
+            f"subgroup enumeration bound exceeded: {order} > "
+            f"{SUBGROUP_ORDER_BOUND}")
 
 
 @functools.cache

@@ -117,26 +117,27 @@ class MonomialSet:
 
     ``acting`` is the group part G (itself often a direct product) and
     ``fibre`` the abelian group C.  The combined action is stored over the
-    product embedding of (G, C).
+    product embedding of (G, C).  The constructor checks only where the
+    action lives; ``validate`` checks that it is a C-free action.
     """
 
     __slots__ = ("acting", "fibre", "embedding", "action")
 
     def __init__(self, acting: FiniteGroup, fibre: FiniteGroup,
-                 action: FiniteAction, validate: bool = True):
+                 action: FiniteAction):
         self.acting = acting
         self.fibre = fibre
         self.embedding = product_embedding(acting, fibre)
         if action.group is not self.embedding.ambient:
             raise GroupError("action must live over the (G, C) product")
         self.action = action
-        if validate:
-            if not fibre.is_abelian:
-                raise GroupError("fibre group must be abelian")
-            action.validate()
-            self._check_free()
 
-    def _check_free(self):
+    def validate(self):
+        """Check that the fibre is abelian, that the action is compatible
+        with products, and that the fibre acts freely."""
+        if not self.fibre.is_abelian:
+            raise GroupError("fibre group must be abelian")
+        self.action.validate()
         emb = self.embedding
         for c in range(1, self.fibre.order):
             row = self.action.table[emb.encode(0, c)]
@@ -164,8 +165,7 @@ def monomial_set_from_pair(acting: FiniteGroup, fibre: FiniteGroup,
     emb = product_embedding(acting, fibre)
     inv = fibre.inverses
     twisted = sorted(emb.encode(a, inv[delta(a)]) for a in d_elements)
-    return MonomialSet(acting, fibre, coset_action(emb.ambient, twisted),
-                       validate=False)
+    return MonomialSet(acting, fibre, coset_action(emb.ambient, twisted))
 
 
 def decompose_monomial(T: MonomialSet) -> List[Tuple[Tuple[int, ...],

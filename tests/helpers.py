@@ -10,7 +10,8 @@ from fibredburnside.goursat import _quotient_of_subgroup
 from fibredburnside.groups import (
     Subgroup, _extend_hom, _generating_sequence, automorphisms,
     homomorphisms, mask_to_elements, product_embedding, subgroups)
-from fibredburnside.hat import FactorizationWitness
+from fibredburnside.hat import (
+    FactorizationWitness, _reduction_witness, is_in_ideal)
 
 
 def brute_subgroup_masks(G):
@@ -554,3 +555,19 @@ def ref_full_projection_subgroups(left, right):
         if len(firsts) == left.order and len(seconds) == right.order:
             out.append(D)
     return out
+
+
+# -- reference quotient basis: every class over G x G decided one by one,
+#    as ``hat_dimension`` did before it decided only its candidates
+
+
+def ref_hat_survivors(G, C):
+    """The classes over G x G that are not in the ideal, in key order."""
+    return [X for X in transitive_basis(G, G, C) if is_in_ideal(X) is None]
+
+
+def ref_hat_candidates(G, C):
+    """The keys of the classes over G x G that get no constructed witness
+    from ``_reduction_witness``, in key order."""
+    return [X.raw for X in transitive_basis(G, G, C)
+            if _reduction_witness(X) is None]

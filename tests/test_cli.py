@@ -331,6 +331,20 @@ def test_hat_beyond_enumeration_bound_is_usage_error(capsys):
     assert "bound exceeded" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("hat", "C2", "S3"), "fibre group must be abelian, S3 is not"),
+    # 9 is the least order with G x G past the bound; the candidates are
+    # built from subgroups of G alone, so only the guard refuses it
+    (("hat", "C9", "C3"), "subgroup enumeration bound exceeded: 81 > 64"),
+    (("hat", "C17", "C2"), "subgroup enumeration bound exceeded: 289 > 64"),
+])
+def test_hat_input_errors_name_their_cause(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_counterexample_command(capsys):
     code, out, _ = run_cli(capsys, "counterexample")
     assert code == 0

@@ -151,6 +151,7 @@ def test_monomial_disjoint_union_adds(q8, c2):
         table.append(list(T1.action.table[a])
                      + [n1 + v for v in T2.action.table[a]])
     both = MonomialSet(q8, c2, FiniteAction(T1.action.group, table))
+    both.validate()
     total = from_monomial_set(both)
     assert total == (element_of(sc[0])
                      + element_of(sc[-1]))

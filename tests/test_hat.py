@@ -12,6 +12,7 @@ import pytest
 import fibredburnside
 from fibredburnside import hat
 from fibredburnside.fibred import (
+    FibreError,
     canonicalize,
     compose,
     element_of,
@@ -108,6 +109,16 @@ def test_catalog_bound_guard(c2):
 
 
 # -- hat dimensions -----------------------------------------------------------
+
+
+def test_hat_dimension_checks_its_inputs_first(c2, c3, s3):
+    # no class over G x G is enumerated, so these are checked up front
+    with pytest.raises(FibreError,
+                       match="^fibre group must be abelian, S3 is not$"):
+        hat_dimension(c2, s3)
+    with pytest.raises(BoundExceededError, match="^subgroup enumeration "
+                       "bound exceeded: 81 > 64$"):
+        hat_dimension(cyclic(9), c3)
 
 
 def test_hat_dimension_trivial_group(c1, c2):
@@ -487,6 +498,40 @@ def test_sweep_builds_no_subgroup_of_a_product_through_k():
         "S3/C3": {"sweeps": [0] * 4, "products": 0},
         "C3/C2": {"sweeps": [0], "products": 0},
     }
+
+
+_HAT_DECIDES_ONLY_CANDIDATES = """
+import json
+from fibredburnside import fibred, groups, hat
+
+subgroups_of = []
+subgroups = groups._subgroups
+
+def record_subgroups(G):
+    subgroups_of.append(G)
+    return subgroups(G)
+
+groups._subgroups = record_subgroups
+out = {}
+products = set()
+for g_spec in ("Q8", "D8"):
+    G, C = groups.group_from_spec(g_spec), groups.group_from_spec("C4")
+    out[g_spec] = hat.hat_dimension(G, C)[0]
+    products.add(groups.product_embedding(G, G).ambient)
+out["class_keys"] = fibred._class_keys.cache_info().currsize
+out["decisions"] = hat._ideal_decision.cache_info().currsize
+out["products"] = sum(S in products for S in subgroups_of)
+print(json.dumps(out))
+"""
+
+
+def test_hat_dimension_decides_only_its_candidates():
+    # the basis over G x G is never built: no class keys, no subgroups of
+    # G x G, and one ideal decision per candidate (all of them survive)
+    proc = _run_fresh(_HAT_DECIDES_ONLY_CANDIDATES)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "Q8": 30, "D8": 14, "class_keys": 0, "decisions": 44, "products": 0}
 
 
 def test_counterexample_contrast_with_prime_fibre(q8, d8, c2):

@@ -1,13 +1,16 @@
 """The reduced ideal sweep (maximal intermediate groups, orbit
 representatives of pairs, closure under automorphisms, factors built
 from Goursat data) against the unreduced sweep kept in
-``helpers.ref_ideal_sweep``, and its factors against the filtered
-full-side classes kept in ``helpers.ref_kept_keys``.
+``helpers.ref_ideal_sweep``, its factors against the filtered full-side
+classes kept in ``helpers.ref_kept_keys``, and the candidates and
+survivors of ``hat_dimension`` against the whole basis over G x G decided
+class by class (``helpers.ref_hat_candidates``, ``ref_hat_survivors``).
 
 ``python tests/test_ideal_sweep.py`` runs the same comparisons over every
 catalog group of order <= 8 with fibres C2, C3 and C4 (a few minutes),
-and the factor comparison also with fibres C2xC2 and C6, which are not
-cyclic of prime order.
+and the factor, candidate and survivor comparisons also with fibres
+C2xC2 and C6, which are not cyclic of prime order; C2xC2xC2, which the
+Tier-1 candidate test leaves out, is compared with C2.
 """
 
 import functools
@@ -22,8 +25,8 @@ from fibredburnside.groups import (
     product_embedding, small_groups_catalog)
 
 from helpers import (
-    ref_full_side, ref_ideal_sweep, ref_kept_keys, ref_raw_reduced_kernel,
-    ref_reduced_kernel)
+    ref_full_side, ref_hat_candidates, ref_hat_survivors, ref_ideal_sweep,
+    ref_kept_keys, ref_raw_reduced_kernel, ref_reduced_kernel)
 
 CASES = ([(G.name, "C2") for G in small_groups_catalog(8)
           if G.name != "C2xC2xC2"]
@@ -79,6 +82,19 @@ def compare_kept_factors(G, C):
             ref_kept_keys(G, K, C), f"{G.name}/{C.name} through {K.name}"
 
 
+def compare_hat_candidates(G, C):
+    """Assert that ``hat_dimension`` decides exactly the classes that get
+    no constructed witness, and finds the survivors of the whole basis,
+    both as ordered key lists."""
+    assert [X.raw for X in hat._candidates(G, C)] == \
+        ref_hat_candidates(G, C), f"{G.name}/{C.name}: candidates"
+    dim, survivors = hat.hat_dimension(G, C)
+    assert dim == len(survivors)
+    assert [X.raw for X in survivors] == \
+        [X.raw for X in ref_hat_survivors(G, C)], \
+        f"{G.name}/{C.name}: survivors"
+
+
 @pytest.mark.parametrize("g_spec,c_spec", CASES)
 def test_reduced_sweep_matches_reference(g_spec, c_spec):
     compare_with_reference(group_from_spec(g_spec), group_from_spec(c_spec))
@@ -88,6 +104,13 @@ def test_reduced_sweep_matches_reference(g_spec, c_spec):
 def test_kept_factors_match_reference(g_spec):
     for c_spec in ("C2", "C3", "C4"):
         compare_kept_factors(group_from_spec(g_spec), group_from_spec(c_spec))
+
+
+@pytest.mark.parametrize("c_spec", ["C2", "C3", "C4"])
+@pytest.mark.parametrize("g_spec", [G.name for G in small_groups_catalog(8)
+                                    if G.name != "C2xC2xC2"])
+def test_hat_candidates_match_reference(g_spec, c_spec):
+    compare_hat_candidates(group_from_spec(g_spec), group_from_spec(c_spec))
 
 
 def test_maximal_groups_below_order_8(q8):
@@ -176,5 +199,9 @@ if __name__ == "__main__":
             compare_kept_factors(G, C)
             if c_spec in ("C2", "C3", "C4"):
                 compare_with_reference(G, C)
+            # the Tier-1 test covers the rest of the candidate comparison
+            if ((c_spec in ("C2xC2", "C6") and G.name != "C2xC2xC2")
+                    or (G.name, c_spec) == ("C2xC2xC2", "C2")):
+                compare_hat_candidates(G, C)
             print(f"{G.name} {c_spec}: ok ({time.monotonic() - start:.1f}s)",
                   flush=True)

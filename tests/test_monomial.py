@@ -39,8 +39,28 @@ def test_monomial_set_freeness_enforced(q8, c2):
     emb = product_embedding(q8, c2)
     # stabilizer containing pure fibre elements is rejected
     bad = coset_action(emb.ambient, [emb.encode(0, 0), emb.encode(0, 1)])
-    with pytest.raises(GroupError):
-        MonomialSet(q8, c2, bad)
+    T = MonomialSet(q8, c2, bad)
+    with pytest.raises(GroupError, match="fibre group does not act freely"):
+        T.validate()
+
+
+def test_monomial_set_validate_sees_each_fault(c4, c2, s3):
+    # the constructor checks only where the action lives
+    with pytest.raises(GroupError, match="must live over the"):
+        MonomialSet(c4, c2, coset_action(c4, [0]))
+    # a non-abelian fibre, acting freely
+    emb = product_embedding(c2, s3)
+    T = MonomialSet(c2, s3, coset_action(emb.ambient, [0]))
+    with pytest.raises(GroupError, match="fibre group must be abelian"):
+        T.validate()
+    # rows of permutations that do not compose as the group does
+    emb = product_embedding(c4, c2)
+    table = coset_action(emb.ambient, [0]).table
+    table[1], table[2] = table[2], table[1]
+    T = MonomialSet(c4, c2, FiniteAction(emb.ambient, table))
+    with pytest.raises(GroupError, match="not compatible with products"):
+        T.validate()
+    MonomialSet(c4, c2, coset_action(emb.ambient, [0])).validate()
 
 
 def test_monomial_set_from_pair_and_decompose(q8, c4):
@@ -62,6 +82,7 @@ def test_decompose_counts_orbits(c4, c2):
         r2 = T2.action.table[a]
         table.append(list(r1) + [n1 + v for v in r2])
     both = MonomialSet(c4, c2, FiniteAction(T1.action.group, table))
+    both.validate()
     pieces = decompose_monomial(both)
     assert sorted(pieces) == sorted([((0,), (0,)), ((0, 2), (0, 1))])
 
@@ -105,6 +126,7 @@ def test_mackey_glue_with_regular_biset(s3, c2):
     emb_out, glued = monomial.mackey_glue(emb_gg, Z, emb_gc, T.action)
     assert emb_out.ambient is emb_gc.ambient
     result = MonomialSet(s3, c2, glued)
+    result.validate()
     assert sorted(decompose_monomial(result)) == sorted(decompose_monomial(T))
 
 
