@@ -9,6 +9,7 @@ order-15 catalog, and fibre groups that are not abelian).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -46,7 +47,15 @@ def _load_element(arg: str) -> fibred.FibredElement:
 
 def _emit(data, as_json: bool, text_lines):
     if as_json:
-        print(json.dumps(data, indent=2, sort_keys=True))
+        # With indent the encoder is pure Python and yields tens of
+        # millions of small chunks for a large table: json.dumps holds them
+        # all in one list (1.1 GB for hat C2xC2xC2 C2), and json.dump
+        # writes them one by one.  Joining batches of them does neither.
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
+        for batch in iter(lambda: "".join(itertools.islice(chunks, 1 << 16)),
+                          ""):
+            sys.stdout.write(batch)
+        print()
     else:
         for line in text_lines:
             print(line)
@@ -128,19 +137,12 @@ def cmd_hat(args) -> int:
         closed_ok = ({hat.hat_generator_class(g).raw for g in gens}
                      == {X.raw for X in basis})
         report = hat.verify_hat_vs_quotient(G, C)
-        position = {g.key(): i for i, g in enumerate(gens)}
-        table = []
-        for a in gens:
-            row = []
-            for b in gens:
-                prod = hat.hat_multiply(a, b)
-                if prod.is_zero():
-                    row.append(None)
-                else:
-                    ((g, coeff),) = prod.coefficients.items()
-                    row.append({"generator": position[g.key()],
-                                "coeff": str(coeff)})
-            table.append(row)
+        # the checked table holds generator indices, -1 for zero, and
+        # every product is one generator with coefficient 1: the cells
+        # share one dict per generator, and index -1 reads the None last
+        cells = [{"generator": i, "coeff": "1"}
+                 for i in range(len(gens))] + [None]
+        table = [[cells[i] for i in row] for row in report["table"]]
         data.update({
             "generators": [g.describe() for g in gens],
             "table": table,
@@ -256,7 +258,7 @@ def _verify_oracle(rng, failures):
 
 
 def _verify_prime(rng, failures):
-    for spec in ("C2", "C3", "C4", "C2xC2", "S3"):
+    for spec in ("C2", "C3", "C4", "C2xC2", "S3", "D8", "Q8"):
         G = group_from_spec(spec)
         for cspec in ("C2", "C3"):
             C = group_from_spec(cspec)

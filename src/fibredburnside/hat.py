@@ -69,7 +69,22 @@ description: diagonal classes indexed by characters and outer
 automorphisms, plus central classes indexed by outer automorphisms and
 fibre embeddings into the center-intersect-Frattini subgroup.  The
 product rules on those generators are implemented directly and verified
-against compose-then-reduce.
+against compose-then-reduce, with a seventh cut:
+
+* Orbits of generator pairs.  The product rules are checked on every
+  pair of generators, but compose runs on one pair per orbit of the
+  group generated by (a, b) -> (phi a, phi b), phi in Aut(G), and
+  (a, b) -> (op b, op a).  Composition and ideal membership are
+  equivariant under twists, (phi a phi^-1) o (phi b phi^-1) =
+  phi (a o b) phi^-1, and anti-equivariant under the opposite,
+  op(a o b) = op(b) o op(a).  So once each generator's class is checked
+  to move with the generator, the reduced composite at an image pair is
+  the image of the one at the pair; the product table is checked to
+  move the same way on every pair and symmetry, with no composition, and
+  a wrong entry anywhere in an orbit either breaks such an edge or is
+  carried to the representative, where composing catches it.
+
+The n^2 cross-check is kept in the test suite as the oracle for this one.
 """
 
 from __future__ import annotations
@@ -795,49 +810,184 @@ def transport_hat_generator(gen: HatGenerator,
                         zeta=GroupHom(gen.fibre, H, zeta, _validate=False))
 
 
+def _product_table(gens: List[HatGenerator], position: Dict[tuple, int],
+                   mismatches: list) -> List[List[int]]:
+    """hat_multiply on every generator pair, each product stored at once as
+    the index of its generator, or -1 for zero.  The product rules give
+    zero or one basis generator with coefficient 1; any other product is
+    recorded as a mismatch and stored as zero."""
+    table = []
+    for a in gens:
+        row = []
+        for b in gens:
+            terms = list(hat_multiply(a, b).coefficients.items())
+            cell = -1
+            if terms:
+                g, coeff = terms[0]
+                cell = position.get(g.key(), -1)
+                if len(terms) > 1 or coeff != 1 or cell < 0:
+                    mismatches.append({
+                        "left": a.describe(), "right": b.describe(),
+                        "predicted": repr(HatElement(dict(terms))),
+                        "detail": "not one basis generator with "
+                                  "coefficient 1"})
+                    cell = -1
+            row.append(cell)
+        table.append(row)
+    return table
+
+
+def _generator_moves(G: FiniteGroup, gens: List[HatGenerator],
+                     classes: List[TransitiveFibredBiset],
+                     position: Dict[tuple, int], index: Dict[tuple, int],
+                     mismatches: list) -> List[Tuple[List[int], bool, str]]:
+    """The symmetries of the check as permutations of generator indices:
+    one per automorphism of ``_aut_generators(G)``, read off
+    ``transport_hat_generator`` by generator key and required to map every
+    generator class onto its (phi, phi)-twist, and one for ``opposite``,
+    read off the opposite classes.  Each move is
+    (permutation, whether it swaps the two factors, name).  A symmetry
+    that fails on some generator is recorded as a mismatch and left out,
+    so the orbits are only finer."""
+    emb = product_embedding(G, G)
+    amb = emb.ambient
+    moves = []
+    for images in _aut_generators(G):
+        phi = GroupHom(G, G, images, _validate=False)
+        # the element map of G x G, built once per automorphism
+        twist = [emb.encode(images[g1], images[g2]) for g1, g2 in emb.coords]
+        perm = []
+        for gen, cls in zip(gens, classes):
+            j = position.get(transport_hat_generator(gen, phi).key(), -1)
+            if j < 0 or classes[j].raw != _canonical_raw(
+                    amb, *_permute_raw(twist, cls.D.elements,
+                                       cls.delta.images)):
+                mismatches.append({
+                    "generator": gen.describe(),
+                    "automorphism": list(images),
+                    "detail": "the transported generator is not one of "
+                              "the basis whose class is the twisted class"})
+                break
+            perm.append(j)
+        else:
+            moves.append((perm, False, f"automorphism {list(images)}"))
+    op = [index.get(opposite(cls).raw, -1) for cls in classes]
+    if -1 in op:
+        mismatches.append({
+            "generator": gens[op.index(-1)].describe(),
+            "detail": "the opposite class is not a generator class"})
+    else:
+        moves.append((op, True, "opposite"))
+    return moves
+
+
 def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
                            check: bool = False) -> dict:
     """Check the generator product rules against the ring: multiply the
     attached classes with compose, drop ideal summands, and compare with
-    hat_multiply on every generator pair.  With ``check`` every
-    composition is also cross-checked against the orbit oracle."""
+    hat_multiply, for every generator pair.  With ``check`` every
+    composition is also cross-checked against the orbit oracle.
+
+    ``hat_multiply`` runs on all n^2 pairs, but ``compose`` only on one
+    pair per orbit of the group generated by the diagonal action of
+    Aut(G), (a, b) -> (phi a, phi b), and the anti-involution
+    (a, b) -> (op b, op a).  This is sound because both sides of the check
+    are equivariant.  Twisting both factors by phi twists the composite,
+    (phi a phi^-1) o (phi b phi^-1) = phi (a o b) phi^-1, and a class is
+    in the ideal exactly when its twist is; likewise op(a o b) =
+    op(b) o op(a), and the opposite of a factorization through K is one
+    through K.  So once the class of phi a is checked to be the twist of
+    the class of a for every generator, and that of op a to be the
+    opposite of that of a, the reduced composite at (phi a, phi b) is the
+    image of the one at (a, b), and at (op b, op a) the opposite of it.
+    The table is then checked to move the same way on every pair and
+    every symmetry: table[phi a][phi b] = phi(table[a][b]) and
+    table[op b][op a] = op(table[a][b]), which needs no composition.  A
+    wrong entry anywhere in an orbit then either breaks one of these
+    edges or is carried to the representative, where the composition
+    catches it.  Inner automorphisms fix every generator, so the
+    generators of Aut(G) modulo them suffice.
+
+    The report gives the checked table as well, as generator indices with
+    -1 for zero, under ``"table"``; ``"pairs"`` counts the pairs checked
+    and ``"composed"`` the compositions made."""
     gens = hat_basis_prime(G, C)
-    classes = {g: hat_generator_class(g) for g in gens}
-    by_raw = {cls.raw: g for g, cls in classes.items()}
-    if len(by_raw) != len(gens):
+    n = len(gens)
+    classes = [hat_generator_class(g) for g in gens]
+    index = {cls.raw: i for i, cls in enumerate(classes)}
+    if len(index) != n:
         raise GroupError("generator classes are not distinct")
+    position = {g.key(): i for i, g in enumerate(gens)}
     mismatches = []
-    for a in gens:
-        ea = element_of(classes[a])
-        for b in gens:
-            predicted = hat_multiply(a, b)
-            composed = compose(ea, element_of(classes[b]), check=check)
-            reduced: Dict[HatGenerator, Fraction] = {}
-            unknown = []
-            for cls, coeff in composed.terms.items():
-                if is_in_ideal(cls) is not None:
-                    continue
-                gen = by_raw.get(cls.raw)
-                if gen is None:
-                    unknown.append(cls)
-                else:
-                    reduced[gen] = (reduced.get(gen, Fraction(0))
-                                    + Fraction(coeff))
-            if unknown or HatElement(reduced) != predicted:
-                mismatches.append({
-                    "left": a.describe(),
-                    "right": b.describe(),
-                    "predicted": repr(predicted),
-                    "reduced": repr(HatElement(reduced)),
-                    "unknown_summands": [c.describe() for c in unknown],
-                })
+    table = _product_table(gens, position, mismatches)
+    moves = _generator_moves(G, gens, classes, position, index, mismatches)
+
+    def describe(cell: int) -> str:
+        return "0" if cell < 0 else gens[cell].describe()
+
+    # orbits of pairs a * n + b, found by a traversal that checks every
+    # edge; the first pair of each orbit in index order represents it
+    seen = bytearray(n * n)
+    reps = []
+    for start in range(n * n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        reps.append(start)
+        stack = [start]
+        while stack:
+            a, b = divmod(stack.pop(), n)
+            cell = table[a][b]
+            for perm, swap, name in moves:
+                x, y = (perm[b], perm[a]) if swap else (perm[a], perm[b])
+                image = perm[cell] if cell >= 0 else -1
+                if table[x][y] != image:
+                    mismatches.append({
+                        "left": gens[x].describe(),
+                        "right": gens[y].describe(),
+                        "predicted": describe(table[x][y]),
+                        "symmetry": name,
+                        "image": describe(image)})
+                q = x * n + y
+                if not seen[q]:
+                    seen[q] = 1
+                    stack.append(q)
+
+    for pair in reps:
+        a, b = divmod(pair, n)
+        composed = compose(element_of(classes[a]), element_of(classes[b]),
+                           check=check)
+        # distinct summands are distinct classes, so no index repeats
+        reduced = {}
+        unknown = []
+        for cls, coeff in composed.terms.items():
+            if is_in_ideal(cls) is not None:
+                continue
+            i = index.get(cls.raw)
+            if i is None:
+                unknown.append(cls)
+            else:
+                reduced[i] = coeff
+        cell = table[a][b]
+        if unknown or reduced != ({} if cell < 0 else {cell: 1}):
+            mismatches.append({
+                "left": gens[a].describe(),
+                "right": gens[b].describe(),
+                "predicted": repr(HatElement(
+                    {} if cell < 0 else {gens[cell]: 1})),
+                "reduced": repr(HatElement(
+                    {gens[i]: v for i, v in reduced.items()})),
+                "unknown_summands": [c.describe() for c in unknown],
+            })
     return {
         "group": G.name,
         "fibre": C.name,
-        "generators": len(gens),
-        "pairs": len(gens) ** 2,
+        "generators": n,
+        "pairs": n * n,
+        "composed": len(reps),
         "mismatches": mismatches,
         "ok": not mismatches,
+        "table": table,
     }
 
 

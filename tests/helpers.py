@@ -2,16 +2,18 @@
 production enumeration paths."""
 
 import itertools
+from fractions import Fraction
 
 from fibredburnside.fibred import (
     BoucFactorization, _canonical_raw, _compose_raw, _graph_class,
-    _permute_raw, to_monomial_set, transitive_basis)
+    _permute_raw, compose, element_of, to_monomial_set, transitive_basis)
 from fibredburnside.goursat import _quotient_of_subgroup
 from fibredburnside.groups import (
-    Subgroup, _extend_hom, _generating_sequence, automorphisms,
+    GroupError, Subgroup, _extend_hom, _generating_sequence, automorphisms,
     homomorphisms, mask_to_elements, product_embedding, subgroups)
 from fibredburnside.hat import (
-    FactorizationWitness, _reduction_witness, is_in_ideal)
+    FactorizationWitness, HatElement, _reduction_witness, hat_basis_prime,
+    hat_generator_class, hat_multiply, is_in_ideal)
 
 
 def brute_subgroup_masks(G):
@@ -571,3 +573,49 @@ def ref_hat_candidates(G, C):
     from ``_reduction_witness``, in key order."""
     return [X.raw for X in transitive_basis(G, G, C)
             if _reduction_witness(X) is None]
+
+
+# -- reference cross-check of the prime-fibre product rules: every one of
+#    the n^2 generator pairs composed, as ``verify_hat_vs_quotient`` did
+#    before it composed one pair per orbit
+
+
+def ref_verify_hat_vs_quotient(G, C, check=False):
+    gens = hat_basis_prime(G, C)
+    classes = {g: hat_generator_class(g) for g in gens}
+    by_raw = {cls.raw: g for g, cls in classes.items()}
+    if len(by_raw) != len(gens):
+        raise GroupError("generator classes are not distinct")
+    mismatches = []
+    for a in gens:
+        ea = element_of(classes[a])
+        for b in gens:
+            predicted = hat_multiply(a, b)
+            composed = compose(ea, element_of(classes[b]), check=check)
+            reduced = {}
+            unknown = []
+            for cls, coeff in composed.terms.items():
+                if is_in_ideal(cls) is not None:
+                    continue
+                gen = by_raw.get(cls.raw)
+                if gen is None:
+                    unknown.append(cls)
+                else:
+                    reduced[gen] = (reduced.get(gen, Fraction(0))
+                                    + Fraction(coeff))
+            if unknown or HatElement(reduced) != predicted:
+                mismatches.append({
+                    "left": a.describe(),
+                    "right": b.describe(),
+                    "predicted": repr(predicted),
+                    "reduced": repr(HatElement(reduced)),
+                    "unknown_summands": [c.describe() for c in unknown],
+                })
+    return {
+        "group": G.name,
+        "fibre": C.name,
+        "generators": len(gens),
+        "pairs": len(gens) ** 2,
+        "mismatches": mismatches,
+        "ok": not mismatches,
+    }

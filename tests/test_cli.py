@@ -403,6 +403,23 @@ def test_verify_prime_json(capsys):
     assert data["ok"] and data["failures"] == []
 
 
+def test_verify_prime_covers_the_papers_groups(capsys, monkeypatch):
+    from fibredburnside import hat
+    real = hat.verify_hat_vs_quotient
+    calls = []
+
+    def recording(G, C, check=False):
+        calls.append((G.name, C.name, check))
+        return real(G, C, check=check)
+
+    monkeypatch.setattr(hat, "verify_hat_vs_quotient", recording)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "prime")
+    assert code == 0
+    assert {(g, c) for g, c, _ in calls} >= {
+        ("D8", "C2"), ("D8", "C3"), ("Q8", "C2"), ("Q8", "C3")}
+    assert all(check for _, _, check in calls)
+
+
 def test_verify_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "--json", "verify", "--suite", "prime",
                              "--seed", "7")
@@ -438,6 +455,16 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 6
+
+
+def test_json_emitted_in_batches_equals_json_dumps(capsys):
+    # 14,400 cells encode to over 130,000 chunks: three batches
+    cells = [{"coeff": "1", "generator": i} for i in range(3)] + [None]
+    data = {"table": [[cells[(a + b) % 4] for b in range(120)]
+                      for a in range(120)], "ok": True}
+    cli._emit(data, True, [])
+    assert capsys.readouterr().out == \
+        json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -48,6 +48,7 @@ from fibredburnside.hat import (
     y_type_class,
 )
 
+from helpers import ref_verify_hat_vs_quotient
 from test_fibred import counterexample_class
 
 
@@ -286,6 +287,125 @@ def test_verify_hat_vs_quotient_c3_fibre():
         G = group_from_spec(spec)
         report = verify_hat_vs_quotient(G, cyclic(3))
         assert report["ok"], report["mismatches"]
+
+
+# -- the cross-check composes one pair per orbit; the n^2 check of
+#    ``helpers.ref_verify_hat_vs_quotient`` is its oracle
+
+
+CROSS_CHECK_GROUPS = [G for G in small_groups_catalog(8)
+                      if G.name != "C2xC2xC2"]
+
+
+@pytest.mark.parametrize("fibre", ["C2", "C3"])
+@pytest.mark.parametrize("G", CROSS_CHECK_GROUPS, ids=lambda G: G.name)
+def test_verify_hat_vs_quotient_matches_reference(G, fibre):
+    C = group_from_spec(fibre)
+    report = verify_hat_vs_quotient(G, C)
+    ref = ref_verify_hat_vs_quotient(G, C)
+    assert (report["ok"], report["pairs"], report["mismatches"]) == \
+        (ref["ok"], ref["pairs"], ref["mismatches"])
+    assert report["ok"]
+
+
+@pytest.fixture()
+def composed_pairs(monkeypatch):
+    """The (left, right) class keys of every compose call the cross-check
+    makes."""
+    pairs = []
+    real = hat.compose
+
+    def recording(X, Y, check=False):
+        pairs.append((next(iter(X.terms)).raw, next(iter(Y.terms)).raw))
+        return real(X, Y, check=check)
+
+    monkeypatch.setattr(hat, "compose", recording)
+    return pairs
+
+
+@pytest.mark.parametrize("spec, composed, pairs", [
+    ("C4xC2", 306, 1600), ("C2xC2", 62, 576), ("Q8", 101, 900)])
+def test_cross_check_composes_one_pair_per_orbit(composed_pairs, spec,
+                                                 composed, pairs):
+    report = verify_hat_vs_quotient(group_from_spec(spec), cyclic(2))
+    assert report["ok"]
+    assert (len(composed_pairs), report["composed"], report["pairs"]) == \
+        (composed, composed, pairs)
+    assert len(set(composed_pairs)) == composed
+
+
+def test_cross_check_compositions_on_the_prime_workload(composed_pairs):
+    # the groups and fibres of the benchmark's prime workload
+    pairs = 0
+    for G in small_groups_catalog(8):
+        if G.order < 2 or G.name in ("C2xC2xC2", "D8", "Q8"):
+            continue
+        for C in (cyclic(2), cyclic(3)):
+            report = verify_hat_vs_quotient(G, C)
+            assert report["ok"]
+            pairs += report["pairs"]
+    assert (len(composed_pairs), pairs) == (615, 2682)
+
+
+def test_cross_check_table_is_hat_multiply(c2):
+    G = group_from_spec("C4xC2")
+    gens = hat_basis_prime(G, c2)
+    table = verify_hat_vs_quotient(G, c2)["table"]
+    assert table == [[-1 if hat_multiply(a, b).is_zero()
+                      else gens.index(next(iter(
+                          hat_multiply(a, b).coefficients)))
+                      for b in gens] for a in gens]
+
+
+# mutations: each breaks one input of the reduced check on C4xC2 with C2,
+# and the check must fail
+
+
+def test_cross_check_catches_a_wrong_product_off_the_representatives(
+        composed_pairs, monkeypatch, c2):
+    G = group_from_spec("C4xC2")
+    assert verify_hat_vs_quotient(G, c2)["ok"]
+    composed = set(composed_pairs)
+    gens = hat_basis_prime(G, c2)
+    real = hat.hat_multiply
+    wrong = next((a, b) for a in gens for b in gens
+                 if (hat_generator_class(a).raw, hat_generator_class(b).raw)
+                 not in composed and not real(a, b).is_zero())
+
+    def mutated(a, b):
+        return HatElement.zero() if (a, b) == wrong else real(a, b)
+
+    monkeypatch.setattr(hat, "hat_multiply", mutated)
+    composed_pairs.clear()
+    report = verify_hat_vs_quotient(G, c2)
+    assert not report["ok"]
+    assert set(composed_pairs) == composed
+    assert any("symmetry" in m for m in report["mismatches"])
+
+
+def test_cross_check_catches_a_wrong_transport(monkeypatch, c2):
+    def mutated(gen, phi):
+        return gen
+
+    monkeypatch.setattr(hat, "transport_hat_generator", mutated)
+    assert not verify_hat_vs_quotient(group_from_spec("C4xC2"), c2)["ok"]
+
+
+def test_cross_check_catches_a_wrong_generator_class(monkeypatch, c2):
+    G = group_from_spec("C4xC2")
+    broken = hat_basis_prime(G, c2)[1]
+    real = hat.hat_generator_class
+    n = G.order * G.order
+    # the class of the whole of G x G with the trivial character; it
+    # factors through C1, so it is no generator's class
+    whole = canonicalize(transitive_fibred_biset(G, G, c2, range(n),
+                                                 [0] * n))
+
+    def mutated(gen):
+        return whole if gen == broken else real(gen)
+
+    monkeypatch.setattr(hat, "hat_generator_class", mutated)
+    assert not verify_hat_vs_quotient(G, c2)["ok"]
 
 
 # -- Frattini criterion and Y-class vanishing ----------------------------------
