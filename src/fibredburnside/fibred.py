@@ -10,6 +10,7 @@ agree, and that agreement is the backbone of the test suite.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -501,55 +502,95 @@ def from_monomial_set(T: MonomialSet, left: Optional[FiniteGroup] = None,
     """
     if left is None and right is None:
         left, right = T.acting, cyclic(1)
-    amb = product_embedding(left, right).ambient
-    if amb is not T.acting:
+    if product_embedding(left, right).ambient is not T.acting:
         raise GroupError("acting group is not the stated product")
+    return _element_from_stabilizers(left, right, T.fibre,
+                                     monomial.decompose_monomial(T))
+
+
+def _element_from_stabilizers(left, right, fibre, stabilizers
+                              ) -> FibredElement:
+    """The element over left x right with one transitive summand per
+    orbit, given the (d_elements, delta_images) pair of each orbit's
+    stabilizer."""
+    amb = product_embedding(left, right).ambient
     acc: Dict[tuple, int] = {}
-    for d_elements, delta in monomial.decompose_monomial(T):
+    for d_elements, delta in stabilizers:
         mask = 0
         for x in d_elements:
             mask |= 1 << x
         key = _canonical_raw(amb, mask, delta)
         acc[key] = acc.get(key, 0) + 1
     return FibredElement(
-        left, right, T.fibre,
-        {_class_from_raw(left, right, T.fibre, m, d, canonical=True): v
+        left, right, fibre,
+        {_class_from_raw(left, right, fibre, m, d, canonical=True): v
          for (m, d), v in acc.items()})
+
+
+def _coset_model(X: TransitiveFibredBiset):
+    """The (ambient, fibre) product of a transitive class and its coset
+    model, with the points of ``to_monomial_set(X)``."""
+    emb = product_embedding(X.ambient, X.fibre)
+    return emb, monomial.CosetModel(emb.ambient, monomial._twisted_diagonal(
+        emb, X.D.elements, X.delta.images))
 
 
 def _compose_oracle_transitive(tx: TransitiveFibredBiset,
                                ty: TransitiveFibredBiset) -> FibredElement:
     """Set-theoretic composition of two transitive classes: orbits of the
-    product under the middle-group/fibre action, keeping the part on
-    which the fibre acts freely.  The orbits are glued from the moves of
-    (h, 1) and (1, c) for h and c in generating sets of H and C, which
-    generate H x C."""
+    product of their coset models under the middle-group/fibre action,
+    keeping the part on which the fibre acts freely.  Rows are built for
+    generators only.  The pairs are glued by the moves of (h, 1) and
+    (1, c) for h and c in generating sets of H and C, which generate
+    H x C; the result orbits by those of (g, 1, 1), (1, k, 1) and
+    (1, 1, c) for generators of G, K and C.  The stabilizer of the least
+    point [i, j] of each result orbit is read by evaluating i under
+    every (g, c) and j under every k, and must satisfy
+    |orbit| |stabilizer| = |G| |K| |C|."""
     G, H = tx.left, tx.right
-    K = ty.right
-    C = tx.fibre
+    K, C = ty.right, tx.fibre
     emb_gh = product_embedding(G, H)
     emb_hk = product_embedding(H, K)
     emb_gk = product_embedding(G, K)
-    T1 = to_monomial_set(tx)
-    T2 = to_monomial_set(ty)
-    t1, e1 = T1.action.table, T1.embedding
-    t2, e2 = T2.action.table, T2.embedding
-    emb_res = product_embedding(emb_gk.ambient, C)
+    e1, m1 = _coset_model(tx)
+    e2, m2 = _coset_model(ty)
+    n1, n2 = len(m1.reps), len(m2.reps)
+    inv = C.inverses
+
+    def x1(g, h, c):
+        return e1.encode(emb_gh.encode(g, h), c)
+
+    def x2(h, k, c):
+        return e2.encode(emb_hk.encode(h, k), c)
+
     # the fibre acts freely on an orbit when (1, c), c != 1, moves its
     # root (i, j) to (c.i, j) outside it
-    table = monomial._glue(
-        T1.size, T2.size,
-        [(t1[e1.encode(emb_gh.encode(0, h), 0)],
-          t2[e2.encode(emb_hk.encode(h, 0), 0)]) for h in H.generators()]
-        + [(t1[e1.encode(0, c)], t2[e2.encode(0, C.inverses[c])])
-           for c in C.generators()],
-        [(t1[e1.encode(emb_gh.encode(g, 0), c)],
-          t2[e2.encode(emb_hk.encode(0, k), 0)])
-         for gk, c in emb_res.coords for g, k in [emb_gk.coords[gk]]],
-        free=[t1[e1.encode(0, c)] for c in range(1, C.order)])
-    result = MonomialSet(emb_gk.ambient, C,
-                         FiniteAction(emb_res.ambient, table))
-    return from_monomial_set(result, G, K)
+    fibre_rows = {c: m1.row(x1(0, 0, c)) for c in range(1, C.order)}
+    c_gens = C.generators()
+    rows, label, split = monomial._glue(
+        n1, n2,
+        [(m1.row(x1(0, h, 0)), m2.row(x2(h, 0, 0))) for h in H.generators()]
+        + [(fibre_rows[c], m2.row(x2(0, 0, inv[c]))) for c in c_gens],
+        [(m1.row(x1(g, 0, 0)), range(n2)) for g in G.generators()]
+        + [(range(n1), m2.row(x2(0, k, 0))) for k in K.generators()]
+        + [(fibre_rows[c], range(n2)) for c in c_gens],
+        free=list(fibre_rows.values()))
+    find_rep, roots = monomial._orbit_partition(len(split), rows)
+    orbit_sizes = collections.Counter(find_rep)
+    stabilizers = []
+    for p in roots:
+        i, j = split[p]
+        # (g, k, c) fixes [i, j] when it maps (i, j) into the same orbit
+        img1 = [[m1.image(x1(g, 0, c), i) * n2 for c in range(C.order)]
+                for g in range(G.order)]
+        img2 = [m2.image(x2(0, k, 0), j) for k in range(K.order)]
+        stab = [(emb_gk.encode(g, k), inv[c])
+                for g, row in enumerate(img1) for c, a in enumerate(row)
+                for k, b in enumerate(img2) if label[a + b] == p]
+        if orbit_sizes[p] * len(stab) != G.order * K.order * C.order:
+            raise GroupError("orbit and stabilizer sizes disagree")
+        stabilizers.append(monomial._read_stabilizer(stab))
+    return _element_from_stabilizers(G, K, C, stabilizers)
 
 
 def compose_oracle(X: FibredElement, Y: FibredElement) -> FibredElement:

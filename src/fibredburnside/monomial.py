@@ -10,15 +10,18 @@ Every gluing takes the orbits of a group acting on pairs of points, and
 all of them (``mackey_glue``, ``tensor_sets`` and the orbit oracle of the
 ring module) go through one kernel, ``_glue``: pair moves, one orbit
 partition, root labels, the split of each root into its two points, and
-the result rows.  A finite group's orbits are the connected components
-of the graph whose edges are the moves of any generating set (an inverse
-is a power of its element), so each gluing builds moves only for a small
-generating set of the acting group, never for all of its elements.
+the result rows it is asked for.  A finite group's orbits are the
+connected components of the graph whose edges are the moves of any
+generating set (an inverse is a power of its element), so each gluing
+builds moves only for a small generating set of the acting group, never
+for all of its elements.  The orbit oracle goes further: it builds rows
+of its ``CosetModel``s and of the result only for generators, and reads
+each stabilizer by evaluating one point under every group element.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .groups import (
     FiniteGroup,
@@ -30,15 +33,12 @@ from .groups import (
 __all__ = [
     "FiniteAction",
     "MonomialSet",
+    "CosetModel",
     "coset_action",
     "monomial_set_from_pair",
     "decompose_monomial",
     "mackey_glue",
     "tensor_sets",
-    "c_free_part",
-    "block_sum",
-    "interleaved_product_biset",
-    "equivariant_isomorphism",
 ]
 
 
@@ -92,24 +92,54 @@ class FiniteAction:
         return f"FiniteAction({self.group.name} on {self.size} points)"
 
 
+class CosetModel:
+    """Left translation on the left cosets of a subgroup, evaluated on
+    demand: ``coset_of[x]`` is the coset of element x, ``reps`` the
+    least representative of each coset in ascending order (the points),
+    ``row(x)`` the permutation of x and ``image(x, p)`` one point's
+    image.  No full table is built."""
+
+    __slots__ = ("group", "coset_of", "reps")
+
+    def __init__(self, G: FiniteGroup, subgroup_elements: Sequence[int]):
+        n = G.order
+        f = G._flat
+        coset_of = [-1] * n
+        reps = []
+        for g in range(n):
+            if coset_of[g] >= 0:
+                continue
+            row = g * n
+            for s in subgroup_elements:
+                coset_of[f[row + s]] = len(reps)
+            reps.append(g)
+        self.group, self.coset_of, self.reps = G, coset_of, reps
+
+    def row(self, x: int) -> List[int]:
+        f, coset_of = self.group._flat, self.coset_of
+        base = x * self.group.order
+        return [coset_of[f[base + r]] for r in self.reps]
+
+    def image(self, x: int, p: int) -> int:
+        return self.coset_of[self.group._flat[x * self.group.order
+                                              + self.reps[p]]]
+
+
 def coset_action(G: FiniteGroup, subgroup_elements: Sequence[int]) -> FiniteAction:
     """Left translation on the left cosets of a subgroup; points are
     ordered by least coset representative."""
-    n = G.order
-    f = G._flat
-    coset_of = [-1] * n
-    reps = []
-    for g in range(n):
-        if coset_of[g] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        row = g * n
-        for s in subgroup_elements:
-            coset_of[f[row + s]] = idx
-    table = [[coset_of[f[row + r]] for r in reps]
-             for row in range(0, n * n, n)]
-    return FiniteAction(G, table)
+    model = CosetModel(G, subgroup_elements)
+    return FiniteAction(G, [model.row(x) for x in range(G.order)])
+
+
+def _twisted_diagonal(emb: ProductEmbedding, d_elements: Sequence[int],
+                      values: Iterable[int]) -> List[int]:
+    """The twisted diagonal {(a, delta(a)^-1)} in the (acting, fibre)
+    product ``emb`` of a subgroup D of the acting group and a character
+    delta on it, given by its values on ``d_elements``: the stabilizer
+    of a transitive monomial set."""
+    inv = emb.factors[1].inverses
+    return sorted(emb.encode(a, inv[v]) for a, v in zip(d_elements, values))
 
 
 class MonomialSet:
@@ -163,8 +193,7 @@ def monomial_set_from_pair(acting: FiniteGroup, fibre: FiniteGroup,
     group and a character delta on it: cosets of the twisted diagonal
     {(a, delta(a)^-1)}."""
     emb = product_embedding(acting, fibre)
-    inv = fibre.inverses
-    twisted = sorted(emb.encode(a, inv[delta(a)]) for a in d_elements)
+    twisted = _twisted_diagonal(emb, d_elements, map(delta, d_elements))
     return MonomialSet(acting, fibre, coset_action(emb.ambient, twisted))
 
 
@@ -175,20 +204,20 @@ def decompose_monomial(T: MonomialSet) -> List[Tuple[Tuple[int, ...],
     point.  Returns one (d_elements, delta_images) pair per orbit."""
     emb = T.embedding
     inv = T.fibre.inverses
-    out = []
-    for orbit in T.action.orbits():
-        base = orbit[0]
-        pairs = []
-        for a in T.action.stabilizer_elements(base):
-            d, c = emb.decode(a)
-            pairs.append((d, inv[c]))
-        pairs.sort()
-        d_elements = tuple(p[0] for p in pairs)
-        delta_images = tuple(p[1] for p in pairs)
-        if len(set(d_elements)) != len(d_elements):
-            raise GroupError("stabilizer is not a twisted diagonal")
-        out.append((d_elements, delta_images))
-    return out
+    return [_read_stabilizer((d, inv[c]) for d, c in map(
+                emb.decode, T.action.stabilizer_elements(orbit[0])))
+            for orbit in T.action.orbits()]
+
+
+def _read_stabilizer(pairs) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The (d_elements, delta_images) pair of a stabilizer given by its
+    (d, delta(d)) pairs in any order; raises unless each d appears once,
+    that is unless the stabilizer is a twisted diagonal."""
+    pairs = sorted(pairs)
+    d_elements = tuple(p[0] for p in pairs)
+    if len(set(d_elements)) != len(d_elements):
+        raise GroupError("stabilizer is not a twisted diagonal")
+    return d_elements, tuple(p[1] for p in pairs)
 
 
 def _orbit_partition(n_points: int, moves: List[Sequence[int]]):
@@ -217,16 +246,17 @@ def _orbit_partition(n_points: int, moves: List[Sequence[int]]):
     return rep, roots
 
 
-def _glue(n1: int, n2: int, moves, rows, free=()) -> List[List[int]]:
-    """The action on the orbits of pairs of points of two sets of sizes
-    n1 and n2, pair (i, j) being point i * n2 + j.  Each row pair
-    (r1, r2) moves (i, j) to (r1[i], r2[j]): ``moves`` come from a
-    generating set of the group whose orbits are glued, ``rows`` from
-    each element of the group acting on the result.  A root (i, j) is
+def _glue(n1: int, n2: int, moves, rows, free=()):
+    """The orbits of pairs of points of two sets of sizes n1 and n2, pair
+    (i, j) being point i * n2 + j.  Each row pair (r1, r2) moves (i, j)
+    to (r1[i], r2[j]): ``moves`` come from a generating set of the group
+    whose orbits are glued, ``rows`` from the elements of the group
+    acting on the result that the caller asks for.  A root (i, j) is
     dropped when a row r of ``free`` (a fibre element other than 1)
     leaves (r[i], j) in its orbit.  The kept orbits are numbered by
-    their least points, ascending; returns one result row per row pair
-    of ``rows``."""
+    their least points, ascending.  Returns one result row per row pair
+    of ``rows``, the label of every pair (its orbit's number, or None
+    when dropped) and the split (i, j) of each kept root."""
     find_rep, roots = _orbit_partition(
         n1 * n2, [[x * n2 + y for x in r1 for y in r2] for r1, r2 in moves])
     kept = [root for root in roots
@@ -235,8 +265,8 @@ def _glue(n1: int, n2: int, moves, rows, free=()) -> List[List[int]]:
     index = {root: k for k, root in enumerate(kept)}
     label = [index.get(r) for r in find_rep]
     split = [divmod(root, n2) for root in kept]
-    return [[label[r1[i] * n2 + r2[j]] for i, j in split]
-            for r1, r2 in rows]
+    return ([[label[r1[i] * n2 + r2[j]] for i, j in split]
+             for r1, r2 in rows], label, split)
 
 
 def mackey_glue(emb_ab: ProductEmbedding, X: FiniteAction,
@@ -251,7 +281,7 @@ def mackey_glue(emb_ab: ProductEmbedding, X: FiniteAction,
     if B is not B2:
         raise GroupError("middle groups do not agree")
     emb_ar = product_embedding(A, R)
-    table = _glue(
+    table, _, _ = _glue(
         X.size, T.size,
         [(X.table[emb_ab.encode(0, b)], T.table[emb_br.encode(b, 0)])
          for b in B.generators()],
@@ -273,102 +303,10 @@ def tensor_sets(emb_ac: ProductEmbedding, T: FiniteAction,
     inv = C.inverses
     emb_ab = product_embedding(A, B)
     emb_abc = product_embedding(emb_ab.ambient, C)
-    table = _glue(
+    table, _, _ = _glue(
         T.size, Y.size,
         [(T.table[emb_ac.encode(0, c)], Y.table[emb_bc.encode(0, inv[c])])
          for c in C.generators()],
         [(T.table[emb_ac.encode(a, c)], Y.table[emb_bc.encode(b, 0)])
          for ab, c in emb_abc.coords for a, b in [emb_ab.coords[ab]]])
     return emb_abc, FiniteAction(emb_abc.ambient, table)
-
-
-def c_free_part(emb_ac: ProductEmbedding, S: FiniteAction
-                ) -> Tuple[FiniteAction, List[int]]:
-    """Subset of points on which the fibre factor acts freely, reindexed;
-    also returns the kept original point indices."""
-    C = emb_ac.factors[1]
-    keep = []
-    for p in range(S.size):
-        if all(S.table[emb_ac.encode(0, c)][p] != p
-               for c in range(1, C.order)):
-            keep.append(p)
-    pos = {p: i for i, p in enumerate(keep)}
-    table = [[pos[row[p]] for p in keep] for row in S.table]
-    return FiniteAction(S.group, table), keep
-
-
-def block_sum(actions: List[FiniteAction]) -> FiniteAction:
-    """Disjoint union of actions of the same group."""
-    group = actions[0].group
-    if any(a.group is not group for a in actions):
-        raise GroupError("block sum needs actions of the same group")
-    table = []
-    for g in range(group.order):
-        row = []
-        offset = 0
-        for a in actions:
-            row.extend(offset + v for v in a.table[g])
-            offset += a.size
-        table.append(row)
-    return FiniteAction(group, table)
-
-
-def interleaved_product_biset(emb_lg: ProductEmbedding, Z: FiniteAction,
-                              emb_kh: ProductEmbedding, X: FiniteAction
-                              ) -> Tuple[ProductEmbedding, FiniteAction]:
-    """The external product of an (L, G)-biset and a (K, H)-biset as an
-    (L x K, G x H)-biset: pairs of points with ((l,k),(g,h)) acting
-    componentwise.  Returns the ((L x K), (G x H)) embedding and action."""
-    L, G = emb_lg.factors
-    K, H = emb_kh.factors
-    emb_lk = product_embedding(L, K)
-    emb_gh = product_embedding(G, H)
-    emb = product_embedding(emb_lk.ambient, emb_gh.ambient)
-    nz, nx = Z.size, X.size
-    table = []
-    for e in range(emb.ambient.order):
-        lk, gh = emb.decode(e)
-        l, k = emb_lk.decode(lk)
-        g, h = emb_gh.decode(gh)
-        zr = Z.table[emb_lg.encode(l, g)]
-        xr = X.table[emb_kh.encode(k, h)]
-        table.append([zr[p // nx] * nx + xr[p % nx]
-                      for p in range(nz * nx)])
-    return emb, FiniteAction(emb.ambient, table)
-
-
-def equivariant_isomorphism(S: FiniteAction,
-                            T: FiniteAction) -> Optional[List[int]]:
-    """An equivariant bijection between two actions of the same group,
-    or None.  Found orbit by orbit: a base point of an S-orbit can map to
-    any point of a T-orbit with literally equal stabilizer, and that
-    choice determines the bijection on the whole orbit.  The result is
-    verified pointwise before being returned."""
-    if S.group is not T.group or S.size != T.size:
-        return None
-    n_el = S.group.order
-    t_unused = [True] * T.size
-    mapping = [-1] * S.size
-    for orbit in S.orbits():
-        base = orbit[0]
-        stab = S.stabilizer_elements(base)
-        image = -1
-        for q in range(T.size):
-            if t_unused[q] and T.stabilizer_elements(q) == stab:
-                image = q
-                break
-        if image < 0:
-            return None
-        for a in range(n_el):
-            p, q = S.table[a][base], T.table[a][image]
-            if mapping[p] not in (-1, q):
-                return None
-            mapping[p] = q
-            t_unused[q] = False
-    if -1 in mapping or len(set(mapping)) != S.size:
-        return None
-    for a in range(n_el):
-        rs, rt = S.table[a], T.table[a]
-        if any(mapping[rs[p]] != rt[mapping[p]] for p in range(S.size)):
-            return None
-    return mapping

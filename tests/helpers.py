@@ -3,14 +3,19 @@ production enumeration paths."""
 
 import itertools
 from fractions import Fraction
+from typing import List, Optional, Tuple
 
+from fibredburnside import monomial
 from fibredburnside.fibred import (
     BoucFactorization, _canonical_raw, _compose_raw, _graph_class,
-    _permute_raw, compose, element_of, to_monomial_set, transitive_basis)
+    _permute_raw, compose, element_of, from_monomial_set, to_monomial_set,
+    transitive_basis)
 from fibredburnside.goursat import _quotient_of_subgroup
 from fibredburnside.groups import (
-    GroupError, Subgroup, _extend_hom, _generating_sequence, automorphisms,
-    homomorphisms, mask_to_elements, product_embedding, subgroups)
+    GroupError, ProductEmbedding, Subgroup, _extend_hom, _generating_sequence,
+    automorphisms, homomorphisms, mask_to_elements, product_embedding,
+    subgroups)
+from fibredburnside.monomial import FiniteAction, MonomialSet
 from fibredburnside.hat import (
     FactorizationWitness, HatElement, _reduction_witness, hat_basis_prime,
     hat_generator_class, hat_multiply, is_in_ideal)
@@ -285,6 +290,48 @@ def ref_oracle_moves(tx, ty):
                 T2.action.table[e2.encode(emb_hk.encode(h, 0),
                                           C.inverses[c])], T2.size)
             for h in range(H.order) for c in range(C.order)}
+
+
+def ref_oracle_result_rows(tx, ty):
+    """The orbit oracle's result action over every element of
+    (G x K) x C, as the oracle built it before it built rows for
+    generators only: full coset tables of tx and ty, the pairs glued by
+    generators of H x C, and one result row per element.  Returns the
+    (G x K, C) embedding and the rows."""
+    G, H = tx.left, tx.right
+    K = ty.right
+    C = tx.fibre
+    emb_gh = product_embedding(G, H)
+    emb_hk = product_embedding(H, K)
+    emb_gk = product_embedding(G, K)
+    T1 = to_monomial_set(tx)
+    T2 = to_monomial_set(ty)
+    t1, e1 = T1.action.table, T1.embedding
+    t2, e2 = T2.action.table, T2.embedding
+    emb_res = product_embedding(emb_gk.ambient, C)
+    # the fibre acts freely on an orbit when (1, c), c != 1, moves its
+    # root (i, j) to (c.i, j) outside it
+    table, _, _ = monomial._glue(
+        T1.size, T2.size,
+        [(t1[e1.encode(emb_gh.encode(0, h), 0)],
+          t2[e2.encode(emb_hk.encode(h, 0), 0)]) for h in H.generators()]
+        + [(t1[e1.encode(0, c)], t2[e2.encode(0, C.inverses[c])])
+           for c in C.generators()],
+        [(t1[e1.encode(emb_gh.encode(g, 0), c)],
+          t2[e2.encode(emb_hk.encode(0, k), 0)])
+         for gk, c in emb_res.coords for g, k in [emb_gk.coords[gk]]],
+        free=[t1[e1.encode(0, c)] for c in range(1, C.order)])
+    return emb_res, table
+
+
+def ref_compose_oracle_transitive(tx, ty):
+    """The orbit oracle with full tables: the result rows of
+    ``ref_oracle_result_rows`` decomposed by ``from_monomial_set``,
+    which reads each stabilizer off a full table."""
+    emb_res, table = ref_oracle_result_rows(tx, ty)
+    result = MonomialSet(emb_res.factors[0], tx.fibre,
+                         FiniteAction(emb_res.ambient, table))
+    return from_monomial_set(result, tx.left, ty.right)
 
 
 def ref_mackey_moves(emb_ab, X, emb_br, T):
@@ -619,3 +666,101 @@ def ref_verify_hat_vs_quotient(G, C, check=False):
         "mismatches": mismatches,
         "ok": not mismatches,
     }
+
+
+# -- set-level tools of the Green-functor identities (criterion 8 of
+#    the acceptance tests): the fibre-free part of an action, disjoint
+#    unions, external products of bisets and the equivariant-bijection
+#    search that compares two gluings
+
+
+def c_free_part(emb_ac: ProductEmbedding, S: FiniteAction
+                ) -> Tuple[FiniteAction, List[int]]:
+    """Subset of points on which the fibre factor acts freely, reindexed;
+    also returns the kept original point indices."""
+    C = emb_ac.factors[1]
+    keep = []
+    for p in range(S.size):
+        if all(S.table[emb_ac.encode(0, c)][p] != p
+               for c in range(1, C.order)):
+            keep.append(p)
+    pos = {p: i for i, p in enumerate(keep)}
+    table = [[pos[row[p]] for p in keep] for row in S.table]
+    return FiniteAction(S.group, table), keep
+
+
+def block_sum(actions: List[FiniteAction]) -> FiniteAction:
+    """Disjoint union of actions of the same group."""
+    group = actions[0].group
+    if any(a.group is not group for a in actions):
+        raise GroupError("block sum needs actions of the same group")
+    table = []
+    for g in range(group.order):
+        row = []
+        offset = 0
+        for a in actions:
+            row.extend(offset + v for v in a.table[g])
+            offset += a.size
+        table.append(row)
+    return FiniteAction(group, table)
+
+
+def interleaved_product_biset(emb_lg: ProductEmbedding, Z: FiniteAction,
+                              emb_kh: ProductEmbedding, X: FiniteAction
+                              ) -> Tuple[ProductEmbedding, FiniteAction]:
+    """The external product of an (L, G)-biset and a (K, H)-biset as an
+    (L x K, G x H)-biset: pairs of points with ((l,k),(g,h)) acting
+    componentwise.  Returns the ((L x K), (G x H)) embedding and action."""
+    L, G = emb_lg.factors
+    K, H = emb_kh.factors
+    emb_lk = product_embedding(L, K)
+    emb_gh = product_embedding(G, H)
+    emb = product_embedding(emb_lk.ambient, emb_gh.ambient)
+    nz, nx = Z.size, X.size
+    table = []
+    for e in range(emb.ambient.order):
+        lk, gh = emb.decode(e)
+        l, k = emb_lk.decode(lk)
+        g, h = emb_gh.decode(gh)
+        zr = Z.table[emb_lg.encode(l, g)]
+        xr = X.table[emb_kh.encode(k, h)]
+        table.append([zr[p // nx] * nx + xr[p % nx]
+                      for p in range(nz * nx)])
+    return emb, FiniteAction(emb.ambient, table)
+
+
+def equivariant_isomorphism(S: FiniteAction,
+                            T: FiniteAction) -> Optional[List[int]]:
+    """An equivariant bijection between two actions of the same group,
+    or None.  Found orbit by orbit: a base point of an S-orbit can map to
+    any point of a T-orbit with literally equal stabilizer, and that
+    choice determines the bijection on the whole orbit.  The result is
+    verified pointwise before being returned."""
+    if S.group is not T.group or S.size != T.size:
+        return None
+    n_el = S.group.order
+    t_unused = [True] * T.size
+    mapping = [-1] * S.size
+    for orbit in S.orbits():
+        base = orbit[0]
+        stab = S.stabilizer_elements(base)
+        image = -1
+        for q in range(T.size):
+            if t_unused[q] and T.stabilizer_elements(q) == stab:
+                image = q
+                break
+        if image < 0:
+            return None
+        for a in range(n_el):
+            p, q = S.table[a][base], T.table[a][image]
+            if mapping[p] not in (-1, q):
+                return None
+            mapping[p] = q
+            t_unused[q] = False
+    if -1 in mapping or len(set(mapping)) != S.size:
+        return None
+    for a in range(n_el):
+        rs, rt = S.table[a], T.table[a]
+        if any(mapping[rs[p]] != rt[mapping[p]] for p in range(S.size)):
+            return None
+    return mapping

@@ -35,13 +35,16 @@ from fibredburnside.groups import (
     subgroups,
 )
 from fibredburnside.monomial import (
-    block_sum,
-    c_free_part,
     coset_action,
-    equivariant_isomorphism,
-    interleaved_product_biset,
     mackey_glue,
     tensor_sets,
+)
+
+from helpers import (
+    block_sum,
+    c_free_part,
+    equivariant_isomorphism,
+    interleaved_product_biset,
 )
 
 

@@ -13,9 +13,10 @@ from fibredburnside.monomial import (
     MonomialSet,
     coset_action,
     decompose_monomial,
-    equivariant_isomorphism,
     monomial_set_from_pair,
 )
+
+from helpers import c_free_part, equivariant_isomorphism
 
 
 def test_coset_action_regular(q8):
@@ -150,6 +151,6 @@ def test_c_free_part(q8, c2):
         table.append(list(free.table[a])
                      + [n1 + v for v in stuck.table[a]])
     both = FiniteAction(emb.ambient, table)
-    kept_action, kept = monomial.c_free_part(emb, both)
+    kept_action, kept = c_free_part(emb, both)
     assert kept == list(range(n1))
     assert kept_action.size == n1

@@ -1,13 +1,28 @@
 """The orbit oracle glues from generating sets of the acting groups; the
 reference glues by union-find over the moves of every element.  Both must
-give the same root of every point and the same numbering of the roots."""
+give the same root of every point and the same numbering of the roots.
+The oracle builds rows for generators only and reads its stabilizers by
+evaluating one point; ``ref_compose_oracle_transitive`` builds every
+row and reads them off full tables, and both give the same elements.
 
+Run as a script, the comparison with that reference covers all pairs of
+the ``oracle`` benchmark design for seeds 1-3, and fibres C2xC2 and C6
+over every catalog triple of order <= 4:
+
+    PYTHONPATH=src:tests python tests/test_oracle_gluing.py
+"""
+
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from fibredburnside import fibred, monomial, sampling
 from fibredburnside.groups import (
+    GroupError,
     closure_mask,
     group_from_spec,
     product_embedding,
@@ -15,11 +30,15 @@ from fibredburnside.groups import (
 )
 
 from helpers import (
+    ref_compose_oracle_transitive,
     ref_mackey_moves,
     ref_oracle_moves,
+    ref_oracle_result_rows,
     ref_orbit_partition,
     ref_tensor_moves,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture()
@@ -71,7 +90,8 @@ def test_oracle_gluing_matches_all_element_reference(partitions, fibre):
         Y = sampling.random_transitive_class(rng, H, K, C)
         partitions.clear()
         fibred._compose_oracle_transitive(X, Y)
-        (call,) = partitions
+        # one partition glues the pairs, the other finds the result orbits
+        call, result_call = partitions
         ref = ref_oracle_moves(X, Y)
         gens = ([(h, 0) for h in H.generators()]
                 + [(0, c) for c in C.generators()])
@@ -82,6 +102,20 @@ def test_oracle_gluing_matches_all_element_reference(partitions, fibre):
         assert (closure_mask(emb.ambient, [emb.encode(*g) for g in gens])
                 == _full(emb.ambient))
         _assert_reference_partition(call, list(ref.values()))
+        # the result moves are the reference rows of (g, 1, 1), (1, k, 1)
+        # and (1, 1, c) for generators g, k and c, which generate
+        # G x K x C, and they give the orbits of all the reference rows
+        emb_res, ref_rows = ref_oracle_result_rows(X, Y)
+        emb_gk = product_embedding(G, K)
+        res_gens = ([emb_res.encode(emb_gk.encode(g, 0), 0)
+                     for g in G.generators()]
+                    + [emb_res.encode(emb_gk.encode(0, k), 0)
+                       for k in K.generators()]
+                    + [emb_res.encode(0, c) for c in C.generators()])
+        assert result_call[1] == [ref_rows[x] for x in res_gens]
+        assert (closure_mask(emb_res.ambient, res_gens)
+                == _full(emb_res.ambient))
+        _assert_reference_partition(result_call, ref_rows)
 
 
 def test_mackey_and_tensor_gluing_match_reference_on_criterion_8(
@@ -143,3 +177,182 @@ def test_oracle_runs_without_the_formula_path(monkeypatch):
     results = [fibred.compose_oracle(X, Y) for X, Y in pairs]
     monkeypatch.undo()
     assert results == [fibred.compose(X, Y) for X, Y in pairs]
+
+
+def _random_pairs(seed, fibres, count, max_order=8):
+    """Seeded composable pairs of transitive classes over catalog groups."""
+    rng = random.Random(seed)
+    pool = small_groups_catalog(max_order)
+    for _ in range(count):
+        C = group_from_spec(fibres[rng.randrange(len(fibres))])
+        G, H, K = (pool[rng.randrange(len(pool))] for _ in range(3))
+        yield (sampling.random_transitive_class(rng, G, H, C),
+               sampling.random_transitive_class(rng, H, K, C))
+
+
+def _oracle_design_pairs(seed):
+    """The composable pairs of the ``oracle`` benchmark workload."""
+    sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    by_name = {g.name: g for g in small_groups_catalog(8)}
+    for spec in workloads.draw_oracle_inputs(seed):
+        G, H, K = (by_name[n] for n in spec["groups"])
+        C = group_from_spec(spec["fibre"])
+        rng = workloads._Drawn(spec["draws"])
+        yield (sampling.random_transitive_class(rng, G, H, C),
+               sampling.random_transitive_class(rng, H, K, C))
+
+
+def _triple_pairs(seed, fibre, max_order=4):
+    """One seeded pair for every catalog triple (G, H, K)."""
+    rng = random.Random(seed)
+    C = group_from_spec(fibre)
+    pool = small_groups_catalog(max_order)
+    for G in pool:
+        for H in pool:
+            for K in pool:
+                yield (sampling.random_transitive_class(rng, G, H, C),
+                       sampling.random_transitive_class(rng, H, K, C))
+
+
+def _assert_oracle_matches_reference(pairs):
+    count = 0
+    for X, Y in pairs:
+        assert (fibred._compose_oracle_transitive(X, Y)
+                == ref_compose_oracle_transitive(X, Y)), (X, Y)
+        count += 1
+    return count
+
+
+def test_oracle_matches_full_table_reference_on_random_pairs():
+    fibres = ("C1", "C2", "C3", "C4", "C2xC2", "C6")
+    assert _assert_oracle_matches_reference(
+        _random_pairs(15, fibres, 120)) == 120
+
+
+def test_oracle_matches_full_table_reference_on_the_oracle_design():
+    assert _assert_oracle_matches_reference(_oracle_design_pairs(1)) == 168
+
+
+def _mutated_glue(monkeypatch, mutate):
+    """Make ``monomial._glue`` answer through ``mutate(glue, args)``,
+    with the real kernel and the arguments of each call; returns the
+    list of calls made."""
+    real = monomial._glue
+    calls = []
+
+    def glue(n1, n2, moves, rows, free=()):
+        args = (n1, n2, moves, rows, free)
+        calls.append(args)
+        return mutate(real, args)
+
+    monkeypatch.setattr(monomial, "_glue", glue)
+    return calls
+
+
+def test_orbit_stabilizer_check_catches_a_wrong_pair_label(monkeypatch):
+    def wrong_root_label(glue, args):
+        rows, label, split = glue(*args)
+        i, j = split[0]
+        label = list(label)
+        label[i * args[1] + j] = None
+        return rows, label, split
+
+    # pairs whose product has a free orbit, so that a root is labelled
+    pairs = [(X, Y) for X, Y in _random_pairs(16, ("C1", "C2", "C4"), 20)
+             if not fibred._compose_oracle_transitive(X, Y).is_zero()]
+    assert len(pairs) >= 10
+    calls = _mutated_glue(monkeypatch, wrong_root_label)
+    for X, Y in pairs:
+        with pytest.raises(GroupError,
+                           match="orbit and stabilizer sizes disagree"):
+            fibred._compose_oracle_transitive(X, Y)
+    assert len(calls) == len(pairs)
+
+
+def test_stabilizer_with_two_fibre_values_is_not_a_twisted_diagonal(
+        monkeypatch):
+    # a pair over C3 x C2 x C2 with fibre C2 whose product has an orbit
+    # that (1, 1, c), c != 1, fixes; the freeness test drops it
+    (X, Y), = _random_pairs(41, ("C2",), 1, max_order=4)
+    dropped = []
+
+    def keep_every_orbit(glue, args):
+        n1, n2, moves, rows, free = args
+        dropped.append(len(glue(*args)[2]))
+        kept = glue(n1, n2, moves, rows)
+        dropped[-1] = len(kept[2]) - dropped[-1]
+        return kept
+
+    _mutated_glue(monkeypatch, keep_every_orbit)
+    with pytest.raises(GroupError,
+                       match="stabilizer is not a twisted diagonal"):
+        fibred._compose_oracle_transitive(X, Y)
+    assert dropped[0] > 0
+
+
+def test_oracle_builds_no_full_table_in_a_fresh_interpreter():
+    """The oracle builds no full coset table (``coset_action`` is never
+    called) and no (G x K) x C product, and still gives the formula's
+    answers.  A fresh interpreter starts with empty product caches."""
+    code = textwrap.dedent("""
+        import random
+        from fibredburnside import fibred, groups, monomial, sampling
+
+        calls = []
+        real = monomial.coset_action
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monomial.coset_action = counting
+        rng = random.Random(3)
+        # G, H and K distinct and nontrivial, so that no other product
+        # is the (G x K, C) one
+        specs = [("C2", "C3", "C4", "C2"), ("S3", "C2", "C2xC2", "C3"),
+                 ("D8", "C4", "Q8", "C4"), ("C2xC2", "S3", "C3", "C2")]
+        pairs = []
+        for names in specs:
+            G, H, K, C = map(groups.group_from_spec, names)
+            for _ in range(3):
+                X = sampling.random_transitive_class(rng, G, H, C)
+                Y = sampling.random_transitive_class(rng, H, K, C)
+                pairs.append((fibred.element_of(X), fibred.element_of(Y)))
+        results = [fibred.compose_oracle(X, Y) for X, Y in pairs]
+        assert calls == [], len(calls)
+        for names in specs:
+            G, K, C = (groups.group_from_spec(names[i]) for i in (0, 2, 3))
+            amb = groups.product_embedding(G, K).ambient
+            misses = groups.product_embedding.cache_info().misses
+            groups.product_embedding(amb, C)
+            assert groups.product_embedding.cache_info().misses == misses + 1
+        assert results == [fibred.compose(X, Y) for X, Y in pairs]
+        assert sum(not r.is_zero() for r in results) >= 6
+        print("ok", len(pairs))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok", "12"]
+
+
+if __name__ == "__main__":
+    import time
+    runs = [("oracle design, seed 1", _oracle_design_pairs(1)),
+            ("oracle design, seed 2", _oracle_design_pairs(2)),
+            ("oracle design, seed 3", _oracle_design_pairs(3)),
+            ("triples of order <= 4, fibre C2xC2", _triple_pairs(4, "C2xC2")),
+            ("triples of order <= 4, fibre C6", _triple_pairs(6, "C6"))]
+    for name, pairs in runs:
+        start = time.monotonic()
+        count = _assert_oracle_matches_reference(pairs)
+        print(f"{name}: {count} pairs ok "
+              f"({time.monotonic() - start:.1f}s)", flush=True)
