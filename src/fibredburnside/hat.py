@@ -765,7 +765,8 @@ def hat_multiply(a: HatGenerator, b: HatGenerator) -> HatElement:
         r_inv = [0] * C.order
         for c, rc in enumerate(r):
             r_inv[rc] = c
-        s_map = tuple(G.mul(w[g], z[r_inv[t[w[g]]]])
+        cinv = C.inverses
+        s_map = tuple(G.mul(w[g], z[cinv[r_inv[t[w[g]]]]])
                       for g in range(G.order))
         if len(set(s_map)) != G.order:
             raise GroupError("induced group map failed to be bijective")
@@ -778,7 +779,8 @@ def hat_multiply(a: HatGenerator, b: HatGenerator) -> HatElement:
     # Y . X
     w, z = a.omega.images, a.zeta.images
     t, s = b.t.images, b.sigma.images
-    m = tuple(G.mul(w[s[g]], z[t[g]]) for g in range(G.order))
+    cinv = C.inverses
+    m = tuple(G.mul(w[s[g]], z[cinv[t[g]]]) for g in range(G.order))
     if len(set(m)) != G.order:
         return HatElement.zero()
     omega = reps[m]

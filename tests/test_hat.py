@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import fibredburnside
-from fibredburnside import hat
+from fibredburnside import groups, hat
 from fibredburnside.fibred import (
     FibreError,
     canonicalize,
@@ -237,6 +237,26 @@ def test_yy_zero_branch_with_two_embeddings(c3):
     assert hat_multiply(b, a).is_zero()
     assert hat_multiply(a, a) == HatElement.of(a)
     assert hat_multiply(b, b) == HatElement.of(b)
+
+
+def test_mixed_rules_invert_the_fibre_value(monkeypatch, c3):
+    # C9 with C3 is the only catalog case of order <= 15 with an odd prime
+    # and a Y generator, so the only one where the fibre value's inverse
+    # differs from it; the product ambient C9 x C9 is above the shipped
+    # bound, which is raised for this test alone
+    monkeypatch.setattr(groups, "SUBGROUP_ORDER_BOUND", 81)
+    c9 = cyclic(9)
+    by_key = {g.key(): g for g in hat_basis_prime(c9, c3)}
+    one = tuple(range(9))
+    x = by_key[("X", (0, 1, 2, 0, 1, 2, 0, 1, 2), one)]
+    y = by_key[("Y", one, (0, 3, 6))]
+    product = by_key[("Y", (0, 7, 5, 3, 1, 8, 6, 4, 2), (0, 3, 6))]
+    assert hat_multiply(x, y) == HatElement.of(product)
+    assert hat_multiply(y, x) == HatElement.of(product)
+    for report in (verify_hat_vs_quotient(c9, c3),
+                   ref_verify_hat_vs_quotient(c9, c3)):
+        assert report["ok"], report["mismatches"][:2]
+        assert report["pairs"] == 900
 
 
 def hat_multiply_elements(x: HatElement, y: HatElement) -> HatElement:
