@@ -72,11 +72,9 @@ from .fibred import (
 )
 from .hat import (
     FactorizationWitness,
-    HatElement,
     HatGenerator,
     VerificationError,
     counterexample_verify,
-    frattini_criterion,
     hat_basis_prime,
     hat_dimension,
     hat_generator_class,
@@ -85,7 +83,6 @@ from .hat import (
     seed_index,
     transport_hat_generator,
     verify_hat_vs_quotient,
-    y_type_class,
 )
 
 __version__ = "0.1.0"

@@ -138,8 +138,9 @@ def cmd_hat(args) -> int:
                      == {X.raw for X in basis})
         report = hat.verify_hat_vs_quotient(G, C)
         # the checked table holds generator indices, -1 for zero, and
-        # every product is one generator with coefficient 1: the cells
-        # share one dict per generator, and index -1 reads the None last
+        # hat_multiply gives one generator or zero, so every nonzero cell
+        # has coefficient 1: the cells share one dict per generator, and
+        # index -1 reads the None last
         cells = [{"generator": i, "coeff": "1"}
                  for i in range(len(gens))] + [None]
         table = [[cells[i] for i in row] for row in report["table"]]

@@ -91,7 +91,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .groups import (
@@ -142,7 +141,6 @@ __all__ = [
     "VerificationError",
     "FactorizationWitness",
     "HatGenerator",
-    "HatElement",
     "is_in_ideal",
     "hat_dimension",
     "hat_basis_prime",
@@ -151,8 +149,6 @@ __all__ = [
     "transport_hat_generator",
     "verify_hat_vs_quotient",
     "seed_index",
-    "frattini_criterion",
-    "y_type_class",
     "counterexample_verify",
     "is_prime",
 ]
@@ -548,7 +544,7 @@ class HatGenerator:
     Variant "X": a character t: G -> C and an outer representative sigma;
     the class of the sigma-twisted diagonal with character read off t.
     Variant "Y": an outer representative omega and an injective fibre
-    embedding zeta: C -> Z(G) meeting the Frattini subgroup.
+    embedding zeta: C -> Z(G) landing in the Frattini subgroup.
     """
 
     __slots__ = ("variant", "group", "fibre", "t", "sigma", "omega", "zeta")
@@ -590,52 +586,6 @@ class HatGenerator:
         return f"HatGenerator({self.describe()} over {self.group.name})"
 
 
-class HatElement:
-    """A rational combination of hat generators."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Dict[HatGenerator, Fraction]):
-        self.coefficients = {g: Fraction(v)
-                             for g, v in coefficients.items() if v != 0}
-
-    @classmethod
-    def zero(cls) -> "HatElement":
-        return cls({})
-
-    @classmethod
-    def of(cls, gen: HatGenerator, coeff=1) -> "HatElement":
-        return cls({gen: Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __add__(self, other):
-        out = dict(self.coefficients)
-        for g, v in other.coefficients.items():
-            out[g] = out.get(g, Fraction(0)) + v
-        return HatElement(out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, k) -> "HatElement":
-        return HatElement({g: v * k for g, v in self.coefficients.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, HatElement)
-                and self.coefficients == other.coefficients)
-
-    def __hash__(self):
-        return hash(frozenset((g, v) for g, v in self.coefficients.items()))
-
-    def __repr__(self):
-        if not self.coefficients:
-            return "HatElement(0)"
-        bits = [f"{v}*{g.describe()}" for g, v in self.coefficients.items()]
-        return "HatElement(" + " + ".join(sorted(bits)) + ")"
-
-
 def is_prime(n: int) -> bool:
     """Trial division; fibre orders are small."""
     if n < 2:
@@ -653,16 +603,12 @@ def _require_prime_fibre(C: FiniteGroup):
         raise GroupError("this operation needs a fibre of prime order")
 
 
-def _fibre_embeddings(G: FiniteGroup, C: FiniteGroup,
-                      into_frattini: bool = True) -> List[GroupHom]:
-    """Injective homomorphisms from the prime fibre into Z(G) (optionally
-    restricted to land inside the Frattini subgroup)."""
+def _fibre_embeddings(G: FiniteGroup, C: FiniteGroup) -> List[GroupHom]:
+    """Injective homomorphisms from the prime fibre into the
+    center-intersect-Frattini subgroup."""
     p = C.order
-    zmask = center(G).mask
-    if into_frattini:
-        zmask &= frattini(G).mask
     out = []
-    for z in mask_to_elements(zmask):
+    for z in mask_to_elements(center(G).mask & frattini(G).mask):
         if G.element_order(z) != p:
             continue
         images = [0]
@@ -710,81 +656,57 @@ def hat_generator_class(gen: HatGenerator) -> TransitiveFibredBiset:
     return _canonical_class(G, G, C, *pairs_to_raw(pairs))
 
 
-def y_type_class(G: FiniteGroup, C: FiniteGroup, omega: GroupHom,
-                 zeta: GroupHom) -> TransitiveFibredBiset:
-    """The class of {(omega(g) zeta(c), g)} with character c -> c^-1, for
-    any injective zeta into the center (not necessarily Frattini-bound)."""
-    gen = HatGenerator("Y", G, C, omega=omega, zeta=zeta)
-    return hat_generator_class(gen)
+def hat_multiply(a: HatGenerator, b: HatGenerator
+                 ) -> Optional[HatGenerator]:
+    """Product of two generators as the basis generator it equals, or None
+    when it is zero.
 
-
-def frattini_criterion(G: FiniteGroup, C: FiniteGroup,
-                       zeta: GroupHom) -> bool:
-    """Whether every character G -> C kills the image of zeta."""
-    return all(all(mu.images[z] == 0 for z in zeta.images[1:])
-               for mu in homomorphisms(G, C))
-
-
-def hat_multiply(a: HatGenerator, b: HatGenerator) -> HatElement:
-    """Product of two generators, re-canonicalized to basis symbols.
-
-    X.X always lands on an X generator; Y.Y survives only when the left
-    omega transports the right zeta onto the left one; the mixed products
-    survive exactly when an induced self-map (of the fibre for X.Y, of
-    the group for Y.X) is an automorphism.
+    X.X always lands on an X generator, and Y.Y is zero unless the left
+    omega transports the right zeta onto the left one.  The mixed products
+    are never zero.  A Y generator's zeta lands in Z(G) meet Phi(G), and
+    every character t: G -> C kills Phi(G), as its kernel is G or a
+    maximal subgroup.  So in X.Y the fibre map c -> t(zeta(c)) c is the
+    identity, and both mixed rules read a group map g -> alpha(g)
+    zeta(t'(g)^-1), with alpha an automorphism and t' a character.  As
+    zeta is central that map is a homomorphism, and its image generates G
+    together with Phi(G), so it is onto: an automorphism.
     """
     if a.group is not b.group or a.fibre is not b.fibre:
         raise GroupError("generators live over different groups")
     G, C = a.group, a.fibre
     _require_prime_fibre(C)
     reps = automorphisms(G).out_rep_of
+    cinv = C.inverses
 
     if a.variant == "X" and b.variant == "X":
         t1, s1 = a.t.images, a.sigma.images
         t2, s2 = b.t.images, b.sigma.images
         t = tuple(C.mul(t1[s2[g]], t2[g]) for g in range(G.order))
         sigma = reps[tuple(s1[s2[g]] for g in range(G.order))]
-        return HatElement.of(HatGenerator(
-            "X", G, C, t=GroupHom(G, C, t, _validate=False), sigma=sigma))
+        return HatGenerator("X", G, C, t=GroupHom(G, C, t, _validate=False),
+                            sigma=sigma)
 
     if a.variant == "Y" and b.variant == "Y":
         w, z = a.omega.images, a.zeta.images
         al, ch = b.omega.images, b.zeta.images
         if tuple(w[ch[c]] for c in range(C.order)) != z:
-            return HatElement.zero()
+            return None
         omega = reps[tuple(w[al[g]] for g in range(G.order))]
-        return HatElement.of(HatGenerator("Y", G, C, omega=omega,
-                                          zeta=a.zeta))
+        return HatGenerator("Y", G, C, omega=omega, zeta=a.zeta)
 
-    if a.variant == "X" and b.variant == "Y":
+    if a.variant == "X":
         t, s = a.t.images, a.sigma.images
         w, z = b.omega.images, b.zeta.images
-        r = tuple(C.mul(t[z[c]], c) for c in range(C.order))
-        if len(set(r)) != C.order:
-            return HatElement.zero()
-        r_inv = [0] * C.order
-        for c, rc in enumerate(r):
-            r_inv[rc] = c
-        cinv = C.inverses
-        s_map = tuple(G.mul(w[g], z[cinv[r_inv[t[w[g]]]]])
-                      for g in range(G.order))
-        if len(set(s_map)) != G.order:
-            raise GroupError("induced group map failed to be bijective")
-        omega = reps[tuple(s[s_map[g]] for g in range(G.order))]
-        zeta = tuple(s[z[r_inv[c]]] for c in range(C.order))
-        return HatElement.of(HatGenerator(
-            "Y", G, C, omega=omega,
-            zeta=GroupHom(C, G, zeta, _validate=False)))
+        omega = reps[tuple(s[G.mul(w[g], z[cinv[t[w[g]]]])]
+                           for g in range(G.order))]
+        zeta = GroupHom(C, G, tuple(s[x] for x in z), _validate=False)
+        return HatGenerator("Y", G, C, omega=omega, zeta=zeta)
 
     # Y . X
     w, z = a.omega.images, a.zeta.images
     t, s = b.t.images, b.sigma.images
-    cinv = C.inverses
-    m = tuple(G.mul(w[s[g]], z[cinv[t[g]]]) for g in range(G.order))
-    if len(set(m)) != G.order:
-        return HatElement.zero()
-    omega = reps[m]
-    return HatElement.of(HatGenerator("Y", G, C, omega=omega, zeta=a.zeta))
+    omega = reps[tuple(G.mul(w[s[g]], z[cinv[t[g]]]) for g in range(G.order))]
+    return HatGenerator("Y", G, C, omega=omega, zeta=a.zeta)
 
 
 def transport_hat_generator(gen: HatGenerator,
@@ -815,25 +737,19 @@ def transport_hat_generator(gen: HatGenerator,
 def _product_table(gens: List[HatGenerator], position: Dict[tuple, int],
                    mismatches: list) -> List[List[int]]:
     """hat_multiply on every generator pair, each product stored at once as
-    the index of its generator, or -1 for zero.  The product rules give
-    zero or one basis generator with coefficient 1; any other product is
-    recorded as a mismatch and stored as zero."""
+    the index of its generator, or -1 for zero.  A product that is not a
+    basis generator is recorded as a mismatch and stored as zero."""
     table = []
     for a in gens:
         row = []
         for b in gens:
-            terms = list(hat_multiply(a, b).coefficients.items())
-            cell = -1
-            if terms:
-                g, coeff = terms[0]
-                cell = position.get(g.key(), -1)
-                if len(terms) > 1 or coeff != 1 or cell < 0:
-                    mismatches.append({
-                        "left": a.describe(), "right": b.describe(),
-                        "predicted": repr(HatElement(dict(terms))),
-                        "detail": "not one basis generator with "
-                                  "coefficient 1"})
-                    cell = -1
+            g = hat_multiply(a, b)
+            cell = -1 if g is None else position.get(g.key(), -1)
+            if g is not None and cell < 0:
+                mismatches.append({
+                    "left": a.describe(), "right": b.describe(),
+                    "predicted": g.describe(),
+                    "detail": "not a basis generator"})
             row.append(cell)
         table.append(row)
     return table
@@ -975,10 +891,10 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
             mismatches.append({
                 "left": gens[a].describe(),
                 "right": gens[b].describe(),
-                "predicted": repr(HatElement(
-                    {} if cell < 0 else {gens[cell]: 1})),
-                "reduced": repr(HatElement(
-                    {gens[i]: v for i, v in reduced.items()})),
+                "predicted": describe(cell),
+                "reduced": " + ".join(sorted(
+                    f"{v}*{gens[i].describe()}"
+                    for i, v in reduced.items())) or "0",
                 "unknown_summands": [c.describe() for c in unknown],
             })
     return {

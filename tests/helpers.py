@@ -2,7 +2,6 @@
 production enumeration paths."""
 
 import itertools
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from fibredburnside import monomial
@@ -17,7 +16,7 @@ from fibredburnside.groups import (
     subgroups)
 from fibredburnside.monomial import FiniteAction, MonomialSet
 from fibredburnside.hat import (
-    FactorizationWitness, HatElement, _reduction_witness, hat_basis_prime,
+    FactorizationWitness, _reduction_witness, hat_basis_prime,
     hat_generator_class, hat_multiply, is_in_ideal)
 
 
@@ -648,14 +647,17 @@ def ref_verify_hat_vs_quotient(G, C, check=False):
                 if gen is None:
                     unknown.append(cls)
                 else:
-                    reduced[gen] = (reduced.get(gen, Fraction(0))
-                                    + Fraction(coeff))
-            if unknown or HatElement(reduced) != predicted:
+                    reduced[gen] = reduced.get(gen, 0) + coeff
+            if unknown or reduced != ({} if predicted is None
+                                      else {predicted: 1}):
                 mismatches.append({
                     "left": a.describe(),
                     "right": b.describe(),
-                    "predicted": repr(predicted),
-                    "reduced": repr(HatElement(reduced)),
+                    "predicted": ("0" if predicted is None
+                                  else predicted.describe()),
+                    "reduced": " + ".join(sorted(
+                        f"{v}*{g.describe()}"
+                        for g, v in reduced.items())) or "0",
                     "unknown_summands": [c.describe() for c in unknown],
                 })
     return {
@@ -666,6 +668,16 @@ def ref_verify_hat_vs_quotient(G, C, check=False):
         "mismatches": mismatches,
         "ok": not mismatches,
     }
+
+
+# -- the reference side of the Frattini lemma the mixed product rules of
+#    ``hat_multiply`` rest on
+
+
+def frattini_criterion(G, C, zeta):
+    """Whether every character G -> C kills the image of zeta."""
+    return all(all(mu.images[z] == 0 for z in zeta.images[1:])
+               for mu in homomorphisms(G, C))
 
 
 # -- set-level tools of the Green-functor identities (criterion 8 of

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -24,7 +23,9 @@ from fibredburnside.fibred import (
 from fibredburnside.groups import (
     BoundExceededError,
     GroupError,
+    GroupHom,
     automorphisms,
+    center,
     cyclic,
     dihedral,
     frattini,
@@ -34,9 +35,8 @@ from fibredburnside.groups import (
     small_groups_catalog,
 )
 from fibredburnside.hat import (
-    HatElement,
+    HatGenerator,
     counterexample_verify,
-    frattini_criterion,
     hat_basis_prime,
     hat_dimension,
     hat_generator_class,
@@ -45,10 +45,9 @@ from fibredburnside.hat import (
     seed_index,
     transport_hat_generator,
     verify_hat_vs_quotient,
-    y_type_class,
 )
 
-from helpers import ref_verify_hat_vs_quotient
+from helpers import frattini_criterion, ref_verify_hat_vs_quotient
 from test_fibred import counterexample_class
 
 
@@ -191,8 +190,8 @@ def test_identity_generator_is_neutral(c4, c2):
     assert hat_generator_class(one).raw == \
         next(iter(identity_element(c4, c2).terms)).raw
     for g in hat_basis_prime(c4, c2):
-        assert hat_multiply(one, g) == HatElement.of(g)
-        assert hat_multiply(g, one) == HatElement.of(g)
+        assert hat_multiply(one, g) == g
+        assert hat_multiply(g, one) == g
 
 
 def test_yy_vanishes_unless_transported(q8, c2):
@@ -201,10 +200,7 @@ def test_yy_vanishes_unless_transported(q8, c2):
         for b in gens:
             prod = hat_multiply(a, b)
             wz = tuple(a.omega.images[b.zeta.images[c]] for c in range(2))
-            if wz == a.zeta.images:
-                assert not prod.is_zero()
-            else:
-                assert prod.is_zero()
+            assert (prod is None) == (wz != a.zeta.images)
 
 
 def test_xy_survival_example(c4, c2):
@@ -218,9 +214,7 @@ def test_xy_survival_example(c4, c2):
              and g.omega.images == (0, 1, 2, 3))
     assert tuple(x.t.images[v] for v in y.zeta.images) == (0, 0)
     prod = hat_multiply(x, y)
-    assert not prod.is_zero()
-    ((res, coeff),) = prod.coefficients.items()
-    assert res.variant == "Y" and coeff == Fraction(1)
+    assert prod is not None and prod.variant == "Y"
 
 
 def test_yy_zero_branch_with_two_embeddings(c3):
@@ -233,10 +227,10 @@ def test_yy_zero_branch_with_two_embeddings(c3):
     ident = [g for g in gens if g.omega.images == tuple(range(9))]
     assert len(ident) == 2
     a, b = ident
-    assert hat_multiply(a, b).is_zero()
-    assert hat_multiply(b, a).is_zero()
-    assert hat_multiply(a, a) == HatElement.of(a)
-    assert hat_multiply(b, b) == HatElement.of(b)
+    assert hat_multiply(a, b) is None
+    assert hat_multiply(b, a) is None
+    assert hat_multiply(a, a) == a
+    assert hat_multiply(b, b) == b
 
 
 def test_mixed_rules_invert_the_fibre_value(monkeypatch, c3):
@@ -251,22 +245,17 @@ def test_mixed_rules_invert_the_fibre_value(monkeypatch, c3):
     x = by_key[("X", (0, 1, 2, 0, 1, 2, 0, 1, 2), one)]
     y = by_key[("Y", one, (0, 3, 6))]
     product = by_key[("Y", (0, 7, 5, 3, 1, 8, 6, 4, 2), (0, 3, 6))]
-    assert hat_multiply(x, y) == HatElement.of(product)
-    assert hat_multiply(y, x) == HatElement.of(product)
+    assert hat_multiply(x, y) == product
+    assert hat_multiply(y, x) == product
     for report in (verify_hat_vs_quotient(c9, c3),
                    ref_verify_hat_vs_quotient(c9, c3)):
         assert report["ok"], report["mismatches"][:2]
         assert report["pairs"] == 900
 
 
-def hat_multiply_elements(x: HatElement, y: HatElement) -> HatElement:
-    """The product of two rational combinations of generators, bilinear
-    in hat_multiply."""
-    out = HatElement.zero()
-    for g1, v1 in x.coefficients.items():
-        for g2, v2 in y.coefficients.items():
-            out = out + hat_multiply(g1, g2).scaled(v1 * v2)
-    return out
+def times(x, y):
+    """hat_multiply with None, the zero product, absorbing on both sides."""
+    return None if x is None or y is None else hat_multiply(x, y)
 
 
 def test_hat_multiply_associative_q8(q8, c2):
@@ -275,10 +264,7 @@ def test_hat_multiply_associative_q8(q8, c2):
         for b in gens:
             ab = hat_multiply(a, b)
             for c in gens[::7]:
-                left = hat_multiply_elements(ab, HatElement.of(c))
-                right = hat_multiply_elements(
-                    HatElement.of(a), hat_multiply(b, c))
-                assert left == right
+                assert times(ab, c) == times(a, hat_multiply(b, c))
 
 
 def test_hat_multiply_associative_on_generators(c4, c2, s3):
@@ -288,10 +274,7 @@ def test_hat_multiply_associative_on_generators(c4, c2, s3):
             for b in gens:
                 ab = hat_multiply(a, b)
                 for c in gens:
-                    left = hat_multiply_elements(ab, HatElement.of(c))
-                    right = hat_multiply_elements(
-                        HatElement.of(a), hat_multiply(b, c))
-                    assert left == right
+                    assert times(ab, c) == times(a, hat_multiply(b, c))
 
 
 def test_verify_hat_vs_quotient_small():
@@ -309,6 +292,18 @@ def test_verify_hat_vs_quotient_c3_fibre():
         assert report["ok"], report["mismatches"]
 
 
+def check_prime_census(G, C) -> dict:
+    """The survivors of hat_dimension are exactly the closed-form
+    generator classes, and the product rules pass the cross-check, whose
+    report is returned."""
+    _, basis = hat_dimension(G, C)
+    assert ({hat_generator_class(g).raw for g in hat_basis_prime(G, C)}
+            == {X.raw for X in basis})
+    report = verify_hat_vs_quotient(G, C)
+    assert report["ok"], report["mismatches"][:2]
+    return report
+
+
 # -- the cross-check composes one pair per orbit; the n^2 check of
 #    ``helpers.ref_verify_hat_vs_quotient`` is its oracle
 
@@ -320,12 +315,12 @@ CROSS_CHECK_GROUPS = [G for G in small_groups_catalog(8)
 @pytest.mark.parametrize("fibre", ["C2", "C3"])
 @pytest.mark.parametrize("G", CROSS_CHECK_GROUPS, ids=lambda G: G.name)
 def test_verify_hat_vs_quotient_matches_reference(G, fibre):
+    # run as a script, this file checks the census for orders 9-15 too
     C = group_from_spec(fibre)
-    report = verify_hat_vs_quotient(G, C)
+    report = check_prime_census(G, C)
     ref = ref_verify_hat_vs_quotient(G, C)
     assert (report["ok"], report["pairs"], report["mismatches"]) == \
         (ref["ok"], ref["pairs"], ref["mismatches"])
-    assert report["ok"]
 
 
 @pytest.fixture()
@@ -371,10 +366,9 @@ def test_cross_check_table_is_hat_multiply(c2):
     G = group_from_spec("C4xC2")
     gens = hat_basis_prime(G, c2)
     table = verify_hat_vs_quotient(G, c2)["table"]
-    assert table == [[-1 if hat_multiply(a, b).is_zero()
-                      else gens.index(next(iter(
-                          hat_multiply(a, b).coefficients)))
-                      for b in gens] for a in gens]
+    products = [[hat_multiply(a, b) for b in gens] for a in gens]
+    assert table == [[-1 if g is None else gens.index(g) for g in row]
+                     for row in products]
 
 
 # mutations: each breaks one input of the reduced check on C4xC2 with C2,
@@ -390,10 +384,10 @@ def test_cross_check_catches_a_wrong_product_off_the_representatives(
     real = hat.hat_multiply
     wrong = next((a, b) for a in gens for b in gens
                  if (hat_generator_class(a).raw, hat_generator_class(b).raw)
-                 not in composed and not real(a, b).is_zero())
+                 not in composed and real(a, b) is not None)
 
     def mutated(a, b):
-        return HatElement.zero() if (a, b) == wrong else real(a, b)
+        return None if (a, b) == wrong else real(a, b)
 
     monkeypatch.setattr(hat, "hat_multiply", mutated)
     composed_pairs.clear()
@@ -401,6 +395,28 @@ def test_cross_check_catches_a_wrong_product_off_the_representatives(
     assert not report["ok"]
     assert set(composed_pairs) == composed
     assert any("symmetry" in m for m in report["mismatches"])
+
+
+def test_cross_check_reports_a_product_outside_the_basis(monkeypatch, c2):
+    # a nontrivial inner automorphism is no outer representative, so this
+    # X generator is not in the basis; the check records it, not KeyError
+    G = group_from_spec("D8")
+    one = _identity_generator(G, c2)
+    inner = next(h for h in automorphisms(G).inner
+                 if h.images != tuple(range(G.order)))
+    stray = HatGenerator("X", G, c2, t=one.t, sigma=inner)
+    assert stray not in hat_basis_prime(G, c2)
+    real = hat.hat_multiply
+
+    def mutated(a, b):
+        return stray if (a, b) == (one, one) else real(a, b)
+
+    monkeypatch.setattr(hat, "hat_multiply", mutated)
+    report = verify_hat_vs_quotient(G, c2)
+    assert not report["ok"]
+    assert {"left": one.describe(), "right": one.describe(),
+            "predicted": stray.describe(),
+            "detail": "not a basis generator"} in report["mismatches"]
 
 
 def test_cross_check_catches_a_wrong_transport(monkeypatch, c2):
@@ -437,12 +453,48 @@ def test_frattini_criterion_matches_membership():
         G = group_from_spec(spec)
         ident = automorphisms(G).out_representatives[0]
         phi_mask = frattini(G).mask
-        for zeta in hat._fibre_embeddings(G, c2, into_frattini=False):
-            lands_in_phi = all((phi_mask >> z) & 1 for z in zeta.images)
+        # every fibre embedding into the center, in the Frattini subgroup
+        # or not
+        for z in center(G).elements:
+            if G.element_order(z) != 2:
+                continue
+            zeta = GroupHom(c2, G, (0, z), _validate=False)
+            lands_in_phi = bool((phi_mask >> z) & 1)
             assert frattini_criterion(G, c2, zeta) == lands_in_phi
-            cls = y_type_class(G, c2, ident, zeta)
+            cls = hat_generator_class(HatGenerator("Y", G, c2, omega=ident,
+                                                   zeta=zeta))
             witness = is_in_ideal(cls)
             assert (witness is None) == lands_in_phi
+
+
+def test_mixed_products_rest_on_the_frattini_lemma():
+    # hat_multiply's mixed rules have no zero branch: every character
+    # kills a Y generator's zeta, and so the group map of Y.X is an
+    # automorphism; that of X.Y is the same map with sigma = 1 and the
+    # character t o omega.  No product ambient is built, so this covers
+    # the whole catalog at the shipped bound.
+    pairs = y_count = 0
+    for G in small_groups_catalog():
+        if G.order < 2:
+            continue
+        reps = automorphisms(G).out_rep_of
+        for spec in ("C2", "C3", "C5"):
+            C = group_from_spec(spec)
+            gens = hat_basis_prime(G, C)
+            pairs += 1
+            for y in gens:
+                if y.variant != "Y":
+                    continue
+                y_count += 1
+                assert frattini_criterion(G, C, y.zeta)
+                w, z = y.omega.images, y.zeta.images
+                for x in gens:
+                    if x.variant != "X":
+                        continue
+                    t, s = x.t.images, x.sigma.images
+                    assert tuple(G.mul(w[s[g]], z[C.inverses[t[g]]])
+                                 for g in range(G.order)) in reps
+    assert (pairs, y_count) == (81, 40)
 
 
 # -- seed index ----------------------------------------------------------------
@@ -480,10 +532,9 @@ def test_transport_respects_products(s3, c2):
         for b in gens:
             direct = hat_multiply(transport_hat_generator(a, phi),
                                   transport_hat_generator(b, phi))
-            moved = HatElement({
-                transport_hat_generator(g, phi): v
-                for g, v in hat_multiply(a, b).coefficients.items()})
-            assert direct == moved
+            product = hat_multiply(a, b)
+            assert direct == (None if product is None
+                              else transport_hat_generator(product, phi))
 
 
 # -- the counterexample -------------------------------------------------------
@@ -685,3 +736,18 @@ def test_counterexample_contrast_with_prime_fibre(q8, d8, c2):
             transitive_fibred_biset(q8, d8, c2, D.elements, delta.images))
         W = compose(element_of(X), element_of(opposite(X)))
         assert all(is_in_ideal(cls) is not None for cls in W.terms)
+
+
+if __name__ == "__main__":
+    # the prime-fibre census beyond the shipped bound: every catalog group
+    # of order 9-15 with C2 and C3, the bound raised in this process only
+    import time
+    groups.SUBGROUP_ORDER_BOUND = 225
+    for G in small_groups_catalog():
+        if G.order < 9:
+            continue
+        for c_spec in ("C2", "C3"):
+            start = time.monotonic()
+            check_prime_census(G, group_from_spec(c_spec))
+            print(f"{G.name} {c_spec}: ok ({time.monotonic() - start:.1f}s)",
+                  flush=True)
