@@ -80,8 +80,6 @@ from .hat import (
     hat_generator_class,
     hat_multiply,
     is_in_ideal,
-    seed_index,
-    transport_hat_generator,
     verify_hat_vs_quotient,
 )
 

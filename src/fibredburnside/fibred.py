@@ -23,6 +23,7 @@ from .groups import (
     ProductEmbedding,
     Subgroup,
     cyclic,
+    elements_to_mask,
     group_from_spec,
     homomorphisms,
     mask_to_elements,
@@ -516,10 +517,7 @@ def _element_from_stabilizers(left, right, fibre, stabilizers
     amb = product_embedding(left, right).ambient
     acc: Dict[tuple, int] = {}
     for d_elements, delta in stabilizers:
-        mask = 0
-        for x in d_elements:
-            mask |= 1 << x
-        key = _canonical_raw(amb, mask, delta)
+        key = _canonical_raw(amb, elements_to_mask(d_elements), delta)
         acc[key] = acc.get(key, 0) + 1
     return FibredElement(
         left, right, fibre,
@@ -623,14 +621,13 @@ def tensor(X: FibredElement, Y: FibredElement) -> FibredElement:
     G, H = X.left, Y.left
     emb_gc = product_embedding(G, C)
     emb_hc = product_embedding(H, C)
+    amb = product_embedding(G, H).ambient
+    us = [(to_monomial_set(ty).action, cy) for ty, cy in Y.terms.items()]
     out = zero_element(G, H, C)
     for tx, cx in X.terms.items():
-        for ty, cy in Y.terms.items():
-            T = to_monomial_set(tx)
-            U = to_monomial_set(ty)
-            _, action = monomial.tensor_sets(emb_gc, T.action,
-                                             emb_hc, U.action)
-            amb = product_embedding(G, H).ambient
+        T = to_monomial_set(tx).action
+        for U, cy in us:
+            _, action = monomial.tensor_sets(emb_gc, T, emb_hc, U)
             res = MonomialSet(amb, C, action)
             out = out + from_monomial_set(res, G, H).scaled(cx * cy)
     return out

@@ -13,11 +13,14 @@ objects it depends on (groups by identity); each such function offers
 ``cache_info()`` and ``cache_clear()``.  The caches hold their arguments
 and results for the life of the process.
 
-The enumerations of subgroups, homomorphisms and automorphisms refuse
-groups above ``SUBGROUP_ORDER_BOUND``, and the catalog stops at
-``CATALOG_MAX_ORDER``.  Both are module constants, not parameters; the
-enumeration functions read the bound at call time, so it is set in one
-place.
+The enumerations of subgroups, homomorphisms and automorphisms, and group
+specs, refuse orders above ``SUBGROUP_ORDER_BOUND``, and the catalog
+stops at ``CATALOG_MAX_ORDER``.  Both are module constants, not
+parameters; the enumeration functions read the bound at call time, so it
+is set in one place.  The bound limits nothing else: a table given from
+outside is validated by the public constructor whatever its order, and
+product, quotient and subgroup tables, derived from validated groups, are
+trusted at any order (the test suite holds them to references).
 """
 
 from __future__ import annotations
@@ -103,12 +106,15 @@ class FiniteGroup:
         self._setup(rows, labels, name, validate=True)
 
     @classmethod
-    def _from_rows(cls, rows: tuple, labels, name, validate) -> "FiniteGroup":
+    def _from_rows(cls, rows: tuple, labels, name) -> "FiniteGroup":
         """A group on rows that are already tuples of ints and labels that
-        are already a tuple of strings, computed here from validated
-        tables; skips the per-entry checks of the public constructor."""
+        are already a tuple of strings, derived here (products, quotients,
+        subgroups) from validated groups.  Such a table is trusted at any
+        order, with none of the public constructor's checks:
+        ``SUBGROUP_ORDER_BOUND`` limits enumerations and specs only, and
+        the test suite holds derived tables to references."""
         self = cls.__new__(cls)
-        self._setup(rows, labels, name, validate)
+        self._setup(rows, labels, name, validate=False)
         return self
 
     def _setup(self, rows, labels, name, validate):
@@ -737,7 +743,6 @@ def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
         strides.append(s)
         s *= o
     strides = tuple(reversed(strides))
-    total = s
     coords = tuple(itertools.product(*(range(o) for o in orders)))
     nontrivial = [f for f in factors if f.order > 1]
     if len(nontrivial) <= 1:
@@ -766,8 +771,7 @@ def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
             labels = tuple("(" + ",".join(ls) + ")" for ls in
                            itertools.product(*(f.labels for f in factors)))
         name = "x".join(f.name for f in factors)
-        ambient = FiniteGroup._from_rows(
-            rows, labels, name, validate=total <= SUBGROUP_ORDER_BOUND)
+        ambient = FiniteGroup._from_rows(rows, labels, name)
     return ProductEmbedding(factors, ambient, strides, coords)
 
 
@@ -1000,8 +1004,7 @@ def _subgroup_as_group(S: Subgroup):
     pos = {x: i for i, x in enumerate(els)}
     table = tuple(tuple([pos[G.mul(a, b)] for b in els]) for a in els)
     labels = tuple(G.labels[x] for x in els) if G.labels else None
-    sub = FiniteGroup._from_rows(table, labels, f"{G.name}|{len(els)}",
-                                 validate=False)
+    sub = FiniteGroup._from_rows(table, labels, f"{G.name}|{len(els)}")
     return sub, GroupHom(sub, G, els, _validate=False)
 
 
@@ -1040,8 +1043,7 @@ def _quotient(N: Subgroup):
     labels = None
     if G.labels is not None:
         labels = tuple(f"[{G.labels[r]}]" for r in reps)
-    Q = FiniteGroup._from_rows(table, labels, f"{G.name}/{len(N.elements)}",
-                               validate=False)
+    Q = FiniteGroup._from_rows(table, labels, f"{G.name}/{len(N.elements)}")
     return Q, GroupHom(G, Q, tuple(coset_of), _validate=False)
 
 

@@ -22,7 +22,8 @@ full, cut down in five sound ways:
 * Closure.  The summands of the representative pairs are closed under
   Aut(G) on both sides, which gives exactly the summands of all swept
   pairs; each witness is twisted along, and keeps its double-coset
-  representative.
+  representative, as a twist of the outer factors leaves the middle
+  coordinates, and with them the double cosets, unchanged.
 * Trivial reduced kernels.  If g lies in k1(ker nu) for a = (V, nu),
   then (g,1) in V pairs with (1,1) in U at every representative h, so
   g lies in k1(ker delta) of every summand (D, delta) of a o b; likewise
@@ -74,15 +75,22 @@ against compose-then-reduce, with a seventh cut:
 * Orbits of generator pairs.  The product rules are checked on every
   pair of generators, but compose runs on one pair per orbit of the
   group generated by (a, b) -> (phi a, phi b), phi in Aut(G), and
-  (a, b) -> (op b, op a).  Composition and ideal membership are
-  equivariant under twists, (phi a phi^-1) o (phi b phi^-1) =
+  (a, b) -> (op b, op a), acting on the generator classes.  Composition
+  is equivariant under twists, (phi a phi^-1) o (phi b phi^-1) =
   phi (a o b) phi^-1, and anti-equivariant under the opposite,
-  op(a o b) = op(b) o op(a).  So once each generator's class is checked
-  to move with the generator, the reduced composite at an image pair is
-  the image of the one at the pair; the product table is checked to
-  move the same way on every pair and symmetry, with no composition, and
-  a wrong entry anywhere in an orbit either breaks such an edge or is
-  carried to the representative, where composing catches it.
+  op(a o b) = op(b) o op(a); and a class is in the ideal exactly when
+  its twist is, and its opposite, as the twist or the opposite of a
+  factorization through K is one through K.  So when a symmetry maps
+  every generator class onto a generator class, the reduced composite
+  at the image of a pair is the image of the one at the pair.  The
+  product table is checked to move the same way on every pair and every
+  such symmetry, table[phi a][phi b] = phi(table[a][b]) and
+  table[op b][op a] = op(table[a][b]), with no composition, and a wrong
+  entry anywhere in an orbit either breaks such an edge or is carried to
+  the representative, where composing catches it.  A symmetry that maps
+  some generator class elsewhere is reported and not used.  Inner
+  automorphisms fix every canonical class, so the generators of Aut(G)
+  modulo them suffice.
 
 The n^2 cross-check is kept in the test suite as the oracle for this one.
 """
@@ -146,9 +154,7 @@ __all__ = [
     "hat_basis_prime",
     "hat_generator_class",
     "hat_multiply",
-    "transport_hat_generator",
     "verify_hat_vs_quotient",
-    "seed_index",
     "counterexample_verify",
     "is_prime",
 ]
@@ -396,15 +402,10 @@ def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
     Each key maps to ``(a, b, h, sigma, tau)``: the key is the summand at
     double-coset representative h of (sigma a) o (b tau), where sigma and
     tau are automorphisms of G (image tuples) applied to the outer factors
-    of a and b; ``_sweep_witness`` builds the witness from it.
-
-    Only orbit representatives are composed.  Twisting a factor by an
-    automorphism twists the composite, (sigma a kappa^-1) o (kappa b tau)
-    = sigma (a o b) tau, so it suffices to take a over the orbits of
-    Aut(G) x Aut(K) and b over the orbits of Aut(G) on its outer factor,
-    and then to close the summand keys under Aut(G) on both sides.  A
-    twisted witness keeps its representative h, because the twist leaves
-    the middle coordinates, and with them the double cosets, unchanged.
+    of a and b; ``_sweep_witness`` builds the witness from it.  Only orbit
+    representatives of pairs are composed, and their summand keys are
+    closed under Aut(G) on both sides (the second and third cuts of the
+    module docstring).
     """
     lefts, rights = _kept_factors(G, K, C)
     if not lefts:
@@ -709,31 +710,6 @@ def hat_multiply(a: HatGenerator, b: HatGenerator
     return HatGenerator("Y", G, C, omega=omega, zeta=a.zeta)
 
 
-def transport_hat_generator(gen: HatGenerator,
-                            phi: GroupHom) -> HatGenerator:
-    """Move a generator along an isomorphism phi: G -> H."""
-    if not phi.is_bijective or phi.domain is not gen.group:
-        raise GroupError("transport needs an isomorphism out of the "
-                         "generator's group")
-    H = phi.codomain
-    reps = automorphisms(H).out_rep_of
-    phi_inv = [0] * H.order
-    for g in range(gen.group.order):
-        phi_inv[phi.images[g]] = g
-    if gen.variant == "X":
-        t = tuple(gen.t.images[phi_inv[h]] for h in range(H.order))
-        sigma = reps[tuple(phi.images[gen.sigma.images[phi_inv[h]]]
-                           for h in range(H.order))]
-        return HatGenerator("X", H, gen.fibre,
-                            t=GroupHom(H, gen.fibre, t, _validate=False),
-                            sigma=sigma)
-    omega = reps[tuple(phi.images[gen.omega.images[phi_inv[h]]]
-                       for h in range(H.order))]
-    zeta = tuple(phi.images[z] for z in gen.zeta.images)
-    return HatGenerator("Y", H, gen.fibre, omega=omega,
-                        zeta=GroupHom(gen.fibre, H, zeta, _validate=False))
-
-
 def _product_table(gens: List[HatGenerator], position: Dict[tuple, int],
                    mismatches: list) -> List[List[int]]:
     """hat_multiply on every generator pair, each product stored at once as
@@ -757,45 +733,37 @@ def _product_table(gens: List[HatGenerator], position: Dict[tuple, int],
 
 def _generator_moves(G: FiniteGroup, gens: List[HatGenerator],
                      classes: List[TransitiveFibredBiset],
-                     position: Dict[tuple, int], index: Dict[tuple, int],
-                     mismatches: list) -> List[Tuple[List[int], bool, str]]:
-    """The symmetries of the check as permutations of generator indices:
-    one per automorphism of ``_aut_generators(G)``, read off
-    ``transport_hat_generator`` by generator key and required to map every
-    generator class onto its (phi, phi)-twist, and one for ``opposite``,
-    read off the opposite classes.  Each move is
-    (permutation, whether it swaps the two factors, name).  A symmetry
-    that fails on some generator is recorded as a mismatch and left out,
-    so the orbits are only finer."""
+                     index: Dict[tuple, int], mismatches: list
+                     ) -> List[Tuple[List[int], bool, str]]:
+    """The symmetries of the check as permutations of generator indices,
+    read off the generator classes: each class is mapped and its key looked
+    up in ``index``.  There is one (phi, phi)-twist per automorphism phi of
+    ``_aut_generators(G)``, and ``opposite``.  Each move is (permutation,
+    whether it swaps the two factors, name).  A symmetry that maps some
+    generator class outside the generator classes is recorded as a
+    mismatch and left out, so the orbits are only finer."""
     emb = product_embedding(G, G)
     amb = emb.ambient
-    moves = []
+    symmetries = []
     for images in _aut_generators(G):
-        phi = GroupHom(G, G, images, _validate=False)
         # the element map of G x G, built once per automorphism
         twist = [emb.encode(images[g1], images[g2]) for g1, g2 in emb.coords]
-        perm = []
-        for gen, cls in zip(gens, classes):
-            j = position.get(transport_hat_generator(gen, phi).key(), -1)
-            if j < 0 or classes[j].raw != _canonical_raw(
-                    amb, *_permute_raw(twist, cls.D.elements,
-                                       cls.delta.images)):
-                mismatches.append({
-                    "generator": gen.describe(),
-                    "automorphism": list(images),
-                    "detail": "the transported generator is not one of "
-                              "the basis whose class is the twisted class"})
-                break
-            perm.append(j)
+        symmetries.append((f"automorphism {list(images)}", False, [
+            _canonical_raw(amb, *_permute_raw(twist, cls.D.elements,
+                                              cls.delta.images))
+            for cls in classes]))
+    symmetries.append(("opposite", True,
+                       [opposite(cls).raw for cls in classes]))
+    moves = []
+    for name, swap, raws in symmetries:
+        perm = [index.get(raw, -1) for raw in raws]
+        if -1 in perm:
+            mismatches.append({
+                "generator": gens[perm.index(-1)].describe(),
+                "symmetry": name,
+                "detail": "the image class is not a generator class"})
         else:
-            moves.append((perm, False, f"automorphism {list(images)}"))
-    op = [index.get(opposite(cls).raw, -1) for cls in classes]
-    if -1 in op:
-        mismatches.append({
-            "generator": gens[op.index(-1)].describe(),
-            "detail": "the opposite class is not a generator class"})
-    else:
-        moves.append((op, True, "opposite"))
+            moves.append((perm, swap, name))
     return moves
 
 
@@ -805,30 +773,13 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
     attached classes with compose, drop ideal summands, and compare with
     hat_multiply, for every generator pair.  With ``check`` every
     composition is also cross-checked against the orbit oracle.
+    ``hat_multiply`` runs on all n^2 pairs, ``compose`` on one pair per
+    orbit of generator pairs (the seventh cut of the module docstring).
 
-    ``hat_multiply`` runs on all n^2 pairs, but ``compose`` only on one
-    pair per orbit of the group generated by the diagonal action of
-    Aut(G), (a, b) -> (phi a, phi b), and the anti-involution
-    (a, b) -> (op b, op a).  This is sound because both sides of the check
-    are equivariant.  Twisting both factors by phi twists the composite,
-    (phi a phi^-1) o (phi b phi^-1) = phi (a o b) phi^-1, and a class is
-    in the ideal exactly when its twist is; likewise op(a o b) =
-    op(b) o op(a), and the opposite of a factorization through K is one
-    through K.  So once the class of phi a is checked to be the twist of
-    the class of a for every generator, and that of op a to be the
-    opposite of that of a, the reduced composite at (phi a, phi b) is the
-    image of the one at (a, b), and at (op b, op a) the opposite of it.
-    The table is then checked to move the same way on every pair and
-    every symmetry: table[phi a][phi b] = phi(table[a][b]) and
-    table[op b][op a] = op(table[a][b]), which needs no composition.  A
-    wrong entry anywhere in an orbit then either breaks one of these
-    edges or is carried to the representative, where the composition
-    catches it.  Inner automorphisms fix every generator, so the
-    generators of Aut(G) modulo them suffice.
-
-    The report gives the checked table as well, as generator indices with
-    -1 for zero, under ``"table"``; ``"pairs"`` counts the pairs checked
-    and ``"composed"`` the compositions made."""
+    The report gives the checked table, as generator indices with -1 for
+    zero, under ``"table"``; ``"pairs"`` counts the pairs checked,
+    ``"composed"`` the compositions made, and ``"mismatches"`` lists the
+    disagreements, with ``"ok"`` true when there is none."""
     gens = hat_basis_prime(G, C)
     n = len(gens)
     classes = [hat_generator_class(g) for g in gens]
@@ -838,7 +789,7 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
     position = {g.key(): i for i, g in enumerate(gens)}
     mismatches = []
     table = _product_table(gens, position, mismatches)
-    moves = _generator_moves(G, gens, classes, position, index, mismatches)
+    moves = _generator_moves(G, gens, classes, index, mismatches)
 
     def describe(cell: int) -> str:
         return "0" if cell < 0 else gens[cell].describe()
@@ -907,29 +858,6 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
         "ok": not mismatches,
         "table": table,
     }
-
-
-def seed_index(catalog: List[FiniteGroup], C: FiniteGroup) -> List[dict]:
-    """Index data of the classification for a prime fibre: for each group
-    the parametrizing algebra with its dimension and generator census.
-    (Only the index side; no module theory of the algebras themselves.)"""
-    _require_prime_fibre(C)
-    out = []
-    for G in catalog:
-        gens = hat_basis_prime(G, C)
-        n_x = sum(1 for g in gens if g.variant == "X")
-        n_y = len(gens) - n_x
-        algebra = ("group algebra of Hom(G,C) x| Out(G)" if n_y == 0 else
-                   "R[Out(G) x Y_G] (+) group algebra of Hom(G,C) x| Out(G)")
-        out.append({
-            "group": G.name,
-            "order": G.order,
-            "algebra": algebra,
-            "dimension": len(gens),
-            "x_generators": n_x,
-            "y_generators": n_y,
-        })
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ from fibredburnside.fibred import (
     transitive_basis)
 from fibredburnside.goursat import _quotient_of_subgroup
 from fibredburnside.groups import (
-    GroupError, ProductEmbedding, Subgroup, _extend_hom, _generating_sequence,
-    automorphisms, homomorphisms, mask_to_elements, product_embedding,
-    subgroups)
+    FiniteGroup, GroupError, GroupHom, ProductEmbedding, Subgroup,
+    _extend_hom, _generating_sequence, automorphisms, homomorphisms,
+    mask_to_elements, product_embedding, subgroups)
 from fibredburnside.monomial import FiniteAction, MonomialSet
 from fibredburnside.hat import (
-    FactorizationWitness, _reduction_witness, hat_basis_prime,
-    hat_generator_class, hat_multiply, is_in_ideal)
+    FactorizationWitness, HatGenerator, _reduction_witness,
+    _require_prime_fibre, hat_basis_prime, hat_generator_class, hat_multiply,
+    is_in_ideal)
 
 
 def brute_subgroup_masks(G):
@@ -678,6 +679,63 @@ def frattini_criterion(G, C, zeta):
     """Whether every character G -> C kills the image of zeta."""
     return all(all(mu.images[z] == 0 for z in zeta.images[1:])
                for mu in homomorphisms(G, C))
+
+
+# -- generators moved along isomorphisms, by their parameters: the
+#    reference for the generator index being an isomorphism invariant and
+#    for the product rules moving with the generators
+
+
+def transport_hat_generator(gen: HatGenerator,
+                            phi: GroupHom) -> HatGenerator:
+    """Move a generator along an isomorphism phi: G -> H."""
+    if not phi.is_bijective or phi.domain is not gen.group:
+        raise GroupError("transport needs an isomorphism out of the "
+                         "generator's group")
+    H = phi.codomain
+    reps = automorphisms(H).out_rep_of
+    phi_inv = [0] * H.order
+    for g in range(gen.group.order):
+        phi_inv[phi.images[g]] = g
+    if gen.variant == "X":
+        t = tuple(gen.t.images[phi_inv[h]] for h in range(H.order))
+        sigma = reps[tuple(phi.images[gen.sigma.images[phi_inv[h]]]
+                           for h in range(H.order))]
+        return HatGenerator("X", H, gen.fibre,
+                            t=GroupHom(H, gen.fibre, t, _validate=False),
+                            sigma=sigma)
+    omega = reps[tuple(phi.images[gen.omega.images[phi_inv[h]]]
+                       for h in range(H.order))]
+    zeta = tuple(phi.images[z] for z in gen.zeta.images)
+    return HatGenerator("Y", H, gen.fibre, omega=omega,
+                        zeta=GroupHom(gen.fibre, H, zeta, _validate=False))
+
+
+# -- the index side of the prime-fibre classification: per group the
+#    parametrizing algebra, its dimension and its generator census
+
+
+def seed_index(catalog: List[FiniteGroup], C: FiniteGroup) -> List[dict]:
+    """Index data of the classification for a prime fibre: for each group
+    the parametrizing algebra with its dimension and generator census.
+    (Only the index side; no module theory of the algebras themselves.)"""
+    _require_prime_fibre(C)
+    out = []
+    for G in catalog:
+        gens = hat_basis_prime(G, C)
+        n_x = sum(1 for g in gens if g.variant == "X")
+        n_y = len(gens) - n_x
+        algebra = ("group algebra of Hom(G,C) x| Out(G)" if n_y == 0 else
+                   "R[Out(G) x Y_G] (+) group algebra of Hom(G,C) x| Out(G)")
+        out.append({
+            "group": G.name,
+            "order": G.order,
+            "algebra": algebra,
+            "dimension": len(gens),
+            "x_generators": n_x,
+            "y_generators": n_y,
+        })
+    return out
 
 
 # -- set-level tools of the Green-functor identities (criterion 8 of

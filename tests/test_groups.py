@@ -271,21 +271,48 @@ def test_product_ordering_is_lexicographic(c2, c4):
 
 def _reference_products():
     """Every ordered pair of catalog groups of order <= 8, three-factor
-    products, and products with trivial factors in every position."""
+    products, products with trivial factors in every position, and
+    products of order above 64 that the orbit oracle builds: (C3 x Q8) x C4
+    of order 96, and (D8 x Q8) x C4 and (Q8 x D8) x C4 of order 256, the
+    two that the counterexample's check builds."""
     cat = small_groups_catalog(8)
     c1, c2, c3, c4 = (groups.cyclic(n) for n in (1, 2, 3, 4))
     s3 = groups.symmetric(3)
     q8 = quaternion8()
+    d8 = groups.dihedral(8)
     return ([(g, h) for g in cat for h in cat]
             + [(c2, c3, c2), (s3, c2, c4), (c2, c2, c2), (q8, c2, c3),
                (c3, s3, c1), (c2, c1, c3), (c1, q8, c1), (c1, c1),
-               (c1, c1, c1)])
+               (c1, c1, c1)]
+            + [(product_embedding(c3, q8).ambient, c4),
+               (product_embedding(d8, q8).ambient, c4),
+               (product_embedding(q8, d8).ambient, c4)])
 
 
 def test_product_tables_match_cell_by_cell_reference():
     for factors in _reference_products():
         emb = product_embedding(*factors)
         assert emb.ambient.table == ref_product_table(factors), factors
+
+
+def test_derived_tables_are_never_validated(monkeypatch, q8, d8, c4):
+    # product, quotient and subgroup tables come from validated groups and
+    # are trusted at every order; only the public constructor validates.
+    # The factors are fresh groups, so no cached product answers.
+    calls = []
+    monkeypatch.setattr(groups.FiniteGroup, "_validate",
+                        lambda self: calls.append(self))
+    a, b, c = (groups.FiniteGroup(H.table) for H in (q8, d8, c4))
+    assert calls == [a, b, c]
+    del calls[:]
+    small = product_embedding(a, b).ambient
+    large = product_embedding(small, c).ambient
+    assert (small.order, large.order) == (64, 256)
+    Z = groups.center(small)
+    subgroup_as_group(Z)
+    quotient(small, Z)
+    assert calls == []
+    assert large.table == ref_product_table((small, c))
 
 
 def test_internal_tables_are_tuples_of_ints(q8, d8):

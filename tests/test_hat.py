@@ -42,12 +42,15 @@ from fibredburnside.hat import (
     hat_generator_class,
     hat_multiply,
     is_in_ideal,
-    seed_index,
-    transport_hat_generator,
     verify_hat_vs_quotient,
 )
 
-from helpers import frattini_criterion, ref_verify_hat_vs_quotient
+from helpers import (
+    frattini_criterion,
+    ref_verify_hat_vs_quotient,
+    seed_index,
+    transport_hat_generator,
+)
 from test_fibred import counterexample_class
 
 
@@ -419,12 +422,17 @@ def test_cross_check_reports_a_product_outside_the_basis(monkeypatch, c2):
             "detail": "not a basis generator"} in report["mismatches"]
 
 
-def test_cross_check_catches_a_wrong_transport(monkeypatch, c2):
-    def mutated(gen, phi):
-        return gen
-
-    monkeypatch.setattr(hat, "transport_hat_generator", mutated)
-    assert not verify_hat_vs_quotient(group_from_spec("C4xC2"), c2)["ok"]
+def test_cross_check_catches_a_wrong_class_move(monkeypatch, c2):
+    # with opposite the identity, the opposite move would swap the factors
+    # and fix every generator, which asks the table to be commutative; the
+    # Hom x| Out product of C4xC2 is not.  The first run fills the ideal
+    # caches, so that the mutation reaches the moves alone
+    G = group_from_spec("C4xC2")
+    assert verify_hat_vs_quotient(G, c2)["ok"]
+    monkeypatch.setattr(hat, "opposite", lambda X: X)
+    report = verify_hat_vs_quotient(G, c2)
+    assert not report["ok"]
+    assert all(m["symmetry"] == "opposite" for m in report["mismatches"])
 
 
 def test_cross_check_catches_a_wrong_generator_class(monkeypatch, c2):

@@ -5,9 +5,12 @@ The oracle builds rows for generators only and reads its stabilizers by
 evaluating one point; ``ref_compose_oracle_transitive`` builds every
 row and reads them off full tables, and both give the same elements.
 
-Run as a script, the comparison with that reference covers all pairs of
-the ``oracle`` benchmark design for seeds 1-3, and fibres C2xC2 and C6
-over every catalog triple of order <= 4:
+Run as a script, it holds every product ambient that the ``oracle``
+benchmark design builds for seeds 1-3 (G x H, H x K and G x K, and each
+of them times the fibre C, of orders up to 256) to ``ref_product_table``,
+as products are built without validation; and the comparison with the
+oracle's reference covers all pairs of that design for seeds 1-3, and
+fibres C2xC2 and C6 over every catalog triple of order <= 4:
 
     PYTHONPATH=src:tests python tests/test_oracle_gluing.py
 """
@@ -35,6 +38,7 @@ from helpers import (
     ref_oracle_moves,
     ref_oracle_result_rows,
     ref_orbit_partition,
+    ref_product_table,
     ref_tensor_moves,
 )
 
@@ -190,8 +194,9 @@ def _random_pairs(seed, fibres, count, max_order=8):
                sampling.random_transitive_class(rng, H, K, C))
 
 
-def _oracle_design_pairs(seed):
-    """The composable pairs of the ``oracle`` benchmark workload."""
+def _oracle_design(seed):
+    """The groups G, H, K and C of each pair of the ``oracle`` benchmark
+    workload, with the draws of its two classes."""
     sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
     try:
         import workloads
@@ -201,9 +206,27 @@ def _oracle_design_pairs(seed):
     for spec in workloads.draw_oracle_inputs(seed):
         G, H, K = (by_name[n] for n in spec["groups"])
         C = group_from_spec(spec["fibre"])
-        rng = workloads._Drawn(spec["draws"])
+        yield G, H, K, C, workloads._Drawn(spec["draws"])
+
+
+def _oracle_design_pairs(seed):
+    """The composable pairs of the ``oracle`` benchmark workload."""
+    for G, H, K, C, rng in _oracle_design(seed):
         yield (sampling.random_transitive_class(rng, G, H, C),
                sampling.random_transitive_class(rng, H, K, C))
+
+
+def _oracle_design_products(seeds):
+    """The factor tuples of the product ambients that composing the pairs
+    of the ``oracle`` workload builds, once each: G x H, H x K and G x K,
+    and each of them times C."""
+    found = {}
+    for seed in seeds:
+        for G, H, K, C, _ in _oracle_design(seed):
+            for left, right in ((G, H), (H, K), (G, K)):
+                found[left, right] = None
+                found[product_embedding(left, right).ambient, C] = None
+    return list(found)
 
 
 def _triple_pairs(seed, fibre, max_order=4):
@@ -346,6 +369,15 @@ def test_oracle_builds_no_full_table_in_a_fresh_interpreter():
 
 if __name__ == "__main__":
     import time
+    start = time.monotonic()
+    products = _oracle_design_products((1, 2, 3))
+    for factors in products:
+        assert (product_embedding(*factors).ambient.table
+                == ref_product_table(factors)), factors
+    print(f"product ambients of the oracle design, seeds 1-3: "
+          f"{len(products)} tables ok, orders up to "
+          f"{max(product_embedding(*f).ambient.order for f in products)} "
+          f"({time.monotonic() - start:.1f}s)", flush=True)
     runs = [("oracle design, seed 1", _oracle_design_pairs(1)),
             ("oracle design, seed 2", _oracle_design_pairs(2)),
             ("oracle design, seed 3", _oracle_design_pairs(3)),
