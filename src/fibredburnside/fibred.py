@@ -13,8 +13,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .groups import (
     FiniteGroup,
@@ -726,8 +725,7 @@ def elementary_fibred_biset(kind: str, C: FiniteGroup, *,
     raise GroupError(f"unknown elementary biset kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class BoucFactorization:
+class BoucFactorization(NamedTuple):
     """Both factorizations of a transitive class through its projections:
     X = left_elementary o beta1 and X = beta2 o right_elementary."""
 

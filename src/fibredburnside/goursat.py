@@ -4,8 +4,7 @@ subgroup/character pairs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .groups import (
     FiniteGroup,
@@ -95,8 +94,7 @@ def star(emb_gh: ProductEmbedding, U: Subgroup,
     return Subgroup(emb_gk.ambient, tuple(sorted(out)), _validate=False)
 
 
-@dataclass(frozen=True)
-class GoursatData:
+class GoursatData(NamedTuple):
     """The five-tuple classifying a subgroup D of G x H: projections E and
     F, kernels k1 and k2, and the induced isomorphism F/k2 -> E/k1 (as a
     homomorphism between the quotient groups, together with the quotient

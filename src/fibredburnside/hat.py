@@ -98,8 +98,7 @@ The n^2 cross-check is kept in the test suite as the oracle for this one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .groups import (
     CATALOG_MAX_ORDER,
@@ -169,8 +168,7 @@ class VerificationError(Exception):
                          + (f": {detail}" if detail else ""))
 
 
-@dataclass(frozen=True)
-class FactorizationWitness:
+class FactorizationWitness(NamedTuple):
     """A factorization of a class over G x G through a smaller group K:
     the class is the summand of compose(a, b) at the stated double-coset
     representative."""
@@ -255,14 +253,20 @@ def _reduction_witness(X: TransitiveFibredBiset
                        ) -> Optional[FactorizationWitness]:
     """Constructed witness when a projection or reduced kernel is proper:
     the class then factors through the quotient of a projection, which is
-    strictly smaller and has a catalog twin."""
+    strictly smaller and has a catalog twin.  The left side is tried
+    first, and X is Bouc-factorized only when one side has a smaller
+    middle p_i(D)/k_i(ker delta)."""
     G = X.left
-    fac = bouc_factorize(X)
-    for middle, left_cls, right_cls in (
-            (fac.left_middle, fac.left_elementary, fac.beta1),
-            (fac.right_middle, fac.beta2, fac.right_elementary)):
-        if middle.order >= G.order:
+    emb = X.embedding
+    reduced = X.delta.kernel()
+    for side in (1, 2):
+        if (projection(emb, X.D, (side,)).order == G.order
+                and kernel_part(emb, reduced, (side,)).order == 1):
             continue
+        fac = bouc_factorize(X)
+        middle, left_cls, right_cls = (
+            (fac.left_middle, fac.left_elementary, fac.beta1) if side == 1
+            else (fac.right_middle, fac.beta2, fac.right_elementary))
         K, phi = _iso_to_catalog(middle)
         a = canonicalize(_twisted(left_cls, 1, phi.images, K))
         b = canonicalize(_twisted(right_cls, 0, phi.images, K))
@@ -539,8 +543,19 @@ def hat_dimension(G: FiniteGroup, C: FiniteGroup
 # prime-fibre structure
 
 
-class HatGenerator:
-    """A basis symbol of the quotient algebra for a prime-order fibre.
+class _HatFields(NamedTuple):
+    variant: str
+    group: FiniteGroup
+    fibre: FiniteGroup
+    t: Optional[tuple] = None
+    sigma: Optional[tuple] = None
+    omega: Optional[tuple] = None
+    zeta: Optional[tuple] = None
+
+
+class HatGenerator(_HatFields):
+    """A basis symbol of the quotient algebra for a prime-order fibre, as
+    a tuple of its fields; the maps are image tuples.
 
     Variant "X": a character t: G -> C and an outer representative sigma;
     the class of the sigma-twisted diagonal with character read off t.
@@ -548,40 +563,20 @@ class HatGenerator:
     embedding zeta: C -> Z(G) landing in the Frattini subgroup.
     """
 
-    __slots__ = ("variant", "group", "fibre", "t", "sigma", "omega", "zeta")
+    __slots__ = ()
 
-    def __init__(self, variant: str, group: FiniteGroup, fibre: FiniteGroup,
-                 t: Optional[GroupHom] = None,
-                 sigma: Optional[GroupHom] = None,
-                 omega: Optional[GroupHom] = None,
-                 zeta: Optional[GroupHom] = None):
-        self.variant = variant
-        self.group = group
-        self.fibre = fibre
-        self.t = t
-        self.sigma = sigma
-        self.omega = omega
-        self.zeta = zeta
+    def __new__(cls, variant: str, group: FiniteGroup, fibre: FiniteGroup,
+                t: Optional[tuple] = None, sigma: Optional[tuple] = None,
+                omega: Optional[tuple] = None, zeta: Optional[tuple] = None):
         if variant not in ("X", "Y"):
             raise GroupError("generator variant must be 'X' or 'Y'")
-
-    def key(self):
-        if self.variant == "X":
-            return ("X", self.t.images, self.sigma.images)
-        return ("Y", self.omega.images, self.zeta.images)
-
-    def __eq__(self, other):
-        return (isinstance(other, HatGenerator)
-                and self.group is other.group and self.fibre is other.fibre
-                and self.key() == other.key())
-
-    def __hash__(self):
-        return hash((id(self.group), id(self.fibre), self.key()))
+        return tuple.__new__(cls, (variant, group, fibre, t, sigma, omega,
+                                   zeta))
 
     def describe(self) -> str:
         if self.variant == "X":
-            return f"X[t={self.t.images}, sigma={self.sigma.images}]"
-        return f"Y[omega={self.omega.images}, zeta={self.zeta.images}]"
+            return f"X[t={self.t}, sigma={self.sigma}]"
+        return f"Y[omega={self.omega}, zeta={self.zeta}]"
 
     def __repr__(self):
         return f"HatGenerator({self.describe()} over {self.group.name})"
@@ -604,9 +599,9 @@ def _require_prime_fibre(C: FiniteGroup):
         raise GroupError("this operation needs a fibre of prime order")
 
 
-def _fibre_embeddings(G: FiniteGroup, C: FiniteGroup) -> List[GroupHom]:
-    """Injective homomorphisms from the prime fibre into the
-    center-intersect-Frattini subgroup."""
+def _fibre_embeddings(G: FiniteGroup, C: FiniteGroup) -> List[tuple]:
+    """Image tuples of the injective homomorphisms from the prime fibre
+    into the center-intersect-Frattini subgroup, sorted."""
     p = C.order
     out = []
     for z in mask_to_elements(center(G).mask & frattini(G).mask):
@@ -617,8 +612,8 @@ def _fibre_embeddings(G: FiniteGroup, C: FiniteGroup) -> List[GroupHom]:
         for _ in range(p - 1):
             images.append(cur)
             cur = G.mul(cur, z)
-        out.append(GroupHom(C, G, tuple(images), _validate=False))
-    out.sort(key=lambda h: h.images)
+        out.append(tuple(images))
+    out.sort()
     return out
 
 
@@ -629,14 +624,12 @@ def hat_basis_prime(G: FiniteGroup, C: FiniteGroup) -> List[HatGenerator]:
     center-intersect-Frattini subgroup (only possible when the prime
     divides the center's order)."""
     _require_prime_fibre(C)
-    auts = automorphisms(G)
-    gens = [HatGenerator("X", G, C, t=t, sigma=s)
-            for t in homomorphisms(G, C)
-            for s in auts.out_representatives]
+    reps = [s.images for s in automorphisms(G).out_representatives]
+    gens = [HatGenerator("X", G, C, t=t.images, sigma=s)
+            for t in homomorphisms(G, C) for s in reps]
     if center(G).order % C.order == 0:
         gens.extend(HatGenerator("Y", G, C, omega=w, zeta=z)
-                    for w in auts.out_representatives
-                    for z in _fibre_embeddings(G, C))
+                    for w in reps for z in _fibre_embeddings(G, C))
     return gens
 
 
@@ -647,12 +640,11 @@ def hat_generator_class(gen: HatGenerator) -> TransitiveFibredBiset:
     cinv = C.inverses
     if gen.variant == "X":
         t, sigma = gen.t, gen.sigma
-        pairs = [(emb.encode(sigma.images[g], g), cinv[t.images[g]])
+        pairs = [(emb.encode(sigma[g], g), cinv[t[g]])
                  for g in range(G.order)]
     else:
         omega, zeta = gen.omega, gen.zeta
-        pairs = [(emb.encode(G.mul(omega.images[g], zeta.images[c]), g),
-                  cinv[c])
+        pairs = [(emb.encode(G.mul(omega[g], zeta[c]), g), cinv[c])
                  for g in range(G.order) for c in range(C.order)]
     return _canonical_class(G, G, C, *pairs_to_raw(pairs))
 
@@ -678,39 +670,40 @@ def hat_multiply(a: HatGenerator, b: HatGenerator
     _require_prime_fibre(C)
     reps = automorphisms(G).out_rep_of
     cinv = C.inverses
+    els = range(G.order)
 
     if a.variant == "X" and b.variant == "X":
-        t1, s1 = a.t.images, a.sigma.images
-        t2, s2 = b.t.images, b.sigma.images
-        t = tuple(C.mul(t1[s2[g]], t2[g]) for g in range(G.order))
-        sigma = reps[tuple(s1[s2[g]] for g in range(G.order))]
-        return HatGenerator("X", G, C, t=GroupHom(G, C, t, _validate=False),
-                            sigma=sigma)
+        t1, s1 = a.t, a.sigma
+        t2, s2 = b.t, b.sigma
+        t = tuple(C.mul(t1[s2[g]], t2[g]) for g in els)
+        sigma = reps[tuple(s1[s2[g]] for g in els)].images
+        return HatGenerator("X", G, C, t=t, sigma=sigma)
 
     if a.variant == "Y" and b.variant == "Y":
-        w, z = a.omega.images, a.zeta.images
-        al, ch = b.omega.images, b.zeta.images
-        if tuple(w[ch[c]] for c in range(C.order)) != z:
+        w, z = a.omega, a.zeta
+        al, ch = b.omega, b.zeta
+        if tuple(w[x] for x in ch) != z:
             return None
-        omega = reps[tuple(w[al[g]] for g in range(G.order))]
-        return HatGenerator("Y", G, C, omega=omega, zeta=a.zeta)
+        omega = reps[tuple(w[al[g]] for g in els)].images
+        return HatGenerator("Y", G, C, omega=omega, zeta=z)
 
     if a.variant == "X":
-        t, s = a.t.images, a.sigma.images
-        w, z = b.omega.images, b.zeta.images
+        t, s = a.t, a.sigma
+        w, z = b.omega, b.zeta
         omega = reps[tuple(s[G.mul(w[g], z[cinv[t[w[g]]]])]
-                           for g in range(G.order))]
-        zeta = GroupHom(C, G, tuple(s[x] for x in z), _validate=False)
-        return HatGenerator("Y", G, C, omega=omega, zeta=zeta)
+                           for g in els)].images
+        return HatGenerator("Y", G, C, omega=omega,
+                            zeta=tuple(s[x] for x in z))
 
     # Y . X
-    w, z = a.omega.images, a.zeta.images
-    t, s = b.t.images, b.sigma.images
-    omega = reps[tuple(G.mul(w[s[g]], z[cinv[t[g]]]) for g in range(G.order))]
-    return HatGenerator("Y", G, C, omega=omega, zeta=a.zeta)
+    w, z = a.omega, a.zeta
+    t, s = b.t, b.sigma
+    omega = reps[tuple(G.mul(w[s[g]], z[cinv[t[g]]]) for g in els)].images
+    return HatGenerator("Y", G, C, omega=omega, zeta=z)
 
 
-def _product_table(gens: List[HatGenerator], position: Dict[tuple, int],
+def _product_table(gens: List[HatGenerator],
+                   position: Dict[HatGenerator, int],
                    mismatches: list) -> List[List[int]]:
     """hat_multiply on every generator pair, each product stored at once as
     the index of its generator, or -1 for zero.  A product that is not a
@@ -720,7 +713,7 @@ def _product_table(gens: List[HatGenerator], position: Dict[tuple, int],
         row = []
         for b in gens:
             g = hat_multiply(a, b)
-            cell = -1 if g is None else position.get(g.key(), -1)
+            cell = -1 if g is None else position.get(g, -1)
             if g is not None and cell < 0:
                 mismatches.append({
                     "left": a.describe(), "right": b.describe(),
@@ -786,7 +779,7 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
     index = {cls.raw: i for i, cls in enumerate(classes)}
     if len(index) != n:
         raise GroupError("generator classes are not distinct")
-    position = {g.key(): i for i, g in enumerate(gens)}
+    position = {g: i for i, g in enumerate(gens)}
     mismatches = []
     table = _product_table(gens, position, mismatches)
     moves = _generator_moves(G, gens, classes, index, mismatches)

@@ -7,8 +7,8 @@ from typing import List, Optional, Tuple
 from fibredburnside import monomial
 from fibredburnside.fibred import (
     BoucFactorization, _canonical_raw, _compose_raw, _graph_class,
-    _permute_raw, compose, element_of, from_monomial_set, to_monomial_set,
-    transitive_basis)
+    _permute_raw, bouc_factorize, canonicalize, compose, element_of,
+    from_monomial_set, to_monomial_set, transitive_basis)
 from fibredburnside.goursat import _quotient_of_subgroup
 from fibredburnside.groups import (
     FiniteGroup, GroupError, GroupHom, ProductEmbedding, Subgroup,
@@ -16,9 +16,9 @@ from fibredburnside.groups import (
     mask_to_elements, product_embedding, subgroups)
 from fibredburnside.monomial import FiniteAction, MonomialSet
 from fibredburnside.hat import (
-    FactorizationWitness, HatGenerator, _reduction_witness,
-    _require_prime_fibre, hat_basis_prime, hat_generator_class, hat_multiply,
-    is_in_ideal)
+    FactorizationWitness, HatGenerator, _iso_to_catalog, _reduction_witness,
+    _require_prime_fibre, _summand_reps, _twisted, hat_basis_prime,
+    hat_generator_class, hat_multiply, is_in_ideal)
 
 
 def brute_subgroup_masks(G):
@@ -615,6 +615,28 @@ def ref_hat_survivors(G, C):
     return [X for X in transitive_basis(G, G, C) if is_in_ideal(X) is None]
 
 
+def ref_reduction_witness(X):
+    """``_reduction_witness`` as it was before it tested the projections
+    and reduced kernels first: X is always Bouc-factorized, and the first
+    side whose middle has order < |G|, left before right, gives the
+    witness."""
+    G = X.left
+    fac = bouc_factorize(X)
+    for middle, left_cls, right_cls in (
+            (fac.left_middle, fac.left_elementary, fac.beta1),
+            (fac.right_middle, fac.beta2, fac.right_elementary)):
+        if middle.order >= G.order:
+            continue
+        K, phi = _iso_to_catalog(middle)
+        a = canonicalize(_twisted(left_cls, 1, phi.images, K))
+        b = canonicalize(_twisted(right_cls, 0, phi.images, K))
+        h = next(_summand_reps(X, a, b), None)
+        if h is None:
+            raise GroupError("constructed factorization lost the class")
+        return FactorizationWitness(K=K, a=a, b=b, which_summand=h)
+    return None
+
+
 def ref_hat_candidates(G, C):
     """The keys of the classes over G x G that get no constructed witness
     from ``_reduction_witness``, in key order."""
@@ -677,7 +699,7 @@ def ref_verify_hat_vs_quotient(G, C, check=False):
 
 def frattini_criterion(G, C, zeta):
     """Whether every character G -> C kills the image of zeta."""
-    return all(all(mu.images[z] == 0 for z in zeta.images[1:])
+    return all(all(mu.images[z] == 0 for z in zeta[1:])
                for mu in homomorphisms(G, C))
 
 
@@ -698,17 +720,14 @@ def transport_hat_generator(gen: HatGenerator,
     for g in range(gen.group.order):
         phi_inv[phi.images[g]] = g
     if gen.variant == "X":
-        t = tuple(gen.t.images[phi_inv[h]] for h in range(H.order))
-        sigma = reps[tuple(phi.images[gen.sigma.images[phi_inv[h]]]
-                           for h in range(H.order))]
-        return HatGenerator("X", H, gen.fibre,
-                            t=GroupHom(H, gen.fibre, t, _validate=False),
-                            sigma=sigma)
-    omega = reps[tuple(phi.images[gen.omega.images[phi_inv[h]]]
-                       for h in range(H.order))]
-    zeta = tuple(phi.images[z] for z in gen.zeta.images)
-    return HatGenerator("Y", H, gen.fibre, omega=omega,
-                        zeta=GroupHom(gen.fibre, H, zeta, _validate=False))
+        t = tuple(gen.t[phi_inv[h]] for h in range(H.order))
+        sigma = reps[tuple(phi.images[gen.sigma[phi_inv[h]]]
+                           for h in range(H.order))].images
+        return HatGenerator("X", H, gen.fibre, t=t, sigma=sigma)
+    omega = reps[tuple(phi.images[gen.omega[phi_inv[h]]]
+                       for h in range(H.order))].images
+    zeta = tuple(phi.images[z] for z in gen.zeta)
+    return HatGenerator("Y", H, gen.fibre, omega=omega, zeta=zeta)
 
 
 # -- the index side of the prime-fibre classification: per group the

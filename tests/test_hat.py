@@ -23,7 +23,6 @@ from fibredburnside.fibred import (
 from fibredburnside.groups import (
     BoundExceededError,
     GroupError,
-    GroupHom,
     automorphisms,
     center,
     cyclic,
@@ -100,6 +99,23 @@ def test_ideal_count_matches_basis_split(s3, c2):
     in_ideal = [X for X in basis if is_in_ideal(X) is not None]
     assert dim + len(in_ideal) == len(basis)
     assert all(X not in in_ideal for X in survivors)
+
+
+def test_hat_dimension_bouc_factorizes_no_candidate(monkeypatch, q8, c4):
+    # every candidate has full projections and trivial reduced kernels, so
+    # its decision tests them and factors nothing; a class with a proper
+    # middle is factored once
+    calls = []
+    real = hat.bouc_factorize
+    monkeypatch.setattr(hat, "bouc_factorize",
+                        lambda X: calls.append(X) or real(X))
+    hat._ideal_decision.cache_clear()
+    assert hat_dimension(q8, c4)[0] == 30
+    assert calls == []
+    whole = canonicalize(transitive_fibred_biset(q8, q8, c4, range(64),
+                                                 [0] * 64))
+    assert is_in_ideal(whole).K.order == 1
+    assert calls == [whole]
 
 
 def test_catalog_bound_guard(c2):
@@ -179,11 +195,33 @@ def test_is_prime_by_trial_division():
 # -- generator products -------------------------------------------------------
 
 
+def test_generators_are_tuples_equal_by_value(c4, c2):
+    gens = hat_basis_prime(c4, c2)
+    products = [hat_multiply(a, b) for a in gens for b in gens]
+    for g in gens + [p for p in products if p is not None]:
+        fields = (g.t, g.sigma) if g.variant == "X" else (g.omega, g.zeta)
+        assert all(type(f) is tuple for f in fields), g
+    twin_group = groups.FiniteGroup(c4.table)
+    for g in gens:
+        # equal tuples built apart, over the same group objects
+        twin = HatGenerator(g.variant, c4, c2,
+                            *(None if f is None else tuple(list(f))
+                              for f in g[3:]))
+        assert twin == g and hash(twin) == hash(g)
+        # groups compare by identity
+        assert HatGenerator(g.variant, twin_group, c2, *g[3:]) != g
+
+
+def test_unknown_generator_variant_is_rejected(c4, c2):
+    with pytest.raises(GroupError, match="variant must be 'X' or 'Y'"):
+        HatGenerator("Z", c4, c2, t=(0, 0, 0, 0), sigma=(0, 1, 2, 3))
+
+
 def _identity_generator(G, C):
     gens = hat_basis_prime(G, C)
     for g in gens:
-        if g.variant == "X" and g.t.is_trivial() and \
-                g.sigma.images == tuple(range(G.order)):
+        if g.variant == "X" and not any(g.t) and \
+                g.sigma == tuple(range(G.order)):
             return g
     raise AssertionError("identity generator missing")
 
@@ -202,8 +240,8 @@ def test_yy_vanishes_unless_transported(q8, c2):
     for a in gens:
         for b in gens:
             prod = hat_multiply(a, b)
-            wz = tuple(a.omega.images[b.zeta.images[c]] for c in range(2))
-            assert (prod is None) == (wz != a.zeta.images)
+            wz = tuple(a.omega[b.zeta[c]] for c in range(2))
+            assert (prod is None) == (wz != a.zeta)
 
 
 def test_xy_survival_example(c4, c2):
@@ -211,11 +249,11 @@ def test_xy_survival_example(c4, c2):
     # the induced fibre map is the identity and the product is nonzero
     gens = hat_basis_prime(c4, c2)
     x = next(g for g in gens if g.variant == "X"
-             and not g.t.is_trivial()
-             and g.sigma.images == (0, 1, 2, 3))
+             and any(g.t)
+             and g.sigma == (0, 1, 2, 3))
     y = next(g for g in gens if g.variant == "Y"
-             and g.omega.images == (0, 1, 2, 3))
-    assert tuple(x.t.images[v] for v in y.zeta.images) == (0, 0)
+             and g.omega == (0, 1, 2, 3))
+    assert tuple(x.t[v] for v in y.zeta) == (0, 0)
     prod = hat_multiply(x, y)
     assert prod is not None and prod.variant == "Y"
 
@@ -225,9 +263,9 @@ def test_yy_zero_branch_with_two_embeddings(c3):
     # the transported-embedding condition genuinely fails for mixed pairs
     c9 = cyclic(9)
     gens = [g for g in hat_basis_prime(c9, c3) if g.variant == "Y"]
-    zetas = {g.zeta.images for g in gens}
+    zetas = {g.zeta for g in gens}
     assert len(zetas) == 2
-    ident = [g for g in gens if g.omega.images == tuple(range(9))]
+    ident = [g for g in gens if g.omega == tuple(range(9))]
     assert len(ident) == 2
     a, b = ident
     assert hat_multiply(a, b) is None
@@ -243,11 +281,13 @@ def test_mixed_rules_invert_the_fibre_value(monkeypatch, c3):
     # bound, which is raised for this test alone
     monkeypatch.setattr(groups, "SUBGROUP_ORDER_BOUND", 81)
     c9 = cyclic(9)
-    by_key = {g.key(): g for g in hat_basis_prime(c9, c3)}
+    gens = hat_basis_prime(c9, c3)
     one = tuple(range(9))
-    x = by_key[("X", (0, 1, 2, 0, 1, 2, 0, 1, 2), one)]
-    y = by_key[("Y", one, (0, 3, 6))]
-    product = by_key[("Y", (0, 7, 5, 3, 1, 8, 6, 4, 2), (0, 3, 6))]
+    x = HatGenerator("X", c9, c3, t=(0, 1, 2, 0, 1, 2, 0, 1, 2), sigma=one)
+    y = HatGenerator("Y", c9, c3, omega=one, zeta=(0, 3, 6))
+    product = HatGenerator("Y", c9, c3, omega=(0, 7, 5, 3, 1, 8, 6, 4, 2),
+                           zeta=(0, 3, 6))
+    assert {x, y, product} <= set(gens)
     assert hat_multiply(x, y) == product
     assert hat_multiply(y, x) == product
     for report in (verify_hat_vs_quotient(c9, c3),
@@ -405,7 +445,7 @@ def test_cross_check_reports_a_product_outside_the_basis(monkeypatch, c2):
     # X generator is not in the basis; the check records it, not KeyError
     G = group_from_spec("D8")
     one = _identity_generator(G, c2)
-    inner = next(h for h in automorphisms(G).inner
+    inner = next(h.images for h in automorphisms(G).inner
                  if h.images != tuple(range(G.order)))
     stray = HatGenerator("X", G, c2, t=one.t, sigma=inner)
     assert stray not in hat_basis_prime(G, c2)
@@ -459,14 +499,14 @@ def test_frattini_criterion_matches_membership():
     c2 = cyclic(2)
     for spec in ("C2", "C4", "C2xC2", "Q8", "D8"):
         G = group_from_spec(spec)
-        ident = automorphisms(G).out_representatives[0]
+        ident = automorphisms(G).out_representatives[0].images
         phi_mask = frattini(G).mask
         # every fibre embedding into the center, in the Frattini subgroup
         # or not
         for z in center(G).elements:
             if G.element_order(z) != 2:
                 continue
-            zeta = GroupHom(c2, G, (0, z), _validate=False)
+            zeta = (0, z)
             lands_in_phi = bool((phi_mask >> z) & 1)
             assert frattini_criterion(G, c2, zeta) == lands_in_phi
             cls = hat_generator_class(HatGenerator("Y", G, c2, omega=ident,
@@ -495,11 +535,11 @@ def test_mixed_products_rest_on_the_frattini_lemma():
                     continue
                 y_count += 1
                 assert frattini_criterion(G, C, y.zeta)
-                w, z = y.omega.images, y.zeta.images
+                w, z = y.omega, y.zeta
                 for x in gens:
                     if x.variant != "X":
                         continue
-                    t, s = x.t.images, x.sigma.images
+                    t, s = x.t, x.sigma
                     assert tuple(G.mul(w[s[g]], z[C.inverses[t[g]]])
                                  for g in range(G.order)) in reps
     assert (pairs, y_count) == (81, 40)
@@ -526,9 +566,9 @@ def test_seed_entries_iso_invariant(s3, c2):
     d6 = dihedral(6)
     phi = isomorphism(s3, d6)
     assert phi is not None
-    transported = {transport_hat_generator(g, phi).key()
+    transported = {transport_hat_generator(g, phi)
                    for g in hat_basis_prime(s3, c2)}
-    native = {g.key() for g in hat_basis_prime(d6, c2)}
+    native = set(hat_basis_prime(d6, c2))
     assert transported == native
 
 

@@ -4,13 +4,17 @@ from Goursat data) against the unreduced sweep kept in
 ``helpers.ref_ideal_sweep``, its factors against the filtered full-side
 classes kept in ``helpers.ref_kept_keys``, and the candidates and
 survivors of ``hat_dimension`` against the whole basis over G x G decided
-class by class (``helpers.ref_hat_candidates``, ``ref_hat_survivors``).
+class by class (``helpers.ref_hat_candidates``, ``ref_hat_survivors``),
+and the constructed witnesses of ``hat._reduction_witness`` against the
+old path that Bouc-factorizes every class (``helpers.ref_reduction_witness``).
 
 ``python tests/test_ideal_sweep.py`` runs the same comparisons over every
 catalog group of order <= 8 with fibres C2, C3 and C4 (a few minutes),
 and the factor, candidate and survivor comparisons also with fibres
 C2xC2 and C6, which are not cyclic of prime order; C2xC2xC2, which the
-Tier-1 candidate test leaves out, is compared with C2.
+Tier-1 candidate test leaves out, is compared with C2.  It also holds the
+constructed witnesses to the reference on every class over G x G for
+every catalog group of order <= 8 with fibres C2, C3 and C4.
 """
 
 import functools
@@ -26,7 +30,8 @@ from fibredburnside.groups import (
 
 from helpers import (
     ref_full_side, ref_hat_candidates, ref_hat_survivors, ref_ideal_sweep,
-    ref_kept_keys, ref_raw_reduced_kernel, ref_reduced_kernel)
+    ref_kept_keys, ref_raw_reduced_kernel, ref_reduced_kernel,
+    ref_reduction_witness)
 
 CASES = ([(G.name, "C2") for G in small_groups_catalog(8)
           if G.name != "C2xC2xC2"]
@@ -95,6 +100,18 @@ def compare_hat_candidates(G, C):
         f"{G.name}/{C.name}: survivors"
 
 
+def compare_reduction_witnesses(G, C) -> int:
+    """Assert that every class over G x G gets the reference's constructed
+    witness, or none, compared as JSON; return the number of classes."""
+    classes = transitive_basis(G, G, C)
+    for X in classes:
+        got = hat._reduction_witness(X)
+        ref = ref_reduction_witness(X)
+        assert (got and got.to_json()) == (ref and ref.to_json()), \
+            f"{G.name}/{C.name}: {X.describe()}"
+    return len(classes)
+
+
 @pytest.mark.parametrize("g_spec,c_spec", CASES)
 def test_reduced_sweep_matches_reference(g_spec, c_spec):
     compare_with_reference(group_from_spec(g_spec), group_from_spec(c_spec))
@@ -111,6 +128,12 @@ def test_kept_factors_match_reference(g_spec):
                                     if G.name != "C2xC2xC2"])
 def test_hat_candidates_match_reference(g_spec, c_spec):
     compare_hat_candidates(group_from_spec(g_spec), group_from_spec(c_spec))
+
+
+def test_reduction_witnesses_match_reference():
+    assert sum(compare_reduction_witnesses(G, group_from_spec(c_spec))
+               for G in small_groups_catalog(6)
+               for c_spec in ("C2", "C3", "C4")) == 1266
 
 
 def test_maximal_groups_below_order_8(q8):
@@ -192,6 +215,12 @@ def test_sweep_caches_hold_the_fibre_object(monkeypatch):
 
 if __name__ == "__main__":
     import time
+    start = time.monotonic()
+    classes = sum(compare_reduction_witnesses(G, group_from_spec(c_spec))
+                  for G in small_groups_catalog(8)
+                  for c_spec in ("C2", "C3", "C4"))
+    print(f"constructed witnesses of {classes} classes: ok "
+          f"({time.monotonic() - start:.1f}s)", flush=True)
     for G in small_groups_catalog(8):
         for c_spec in ("C2", "C3", "C4", "C2xC2", "C6"):
             start = time.monotonic()
