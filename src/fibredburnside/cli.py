@@ -95,15 +95,15 @@ def cmd_basis(args) -> int:
         "fibre": C.name,
         "count": len(classes),
         "classes": [{"group_spec": G.name, "fibre": C.name,
-                     "subgroup_elements": list(sc.D.elements),
-                     "delta_images": list(sc.delta.images)}
+                     "subgroup_elements": list(sc.elements),
+                     "delta_images": list(sc.delta)}
                     for sc in classes],
     }
     lines = [f"basis of the {C.name}-monomial Burnside ring of {G.name}: "
              f"{len(classes)} classes"]
     for sc in classes:
-        els = ",".join(G.label(x) for x in sc.D.elements)
-        vals = ",".join(C.label(v) for v in sc.delta.images)
+        els = ",".join(G.label(x) for x in sc.elements)
+        vals = ",".join(C.label(v) for v in sc.delta)
         lines.append(f"  D = {{{els}}}  delta = ({vals})")
     _emit(data, args.json, lines)
     return EXIT_OK

@@ -122,31 +122,18 @@ def _check_fibre(C: FiniteGroup):
         raise FibreError(f"fibre group must be abelian, {C.name} is not")
 
 
-class TransitiveFibredBiset:
-    """A transitive class over G x H: subgroup D of the product with a
-    character delta into the fibre; ``canonical`` marks the least pair in
-    the conjugacy orbit under the fixed encoding order."""
+class TransitiveFibredBiset(NamedTuple):
+    """A transitive class over G x H: the subgroup D of the product as its
+    bitmask, and the character delta into the fibre as its values on the
+    elements of D in ascending order.  Groups compare by identity.  The
+    tuple is built unchecked; ``transitive_fibred_biset`` is the validated
+    constructor and ``canonicalize`` gives the least pair of the orbit."""
 
-    __slots__ = ("left", "right", "fibre", "D", "delta", "canonical")
-
-    def __init__(self, left: FiniteGroup, right: FiniteGroup,
-                 fibre: FiniteGroup, D: Subgroup, delta: GroupHom,
-                 canonical: bool = False, _validate=True):
-        self.left = left
-        self.right = right
-        self.fibre = fibre
-        self.D = D
-        self.delta = delta
-        self.canonical = canonical
-        if _validate:
-            _check_fibre(fibre)
-            amb = product_embedding(left, right).ambient
-            if D.parent is not amb:
-                raise GroupError("subgroup does not live over (left, right)")
-            if delta.domain != D or delta.codomain is not fibre:
-                raise GroupError("character does not match the subgroup")
-            if canonical and _canonical_raw(amb, *self.raw) != self.raw:
-                raise GroupError("pair is not in canonical form")
+    left: FiniteGroup
+    right: FiniteGroup
+    fibre: FiniteGroup
+    mask: int
+    delta: Tuple[int, ...]
 
     @property
     def ambient(self) -> FiniteGroup:
@@ -158,45 +145,39 @@ class TransitiveFibredBiset:
 
     @property
     def raw(self):
-        return self.D.mask, self.delta.images
+        return self.mask, self.delta
 
-    def key(self):
-        return (id(self.left), id(self.right), id(self.fibre)) + self.raw
+    @property
+    def elements(self) -> Tuple[int, ...]:
+        return mask_to_elements(self.mask)
 
-    def __eq__(self, other):
-        return (isinstance(other, TransitiveFibredBiset)
-                and self.left is other.left and self.right is other.right
-                and self.fibre is other.fibre and self.raw == other.raw)
-
-    def __hash__(self):
-        return hash(self.key())
+    def subgroup_and_kernel(self) -> Tuple[Subgroup, Subgroup]:
+        """D and ker delta as subgroups of the ambient group."""
+        amb = self.ambient
+        elements = self.elements
+        kernel = tuple(x for x, c in zip(elements, self.delta) if c == 0)
+        return (Subgroup(amb, elements, _validate=False),
+                Subgroup(amb, kernel, _validate=False))
 
     def describe(self) -> str:
-        els = ",".join(self.ambient.label(x) for x in self.D.elements[:4])
-        tail = ",..." if len(self.D.elements) > 4 else ""
-        vals = ",".join(self.fibre.label(c) for c in self.delta.images[:4])
-        return (f"[D={{{els}{tail}}} |D|={len(self.D.elements)} "
+        elements = self.elements
+        els = ",".join(self.ambient.label(x) for x in elements[:4])
+        tail = ",..." if len(elements) > 4 else ""
+        vals = ",".join(self.fibre.label(c) for c in self.delta[:4])
+        return (f"[D={{{els}{tail}}} |D|={len(elements)} "
                 f"delta=({vals}{tail})]")
 
     def __repr__(self):
         return (f"TransitiveFibredBiset({self.left.name}x{self.right.name}, "
-                f"fibre={self.fibre.name}, |D|={len(self.D.elements)})")
-
-
-def _class_from_raw(left, right, fibre, mask, delta, canonical=False):
-    amb = product_embedding(left, right).ambient
-    D = Subgroup(amb, mask_to_elements(mask), _validate=False)
-    hom = GroupHom(D, fibre, delta, _validate=False)
-    return TransitiveFibredBiset(left, right, fibre, D, hom,
-                                 canonical=canonical, _validate=False)
+                f"fibre={self.fibre.name}, |D|={len(self.delta)})")
 
 
 def _canonical_class(left, right, fibre, mask, delta):
     """The canonical class of the conjugacy orbit of (mask, delta) over
     left x right."""
     amb = product_embedding(left, right).ambient
-    return _class_from_raw(left, right, fibre,
-                           *_canonical_raw(amb, mask, delta), canonical=True)
+    return TransitiveFibredBiset(left, right, fibre,
+                                 *_canonical_raw(amb, mask, delta))
 
 
 def transitive_fibred_biset(left, right, fibre, d_elements,
@@ -204,6 +185,7 @@ def transitive_fibred_biset(left, right, fibre, d_elements,
     """Validated public constructor for a transitive class.  The i-th
     value of ``delta_images`` belongs to the i-th element of
     ``d_elements``, in whatever order the elements are listed."""
+    _check_fibre(fibre)
     d_elements, delta_images = list(d_elements), list(delta_images)
     if len(d_elements) != len(delta_images):
         raise GroupError(f"term field 'delta' must list one value per "
@@ -213,14 +195,16 @@ def transitive_fibred_biset(left, right, fibre, d_elements,
     amb = product_embedding(left, right).ambient
     D = Subgroup(amb, tuple(x for x, _ in pairs))
     hom = GroupHom(D, fibre, tuple(v for _, v in pairs))
-    return TransitiveFibredBiset(left, right, fibre, D, hom)
+    return TransitiveFibredBiset(left, right, fibre, D.mask, hom.images)
 
 
 def canonicalize(X: TransitiveFibredBiset) -> TransitiveFibredBiset:
-    """The least (D, delta) in the conjugacy orbit of X; idempotent."""
-    if X.canonical:
+    """The least (D, delta) in the conjugacy orbit of X; X itself when it
+    is that pair already."""
+    raw = _canonical_raw(X.ambient, X.mask, X.delta)
+    if raw == X.raw:
         return X
-    return _canonical_class(X.left, X.right, X.fibre, *X.raw)
+    return TransitiveFibredBiset(X.left, X.right, X.fibre, *raw)
 
 
 class FibredElement:
@@ -238,8 +222,7 @@ class FibredElement:
         for cls, coeff in terms.items():
             if coeff == 0:
                 continue
-            if not cls.canonical:
-                cls = canonicalize(cls)
+            cls = canonicalize(cls)
             if (cls.left is not left or cls.right is not right
                     or cls.fibre is not fibre):
                 raise GroupError("terms do not match the element's groups")
@@ -325,7 +308,7 @@ def transitive_basis(G: FiniteGroup, H: FiniteGroup,
                      C: FiniteGroup) -> List[TransitiveFibredBiset]:
     """Canonical transitive classes over G x H: the basis of the
     morphism group from H to G."""
-    return [_class_from_raw(G, H, C, mask, delta, canonical=True)
+    return [TransitiveFibredBiset(G, H, C, mask, delta)
             for mask, delta in _class_keys(G, H, C)]
 
 
@@ -361,7 +344,7 @@ def opposite(X: TransitiveFibredBiset) -> TransitiveFibredBiset:
     emb_op = product_embedding(X.right, X.left)
     inv = X.fibre.inverses
     pairs = []
-    for x, c in zip(X.D.elements, X.delta.images):
+    for x, c in zip(X.elements, X.delta):
         g, h = emb.decode(x)
         pairs.append((emb_op.encode(h, g), inv[c]))
     return _canonical_class(X.right, X.left, X.fibre, *pairs_to_raw(pairs))
@@ -455,18 +438,19 @@ def compose(X: FibredElement, Y: FibredElement,
     emb_hk = product_embedding(Y.left, Y.right)
     amb_gk = product_embedding(X.left, Y.right).ambient
     acc: Dict[tuple, int] = {}
+    ys = [(ty.elements, ty.delta, cy) for ty, cy in Y.terms.items()]
     for tx, cx in X.terms.items():
-        for ty, cy in Y.terms.items():
+        x_elements = tx.elements
+        for y_elements, y_delta, cy in ys:
             coeff = cx * cy
             for _, mask, delta in _compose_raw(
-                    emb_gh, emb_hk, X.fibre,
-                    tx.D.elements, tx.delta.images,
-                    ty.D.elements, ty.delta.images):
+                    emb_gh, emb_hk, X.fibre, x_elements, tx.delta,
+                    y_elements, y_delta):
                 key = _canonical_raw(amb_gk, mask, delta)
                 acc[key] = acc.get(key, 0) + coeff
     result = FibredElement(
         X.left, Y.right, X.fibre,
-        {_class_from_raw(X.left, Y.right, X.fibre, m, d, canonical=True): v
+        {TransitiveFibredBiset(X.left, Y.right, X.fibre, m, d): v
          for (m, d), v in acc.items() if v != 0})
     if check:
         oracle = compose_oracle(X, Y)
@@ -489,8 +473,9 @@ def is_idempotent(W: FibredElement) -> bool:
 def to_monomial_set(X: TransitiveFibredBiset) -> MonomialSet:
     """Explicit coset model of a transitive class over its full ambient
     group (for a ring basis class over G x C1, that is G)."""
-    dmap = dict(zip(X.D.elements, X.delta.images))
-    return monomial.monomial_set_from_pair(X.ambient, X.fibre, X.D.elements,
+    elements = X.elements
+    dmap = dict(zip(elements, X.delta))
+    return monomial.monomial_set_from_pair(X.ambient, X.fibre, elements,
                                            dmap.__getitem__)
 
 
@@ -520,7 +505,7 @@ def _element_from_stabilizers(left, right, fibre, stabilizers
         acc[key] = acc.get(key, 0) + 1
     return FibredElement(
         left, right, fibre,
-        {_class_from_raw(left, right, fibre, m, d, canonical=True): v
+        {TransitiveFibredBiset(left, right, fibre, m, d): v
          for (m, d), v in acc.items()})
 
 
@@ -529,7 +514,7 @@ def _coset_model(X: TransitiveFibredBiset):
     model, with the points of ``to_monomial_set(X)``."""
     emb = product_embedding(X.ambient, X.fibre)
     return emb, monomial.CosetModel(emb.ambient, monomial._twisted_diagonal(
-        emb, X.D.elements, X.delta.images))
+        emb, X.elements, X.delta))
 
 
 def _compose_oracle_transitive(tx: TransitiveFibredBiset,
@@ -746,29 +731,28 @@ def bouc_factorize(X: TransitiveFibredBiset) -> BoucFactorization:
     emb = X.embedding
     G, H = emb.factors
     C = X.fibre
-    reduced = X.delta.kernel()
-
-    coords = [emb.decode(x) for x in X.D.elements]
+    D, reduced = X.subgroup_and_kernel()
+    coords = [emb.decode(x) for x in D.elements]
 
     # left side
-    E = projection(emb, X.D, (1,))
+    E = projection(emb, D, (1,))
     k1 = kernel_part(emb, reduced, (1,))
     E_quot, proj_e = _quotient_of_subgroup(E, k1)
     pe = proj_e.as_map()
     left_elementary = _graph_class(G, E_quot, C,
                                    [(g, pe[g]) for g in E.elements])
     beta1 = _graph_class(E_quot, H, C, [(pe[g], h) for g, h in coords],
-                         values=X.delta.images)
+                         values=X.delta)
 
     # right side
-    F = projection(emb, X.D, (2,))
+    F = projection(emb, D, (2,))
     k2 = kernel_part(emb, reduced, (2,))
     F_quot, proj_f = _quotient_of_subgroup(F, k2)
     pf = proj_f.as_map()
     right_elementary = _graph_class(F_quot, H, C,
                                     [(pf[h], h) for h in F.elements])
     beta2 = _graph_class(G, F_quot, C, [(g, pf[h]) for g, h in coords],
-                         values=X.delta.images)
+                         values=X.delta)
 
     return BoucFactorization(left_elementary=left_elementary, beta1=beta1,
                              beta2=beta2, right_elementary=right_elementary,
@@ -784,8 +768,8 @@ def element_to_json(elt: FibredElement) -> dict:
         "left": elt.left.name,
         "right": elt.right.name,
         "fibre": elt.fibre.name,
-        "terms": [{"D": list(cls.D.elements),
-                   "delta": list(cls.delta.images),
+        "terms": [{"D": list(cls.elements),
+                   "delta": list(cls.delta),
                    "coeff": coeff}
                   for cls, coeff in elt.sorted_terms()],
     }
@@ -824,6 +808,7 @@ def _json_group(data, field: str) -> FiniteGroup:
 def element_from_json(data: dict) -> FibredElement:
     left, right, fibre = (_json_group(data, f)
                           for f in ("left", "right", "fibre"))
+    _check_fibre(fibre)
     items = _json_field(data, "terms", "element")
     if not isinstance(items, list):
         raise GroupError(f"element field 'terms' must be a list, "
@@ -836,7 +821,6 @@ def element_from_json(data: dict) -> FibredElement:
         if type(coeff) is not int:
             raise GroupError(f"term coefficient must be an integer, "
                              f"got {coeff!r}")
-        cls = canonicalize(transitive_fibred_biset(left, right, fibre,
-                                                   d_elements, delta))
+        cls = transitive_fibred_biset(left, right, fibre, d_elements, delta)
         terms[cls] = terms.get(cls, 0) + coeff
     return FibredElement(left, right, fibre, terms)

@@ -393,13 +393,13 @@ class GroupHom:
         els = _domain_elements(self.domain)
         if len(self.images) != len(els):
             raise GroupError("image list does not match domain size")
+        if not all(0 <= fa < self.codomain.order for fa in self.images):
+            raise GroupError("image out of range")
         amb = _domain_group(self.domain)
         lookup = self.as_map()
         cmul = self.codomain.mul
         for i, a in enumerate(els):
             fa = self.images[i]
-            if not (0 <= fa < self.codomain.order):
-                raise GroupError("image out of range")
             for j, b in enumerate(els):
                 if lookup[amb.mul(a, b)] != cmul(fa, self.images[j]):
                     raise GroupError("map is not a homomorphism")
@@ -430,12 +430,6 @@ class GroupHom:
     @property
     def is_bijective(self) -> bool:
         return self.is_injective and self.is_surjective
-
-    def kernel(self) -> Subgroup:
-        amb = _domain_group(self.domain)
-        els = [a for a, fa in zip(_domain_elements(self.domain), self.images)
-               if fa == 0]
-        return Subgroup(amb, tuple(els), _validate=False)
 
     def is_trivial(self) -> bool:
         return all(x == 0 for x in self.images)

@@ -132,7 +132,6 @@ from .fibred import (
     _canonical_class,
     _canonical_raw,
     _check_fibre,
-    _class_from_raw,
     _compose_raw,
     _permute_raw,
     bouc_factorize,
@@ -186,10 +185,8 @@ class FactorizationWitness(NamedTuple):
     def to_json(self) -> dict:
         return {
             "through": self.K.name,
-            "a": {"D": list(self.a.D.elements),
-                  "delta": list(self.a.delta.images)},
-            "b": {"D": list(self.b.D.elements),
-                  "delta": list(self.b.delta.images)},
+            "a": {"D": list(self.a.elements), "delta": list(self.a.delta)},
+            "b": {"D": list(self.b.elements), "delta": list(self.b.delta)},
             "which_summand": self.which_summand,
         }
 
@@ -202,7 +199,7 @@ def _summand_reps(X: TransitiveFibredBiset, a: TransitiveFibredBiset,
     for h, mask, delta in _compose_raw(
             product_embedding(a.left, a.right),
             product_embedding(b.left, b.right), X.fibre,
-            a.D.elements, a.delta.images, b.D.elements, b.delta.images):
+            a.elements, a.delta, b.elements, b.delta):
         if _canonical_raw(amb, mask, delta) == X.raw:
             yield h
 
@@ -258,9 +255,9 @@ def _reduction_witness(X: TransitiveFibredBiset
     middle p_i(D)/k_i(ker delta)."""
     G = X.left
     emb = X.embedding
-    reduced = X.delta.kernel()
+    D, reduced = X.subgroup_and_kernel()
     for side in (1, 2):
-        if (projection(emb, X.D, (side,)).order == G.order
+        if (projection(emb, D, (side,)).order == G.order
                 and kernel_part(emb, reduced, (side,)).order == 1):
             continue
         fac = bouc_factorize(X)
@@ -389,7 +386,7 @@ def _kept_factors(G: FiniteGroup, K: FiniteGroup, C: FiniteGroup
                     for nu in homomorphisms(V, C):
                         if len({nu.images[i] for i in at}) == len(at):
                             found.add(_canonical_raw(amb, V.mask, nu.images))
-    lefts = [_class_from_raw(G, K, C, mask, delta, canonical=True)
+    lefts = [TransitiveFibredBiset(G, K, C, mask, delta)
              for mask, delta in sorted(found)]
     return lefts, sorted(map(opposite, lefts), key=lambda b: b.raw)
 
@@ -428,11 +425,13 @@ def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
         [_side_map(emb_kg, emb_kg, 1, s) for s in gens])
     one = tuple(range(G.order))
     found = {}
+    rights = [(b, b.elements) for b in rights]
     for a in lefts:
-        for b in rights:
+        a_elements = a.elements
+        for b, b_elements in rights:
             for h, mask, delta in _compose_raw(
-                    emb_gk, emb_kg, C, a.D.elements, a.delta.images,
-                    b.D.elements, b.delta.images):
+                    emb_gk, emb_kg, C, a_elements, a.delta,
+                    b_elements, b.delta):
                 raw = _canonical_raw(amb, mask, delta)
                 if raw not in found:
                     found[raw] = (a, b, h, one, one)
@@ -470,8 +469,8 @@ def _twisted(X: TransitiveFibredBiset, side: int, images: tuple,
     elif images == tuple(range(len(images))):
         return X
     mask, delta = _permute_raw(_side_map(emb, emb_to, side, images),
-                               X.D.elements, X.delta.images)
-    return _class_from_raw(factors[0], factors[1], X.fibre, mask, delta)
+                               X.elements, X.delta)
+    return TransitiveFibredBiset(factors[0], factors[1], X.fibre, mask, delta)
 
 
 def _sweep_witness(K: FiniteGroup, entry: tuple) -> FactorizationWitness:
@@ -499,7 +498,7 @@ def _ideal_decision(G: FiniteGroup, C: FiniteGroup, raw: tuple
     """Keyed by the canonical (mask, delta) pair rather than the class
     object, so that a decision costs no more memory than its key."""
     swept = _maximal_below(G)
-    X = _class_from_raw(G, G, C, *raw, canonical=True)
+    X = TransitiveFibredBiset(G, G, C, *raw)
     witness = _reduction_witness(X)
     if witness is None:
         for K in swept:
@@ -516,9 +515,13 @@ def _candidates(G: FiniteGroup, C: FiniteGroup
     ``_kept_factors(G, G, C)`` builds whose right projection is full and
     whose inner reduced kernel is trivial."""
     emb = product_embedding(G, G)
-    return [X for X in _kept_factors(G, G, C)[0]
-            if projection(emb, X.D, (2,)).order == G.order
-            and kernel_part(emb, X.delta.kernel(), (2,)).order == 1]
+    out = []
+    for X in _kept_factors(G, G, C)[0]:
+        D, kernel = X.subgroup_and_kernel()
+        if (projection(emb, D, (2,)).order == G.order
+                and kernel_part(emb, kernel, (2,)).order == 1):
+            out.append(X)
+    return out
 
 
 def hat_dimension(G: FiniteGroup, C: FiniteGroup
@@ -737,14 +740,14 @@ def _generator_moves(G: FiniteGroup, gens: List[HatGenerator],
     mismatch and left out, so the orbits are only finer."""
     emb = product_embedding(G, G)
     amb = emb.ambient
+    pairs = [(cls.elements, cls.delta) for cls in classes]
     symmetries = []
     for images in _aut_generators(G):
         # the element map of G x G, built once per automorphism
         twist = [emb.encode(images[g1], images[g2]) for g1, g2 in emb.coords]
         symmetries.append((f"automorphism {list(images)}", False, [
-            _canonical_raw(amb, *_permute_raw(twist, cls.D.elements,
-                                              cls.delta.images))
-            for cls in classes]))
+            _canonical_raw(amb, *_permute_raw(twist, *pair))
+            for pair in pairs]))
     symmetries.append(("opposite", True,
                        [opposite(cls).raw for cls in classes]))
     moves = []
@@ -910,8 +913,7 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
     step("k2(D) = <a^2>", [H.label(x) for x in k2.elements] == ["1", "a2"],
          str([H.label(x) for x in k2.elements]))
 
-    X = canonicalize(TransitiveFibredBiset(G, H, C, D, delta,
-                                           _validate=False))
+    X = canonicalize(TransitiveFibredBiset(G, H, C, D.mask, delta.images))
     Xop = opposite(X)
     W = compose(element_of(X), element_of(Xop), check=True)
 

@@ -38,8 +38,8 @@ def random_transitive_class(rng: random.Random, left: FiniteGroup,
     D = subs[rng.randrange(len(subs))]
     homs = homomorphisms(D, fibre)
     delta = homs[rng.randrange(len(homs))]
-    return canonicalize(TransitiveFibredBiset(left, right, fibre, D, delta,
-                                              _validate=False))
+    return canonicalize(TransitiveFibredBiset(left, right, fibre, D.mask,
+                                              delta.images))
 
 
 @functools.cache
@@ -62,5 +62,5 @@ def random_full_projection_class(rng: random.Random, left: FiniteGroup,
     D = pool[rng.randrange(len(pool))]
     homs = homomorphisms(D, fibre)
     delta = homs[rng.randrange(len(homs))]
-    return canonicalize(TransitiveFibredBiset(left, right, fibre, D, delta,
-                                              _validate=False))
+    return canonicalize(TransitiveFibredBiset(left, right, fibre, D.mask,
+                                              delta.images))

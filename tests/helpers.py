@@ -216,7 +216,7 @@ def ref_full_side(emb, C, side):
     ``side`` (0 = left, 1 = right) is the whole factor."""
     target = emb.factors[side].order
     return [cls for cls in transitive_basis(*emb.factors, C)
-            if len({emb.decode(x)[side] for x in cls.D.elements}) == target]
+            if len({emb.decode(x)[side] for x in cls.elements}) == target]
 
 
 def ref_ideal_sweep(G, C, K):
@@ -232,8 +232,8 @@ def ref_ideal_sweep(G, C, K):
     for a in lefts:
         for b in rights:
             for h, mask, delta in _compose_raw(
-                    emb_gk, emb_kg, C, a.D.elements, a.delta.images,
-                    b.D.elements, b.delta.images):
+                    emb_gk, emb_kg, C, a.elements, a.delta,
+                    b.elements, b.delta):
                 raw = _canonical_raw(amb, mask, delta)
                 if raw not in out:
                     out[raw] = FactorizationWitness(
@@ -524,7 +524,7 @@ def ref_kernel_part(emb, D, indices):
 def ref_reduced_kernel(emb, X, side):
     """Elements g of the side's factor with (g embedded alone) in D and
     trivial character."""
-    return ref_raw_reduced_kernel(emb, X.D.elements, X.delta.images, side)
+    return ref_raw_reduced_kernel(emb, X.elements, X.delta, side)
 
 
 def ref_raw_reduced_kernel(emb, elements, values, side):
@@ -544,7 +544,7 @@ def ref_bouc_factorize(X):
     emb = X.embedding
     G, H = emb.factors
     C = X.fibre
-    coords = [emb.decode(x) for x in X.D.elements]
+    coords = [emb.decode(x) for x in X.elements]
     E = Subgroup(G, tuple(sorted({g for g, _ in coords})), _validate=False)
     k1 = Subgroup(G, tuple(ref_reduced_kernel(emb, X, 0)), _validate=False)
     E_quot, proj_e = _quotient_of_subgroup(E, k1)
@@ -557,9 +557,9 @@ def ref_bouc_factorize(X):
         left_elementary=_graph_class(G, E_quot, C,
                                      [(g, pe[g]) for g in E.elements]),
         beta1=_graph_class(E_quot, H, C, [(pe[g], h) for g, h in coords],
-                           values=X.delta.images),
+                           values=X.delta),
         beta2=_graph_class(G, F_quot, C, [(g, pf[h]) for g, h in coords],
-                           values=X.delta.images),
+                           values=X.delta),
         right_elementary=_graph_class(F_quot, H, C,
                                       [(pf[h], h) for h in F.elements]),
         left_middle=E_quot, right_middle=F_quot)

@@ -74,7 +74,8 @@ def test_criterion_1_counterexample_regression():
             and kernel_part(emb, D, (2,)).elements == (0, 2))
 
     # (b) closed form of X o X-op
-    X = canonicalize(fibred.TransitiveFibredBiset(q8, d8, c4, D, delta))
+    X = canonicalize(fibred.TransitiveFibredBiset(q8, d8, c4, D.mask,
+                                                delta.images))
     W = compose(element_of(X), element_of(opposite(X)), check=True)
     embGG = product_embedding(q8, q8)
     dmap = delta.as_map()

@@ -139,6 +139,30 @@ def test_hat_non_abelian_fibre_is_usage_error(capsys):
     assert "fibre group must be abelian" in err
 
 
+@pytest.mark.parametrize("right,terms", [
+    ("C2", []), ("C1", [{"D": [0, 1], "delta": [0, 3]}])],
+    ids=["no terms", "one term"])
+def test_element_non_abelian_fibre_is_usage_error(capsys, right, terms):
+    blob = json.dumps({"left": "C2", "right": right, "fibre": "S3",
+                       "terms": terms})
+    code, _, err = run_cli(capsys, "compose", blob, blob, "--check")
+    assert code == 2
+    assert "fibre group must be abelian, S3 is not" in err
+
+
+@pytest.mark.parametrize("value", [5, 2, 3, -1])
+def test_element_fibre_value_out_of_range(capsys, value):
+    # every value is range-checked before any is multiplied, so -1 does
+    # not index from the end and 5 does not raise IndexError
+    blob = json.dumps({"left": "C2", "right": "C1", "fibre": "C2",
+                       "terms": [{"D": [0, 1], "delta": [0, value]}]})
+    ident = json.dumps(element_to_json(identity_element(cyclic(1),
+                                                        cyclic(2))))
+    code, _, err = run_cli(capsys, "compose", blob, ident)
+    assert code == 1
+    assert "image out of range" in err
+
+
 def test_compose_non_abelian_fibre_is_usage_error(capsys):
     blob = json.dumps({"left": "C2", "right": "C2", "fibre": "S3",
                        "terms": [{"D": [0], "delta": [0], "coeff": 1}]})
@@ -469,10 +493,17 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("argv", [
     ("group", "D8xD8"), ("basis", "Q8", "C2"), ("hat", "D8", "C2"),
-    ("hat", "Q8", "C4"), ("counterexample",)], ids=" ".join)
-def test_json_output_matches_golden(capsys, argv):
+    ("hat", "Q8", "C4"), ("counterexample",),
+    ("compose", "x.json", "xop.json", "--check")], ids=" ".join)
+def test_json_output_matches_golden(capsys, tmp_path, monkeypatch, argv):
     # the recorded outputs pin results across refactors; rewrite a file
-    # only for an intended change of results
+    # only for an intended change of results.  compose reads the
+    # counterexample class and its opposite.
+    monkeypatch.chdir(tmp_path)
+    X = counterexample_class()
+    for path, cls in (("x.json", X), ("xop.json", opposite(X))):
+        Path(path).write_text(json.dumps(element_to_json(element_of(cls))))
     code, out, err = run_cli(capsys, "--json", *argv)
     assert (code, err) == (0, "")
-    assert out.encode() == (GOLDEN / f"{'_'.join(argv)}.json").read_bytes()
+    name = "_".join(a.removesuffix(".json") for a in argv if a != "--check")
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()

@@ -33,6 +33,7 @@ from fibredburnside.fibred import (
 from fibredburnside.groups import (
     GroupError,
     GroupHom,
+    Subgroup,
     cyclic,
     group_from_spec,
     isomorphism,
@@ -54,7 +55,7 @@ def counterexample_class(canonical=True):
     from fibredburnside.groups import _extend_hom
     images = _extend_hom(emb.ambient, D.elements, gens, c4, (2, 3))
     delta = GroupHom(D, c4, tuple(images[x] for x in D.elements))
-    raw = TransitiveFibredBiset(q8, d8, c4, D, delta)
+    raw = TransitiveFibredBiset(q8, d8, c4, D.mask, delta.images)
     return canonicalize(raw) if canonical else raw
 
 
@@ -68,7 +69,7 @@ def test_subcharacter_classes_trivial_group(c1, c4):
 def test_subcharacter_classes_c2_c2(c2):
     classes = subcharacter_classes(c2, c2)
     assert len(classes) == 3
-    shapes = sorted((sc.D.elements, sc.delta.images) for sc in classes)
+    shapes = sorted((sc.elements, sc.delta) for sc in classes)
     assert shapes == [((0,), (0,)), ((0, 1), (0, 0)), ((0, 1), (0, 1))]
 
 
@@ -100,8 +101,7 @@ def test_canonicalize_idempotent(rng):
     c2 = cyclic(2)
     for _ in range(10):
         X = sampling.random_transitive_class(rng, d8, d8, c2)
-        assert canonicalize(X) == X
-        assert X.canonical
+        assert canonicalize(X) is X
 
 
 def test_canonicalize_conjugation_invariant(rng, c2):
@@ -110,9 +110,37 @@ def test_canonicalize_conjugation_invariant(rng, c2):
     for _ in range(10):
         X = sampling.random_transitive_class(rng, d8, d8, c2)
         g = rng.randrange(emb.ambient.order)
-        D2, delta2 = goursat.conjugate_pair(X.D, X.delta, g)
-        Y = TransitiveFibredBiset(d8, d8, c2, D2, delta2)
+        D = Subgroup(emb.ambient, X.elements)
+        D2, delta2 = goursat.conjugate_pair(D, GroupHom(D, c2, X.delta), g)
+        Y = TransitiveFibredBiset(d8, d8, c2, D2.mask, delta2.images)
         assert canonicalize(Y) == X
+        assert element_of(Y) == element_of(X)
+
+
+def test_classes_built_apart_are_one_value(d8, c2):
+    # a conjugate listed unsorted through the validated constructor, then
+    # canonicalized, equals the tuple of the canonical (mask, delta)
+    amb = product_embedding(d8, d8).ambient
+    X, perm = next((X, p) for X in fibred.transitive_basis(d8, d8, c2)
+                   for p in map(amb.conjugation_perm, range(amb.order))
+                   if fibred._permute_raw(p, X.elements, X.delta) != X.raw)
+    built = canonicalize(transitive_fibred_biset(
+        d8, d8, c2, [perm[x] for x in reversed(X.elements)],
+        reversed(X.delta)))
+    plain = TransitiveFibredBiset(d8, d8, c2, X.mask, X.delta)
+    assert built == plain and hash(built) == hash(plain)
+    assert {built: 1}[plain] == 1
+    assert type(built).__hash__ is tuple.__hash__
+
+
+def test_transitive_fibred_biset_validates(c2):
+    v4, one = group_from_spec("C2xC2"), cyclic(1)
+    with pytest.raises(GroupError,
+                       match="^subgroup not closed under products$"):
+        transitive_fibred_biset(v4, one, c2, [0, 1, 2], [0, 0, 0])
+    with pytest.raises(GroupError, match="^map is not a homomorphism$"):
+        transitive_fibred_biset(group_from_spec("C4"), one, c2,
+                                [0, 1, 2, 3], [0, 0, 1, 1])
 
 
 def test_canonical_orbit_size_divides_group_order(rng, c2):
@@ -192,8 +220,8 @@ def test_tensor_transitive_closed_form(rng, c4):
             emb = product_embedding(G, H)
             pairs = sorted(
                 (emb.encode(a, b), c4.mul(cx, cy))
-                for a, cx in zip(x.D.elements, x.delta.images)
-                for b, cy in zip(y.D.elements, y.delta.images))
+                for a, cx in zip(x.elements, x.delta)
+                for b, cy in zip(y.elements, y.delta))
             expected = canonicalize(transitive_fibred_biset(
                 G, H, c4, [p[0] for p in pairs], [p[1] for p in pairs]))
             assert out == element_of(expected)
@@ -213,10 +241,10 @@ def test_tensor_associative_up_to_regrouping(rng, c2):
         GH = product_embedding(G, H).ambient
         HK = product_embedding(H, K).ambient
         left = tensor(FibredElement(GH, one, c2, {
-            fibred._class_from_raw(GH, one, c2, *cls.raw, canonical=True): v
+            TransitiveFibredBiset(GH, one, c2, *cls.raw): v
             for cls, v in tensor(x, y).terms.items()}), z)
         right = tensor(x, FibredElement(HK, one, c2, {
-            fibred._class_from_raw(HK, one, c2, *cls.raw, canonical=True): v
+            TransitiveFibredBiset(HK, one, c2, *cls.raw): v
             for cls, v in tensor(y, z).terms.items()}))
         assert {c.raw: v for c, v in left.terms.items()} == \
             {c.raw: v for c, v in right.terms.items()}
@@ -256,7 +284,7 @@ def test_ring_product_matches_direct_orbit_count(c2):
                     pair_reps.add(min(orbit))
             count = 0
             for cls, coeff in result.terms.items():
-                count += coeff * (c2.order * c2.order // len(cls.D.elements))
+                count += coeff * (c2.order * c2.order // len(cls.elements))
             assert count == len(pair_reps)
 
 
@@ -275,7 +303,8 @@ def test_ring_product_commutative(rng, c4):
 def test_identity_composition(q8, c4):
     ident = identity_element(q8, c4)
     assert compose(ident, ident) == ident
-    assert next(iter(ident.terms)).canonical
+    cls = next(iter(ident.terms))
+    assert canonicalize(cls) is cls
 
 
 def test_identity_laws_on_random_classes(rng, c4):
@@ -292,7 +321,7 @@ def test_compose_counterexample_closed_form(q8, c4):
     W = compose(element_of(X), element_of(opposite(X)))
     (cls, coeff), = W.terms.items()
     assert coeff == 1
-    assert len(cls.D.elements) == 16
+    assert len(cls.elements) == 16
     emb = product_embedding(q8, q8)
     k1 = {0, 2}
     expected_pairs = {emb.encode(g1, g2)
@@ -300,7 +329,7 @@ def test_compose_counterexample_closed_form(q8, c4):
                       if q8.mul(g1, q8.inv(g2)) in k1}
     # the canonical representative is conjugate to the blown diagonal;
     # here the subgroup is literally equal since it is normal in G x G
-    assert set(cls.D.elements) == expected_pairs
+    assert set(cls.elements) == expected_pairs
     assert is_idempotent(W)
 
 
@@ -403,7 +432,7 @@ def test_opposite_counterexample_generators(c4):
     emb_op = product_embedding(d8, q8)
     # swap factors and invert the character, straight from the definition
     pairs = []
-    for x, c in zip(X.D.elements, X.delta.images):
+    for x, c in zip(X.elements, X.delta):
         g, h = emb.decode(x)
         pairs.append((emb_op.encode(h, g), c4.inv(c)))
     pairs.sort()

@@ -649,7 +649,7 @@ def test_quotient_projection_kernel(d8):
     N = d8.subgroup([0, 2])
     Q, proj = quotient(d8, N)
     assert proj.is_surjective
-    assert proj.kernel().elements == N.elements
+    assert tuple(g for g in range(d8.order) if proj(g) == 0) == N.elements
     with pytest.raises(GroupError):
         quotient(d8, d8.subgroup([0, 4]))  # <b> is not normal
 

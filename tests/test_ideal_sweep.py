@@ -23,7 +23,7 @@ import pytest
 
 from fibredburnside import hat
 from fibredburnside.fibred import (
-    _class_from_raw, _compose_raw, transitive_basis)
+    TransitiveFibredBiset, _compose_raw, transitive_basis)
 from fibredburnside.groups import (
     FiniteGroup, cyclic, group_from_spec, mask_to_elements,
     product_embedding, small_groups_catalog)
@@ -47,7 +47,7 @@ def compare_with_reference(G, C):
 
     @functools.cache
     def consulted(raw):
-        X = _class_from_raw(G, G, C, *raw, canonical=True)
+        X = TransitiveFibredBiset(G, G, C, *raw)
         return hat._reduction_witness(X) is None
 
     # a swept K gives a subset of the unreduced key set, and all of it on
@@ -152,7 +152,7 @@ def test_every_sweep_witness_recomposes():
         keys = 0
         for K in hat._maximal_below(G):
             for (mask, delta), entry in hat._ideal_sweep(G, C, K).items():
-                X = _class_from_raw(G, G, C, mask, delta, canonical=True)
+                X = TransitiveFibredBiset(G, G, C, mask, delta)
                 assert hat._witness_matches(X, hat._sweep_witness(K, entry))
                 keys += 1
         assert keys == size, f"{g_spec}/{c_spec}: {keys} sweep keys"
@@ -183,9 +183,8 @@ def test_nontrivial_outer_kernel_stays_in_every_summand(order):
                     for b, kb in rights:
                         pairs += 1
                         for _, mask, delta in _compose_raw(
-                                emb_gk, emb_kg, C, a.D.elements,
-                                a.delta.images, b.D.elements,
-                                b.delta.images):
+                                emb_gk, emb_kg, C, a.elements,
+                                a.delta, b.elements, b.delta):
                             elements = mask_to_elements(mask)
                             assert ka <= set(ref_raw_reduced_kernel(
                                 emb_gg, elements, delta, 0))
