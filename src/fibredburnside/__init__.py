@@ -8,12 +8,12 @@ from .groups import (
     BoundExceededError,
     FiniteGroup,
     GroupError,
-    GroupHom,
     GroupSpecError,
     ProductEmbedding,
     Subgroup,
     automorphisms,
     center,
+    check_homomorphism,
     cyclic,
     dihedral,
     dicyclic,

@@ -3,7 +3,8 @@
 Subcommands: group, basis, compose, hat, counterexample, verify.
 Exit codes: 0 success, 1 assertion or property failure, 2 usage errors
 (including inputs beyond the order-64 enumeration bound or the fixed
-order-15 catalog, and fibre groups that are not abelian).
+order-15 catalog, and fibre groups that are not abelian), 141 (128 +
+SIGPIPE) when the reader closes stdout early, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -32,6 +34,7 @@ from .groups import (
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a piped writer
 
 
 def _load_element(arg: str) -> fibred.FibredElement:
@@ -362,7 +365,17 @@ def main(argv=None) -> int:
                      f"(the only global option is --json)")
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a closed pipe cannot fail at exit instead
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone; whatever is still buffered goes to devnull
+        # when the interpreter flushes stdout at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (GroupSpecError, BoundExceededError, fibred.FibreError,
             json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

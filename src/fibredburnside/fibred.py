@@ -18,9 +18,9 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 from .groups import (
     FiniteGroup,
     GroupError,
-    GroupHom,
     ProductEmbedding,
     Subgroup,
+    check_homomorphism,
     cyclic,
     elements_to_mask,
     group_from_spec,
@@ -194,8 +194,8 @@ def transitive_fibred_biset(left, right, fibre, d_elements,
     pairs = sorted(zip(d_elements, delta_images))
     amb = product_embedding(left, right).ambient
     D = Subgroup(amb, tuple(x for x, _ in pairs))
-    hom = GroupHom(D, fibre, tuple(v for _, v in pairs))
-    return TransitiveFibredBiset(left, right, fibre, D.mask, hom.images)
+    delta = check_homomorphism(D, fibre, (v for _, v in pairs))
+    return TransitiveFibredBiset(left, right, fibre, D.mask, delta)
 
 
 def canonicalize(X: TransitiveFibredBiset) -> TransitiveFibredBiset:
@@ -278,6 +278,14 @@ class FibredElement:
                 f"fibre={self.fibre.name}, {n} term{'s' if n != 1 else ''})")
 
 
+def _add_scaled(acc: Dict[TransitiveFibredBiset, int], elt: FibredElement,
+                k: int):
+    """Add k times the terms of elt into ``acc``: a sum built this way is
+    canonicalized once, when its element is built, not on every step."""
+    for cls, v in elt.terms.items():
+        acc[cls] = acc.get(cls, 0) + k * v
+
+
 def element_of(X: TransitiveFibredBiset, coeff: int = 1) -> FibredElement:
     return FibredElement(X.left, X.right, X.fibre, {X: coeff})
 
@@ -299,8 +307,8 @@ def _class_keys(left: FiniteGroup, right: FiniteGroup,
     amb = product_embedding(left, right).ambient
     found = set()
     for D in subgroups(amb):
-        for hom in homomorphisms(D, C):
-            found.add(_canonical_raw(amb, D.mask, hom.images))
+        for delta in homomorphisms(D, C):
+            found.add(_canonical_raw(amb, D.mask, delta))
     return sorted(found)
 
 
@@ -582,11 +590,11 @@ def compose_oracle(X: FibredElement, Y: FibredElement) -> FibredElement:
         raise GroupError("middle groups do not agree")
     if X.fibre is not Y.fibre:
         raise GroupError("fibre groups do not agree")
-    out = zero_element(X.left, Y.right, X.fibre)
+    acc: Dict[TransitiveFibredBiset, int] = {}
     for tx, cx in X.terms.items():
         for ty, cy in Y.terms.items():
-            out = out + _compose_oracle_transitive(tx, ty).scaled(cx * cy)
-    return out
+            _add_scaled(acc, _compose_oracle_transitive(tx, ty), cx * cy)
+    return FibredElement(X.left, Y.right, X.fibre, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +615,14 @@ def tensor(X: FibredElement, Y: FibredElement) -> FibredElement:
     emb_hc = product_embedding(H, C)
     amb = product_embedding(G, H).ambient
     us = [(to_monomial_set(ty).action, cy) for ty, cy in Y.terms.items()]
-    out = zero_element(G, H, C)
+    acc: Dict[TransitiveFibredBiset, int] = {}
     for tx, cx in X.terms.items():
         T = to_monomial_set(tx).action
         for U, cy in us:
             _, action = monomial.tensor_sets(emb_gc, T, emb_hc, U)
             res = MonomialSet(amb, C, action)
-            out = out + from_monomial_set(res, G, H).scaled(cx * cy)
-    return out
+            _add_scaled(acc, from_monomial_set(res, G, H), cx * cy)
+    return FibredElement(G, H, C, acc)
 
 
 def _restrict_to_diagonal(elt: FibredElement) -> FibredElement:
@@ -624,7 +632,7 @@ def _restrict_to_diagonal(elt: FibredElement) -> FibredElement:
     emb_gg = product_embedding(G, G)
     emb_src = product_embedding(emb_gg.ambient, C)
     emb_dst = product_embedding(G, C)
-    out = zero_element(G, cyclic(1), C)
+    acc: Dict[TransitiveFibredBiset, int] = {}
     for cls, coeff in elt.terms.items():
         T = to_monomial_set(cls)
         table = []
@@ -633,8 +641,8 @@ def _restrict_to_diagonal(elt: FibredElement) -> FibredElement:
             table.append(T.action.table[emb_src.encode(
                 emb_gg.encode(g, g), c)])
         res = MonomialSet(G, C, FiniteAction(emb_dst.ambient, table))
-        out = out + from_monomial_set(res).scaled(coeff)
-    return out
+        _add_scaled(acc, from_monomial_set(res), coeff)
+    return FibredElement(G, cyclic(1), C, acc)
 
 
 def ring_product(X: FibredElement, Y: FibredElement) -> FibredElement:
@@ -673,20 +681,22 @@ def elementary_fibred_biset(kind: str, C: FiniteGroup, *,
                             group: Optional[FiniteGroup] = None,
                             subgroup: Optional[Subgroup] = None,
                             normal: Optional[Subgroup] = None,
-                            iso: Optional[GroupHom] = None
+                            iso: Optional[Tuple[FiniteGroup, tuple]] = None
                             ) -> TransitiveFibredBiset:
     """The trivial-character fibred class of an elementary biset.
 
     kinds: ``ind``/``res`` take (group, subgroup); ``inf``/``def`` take
-    (group, normal); ``iso`` takes a bijective homomorphism.  Morphisms
-    point left: a class over (A, B) is a morphism from B to A.
+    (group, normal); ``iso`` takes the domain as ``group`` and ``iso =
+    (codomain, images)``, a bijective homomorphism that
+    ``check_homomorphism`` validates.  Morphisms point left: a class over
+    (A, B) is a morphism from B to A.
     """
     kind = kind.lower()
     if kind in ("ind", "res"):
         if group is None or subgroup is None or subgroup.parent is not group:
             raise GroupError("ind/res need a group and one of its subgroups")
         sub_grp, inclusion = subgroup_as_group(subgroup)
-        pairs = [(inclusion.images[i], i) for i in range(sub_grp.order)]
+        pairs = [(g, i) for i, g in enumerate(inclusion)]
         if kind == "ind":
             return _graph_class(group, sub_grp, C,
                                 [(g, e) for g, e in pairs])
@@ -695,18 +705,20 @@ def elementary_fibred_biset(kind: str, C: FiniteGroup, *,
         if group is None or normal is None or normal.parent is not group:
             raise GroupError("inf/def need a group and a normal subgroup")
         Q, proj = quotient(group, normal)
-        pairs = [(g, proj.images[g]) for g in range(group.order)]
+        pairs = list(enumerate(proj))
         if kind == "inf":
             return _graph_class(group, Q, C, pairs)
         return _graph_class(Q, group, C, [(q, g) for g, q in pairs])
     if kind == "iso":
-        if iso is None or not isinstance(iso.domain, FiniteGroup):
-            raise GroupError("iso needs a bijective homomorphism of groups")
-        if not iso.is_bijective:
+        if not isinstance(group, FiniteGroup) or iso is None:
+            raise GroupError("iso needs a group and a bijective "
+                             "homomorphism of it")
+        target, images = iso
+        images = check_homomorphism(group, target, images)
+        if not len(set(images)) == group.order == target.order:
             raise GroupError("iso map is not bijective")
-        return _graph_class(iso.codomain, iso.domain, C,
-                            [(iso.images[g], g)
-                             for g in range(iso.domain.order)])
+        return _graph_class(target, group, C,
+                            [(h, g) for g, h in enumerate(images)])
     raise GroupError(f"unknown elementary biset kind {kind!r}")
 
 
@@ -738,7 +750,7 @@ def bouc_factorize(X: TransitiveFibredBiset) -> BoucFactorization:
     E = projection(emb, D, (1,))
     k1 = kernel_part(emb, reduced, (1,))
     E_quot, proj_e = _quotient_of_subgroup(E, k1)
-    pe = proj_e.as_map()
+    pe = dict(zip(E.elements, proj_e))
     left_elementary = _graph_class(G, E_quot, C,
                                    [(g, pe[g]) for g in E.elements])
     beta1 = _graph_class(E_quot, H, C, [(pe[g], h) for g, h in coords],
@@ -748,7 +760,7 @@ def bouc_factorize(X: TransitiveFibredBiset) -> BoucFactorization:
     F = projection(emb, D, (2,))
     k2 = kernel_part(emb, reduced, (2,))
     F_quot, proj_f = _quotient_of_subgroup(F, k2)
-    pf = proj_f.as_map()
+    pf = dict(zip(F.elements, proj_f))
     right_elementary = _graph_class(F_quot, H, C,
                                     [(pf[h], h) for h in F.elements])
     beta2 = _graph_class(G, F_quot, C, [(g, pf[h]) for g, h in coords],

@@ -9,7 +9,6 @@ from typing import NamedTuple, Sequence, Tuple
 from .groups import (
     FiniteGroup,
     GroupError,
-    GroupHom,
     ProductEmbedding,
     Subgroup,
     mask_to_elements,
@@ -47,7 +46,7 @@ def projection(emb: ProductEmbedding, D: Subgroup,
         raise GroupError("subgroup does not live in this product")
     ids = _check_indices(emb, indices)
     if len(ids) == 1:
-        p = emb.factor_projections[ids[0] - 1].images
+        p = emb.factor_projections[ids[0] - 1]
         return Subgroup(emb.factors[ids[0] - 1],
                         tuple(sorted({p[x] for x in D.elements})),
                         _validate=False)
@@ -66,8 +65,7 @@ def kernel_part(emb: ProductEmbedding, D: Subgroup,
     part = D.elements
     for i, p in enumerate(emb.factor_projections, 1):
         if i not in indices:
-            images = p.images
-            part = [x for x in part if not images[x]]
+            part = [x for x in part if not p[x]]
     return projection(emb, Subgroup(D.parent, part, _validate=False), indices)
 
 
@@ -98,29 +96,29 @@ class GoursatData(NamedTuple):
     """The five-tuple classifying a subgroup D of G x H: projections E and
     F, kernels k1 and k2, and the induced isomorphism F/k2 -> E/k1 (as a
     homomorphism between the quotient groups, together with the quotient
-    data needed to use it)."""
+    data needed to use it).  The maps are image tuples: the projections
+    list the coset of each element of E (or F), ascending."""
 
     E: Subgroup
     k1: Subgroup
     F: Subgroup
     k2: Subgroup
-    iso: GroupHom
+    iso: tuple
     e_quotient: FiniteGroup
-    e_projection: GroupHom
+    e_projection: tuple
     f_quotient: FiniteGroup
-    f_projection: GroupHom
+    f_projection: tuple
 
 
 def _quotient_of_subgroup(S: Subgroup, N: Subgroup):
     """Quotient of a subgroup (given in ambient coordinates) by a normal
-    subgroup of it; returns (Q, projection from ambient elements of S)."""
-    grp, inclusion = subgroup_as_group(S)
+    subgroup of it; returns (Q, projection), the projection listing the
+    coset of each element of S, ascending.  S is reindexed in ascending
+    order, so the projection of the reindexed group is that list."""
+    grp, _ = subgroup_as_group(S)
     pos = {x: i for i, x in enumerate(S.elements)}
-    n_local = Subgroup(grp, tuple(sorted(pos[x] for x in N.elements)),
-                       _validate=False)
-    Q, proj_local = quotient(grp, n_local)
-    images = tuple(proj_local.images[pos[x]] for x in S.elements)
-    return Q, GroupHom(S, Q, images, _validate=False)
+    return quotient(grp, Subgroup(grp, tuple(pos[x] for x in N.elements),
+                                  _validate=False))
 
 
 def goursat_decompose(emb: ProductEmbedding, D: Subgroup) -> GoursatData:
@@ -134,14 +132,14 @@ def goursat_decompose(emb: ProductEmbedding, D: Subgroup) -> GoursatData:
     k2 = kernel_part(emb, D, (2,))
     EQ, eproj = _quotient_of_subgroup(E, k1)
     FQ, fproj = _quotient_of_subgroup(F, k2)
-    emap = eproj.as_map()
-    fmap = fproj.as_map()
+    emap = dict(zip(E.elements, eproj))
+    fmap = dict(zip(F.elements, fproj))
     images = [-1] * FQ.order
     for x in D.elements:
         g, h = emb.decode(x)
         images[fmap[h]] = emap[g]
-    iso = GroupHom(FQ, EQ, tuple(images), _validate=False)
-    if not iso.is_bijective:
+    iso = tuple(images)
+    if sorted(iso) != list(range(EQ.order)):
         raise GroupError("goursat correspondence failed to be bijective")
     return GoursatData(E=E, k1=k1, F=F, k2=k2, iso=iso,
                        e_quotient=EQ, e_projection=eproj,
@@ -150,9 +148,9 @@ def goursat_decompose(emb: ProductEmbedding, D: Subgroup) -> GoursatData:
 
 def rebuild_from_goursat(emb: ProductEmbedding, data: GoursatData) -> Subgroup:
     """The subgroup {(g, h) : iso(h k2) = g k1} defined by Goursat data."""
-    emap = data.e_projection.as_map()
-    fmap = data.f_projection.as_map()
-    iso = data.iso.as_map()
+    emap = dict(zip(data.E.elements, data.e_projection))
+    fmap = dict(zip(data.F.elements, data.f_projection))
+    iso = data.iso
     out = []
     for g in data.E.elements:
         for h in data.F.elements:
@@ -161,12 +159,11 @@ def rebuild_from_goursat(emb: ProductEmbedding, data: GoursatData) -> Subgroup:
     return Subgroup(emb.ambient, tuple(sorted(out)), _validate=False)
 
 
-def conjugate_pair(D: Subgroup, delta: GroupHom,
-                   g: int) -> Tuple[Subgroup, GroupHom]:
-    """^g (D, delta) = (^g D, ^g delta) with ^g delta(x) = delta(g^-1 x g)."""
+def conjugate_pair(D: Subgroup, delta: tuple,
+                   g: int) -> Tuple[Subgroup, tuple]:
+    """^g (D, delta) = (^g D, ^g delta) with ^g delta(x) = delta(g^-1 x g);
+    delta is the tuple of values on the elements of D, ascending."""
     G = D.parent
     perm = G.conjugation_perm(g)
-    mask, images = pairs_to_raw(zip((perm[x] for x in D.elements),
-                                    delta.images))
-    newD = Subgroup(G, mask_to_elements(mask), _validate=False)
-    return newD, GroupHom(newD, delta.codomain, images, _validate=False)
+    mask, images = pairs_to_raw(zip((perm[x] for x in D.elements), delta))
+    return Subgroup(G, mask_to_elements(mask), _validate=False), images

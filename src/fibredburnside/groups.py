@@ -4,7 +4,10 @@ cosets and a small-groups catalog.
 
 Element convention: elements of a group of order n are the indices
 0..n-1, with 0 always the identity.  Conjugation is ``^g x = g x g^-1``
-and ``x^g = g^-1 x g`` throughout.
+and ``x^g = g^-1 x g`` throughout.  A homomorphism is the tuple of the
+images of its domain's elements, in index order for a group and in
+ascending order for a subgroup; ``check_homomorphism`` validates one
+given from outside.
 
 All values are immutable after construction, and every operation is a
 pure function of its arguments.  Derived data is memoized with
@@ -29,7 +32,7 @@ import functools
 import itertools
 import math
 import re
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "GroupError",
@@ -37,7 +40,6 @@ __all__ = [
     "BoundExceededError",
     "FiniteGroup",
     "Subgroup",
-    "GroupHom",
     "ProductEmbedding",
     "AutomorphismData",
     "cyclic",
@@ -47,6 +49,7 @@ __all__ = [
     "alternating4",
     "dicyclic",
     "group_from_spec",
+    "check_homomorphism",
     "product_embedding",
     "subgroups",
     "center",
@@ -371,93 +374,25 @@ def _domain_elements(domain: Domain) -> Sequence[int]:
     return domain.elements
 
 
-class GroupHom:
-    """A homomorphism, stored as the image of every domain element.
-
-    ``images`` is aligned with the domain's element list (index order for a
-    whole group, sorted-element order for a subgroup).
-    """
-
-    __slots__ = ("domain", "codomain", "images", "_map")
-
-    def __init__(self, domain: Domain, codomain: FiniteGroup, images,
-                 _validate=True):
-        self.domain = domain
-        self.codomain = codomain
-        self.images = tuple(images)
-        self._map = None
-        if _validate:
-            self._validate()
-
-    def _validate(self):
-        els = _domain_elements(self.domain)
-        if len(self.images) != len(els):
-            raise GroupError("image list does not match domain size")
-        if not all(0 <= fa < self.codomain.order for fa in self.images):
-            raise GroupError("image out of range")
-        amb = _domain_group(self.domain)
-        lookup = self.as_map()
-        cmul = self.codomain.mul
-        for i, a in enumerate(els):
-            fa = self.images[i]
-            for j, b in enumerate(els):
-                if lookup[amb.mul(a, b)] != cmul(fa, self.images[j]):
-                    raise GroupError("map is not a homomorphism")
-
-    def as_map(self) -> dict:
-        m = self._map
-        if m is None:
-            m = dict(zip(_domain_elements(self.domain), self.images))
-            self._map = m
-        return m
-
-    def apply(self, x: int) -> int:
-        if isinstance(self.domain, FiniteGroup):
-            return self.images[x]
-        return self.as_map()[x]
-
-    def __call__(self, x: int) -> int:
-        return self.apply(x)
-
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.images)) == len(self.images)
-
-    @property
-    def is_surjective(self) -> bool:
-        return len(set(self.images)) == self.codomain.order
-
-    @property
-    def is_bijective(self) -> bool:
-        return self.is_injective and self.is_surjective
-
-    def is_trivial(self) -> bool:
-        return all(x == 0 for x in self.images)
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupHom)
-                and self.domain == other.domain
-                and self.codomain is other.codomain
-                and self.images == other.images)
-
-    def __hash__(self):
-        dom = self.domain
-        dom_key = id(dom) if isinstance(dom, FiniteGroup) else hash(dom)
-        return hash((dom_key, id(self.codomain), self.images))
-
-    def __repr__(self):
-        src = (self.domain.name if isinstance(self.domain, FiniteGroup)
-               else f"subgroup of {self.domain.parent.name}")
-        return f"GroupHom({src} -> {self.codomain.name})"
-
-
-def identity_hom(G: FiniteGroup) -> GroupHom:
-    return GroupHom(G, G, tuple(range(G.order)), _validate=False)
-
-
-def trivial_hom(domain: Domain, codomain: FiniteGroup) -> GroupHom:
-    return GroupHom(domain, codomain, (0,) * len(_domain_elements(domain)),
-                    _validate=False)
+def check_homomorphism(domain: Domain, codomain: FiniteGroup,
+                       images) -> tuple:
+    """The image tuple of a map given from outside, checked to be a
+    homomorphism from ``domain`` into ``codomain``.  Every image is
+    range-checked before any product is read."""
+    images = tuple(images)
+    els = _domain_elements(domain)
+    if len(images) != len(els):
+        raise GroupError("image list does not match domain size")
+    if not all(0 <= fa < codomain.order for fa in images):
+        raise GroupError("image out of range")
+    amb = _domain_group(domain)
+    lookup = dict(zip(els, images))
+    cmul = codomain.mul
+    for a, fa in zip(els, images):
+        for b, fb in zip(els, images):
+            if lookup[amb.mul(a, b)] != cmul(fa, fb):
+                raise GroupError("map is not a homomorphism")
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -701,9 +636,7 @@ class ProductEmbedding:
         self._strides = strides
         self.coords = coords
         self.factor_projections = tuple(
-            GroupHom(ambient, f, tuple(c[i] for c in coords),
-                     _validate=False)
-            for i, f in enumerate(factors))
+            tuple(c[i] for c in coords) for i in range(len(factors)))
 
     def encode(self, *coords: int) -> int:
         strides = self._strides
@@ -887,8 +820,8 @@ def _extend_hom(G: FiniteGroup, elements: Sequence[int], gens: list,
 
 
 def homomorphisms(domain: Domain, C: FiniteGroup) -> list:
-    """All homomorphisms from a group or subgroup into C, in a
-    deterministic order (sorted by image tuple)."""
+    """All homomorphisms from a group or subgroup into C, as sorted image
+    tuples; a group and its full subgroup give the same list."""
     if max(len(_domain_elements(domain)), C.order) > SUBGROUP_ORDER_BOUND:
         raise BoundExceededError("homomorphism enumeration bound exceeded")
     return list(_homomorphisms(domain, C))
@@ -916,33 +849,24 @@ def _hom_search(G: FiniteGroup, els: Sequence[int], gens: list,
 
 @functools.cache
 def _homomorphisms(domain: Domain, C: FiniteGroup) -> tuple:
-    """Keyed by the domain object: a group and its full subgroup have the
-    same elements but give homomorphisms with different domains."""
     G = _domain_group(domain)
     els = list(_domain_elements(domain))
-    results = [GroupHom(domain, C, tuple(images[a] for a in els),
-                        _validate=False)
-               for images in _hom_search(G, els, _generating_sequence(G, els),
-                                         C, bijective=False)]
-    results.sort(key=lambda h: h.images)
-    return tuple(results)
+    return tuple(sorted(
+        tuple(images[a] for a in els)
+        for images in _hom_search(G, els, _generating_sequence(G, els), C,
+                                  bijective=False)))
 
 
-class AutomorphismData:
-    """Automorphism census: all of Aut, the inner ones, one representative
-    per coset of Inn (least image tuple), and ``out_rep_of``, the map from
-    the image tuple of every automorphism to the representative of its
-    coset."""
+class AutomorphismData(NamedTuple):
+    """Automorphism census, as image tuples: all of Aut, the inner ones,
+    one representative per coset of Inn (the least), and ``out_rep_of``,
+    the map from every automorphism to the representative of its coset."""
 
-    __slots__ = ("group", "all", "inner", "out_representatives",
-                 "out_rep_of")
-
-    def __init__(self, group, all_autos, inner, out_reps, out_rep_of):
-        self.group = group
-        self.all = all_autos
-        self.inner = inner
-        self.out_representatives = out_reps
-        self.out_rep_of = out_rep_of
+    group: FiniteGroup
+    all: tuple
+    inner: tuple
+    out_representatives: tuple
+    out_rep_of: dict
 
     @property
     def out_order(self) -> int:
@@ -958,33 +882,33 @@ def automorphisms(G: FiniteGroup) -> AutomorphismData:
 @functools.cache
 def _automorphisms(G: FiniteGroup) -> AutomorphismData:
     els = list(range(G.order))
-    autos = [GroupHom(G, G, tuple(images[a] for a in els), _validate=False)
-             for images in _hom_search(G, els, G.generators(), G,
-                                       bijective=True)]
-    autos.sort(key=lambda h: h.images)
-    inner_images = {tuple(G.conjugation_perm(g)) for g in range(G.order)}
-    inner = [h for h in autos if h.images in inner_images]
+    autos = tuple(sorted(
+        tuple(images[a] for a in els)
+        for images in _hom_search(G, els, G.generators(), G,
+                                  bijective=True)))
+    inner_images = {G.conjugation_perm(g) for g in range(G.order)}
+    inner = tuple(h for h in autos if h in inner_images)
     out_rep_of = {}
     out_reps = []
     for h in autos:  # ascending image tuples: first hit is the least rep
-        if h.images in out_rep_of:
+        if h in out_rep_of:
             continue
         out_reps.append(h)
         for k in inner:
-            out_rep_of[tuple(h.images[x] for x in k.images)] = h
-    return AutomorphismData(G, autos, inner, out_reps, out_rep_of)
+            out_rep_of[tuple(h[x] for x in k)] = h
+    return AutomorphismData(G, autos, inner, tuple(out_reps), out_rep_of)
 
 
 def subgroup_as_group(S: Subgroup):
     """Reindex a subgroup as a standalone group.
 
-    Returns (group, inclusion) where inclusion maps new indices to parent
-    elements.  The full subgroup yields the parent itself.  Memoized per
-    (parent, elements).
+    Returns (group, inclusion) where the inclusion is the tuple of parent
+    elements, new index i mapping to ``S.elements[i]``.  The full subgroup
+    yields the parent itself.  Memoized per (parent, elements).
     """
     G = S.parent
     if len(S.elements) == G.order:
-        return G, identity_hom(G)
+        return G, S.elements
     return _subgroup_as_group(S)
 
 
@@ -996,24 +920,24 @@ def _subgroup_as_group(S: Subgroup):
     table = tuple(tuple([pos[G.mul(a, b)] for b in els]) for a in els)
     labels = tuple(G.labels[x] for x in els) if G.labels else None
     sub = FiniteGroup._from_rows(table, labels, f"{G.name}|{len(els)}")
-    return sub, GroupHom(sub, G, els, _validate=False)
+    return sub, els
 
 
 def quotient(G: FiniteGroup, N: Subgroup):
     """Quotient by a normal subgroup.
 
-    Returns (Q, projection).  Cosets are ordered by least representative,
-    so the identity coset is element 0.
+    Returns (Q, projection), the projection as the coset index of every
+    element of G.  Cosets are ordered by least representative, so the
+    identity coset is element 0.
     """
     if N.parent is not G:
         raise GroupError("subgroup belongs to a different group")
     if not N.is_normal():
         raise GroupError("subgroup is not normal")
     if N.order == 1:
-        return G, identity_hom(G)
+        return G, tuple(range(G.order))
     if N.order == G.order:
-        one = cyclic(1)
-        return one, trivial_hom(G, one)
+        return cyclic(1), (0,) * G.order
     return _quotient(N)
 
 
@@ -1035,7 +959,7 @@ def _quotient(N: Subgroup):
     if G.labels is not None:
         labels = tuple(f"[{G.labels[r]}]" for r in reps)
     Q = FiniteGroup._from_rows(table, labels, f"{G.name}/{len(N.elements)}")
-    return Q, GroupHom(G, Q, tuple(coset_of), _validate=False)
+    return Q, tuple(coset_of)
 
 
 def double_coset_representatives(G: FiniteGroup, A: Subgroup,
@@ -1057,16 +981,17 @@ def double_coset_representatives(G: FiniteGroup, A: Subgroup,
     return reps
 
 
-def isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
-    """Some isomorphism G -> H, or None.  Deterministic: generator images
-    are tried in ascending order and the first success is returned."""
+def isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[tuple]:
+    """The image tuple of some isomorphism G -> H, or None.
+    Deterministic: generator images are tried in ascending order and the
+    first success is returned."""
     if G.order != H.order:
         return None
     if G.order_census() != H.order_census():
         return None
     els = list(range(G.order))
     for images in _hom_search(G, els, G.generators(), H, bijective=True):
-        return GroupHom(G, H, tuple(images[a] for a in els), _validate=False)
+        return tuple(images[a] for a in els)
     return None
 
 

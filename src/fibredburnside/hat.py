@@ -105,7 +105,6 @@ from .groups import (
     BoundExceededError,
     FiniteGroup,
     GroupError,
-    GroupHom,
     _check_subgroup_bound,
     automorphisms,
     center,
@@ -116,6 +115,7 @@ from .groups import (
     mask_to_elements,
     pairs_to_raw,
     product_embedding,
+    quotient,
     small_groups_catalog,
     subgroup_as_group,
     subgroups,
@@ -265,8 +265,8 @@ def _reduction_witness(X: TransitiveFibredBiset
             (fac.left_middle, fac.left_elementary, fac.beta1) if side == 1
             else (fac.right_middle, fac.beta2, fac.right_elementary))
         K, phi = _iso_to_catalog(middle)
-        a = canonicalize(_twisted(left_cls, 1, phi.images, K))
-        b = canonicalize(_twisted(right_cls, 0, phi.images, K))
+        a = canonicalize(_twisted(left_cls, 1, phi, K))
+        b = canonicalize(_twisted(right_cls, 0, phi, K))
         h = next(_summand_reps(X, a, b), None)
         if h is None:
             raise GroupError("constructed factorization lost the class")
@@ -279,12 +279,12 @@ def _aut_generators(G: FiniteGroup) -> Tuple[tuple, ...]:
     """Image tuples of a few automorphisms that generate Aut(G) together
     with the inner ones (which fix every canonical class)."""
     auts = automorphisms(G)
-    reached = {h.images for h in auts.inner}
+    reached = set(auts.inner)
     gens = []
     for rep in auts.out_representatives:
-        if rep.images in reached:
+        if rep in reached:
             continue
-        gens.append(rep.images)
+        gens.append(rep)
         frontier = list(reached)
         while frontier:
             x = frontier.pop()
@@ -358,9 +358,10 @@ def _kept_factors(G: FiniteGroup, K: FiniteGroup, C: FiniteGroup
     for N in subgroups(G):
         # |E/k2| = |G/N| divides |K|
         if (N.mask & ~zmask or K.order * N.order % G.order
-                or not any(h.is_injective for h in homomorphisms(N, C))):
+                or not any(len(set(h)) == N.order
+                           for h in homomorphisms(N, C))):
             continue
-        GQ, gproj = _quotient_of_subgroup(whole, N)
+        GQ, gproj = quotient(G, N)
         thetas = automorphisms(GQ).all
         outer = [emb.encode(n, 0) for n in N.elements]
         below = subgroups(K)
@@ -375,17 +376,15 @@ def _kept_factors(G: FiniteGroup, K: FiniteGroup, C: FiniteGroup
                 if phi is None:
                     continue
                 for alpha in thetas:
-                    iso = GroupHom(EQ, GQ, tuple(alpha.images[q]
-                                                 for q in phi.images),
-                                   _validate=False)
+                    iso = tuple(alpha[q] for q in phi)
                     V = rebuild_from_goursat(emb, GoursatData(
                         E=whole, k1=N, F=E, k2=k2, iso=iso, e_quotient=GQ,
                         e_projection=gproj, f_quotient=EQ,
                         f_projection=eproj))
                     at = [V.index_of(x) for x in outer]
                     for nu in homomorphisms(V, C):
-                        if len({nu.images[i] for i in at}) == len(at):
-                            found.add(_canonical_raw(amb, V.mask, nu.images))
+                        if len({nu[i] for i in at}) == len(at):
+                            found.add(_canonical_raw(amb, V.mask, nu))
     lefts = [TransitiveFibredBiset(G, K, C, mask, delta)
              for mask, delta in sorted(found)]
     return lefts, sorted(map(opposite, lefts), key=lambda b: b.raw)
@@ -627,8 +626,8 @@ def hat_basis_prime(G: FiniteGroup, C: FiniteGroup) -> List[HatGenerator]:
     center-intersect-Frattini subgroup (only possible when the prime
     divides the center's order)."""
     _require_prime_fibre(C)
-    reps = [s.images for s in automorphisms(G).out_representatives]
-    gens = [HatGenerator("X", G, C, t=t.images, sigma=s)
+    reps = automorphisms(G).out_representatives
+    gens = [HatGenerator("X", G, C, t=t, sigma=s)
             for t in homomorphisms(G, C) for s in reps]
     if center(G).order % C.order == 0:
         gens.extend(HatGenerator("Y", G, C, omega=w, zeta=z)
@@ -679,7 +678,7 @@ def hat_multiply(a: HatGenerator, b: HatGenerator
         t1, s1 = a.t, a.sigma
         t2, s2 = b.t, b.sigma
         t = tuple(C.mul(t1[s2[g]], t2[g]) for g in els)
-        sigma = reps[tuple(s1[s2[g]] for g in els)].images
+        sigma = reps[tuple(s1[s2[g]] for g in els)]
         return HatGenerator("X", G, C, t=t, sigma=sigma)
 
     if a.variant == "Y" and b.variant == "Y":
@@ -687,21 +686,21 @@ def hat_multiply(a: HatGenerator, b: HatGenerator
         al, ch = b.omega, b.zeta
         if tuple(w[x] for x in ch) != z:
             return None
-        omega = reps[tuple(w[al[g]] for g in els)].images
+        omega = reps[tuple(w[al[g]] for g in els)]
         return HatGenerator("Y", G, C, omega=omega, zeta=z)
 
     if a.variant == "X":
         t, s = a.t, a.sigma
         w, z = b.omega, b.zeta
         omega = reps[tuple(s[G.mul(w[g], z[cinv[t[w[g]]]])]
-                           for g in els)].images
+                           for g in els)]
         return HatGenerator("Y", G, C, omega=omega,
                             zeta=tuple(s[x] for x in z))
 
     # Y . X
     w, z = a.omega, a.zeta
     t, s = b.t, b.sigma
-    omega = reps[tuple(G.mul(w[s[g]], z[cinv[t[g]]]) for g in els)].images
+    omega = reps[tuple(G.mul(w[s[g]], z[cinv[t[g]]]) for g in els)]
     return HatGenerator("Y", G, C, omega=omega, zeta=z)
 
 
@@ -896,9 +895,7 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
     images = _extend_hom(emb.ambient, D.elements, gens, C, (2, 3))
     step("character delta((x,a)) = c^2, delta((y,b)) = c^-1",
          images is not None, "generator assignment extends to D")
-    delta = GroupHom(D, C, tuple(images[x] for x in D.elements),
-                     _validate=False)
-    val = delta.apply(emb.encode(2, 0))
+    val = images[emb.encode(2, 0)]
     step("delta(x^2, 1) = c^2 != 1", val == 2, f"value index {val}")
 
     p1 = goursat.projection(emb, D, (1,))
@@ -913,14 +910,14 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
     step("k2(D) = <a^2>", [H.label(x) for x in k2.elements] == ["1", "a2"],
          str([H.label(x) for x in k2.elements]))
 
-    X = canonicalize(TransitiveFibredBiset(G, H, C, D.mask, delta.images))
+    X = canonicalize(TransitiveFibredBiset(
+        G, H, C, D.mask, tuple(images[x] for x in D.elements)))
     Xop = opposite(X)
     W = compose(element_of(X), element_of(Xop), check=True)
 
     embGG = product_embedding(G, G)
-    dmap = delta.as_map()
     pairs = sorted((embGG.encode(g1, g2),
-                    dmap[emb.encode(G.mul(g1, G.inv(g2)), 0)])
+                    images[emb.encode(G.mul(g1, G.inv(g2)), 0)])
                    for g1 in range(G.order) for g2 in range(G.order)
                    if k1.contains(G.mul(g1, G.inv(g2))))
     closed = canonicalize(transitive_fibred_biset(

@@ -39,7 +39,7 @@ def random_transitive_class(rng: random.Random, left: FiniteGroup,
     homs = homomorphisms(D, fibre)
     delta = homs[rng.randrange(len(homs))]
     return canonicalize(TransitiveFibredBiset(left, right, fibre, D.mask,
-                                              delta.images))
+                                              delta))
 
 
 @functools.cache
@@ -63,4 +63,4 @@ def random_full_projection_class(rng: random.Random, left: FiniteGroup,
     homs = homomorphisms(D, fibre)
     delta = homs[rng.randrange(len(homs))]
     return canonicalize(TransitiveFibredBiset(left, right, fibre, D.mask,
-                                              delta.images))
+                                              delta))

@@ -11,7 +11,7 @@ from fibredburnside.fibred import (
     from_monomial_set, to_monomial_set, transitive_basis)
 from fibredburnside.goursat import _quotient_of_subgroup
 from fibredburnside.groups import (
-    FiniteGroup, GroupError, GroupHom, ProductEmbedding, Subgroup,
+    FiniteGroup, GroupError, ProductEmbedding, Subgroup,
     _extend_hom, _generating_sequence, automorphisms, homomorphisms,
     mask_to_elements, product_embedding, subgroups)
 from fibredburnside.monomial import FiniteAction, MonomialSet
@@ -400,8 +400,7 @@ def ref_out_rep_lookup(G):
     lookup = {}
     for rep in auts.out_representatives:
         for inner in auts.inner:
-            composite = tuple(rep.images[inner.images[g]]
-                              for g in range(G.order))
+            composite = tuple(rep[inner[g]] for g in range(G.order))
             lookup[composite] = rep
     return lookup
 
@@ -548,11 +547,11 @@ def ref_bouc_factorize(X):
     E = Subgroup(G, tuple(sorted({g for g, _ in coords})), _validate=False)
     k1 = Subgroup(G, tuple(ref_reduced_kernel(emb, X, 0)), _validate=False)
     E_quot, proj_e = _quotient_of_subgroup(E, k1)
-    pe = proj_e.as_map()
+    pe = dict(zip(E.elements, proj_e))
     F = Subgroup(H, tuple(sorted({h for _, h in coords})), _validate=False)
     k2 = Subgroup(H, tuple(ref_reduced_kernel(emb, X, 1)), _validate=False)
     F_quot, proj_f = _quotient_of_subgroup(F, k2)
-    pf = proj_f.as_map()
+    pf = dict(zip(F.elements, proj_f))
     return BoucFactorization(
         left_elementary=_graph_class(G, E_quot, C,
                                      [(g, pe[g]) for g in E.elements]),
@@ -574,7 +573,7 @@ def ref_class_keys(left, right, C, side=None):
         target = emb.factors[side].order
         subs = [D for D in subs
                 if len({emb.coords[x][side] for x in D.elements}) == target]
-    return sorted({_canonical_raw(emb.ambient, D.mask, hom.images)
+    return sorted({_canonical_raw(emb.ambient, D.mask, hom)
                    for D in subs for hom in homomorphisms(D, C)})
 
 
@@ -628,8 +627,8 @@ def ref_reduction_witness(X):
         if middle.order >= G.order:
             continue
         K, phi = _iso_to_catalog(middle)
-        a = canonicalize(_twisted(left_cls, 1, phi.images, K))
-        b = canonicalize(_twisted(right_cls, 0, phi.images, K))
+        a = canonicalize(_twisted(left_cls, 1, phi, K))
+        b = canonicalize(_twisted(right_cls, 0, phi, K))
         h = next(_summand_reps(X, a, b), None)
         if h is None:
             raise GroupError("constructed factorization lost the class")
@@ -699,7 +698,7 @@ def ref_verify_hat_vs_quotient(G, C, check=False):
 
 def frattini_criterion(G, C, zeta):
     """Whether every character G -> C kills the image of zeta."""
-    return all(all(mu.images[z] == 0 for z in zeta[1:])
+    return all(all(mu[z] == 0 for z in zeta[1:])
                for mu in homomorphisms(G, C))
 
 
@@ -708,25 +707,26 @@ def frattini_criterion(G, C, zeta):
 #    for the product rules moving with the generators
 
 
-def transport_hat_generator(gen: HatGenerator,
-                            phi: GroupHom) -> HatGenerator:
-    """Move a generator along an isomorphism phi: G -> H."""
-    if not phi.is_bijective or phi.domain is not gen.group:
+def transport_hat_generator(gen: HatGenerator, H: FiniteGroup,
+                            phi: tuple) -> HatGenerator:
+    """Move a generator along an isomorphism phi: G -> H, given as its
+    image tuple."""
+    if (len(phi) != gen.group.order
+            or sorted(phi) != list(range(H.order))):
         raise GroupError("transport needs an isomorphism out of the "
                          "generator's group")
-    H = phi.codomain
     reps = automorphisms(H).out_rep_of
     phi_inv = [0] * H.order
-    for g in range(gen.group.order):
-        phi_inv[phi.images[g]] = g
+    for g, h in enumerate(phi):
+        phi_inv[h] = g
     if gen.variant == "X":
         t = tuple(gen.t[phi_inv[h]] for h in range(H.order))
-        sigma = reps[tuple(phi.images[gen.sigma[phi_inv[h]]]
-                           for h in range(H.order))].images
+        sigma = reps[tuple(phi[gen.sigma[phi_inv[h]]]
+                           for h in range(H.order))]
         return HatGenerator("X", H, gen.fibre, t=t, sigma=sigma)
-    omega = reps[tuple(phi.images[gen.omega[phi_inv[h]]]
-                       for h in range(H.order))].images
-    zeta = tuple(phi.images[z] for z in gen.zeta)
+    omega = reps[tuple(phi[gen.omega[phi_inv[h]]]
+                       for h in range(H.order))]
+    zeta = tuple(phi[z] for z in gen.zeta)
     return HatGenerator("Y", H, gen.fibre, omega=omega, zeta=zeta)
 
 

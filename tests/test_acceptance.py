@@ -24,8 +24,8 @@ from fibredburnside.fibred import (
 )
 from fibredburnside.goursat import kernel_part, projection
 from fibredburnside.groups import (
-    GroupHom,
     automorphisms,
+    check_homomorphism,
     center,
     cyclic,
     group_from_spec,
@@ -65,7 +65,7 @@ def test_criterion_1_counterexample_regression():
     D = emb.ambient.generated_subgroup(gens)
     from fibredburnside.groups import _extend_hom
     images = _extend_hom(emb.ambient, D.elements, gens, c4, (2, 3))
-    delta = GroupHom(D, c4, tuple(images[x] for x in D.elements))
+    delta = check_homomorphism(D, c4, (images[x] for x in D.elements))
 
     # (a) projections and kernels
     ok_a = (projection(emb, D, (1,)).order == 8
@@ -74,11 +74,10 @@ def test_criterion_1_counterexample_regression():
             and kernel_part(emb, D, (2,)).elements == (0, 2))
 
     # (b) closed form of X o X-op
-    X = canonicalize(fibred.TransitiveFibredBiset(q8, d8, c4, D.mask,
-                                                delta.images))
+    X = canonicalize(fibred.TransitiveFibredBiset(q8, d8, c4, D.mask, delta))
     W = compose(element_of(X), element_of(opposite(X)), check=True)
     embGG = product_embedding(q8, q8)
-    dmap = delta.as_map()
+    dmap = dict(zip(D.elements, delta))
     pairs = sorted((embGG.encode(g1, g2),
                     dmap[emb.encode(q8.mul(g1, q8.inv(g2)), 0)])
                    for g1 in range(8) for g2 in range(8)

@@ -478,6 +478,23 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["order"] == 6
 
 
+@pytest.mark.parametrize("argv", [("counterexample",), ("hat", "C7", "C7")])
+def test_closed_stdout_exits_141_quietly(argv):
+    # the reader closes the pipe before the CLI writes: no usage error,
+    # but 128 + SIGPIPE as a shell reports it, and nothing on stderr
+    import subprocess
+    import sys
+    proc = subprocess.Popen([sys.executable, "-m", "fibredburnside", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # a no-op once it has exited
+    assert (proc.returncode, err) == (141, b"")
+    assert cli.EXIT_BROKEN_PIPE == 141
+
+
 def test_json_emitted_in_batches_equals_json_dumps(capsys):
     # 14,400 cells encode to over 130,000 chunks: three batches
     cells = [{"coeff": "1", "generator": i} for i in range(3)] + [None]

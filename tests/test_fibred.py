@@ -32,8 +32,8 @@ from fibredburnside.fibred import (
 )
 from fibredburnside.groups import (
     GroupError,
-    GroupHom,
     Subgroup,
+    check_homomorphism,
     cyclic,
     group_from_spec,
     isomorphism,
@@ -54,8 +54,8 @@ def counterexample_class(canonical=True):
     D = emb.ambient.generated_subgroup(gens)
     from fibredburnside.groups import _extend_hom
     images = _extend_hom(emb.ambient, D.elements, gens, c4, (2, 3))
-    delta = GroupHom(D, c4, tuple(images[x] for x in D.elements))
-    raw = TransitiveFibredBiset(q8, d8, c4, D.mask, delta.images)
+    delta = check_homomorphism(D, c4, (images[x] for x in D.elements))
+    raw = TransitiveFibredBiset(q8, d8, c4, D.mask, delta)
     return canonicalize(raw) if canonical else raw
 
 
@@ -111,8 +111,8 @@ def test_canonicalize_conjugation_invariant(rng, c2):
         X = sampling.random_transitive_class(rng, d8, d8, c2)
         g = rng.randrange(emb.ambient.order)
         D = Subgroup(emb.ambient, X.elements)
-        D2, delta2 = goursat.conjugate_pair(D, GroupHom(D, c2, X.delta), g)
-        Y = TransitiveFibredBiset(d8, d8, c2, D2.mask, delta2.images)
+        D2, delta2 = goursat.conjugate_pair(D, X.delta, g)
+        Y = TransitiveFibredBiset(d8, d8, c2, D2.mask, delta2)
         assert canonicalize(Y) == X
         assert element_of(Y) == element_of(X)
 
@@ -342,7 +342,7 @@ def test_diagonal_composition_rule(c4, c2):
     emb = product_embedding(c4, c4)
 
     def diag_class(t, s):
-        pairs = sorted((emb.encode(s.images[g], g), c2.inv(t.images[g]))
+        pairs = sorted((emb.encode(s[g], g), c2.inv(t[g]))
                        for g in range(4))
         return canonicalize(transitive_fibred_biset(
             c4, c4, c2, [p[0] for p in pairs], [p[1] for p in pairs]))
@@ -353,12 +353,8 @@ def test_diagonal_composition_rule(c4, c2):
                 for s2 in auts:
                     left = compose(element_of(diag_class(t1, s1)),
                                    element_of(diag_class(t2, s2)))
-                    t = GroupHom(c4, c2, tuple(
-                        c2.mul(t1.images[s2.images[g]], t2.images[g])
-                        for g in range(4)), _validate=False)
-                    s = GroupHom(c4, c4, tuple(
-                        s1.images[s2.images[g]] for g in range(4)),
-                        _validate=False)
+                    t = tuple(c2.mul(t1[s2[g]], t2[g]) for g in range(4))
+                    s = tuple(s1[s2[g]] for g in range(4))
                     assert left == element_of(diag_class(t, s))
 
 
@@ -482,16 +478,29 @@ def test_iso_classes_compose_to_identity(klein, c2, d8):
     from fibredburnside.groups import subgroup_as_group
     sub_grp, _ = subgroup_as_group(sub)
     phi = isomorphism(klein, sub_grp)
-    e1 = elementary_fibred_biset("iso", c2, iso=phi)
+    e1 = elementary_fibred_biset("iso", c2, group=klein, iso=(sub_grp, phi))
     inv_images = [0] * klein.order
-    for g in range(klein.order):
-        inv_images[phi.images[g]] = g
-    phi_inv = GroupHom(sub_grp, klein, tuple(inv_images))
-    e2 = elementary_fibred_biset("iso", c2, iso=phi_inv)
+    for g, h in enumerate(phi):
+        inv_images[h] = g
+    e2 = elementary_fibred_biset("iso", c2, group=sub_grp,
+                                 iso=(klein, inv_images))
     assert compose(element_of(e1), element_of(e2)) == \
         identity_element(sub_grp, c2)
     assert compose(element_of(e2), element_of(e1)) == \
         identity_element(klein, c2)
+
+
+@pytest.mark.parametrize("domain, images, message", [
+    ("C4", (0, 1, 1, 1), "map is not a homomorphism"),
+    ("C4", (0, 2, 0, 2), "iso map is not bijective"),
+    ("C2", (0, 2), "iso map is not bijective"),
+])
+def test_iso_rejects_a_map_that_is_no_isomorphism(c2, c4, domain, images,
+                                                  message):
+    # the map goes from the domain group into C4
+    group = c4 if domain == "C4" else c2
+    with pytest.raises(GroupError, match=message):
+        elementary_fibred_biset("iso", c2, group=group, iso=(c4, images))
 
 
 def test_def_then_inf_is_identity_of_quotient(q8, c2):

@@ -7,10 +7,11 @@ trusting the production enumeration paths.
 """
 
 import itertools
+import re
 
 import pytest
 
-from fibredburnside import groups
+from fibredburnside import goursat, groups
 from fibredburnside.groups import (
     BoundExceededError,
     GroupError,
@@ -230,7 +231,7 @@ def test_from_json_rejects_large_non_associative_table():
 def test_product_with_trivial_is_identity(c1, q8):
     emb = product_embedding(c1, q8)
     assert emb.ambient is q8
-    assert emb.factor_projections[1].images == tuple(range(8))
+    assert emb.factor_projections[1] == tuple(range(8))
 
 
 def test_product_klein(c2):
@@ -247,8 +248,8 @@ def test_product_order_and_projections(q8, d8):
     for _ in range(10):
         a, b = 13, 47
         c = emb.ambient.mul(a, b)
-        assert p1.images[c] == q8.mul(p1.images[a], p1.images[b])
-        assert p2.images[c] == d8.mul(p2.images[a], p2.images[b])
+        assert p1[c] == q8.mul(p1[a], p1[b])
+        assert p2[c] == d8.mul(p2[a], p2[b])
 
 
 def test_product_cache_keys_hold_the_factor_groups(c2, c3):
@@ -493,7 +494,7 @@ def test_homs_q8_to_c2(q8, c2):
     homs = homomorphisms(q8, c2)
     assert len(homs) == brute_force_homs(q8, c2) == 4
     x2 = q8.mul(1, 1)
-    assert all(h.images[x2] == 0 for h in homs)
+    assert all(h[x2] == 0 for h in homs)
 
 
 def test_homs_s3_to_c3(s3, c3):
@@ -502,11 +503,11 @@ def test_homs_s3_to_c3(s3, c3):
 
 def test_homs_contain_trivial_and_are_aut_stable(d8, c4):
     homs = homomorphisms(d8, c4)
-    assert any(h.is_trivial() for h in homs)
-    images_set = {h.images for h in homs}
+    assert (0,) * d8.order in homs
+    images_set = set(homs)
     for alpha in groups.automorphisms(c4).all:
         for h in homs:
-            post = tuple(alpha.images[v] for v in h.images)
+            post = tuple(alpha[v] for v in h)
             assert post in images_set
 
 
@@ -515,20 +516,66 @@ def test_hom_on_subgroup(q8, c2):
     homs = homomorphisms(d, c2)
     assert len(homs) == 2
     for h in homs:
+        hmap = dict(zip(d.elements, h))
         for a in d.elements:
             for b in d.elements:
-                assert h.apply(q8.mul(a, b)) == c2.mul(h.apply(a), h.apply(b))
+                assert hmap[q8.mul(a, b)] == c2.mul(hmap[a], hmap[b])
 
 
-def test_homs_of_a_group_and_its_full_subgroup_kept_apart(c2):
+def test_homs_of_a_group_and_its_full_subgroup_agree(c2):
     from fibredburnside.fibred import subcharacter_classes
     # a fresh group: nothing about it is cached before this test runs
     G = groups.FiniteGroup(groups.symmetric(3).table)
     subcharacter_classes(G, c2)  # enumerates homs of the full subgroup
-    assert all(h.domain is G and h == groups.GroupHom(G, c2, h.images)
-               for h in homomorphisms(G, c2))
-    full = G.full_subgroup()
-    assert all(h.domain == full for h in homomorphisms(full, c2))
+    homs = homomorphisms(G, c2)
+    assert all(groups.check_homomorphism(G, c2, h) == h for h in homs)
+    assert homomorphisms(G.full_subgroup(), c2) == homs
+
+
+def test_homomorphisms_are_plain_image_tuples(q8, d8, c4):
+    # a homomorphism is its image tuple, whichever function returns it
+    emb = product_embedding(q8, d8)
+    D = emb.ambient.generated_subgroup([emb.encode(1, 1), emb.encode(4, 4)])
+    auts = groups.automorphisms(d8)
+    data = goursat.goursat_decompose(emb, D)
+    delta = homomorphisms(D, c4)[1]
+    maps = [*homomorphisms(D, c4), *homomorphisms(d8, c4), *auts.all,
+            *auts.inner, *auts.out_representatives,
+            *auts.out_rep_of.values(), isomorphism(q8, q8),
+            quotient(d8, d8.subgroup([0, 2]))[1],
+            quotient(d8, d8.trivial_subgroup())[1],
+            quotient(d8, d8.full_subgroup())[1],
+            subgroup_as_group(D)[1], subgroup_as_group(d8.full_subgroup())[1],
+            *emb.factor_projections, data.iso, data.e_projection,
+            data.f_projection, goursat.conjugate_pair(D, delta, 5)[1]]
+    assert all(type(m) is tuple for m in maps)
+    assert all(type(field) is tuple for field in
+               (auts.all, auts.inner, auts.out_representatives,
+                emb.factor_projections))
+
+
+@pytest.mark.parametrize("domain, images, message", [
+    ("C4", (0, 1, 0), "image list does not match domain size"),
+    ("C4", (0, 1, 0, 1, 0), "image list does not match domain size"),
+    ("C4", (0, -1, 0, 1), "image out of range"),
+    ("C4", (0, 1, 0, 2), "image out of range"),
+    ("C4", (0, 1, 1, 1), "map is not a homomorphism"),
+    ("<x>", (0, 1, 0, 5), "image out of range"),
+    ("<x>", (0, 0, 1, 1), "map is not a homomorphism"),
+])
+def test_check_homomorphism_messages(q8, c2, c4, domain, images, message):
+    # <x> is the subgroup {1, x, x^2, x^3} of Q8; the images follow its
+    # elements in ascending order
+    D = c4 if domain == "C4" else q8.subgroup([0, 1, 2, 3])
+    with pytest.raises(GroupError, match=f"^{re.escape(message)}$"):
+        groups.check_homomorphism(D, c2, images)
+
+
+def test_check_homomorphism_returns_the_tuple(q8, c2, c4):
+    assert groups.check_homomorphism(c4, c2, [0, 1, 0, 1]) == (0, 1, 0, 1)
+    x = q8.subgroup([0, 1, 2, 3])
+    assert groups.check_homomorphism(x, c2, iter([0, 1, 0, 1])) == \
+        (0, 1, 0, 1)
 
 
 # -- automorphisms -----------------------------------------------------------
@@ -555,9 +602,9 @@ def test_out_representatives_partition(d8):
     data = groups.automorphisms(d8)
     seen = set()
     for rep in data.out_representatives:
-        coset = {tuple(rep.images[i.images[g]] for g in range(d8.order))
+        coset = {tuple(rep[i[g]] for g in range(d8.order))
                  for i in data.inner}
-        assert rep.images == min(coset)
+        assert rep == min(coset)
         assert not coset & seen
         seen |= coset
     assert len(seen) == len(data.all)
@@ -579,7 +626,7 @@ def test_homomorphisms_match_reference_search():
     for G in _hom_search_range():
         for S in subgroups(G):
             for C in targets:
-                assert ([h.images for h in homomorphisms(S, C)]
+                assert (homomorphisms(S, C)
                         == ref_homomorphisms(G, S.elements, C)), \
                     (G.name, S.elements, C.name)
 
@@ -596,11 +643,10 @@ def test_automorphisms_and_isomorphism_match_reference_search():
     for X in pool.values():
         by_order.setdefault(X.order, []).append(X)
     for X in pool.values():
-        assert ([h.images for h in groups.automorphisms(X).all]
+        assert (list(groups.automorphisms(X).all)
                 == ref_automorphisms(X)), X.name
         for Y in by_order[X.order]:
-            iso = isomorphism(X, Y)
-            assert (iso.images if iso else None) == ref_isomorphism(X, Y), \
+            assert isomorphism(X, Y) == ref_isomorphism(X, Y), \
                 (X.name, Y.name)
 
 
@@ -610,7 +656,7 @@ def test_out_rep_of_matches_reference_lookup():
     for G in small_groups_catalog():
         auts = groups.automorphisms(G)
         ref = ref_out_rep_lookup(G)
-        assert set(auts.out_rep_of) == {h.images for h in auts.all}, G.name
+        assert set(auts.out_rep_of) == set(auts.all), G.name
         assert auts.out_rep_of.keys() == ref.keys(), G.name
         assert all(auts.out_rep_of[k] is ref[k] for k in ref), G.name
 
@@ -621,13 +667,13 @@ def test_out_rep_of_matches_reference_lookup():
 def test_quotient_by_trivial_is_identity(q8):
     Q, proj = quotient(q8, q8.trivial_subgroup())
     assert Q is q8
-    assert proj.images == tuple(range(8))
+    assert proj == tuple(range(8))
 
 
 def test_quotient_by_full_is_trivial(q8, c1):
     Q, proj = quotient(q8, q8.full_subgroup())
     assert Q is c1
-    assert set(proj.images) == {0}
+    assert set(proj) == {0}
 
 
 def test_quotient_counterexample_subgroup_is_c4(q8, d8, c4):
@@ -648,8 +694,8 @@ def test_quotient_counterexample_subgroup_is_c4(q8, d8, c4):
 def test_quotient_projection_kernel(d8):
     N = d8.subgroup([0, 2])
     Q, proj = quotient(d8, N)
-    assert proj.is_surjective
-    assert tuple(g for g in range(d8.order) if proj(g) == 0) == N.elements
+    assert set(proj) == set(range(Q.order))
+    assert tuple(g for g in range(d8.order) if proj[g] == 0) == N.elements
     with pytest.raises(GroupError):
         quotient(d8, d8.subgroup([0, 4]))  # <b> is not normal
 
@@ -704,7 +750,7 @@ def test_isomorphism_q8_d8_absent(q8, d8):
 
 def test_isomorphism_identity(q8):
     phi = isomorphism(q8, q8)
-    assert phi is not None and phi.is_bijective
+    assert phi is not None and sorted(phi) == list(range(q8.order))
 
 
 def test_isomorphism_klein_inside_d8(klein, d8):
