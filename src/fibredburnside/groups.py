@@ -706,12 +706,23 @@ def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
 def subgroups(G: FiniteGroup) -> list:
     """All subgroups of G, each exactly once, sorted by (order, elements).
 
-    Found by closing generated subgroups layer by layer: every subgroup
-    arises from a smaller one S by adjoining a single coset
-    representative g.  Each subgroup keeps the seed that found it (its
-    parent's seed plus g), which generates it, so <S, g> is the closure
-    of that seed plus g with S as the base: it is built from whole right
-    cosets of S (see :func:`closure_mask`).
+    Each subgroup T != 1 is built from its canonical parent.  The greedy
+    seed (s1, ..., sk) of T takes at each step the least element of T
+    not yet generated (see :func:`_generating_sequence`).  The canonical
+    parent of T is P = <s1, ..., s(k-1)>, and T = <P, g> with
+    g = sk = min(T minus P).  P's own greedy seed is (s1, ..., s(k-1)),
+    as every element of T outside P exceeds s(k-1); so, by induction on
+    k from the trivial group, every subgroup is reached.  Conversely,
+    the search adjoins to P only g > s(k-1), and keeps <P, g> only if g
+    is its least element outside P; then (s1, ..., s(k-1), g) is the
+    greedy seed of <P, g>, so P is its canonical parent and g its last
+    seed element, and no subgroup is kept twice.  <P, g> is closed from
+    whole right cosets of P (see :func:`closure_mask`).  Before closing,
+    the cosets P g^u with u prime to the order of g are marked: they lie
+    in <P, g> outside P and each of their elements generates <P, g> with
+    P, so they need no closure of their own; and if one of them holds an
+    element below g, <P, g> is not a child of P and is not closed at
+    all.
     """
     _check_subgroup_bound(G.order)
     return list(_subgroups(G))
@@ -728,29 +739,39 @@ def _check_subgroup_bound(order: int):
 def _subgroups(G: FiniteGroup) -> tuple:
     flat = G._flat
     n = G.order
-    found = {1: (0,)}
-    seeds = {1: []}
-    frontier = [1]
-    while frontier:
-        new = []
-        for m in frontier:
-            els = found[m]
-            seed = seeds[m]
-            covered = m
-            for g in range(1, n):
-                if (covered >> g) & 1:
-                    continue
-                # mark the whole coset: adjoining m*g generates the same
-                for x in els:
-                    covered |= 1 << flat[x * n + g]
-                res = closure_mask(G, seed + [g], base=els)
-                if res not in found:
-                    found[res] = mask_to_elements(res)
-                    seeds[res] = seed + [g]
-                    new.append(res)
-        frontier = new
+    # the generators of each <g>: its powers g^u with u prime to |g|
+    cyclic_gens = []
+    for g in range(n):
+        powers = [g]
+        while powers[-1]:
+            powers.append(flat[powers[-1] * n + g])
+        k = len(powers)
+        cyclic_gens.append([y for u, y in enumerate(powers, 1)
+                            if math.gcd(u, k) == 1])
+    found = [(0,)]
+    work = [((0,), 1, [])]
+    for els, mask, seed in work:
+        rows = [x * n for x in els]
+        covered = mask
+        for g in range(seed[-1] + 1 if seed else 1, n):
+            if (covered >> g) & 1:
+                continue
+            cosets = 0
+            for y in cyclic_gens[g]:
+                for x in rows:
+                    cosets |= 1 << flat[x + y]
+            covered |= cosets
+            below = (1 << g) - 1
+            if cosets & below:
+                continue
+            res = closure_mask(G, seed + [g], base=els)
+            if res & below & ~mask:
+                continue
+            sub = mask_to_elements(res)
+            found.append(sub)
+            work.append((sub, res, seed + [g]))
     return tuple(Subgroup(G, els, _validate=False)
-                 for els in sorted(found.values(), key=lambda e: (len(e), e)))
+                 for els in sorted(found, key=lambda e: (len(e), e)))
 
 
 @functools.cache
