@@ -14,6 +14,7 @@ from .groups import (
     automorphisms,
     center,
     check_homomorphism,
+    check_subgroup,
     cyclic,
     dihedral,
     dicyclic,

@@ -21,6 +21,7 @@ from .groups import (
     ProductEmbedding,
     Subgroup,
     check_homomorphism,
+    check_subgroup,
     cyclic,
     elements_to_mask,
     group_from_spec,
@@ -156,8 +157,8 @@ class TransitiveFibredBiset(NamedTuple):
         amb = self.ambient
         elements = self.elements
         kernel = tuple(x for x, c in zip(elements, self.delta) if c == 0)
-        return (Subgroup(amb, elements, _validate=False),
-                Subgroup(amb, kernel, _validate=False))
+        return (Subgroup(amb, elements, self.mask),
+                Subgroup(amb, kernel, elements_to_mask(kernel)))
 
     def describe(self) -> str:
         elements = self.elements
@@ -193,7 +194,7 @@ def transitive_fibred_biset(left, right, fibre, d_elements,
                          f"{len(d_elements)}")
     pairs = sorted(zip(d_elements, delta_images))
     amb = product_embedding(left, right).ambient
-    D = Subgroup(amb, tuple(x for x, _ in pairs))
+    D = check_subgroup(amb, [x for x, _ in pairs])
     delta = check_homomorphism(D, fibre, (v for _, v in pairs))
     return TransitiveFibredBiset(left, right, fibre, D.mask, delta)
 
@@ -390,16 +391,16 @@ def _compose_raw(emb_gh: ProductEmbedding, emb_hk: ProductEmbedding,
     hk = emb_hk.coords
     v_dec = [gh[x] for x in v_elements]
     u_dec = [hk[x] for x in u_elements]
-    p2v = sorted({h for _, h in v_dec})
-    p1u = sorted({h for h, _ in u_dec})
+    p2v = tuple(sorted({h for _, h in v_dec}))
+    p1u = tuple(sorted({h for h, _ in u_dec}))
     k2v = [(h, c) for (g, h), c in zip(v_dec, nu) if g == 0]
     k1u_vals = {h: c for (h, k), c in zip(u_dec, mu) if k == 0}
     u_by_first: Dict[int, list] = {}
     for (h, k), c in zip(u_dec, mu):
         u_by_first.setdefault(h, []).append((k, c))
 
-    A = Subgroup(H, tuple(p2v), _validate=False)
-    B = Subgroup(H, tuple(p1u), _validate=False)
+    A = Subgroup(H, p2v, elements_to_mask(p2v))
+    B = Subgroup(H, p1u, elements_to_mask(p1u))
     out = []
     for h in double_coset_representatives(H, A, B):
         twist = H.conjugation_perm(hinv[h])  # x -> h^-1 x h

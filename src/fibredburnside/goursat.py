@@ -11,11 +11,12 @@ from .groups import (
     GroupError,
     ProductEmbedding,
     Subgroup,
-    mask_to_elements,
+    elements_to_mask,
     pairs_to_raw,
     product_embedding,
     quotient,
     subgroup_as_group,
+    subgroup_of_mask,
 )
 
 __all__ = [
@@ -45,15 +46,17 @@ def projection(emb: ProductEmbedding, D: Subgroup,
     if D.parent is not emb.ambient:
         raise GroupError("subgroup does not live in this product")
     ids = _check_indices(emb, indices)
+    mask = 0
     if len(ids) == 1:
         p = emb.factor_projections[ids[0] - 1]
-        return Subgroup(emb.factors[ids[0] - 1],
-                        tuple(sorted({p[x] for x in D.elements})),
-                        _validate=False)
+        for x in D.elements:
+            mask |= 1 << p[x]
+        return subgroup_of_mask(emb.factors[ids[0] - 1], mask)
     sub = product_embedding(*(emb.factors[i - 1] for i in ids))
     coords = emb.coords
-    out = {sub.encode(*(coords[x][i - 1] for i in ids)) for x in D.elements}
-    return Subgroup(sub.ambient, tuple(sorted(out)), _validate=False)
+    for x in D.elements:
+        mask |= 1 << sub.encode(*(coords[x][i - 1] for i in ids))
+    return subgroup_of_mask(sub.ambient, mask)
 
 
 def kernel_part(emb: ProductEmbedding, D: Subgroup,
@@ -65,8 +68,9 @@ def kernel_part(emb: ProductEmbedding, D: Subgroup,
     part = D.elements
     for i, p in enumerate(emb.factor_projections, 1):
         if i not in indices:
-            part = [x for x in part if not p[x]]
-    return projection(emb, Subgroup(D.parent, part, _validate=False), indices)
+            part = tuple(x for x in part if not p[x])
+    return projection(emb, Subgroup(D.parent, part, elements_to_mask(part)),
+                      indices)
 
 
 def star(emb_gh: ProductEmbedding, U: Subgroup,
@@ -84,12 +88,12 @@ def star(emb_gh: ProductEmbedding, U: Subgroup,
     for x in U.elements:
         g, h = emb_gh.decode(x)
         by_h.setdefault(h, []).append(g)
-    out = set()
+    mask = 0
     for y in V.elements:
         h, k = emb_hk.decode(y)
         for g in by_h.get(h, ()):
-            out.add(emb_gk.encode(g, k))
-    return Subgroup(emb_gk.ambient, tuple(sorted(out)), _validate=False)
+            mask |= 1 << emb_gk.encode(g, k)
+    return subgroup_of_mask(emb_gk.ambient, mask)
 
 
 class GoursatData(NamedTuple):
@@ -117,8 +121,8 @@ def _quotient_of_subgroup(S: Subgroup, N: Subgroup):
     order, so the projection of the reindexed group is that list."""
     grp, _ = subgroup_as_group(S)
     pos = {x: i for i, x in enumerate(S.elements)}
-    return quotient(grp, Subgroup(grp, tuple(pos[x] for x in N.elements),
-                                  _validate=False))
+    els = tuple(pos[x] for x in N.elements)
+    return quotient(grp, Subgroup(grp, els, elements_to_mask(els)))
 
 
 def goursat_decompose(emb: ProductEmbedding, D: Subgroup) -> GoursatData:
@@ -151,12 +155,13 @@ def rebuild_from_goursat(emb: ProductEmbedding, data: GoursatData) -> Subgroup:
     emap = dict(zip(data.E.elements, data.e_projection))
     fmap = dict(zip(data.F.elements, data.f_projection))
     iso = data.iso
+    # g and h ascend, so their encodings g |H| + h ascend too
     out = []
     for g in data.E.elements:
         for h in data.F.elements:
             if iso[fmap[h]] == emap[g]:
                 out.append(emb.encode(g, h))
-    return Subgroup(emb.ambient, tuple(sorted(out)), _validate=False)
+    return Subgroup(emb.ambient, tuple(out), elements_to_mask(out))
 
 
 def conjugate_pair(D: Subgroup, delta: tuple,
@@ -166,4 +171,4 @@ def conjugate_pair(D: Subgroup, delta: tuple,
     G = D.parent
     perm = G.conjugation_perm(g)
     mask, images = pairs_to_raw(zip((perm[x] for x in D.elements), delta))
-    return Subgroup(G, mask_to_elements(mask), _validate=False), images
+    return subgroup_of_mask(G, mask), images

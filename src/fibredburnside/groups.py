@@ -4,10 +4,12 @@ cosets and a small-groups catalog.
 
 Element convention: elements of a group of order n are the indices
 0..n-1, with 0 always the identity.  Conjugation is ``^g x = g x g^-1``
-and ``x^g = g^-1 x g`` throughout.  A homomorphism is the tuple of the
-images of its domain's elements, in index order for a group and in
-ascending order for a subgroup; ``check_homomorphism`` validates one
-given from outside.
+and ``x^g = g^-1 x g`` throughout.  A subgroup is the tuple
+``(parent, elements, mask)``: its elements ascending and their bitmask;
+``check_subgroup`` validates one given from outside.  A homomorphism is
+the tuple of the images of its domain's elements, in index order for a
+group and in ascending order for a subgroup; ``check_homomorphism``
+validates one given from outside.
 
 All values are immutable after construction, and every operation is a
 pure function of its arguments.  Derived data is memoized with
@@ -40,6 +42,7 @@ __all__ = [
     "BoundExceededError",
     "FiniteGroup",
     "Subgroup",
+    "check_subgroup",
     "ProductEmbedding",
     "AutomorphismData",
     "cyclic",
@@ -209,17 +212,16 @@ class FiniteGroup:
         return str(a)
 
     def subgroup(self, elements: Iterable[int]) -> "Subgroup":
-        return Subgroup(self, tuple(sorted(set(elements))))
+        return check_subgroup(self, sorted(set(elements)))
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (0,), _validate=False)
+        return Subgroup(self, (0,), 1)
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, tuple(range(self.order)), _validate=False)
+        return Subgroup(self, tuple(range(self.order)), (1 << self.order) - 1)
 
     def generated_subgroup(self, generators: Iterable[int]) -> "Subgroup":
-        mask = closure_mask(self, list(generators))
-        return Subgroup(self, mask_to_elements(mask), _validate=False)
+        return subgroup_of_mask(self, closure_mask(self, list(generators)))
 
     # -- conjugation helpers ------------------------------------------------
 
@@ -272,93 +274,53 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-class Subgroup:
-    """A subgroup of a fixed parent group, stored as a sorted element tuple."""
+class Subgroup(NamedTuple):
+    """A subgroup of ``parent``: its elements, ascending, and their
+    bitmask.  Parents compare by identity.  The tuple is built unchecked
+    from derived data; ``check_subgroup`` validates elements given from
+    outside."""
 
-    __slots__ = ("parent", "elements", "_mask")
-
-    def __init__(self, parent: FiniteGroup, elements, _validate=True):
-        self.parent = parent
-        self.elements = tuple(elements)
-        self._mask = None
-        if _validate:
-            self._validate()
-
-    def _validate(self):
-        els = self.elements
-        if list(els) != sorted(set(els)):
-            raise GroupError("subgroup elements must be sorted and distinct")
-        if not els or els[0] != 0:
-            raise GroupError("subgroup must contain the identity")
-        mask = 0
-        for x in els:
-            if not (0 <= x < self.parent.order):
-                raise GroupError("subgroup element out of range")
-            mask |= 1 << x
-        mul = self.parent.mul
-        inv = self.parent.inverses
-        for a in els:
-            if not (mask >> inv[a]) & 1:
-                raise GroupError("subgroup not closed under inverses")
-            for b in els:
-                if not (mask >> mul(a, b)) & 1:
-                    raise GroupError("subgroup not closed under products")
-        self._mask = mask
-
-    @property
-    def mask(self) -> int:
-        m = self._mask
-        if m is None:
-            m = 0
-            for x in self.elements:
-                m |= 1 << x
-            self._mask = m
-        return m
+    parent: FiniteGroup
+    elements: tuple
+    mask: int
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def contains(self, x: int) -> bool:
-        return (self.mask >> x) & 1 == 1
-
-    def is_subset_of(self, other: "Subgroup") -> bool:
-        return self.mask & ~other.mask == 0
 
     def is_normal(self) -> bool:
         G = self.parent
         m = self.mask
         return all(conjugate_mask(G, m, g) == m for g in G.conjugation_reps())
 
-    def conjugate(self, g: int) -> "Subgroup":
-        m = conjugate_mask(self.parent, self.mask, g)
-        return Subgroup(self.parent, mask_to_elements(m), _validate=False)
 
-    def index_of(self, x: int) -> int:
-        """Position of a parent element inside this subgroup's element list."""
-        import bisect
-        i = bisect.bisect_left(self.elements, x)
-        if i == len(self.elements) or self.elements[i] != x:
-            raise GroupError(f"element {x} not in subgroup")
-        return i
+def subgroup_of_mask(G: FiniteGroup, mask: int) -> Subgroup:
+    """The subgroup of G whose elements are the set bits of ``mask``."""
+    return Subgroup(G, mask_to_elements(mask), mask)
 
-    def __eq__(self, other):
-        return (isinstance(other, Subgroup) and other.parent is self.parent
-                and other.elements == self.elements)
 
-    def __hash__(self):
-        return hash((id(self.parent), self.elements))
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __repr__(self):
-        names = ",".join(self.parent.label(x) for x in self.elements[:6])
-        tail = ",..." if len(self.elements) > 6 else ""
-        return f"Subgroup({{{names}{tail}}} <= {self.parent.name})"
+def check_subgroup(G: FiniteGroup, elements) -> Subgroup:
+    """The subgroup of G on elements given from outside, checked to be
+    sorted, distinct, in range and closed."""
+    els = tuple(elements)
+    if list(els) != sorted(set(els)):
+        raise GroupError("subgroup elements must be sorted and distinct")
+    if not els or els[0] != 0:
+        raise GroupError("subgroup must contain the identity")
+    mask = 0
+    for x in els:
+        if not (0 <= x < G.order):
+            raise GroupError("subgroup element out of range")
+        mask |= 1 << x
+    mul = G.mul
+    inv = G.inverses
+    for a in els:
+        if not (mask >> inv[a]) & 1:
+            raise GroupError("subgroup not closed under inverses")
+        for b in els:
+            if not (mask >> mul(a, b)) & 1:
+                raise GroupError("subgroup not closed under products")
+    return Subgroup(G, els, mask)
 
 
 Domain = Union[FiniteGroup, Subgroup]
@@ -567,10 +529,10 @@ def _perm_group(perms: list, name: str) -> FiniteGroup:
 
 
 def symmetric(n: int) -> FiniteGroup:
-    """Symmetric group on n letters (n <= 4), elements in lexicographic
+    """Symmetric group on n letters (1 <= n <= 4), elements in lexicographic
     order of permutation tuples, identity first."""
     if not 1 <= n <= 4:
-        raise GroupError("symmetric group supported only for n <= 4")
+        raise GroupError("symmetric group supported only for 1 <= n <= 4")
     return _symmetric(n)
 
 
@@ -748,7 +710,6 @@ def _subgroups(G: FiniteGroup) -> tuple:
         k = len(powers)
         cyclic_gens.append([y for u, y in enumerate(powers, 1)
                             if math.gcd(u, k) == 1])
-    found = [(0,)]
     work = [((0,), 1, [])]
     for els, mask, seed in work:
         rows = [x * n for x in els]
@@ -767,30 +728,31 @@ def _subgroups(G: FiniteGroup) -> tuple:
             res = closure_mask(G, seed + [g], base=els)
             if res & below & ~mask:
                 continue
-            sub = mask_to_elements(res)
-            found.append(sub)
-            work.append((sub, res, seed + [g]))
-    return tuple(Subgroup(G, els, _validate=False)
-                 for els in sorted(found, key=lambda e: (len(e), e)))
+            work.append((mask_to_elements(res), res, seed + [g]))
+    return tuple(Subgroup(G, els, mask) for els, mask, _ in
+                 sorted(work, key=lambda w: (len(w[0]), w[0])))
 
 
 @functools.cache
 def center(G: FiniteGroup) -> Subgroup:
-    els = [a for a in range(G.order)
-           if all(G.mul(a, b) == G.mul(b, a) for b in range(G.order))]
-    return Subgroup(G, tuple(els), _validate=False)
+    els = tuple(a for a in range(G.order)
+                if all(G.mul(a, b) == G.mul(b, a) for b in range(G.order)))
+    return Subgroup(G, els, elements_to_mask(els))
 
 
 @functools.cache
 def frattini(G: FiniteGroup) -> Subgroup:
     """Intersection of all maximal subgroups (the whole group if none)."""
-    proper = [s.mask for s in subgroups(G) if s.order < G.order]
-    maximal = [m for m in proper
-               if not any(m != m2 and m & ~m2 == 0 for m2 in proper)]
+    # every proper subgroup lies in a maximal one of larger order, so
+    # from the largest down a subgroup is maximal when no maximal one
+    # found so far contains it
     mask = (1 << G.order) - 1
-    for m in maximal:
-        mask &= m
-    return Subgroup(G, mask_to_elements(mask), _validate=False)
+    maximal = []
+    for s in reversed(subgroups(G)[:-1]):
+        if not any(s.mask & ~m == 0 for m in maximal):
+            maximal.append(s.mask)
+            mask &= s.mask
+    return subgroup_of_mask(G, mask)
 
 
 def _generating_sequence(G: FiniteGroup, elements: Sequence[int]) -> list:
@@ -1116,7 +1078,8 @@ def _parse_atom(token: str):
         return 8, quaternion8
     if kind == "S" and num:
         if not 1 <= n <= 4:
-            raise GroupSpecError(f"symmetric atom supports n <= 4: {token!r}")
+            raise GroupSpecError(f"symmetric atom supports 1 <= n <= 4: "
+                                 f"{token!r}")
         return math.factorial(n), lambda: symmetric(n)
     if kind == "A" and num == "4":
         return 12, alternating4

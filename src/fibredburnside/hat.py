@@ -381,7 +381,7 @@ def _kept_factors(G: FiniteGroup, K: FiniteGroup, C: FiniteGroup
                         E=whole, k1=N, F=E, k2=k2, iso=iso, e_quotient=GQ,
                         e_projection=gproj, f_quotient=EQ,
                         f_projection=eproj))
-                    at = [V.index_of(x) for x in outer]
+                    at = [V.elements.index(x) for x in outer]
                     for nu in homomorphisms(V, C):
                         if len({nu[i] for i in at}) == len(at):
                             found.add(_canonical_raw(amb, V.mask, nu))
@@ -890,7 +890,7 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
     emb = product_embedding(G, H)
     gens = [emb.encode(1, 1), emb.encode(4, 4)]  # (x,a), (y,b)
     D = emb.ambient.generated_subgroup(gens)
-    step("subgroup D = <(x,a),(y,b)>", len(D) == 16, f"|D| = {len(D)}")
+    step("subgroup D = <(x,a),(y,b)>", D.order == 16, f"|D| = {D.order}")
 
     images = _extend_hom(emb.ambient, D.elements, gens, C, (2, 3))
     step("character delta((x,a)) = c^2, delta((y,b)) = c^-1",
@@ -919,7 +919,7 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
     pairs = sorted((embGG.encode(g1, g2),
                     images[emb.encode(G.mul(g1, G.inv(g2)), 0)])
                    for g1 in range(G.order) for g2 in range(G.order)
-                   if k1.contains(G.mul(g1, G.inv(g2))))
+                   if (k1.mask >> G.mul(g1, G.inv(g2))) & 1)
     closed = canonicalize(transitive_fibred_biset(
         G, G, C, [p[0] for p in pairs], [p[1] for p in pairs]))
     step("W = X o X-op matches the closed form over D' = "

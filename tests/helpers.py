@@ -11,9 +11,9 @@ from fibredburnside.fibred import (
     from_monomial_set, to_monomial_set, transitive_basis)
 from fibredburnside.goursat import _quotient_of_subgroup
 from fibredburnside.groups import (
-    FiniteGroup, GroupError, ProductEmbedding, Subgroup,
-    _extend_hom, _generating_sequence, automorphisms, homomorphisms,
-    mask_to_elements, product_embedding, subgroups)
+    FiniteGroup, GroupError, ProductEmbedding, _extend_hom,
+    _generating_sequence, automorphisms, elements_to_mask, homomorphisms,
+    mask_to_elements, product_embedding, subgroup_of_mask, subgroups)
 from fibredburnside.monomial import FiniteAction, MonomialSet
 from fibredburnside.hat import (
     FactorizationWitness, HatGenerator, _iso_to_catalog, _reduction_witness,
@@ -544,12 +544,12 @@ def ref_bouc_factorize(X):
     G, H = emb.factors
     C = X.fibre
     coords = [emb.decode(x) for x in X.elements]
-    E = Subgroup(G, tuple(sorted({g for g, _ in coords})), _validate=False)
-    k1 = Subgroup(G, tuple(ref_reduced_kernel(emb, X, 0)), _validate=False)
+    E = subgroup_of_mask(G, elements_to_mask(g for g, _ in coords))
+    k1 = subgroup_of_mask(G, elements_to_mask(ref_reduced_kernel(emb, X, 0)))
     E_quot, proj_e = _quotient_of_subgroup(E, k1)
     pe = dict(zip(E.elements, proj_e))
-    F = Subgroup(H, tuple(sorted({h for _, h in coords})), _validate=False)
-    k2 = Subgroup(H, tuple(ref_reduced_kernel(emb, X, 1)), _validate=False)
+    F = subgroup_of_mask(H, elements_to_mask(h for _, h in coords))
+    k2 = subgroup_of_mask(H, elements_to_mask(ref_reduced_kernel(emb, X, 1)))
     F_quot, proj_f = _quotient_of_subgroup(F, k2)
     pf = dict(zip(F.elements, proj_f))
     return BoucFactorization(

@@ -16,6 +16,7 @@ from fibredburnside.fibred import (
 from fibredburnside.groups import cyclic, group_from_spec
 
 from test_fibred import counterexample_class
+from test_groups import SUBGROUP_FAULTS
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +170,18 @@ def test_compose_non_abelian_fibre_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "compose", blob, blob, "--check")
     assert code == 2
     assert "fibre group must be abelian" in err
+
+
+@pytest.mark.parametrize("spec, elements, message", SUBGROUP_FAULTS,
+                         ids=[m for _, _, m in SUBGROUP_FAULTS])
+def test_element_subgroup_fault_is_named(capsys, spec, elements, message):
+    # D goes through check_subgroup; like every other malformed term it
+    # is a failure (exit 1), not a usage error
+    blob = json.dumps({"left": spec, "right": "C1", "fibre": "C2",
+                       "terms": [{"D": elements,
+                                  "delta": [0] * len(elements)}]})
+    code, out, err = run_cli(capsys, "compose", blob, blob)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_compose_malformed_input(capsys):

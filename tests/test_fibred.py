@@ -32,8 +32,8 @@ from fibredburnside.fibred import (
 )
 from fibredburnside.groups import (
     GroupError,
-    Subgroup,
     check_homomorphism,
+    check_subgroup,
     cyclic,
     group_from_spec,
     isomorphism,
@@ -110,7 +110,7 @@ def test_canonicalize_conjugation_invariant(rng, c2):
     for _ in range(10):
         X = sampling.random_transitive_class(rng, d8, d8, c2)
         g = rng.randrange(emb.ambient.order)
-        D = Subgroup(emb.ambient, X.elements)
+        D = check_subgroup(emb.ambient, X.elements)
         D2, delta2 = goursat.conjugate_pair(D, X.delta, g)
         Y = TransitiveFibredBiset(d8, d8, c2, D2.mask, delta2)
         assert canonicalize(Y) == X

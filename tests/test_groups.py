@@ -16,6 +16,7 @@ from fibredburnside.groups import (
     BoundExceededError,
     GroupError,
     GroupSpecError,
+    check_subgroup,
     closure_mask,
     double_coset_representatives,
     group_from_spec,
@@ -135,6 +136,17 @@ def test_spec_errors():
         group_from_spec("C2x")
     with pytest.raises(GroupSpecError):
         group_from_spec("")
+
+
+def test_symmetric_range_is_stated_in_full():
+    for n in (0, -1, 5):
+        with pytest.raises(GroupError, match=re.escape(
+                "symmetric group supported only for 1 <= n <= 4")):
+            groups.symmetric(n)
+    for spec in ("S0", "S5"):
+        with pytest.raises(GroupSpecError, match=re.escape(
+                f"symmetric atom supports 1 <= n <= 4: '{spec}'")):
+            group_from_spec(spec)
 
 
 @pytest.mark.parametrize("spec,order", [
@@ -473,6 +485,48 @@ def test_subgroup_validation(q8):
     assert s.order == 4
 
 
+# check_subgroup's five checks, in the order it makes them; the same
+# inputs go through element JSON in test_cli.py
+SUBGROUP_FAULTS = [
+    ("C3", [0, 0], "subgroup elements must be sorted and distinct"),
+    ("C3", [1, 2], "subgroup must contain the identity"),
+    ("C3", [0, 5], "subgroup element out of range"),
+    ("C3", [0, 1], "subgroup not closed under inverses"),
+    ("C2xC2", [0, 1, 2], "subgroup not closed under products"),
+]
+
+
+@pytest.mark.parametrize("spec, elements, message", SUBGROUP_FAULTS,
+                         ids=[m for _, _, m in SUBGROUP_FAULTS])
+def test_check_subgroup_names_each_fault(spec, elements, message):
+    with pytest.raises(GroupError, match=f"^{message}$"):
+        check_subgroup(group_from_spec(spec), elements)
+
+
+def test_check_subgroup_reports_the_first_fault():
+    c3 = groups.cyclic(3)
+    for elements, message in [
+            ([2, 1], "sorted and distinct"),  # and no identity
+            ([5], "contain the identity"),  # and out of range
+            ([0, 1, 5], "element out of range"),  # and not closed
+            ([0, 1, 2], None)]:
+        if message is None:
+            assert check_subgroup(c3, elements) == c3.full_subgroup()
+        else:
+            with pytest.raises(GroupError, match=message):
+                check_subgroup(c3, elements)
+
+
+def test_subgroup_parents_compare_by_identity(d8):
+    # equal elements in two structurally equal groups are two subgroups
+    a, b = groups.FiniteGroup(d8.table), groups.FiniteGroup(d8.table)
+    sa, sb = a.subgroup([0, 2, 4, 6]), b.subgroup([0, 2, 4, 6])
+    assert sa.elements == sb.elements and sa.mask == sb.mask
+    assert sa != sb and {sa: 1}.get(sb) is None
+    assert sa == a.subgroup([6, 4, 2, 0]) and hash(sa) == hash(
+        a.subgroup([6, 4, 2, 0]))
+
+
 # -- center and frattini -----------------------------------------------------
 
 
@@ -494,7 +548,7 @@ def test_frattini_c4(c4):
 def test_frattini_is_intersection_of_maximals(d8):
     subs = [s for s in subgroups(d8) if s.order < d8.order]
     maximal = [s for s in subs
-               if not any(s is not t and s.is_subset_of(t) for t in subs)]
+               if not any(s is not t and s.mask & ~t.mask == 0 for t in subs)]
     mask = (1 << d8.order) - 1
     for m in maximal:
         mask &= m.mask
@@ -700,7 +754,7 @@ def test_quotient_counterexample_subgroup_is_c4(q8, d8, c4):
     D_grp, incl = subgroup_as_group(D)
     # D1 = <(x^-1, a)> inside D
     gen_parent = emb.encode(q8.inv(1), 1)
-    gen_local = D.index_of(gen_parent)
+    gen_local = D.elements.index(gen_parent)
     D1 = D_grp.generated_subgroup([gen_local])
     assert D1.order == 4
     assert D1.is_normal()
