@@ -11,7 +11,6 @@ agree, and that agreement is the backbone of the test suite.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -27,6 +26,7 @@ from .groups import (
     group_from_spec,
     homomorphisms,
     mask_to_elements,
+    memoized,
     pairs_to_raw,
     product_embedding,
     quotient,
@@ -83,7 +83,7 @@ def _permute_raw(perm, elements: Tuple[int, ...], delta: Tuple[int, ...]):
     return pairs_to_raw(zip((perm[x] for x in elements), delta))
 
 
-@functools.cache
+@memoized
 def _canonical_pairs(ambient: FiniteGroup) -> dict:
     """Canonical form of every pair met so far over ambient.  One miss
     fills the whole conjugacy orbit, which a per-pair memo could not."""
@@ -264,10 +264,6 @@ class FibredElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def scaled(self, k: int) -> "FibredElement":
-        return FibredElement(self.left, self.right, self.fibre,
-                             {c: k * v for c, v in self.terms.items()})
-
     def _check_compatible(self, other):
         if (self.left is not other.left or self.right is not other.right
                 or self.fibre is not other.fibre):
@@ -299,7 +295,7 @@ def zero_element(left, right, fibre) -> FibredElement:
 # bases
 
 
-@functools.cache
+@memoized
 def _class_keys(left: FiniteGroup, right: FiniteGroup,
                 C: FiniteGroup) -> List[tuple]:
     """Sorted canonical (mask, delta) keys of the classes over left x

@@ -12,11 +12,9 @@ group and in ascending order for a subgroup; ``check_homomorphism``
 validates one given from outside.
 
 All values are immutable after construction, and every operation is a
-pure function of its arguments.  Derived data is memoized with
-``functools.cache`` on the function that computes it, keyed by the
-objects it depends on (groups by identity); each such function offers
-``cache_info()`` and ``cache_clear()``.  The caches hold their arguments
-and results for the life of the process.
+pure function of its arguments.  Derived data lives in the memo of the
+youngest group it is keyed by (:func:`memoized`), so it dies with that
+group; only the builders keyed by integers are cached for the process.
 
 The enumerations of subgroups, homomorphisms and automorphisms, and group
 specs, refuse orders above ``SUBGROUP_ORDER_BOUND``, and the catalog
@@ -86,6 +84,32 @@ class BoundExceededError(GroupError):
 # core types
 
 
+_serials = itertools.count()
+
+
+def memoized(fn):
+    """Memoize ``fn`` in the ``_memo`` of the youngest group among its
+    arguments, a subgroup as first argument standing for its parent, so
+    that the entry dies with that group: ``_memo`` maps the wrapper to a
+    dict from argument tuples to values."""
+
+    @functools.wraps(fn)
+    def cached(*args):
+        owner = args[0]
+        if type(owner) is Subgroup:
+            owner = owner.parent
+        for arg in args:
+            if type(arg) is FiniteGroup and arg._serial > owner._serial:
+                owner = arg
+        try:
+            return owner._memo[cached][args]
+        except KeyError:
+            pass
+        return owner._memo.setdefault(cached, {}).setdefault(args, fn(*args))
+
+    return cached
+
+
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
@@ -93,12 +117,12 @@ class FiniteGroup:
     distinct groups); use :func:`isomorphism` for mathematical comparison.
     Instances are immutable after construction.  Derived data (generators,
     element orders, conjugation, subgroups, homomorphisms, ...) lives in
-    module-level ``functools.cache`` caches keyed by the group itself, so
-    a group that has been queried stays alive for the life of the process.
+    the ``_memo`` of the youngest group it is keyed by, ``_serial`` telling
+    which, so a dropped group takes its entries with it.
     """
 
     __slots__ = ("order", "table", "identity", "inverses", "labels", "name",
-                 "_flat")
+                 "_flat", "_memo", "_serial")
 
     def __init__(self, table, labels=None, name=None):
         rows = tuple(tuple(row) for row in table)
@@ -124,6 +148,8 @@ class FiniteGroup:
         return self
 
     def _setup(self, rows, labels, name, validate):
+        self._memo = {}
+        self._serial = next(_serials)
         n = len(rows)
         self.order = n
         self.table = rows
@@ -177,7 +203,7 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    @functools.cache
+    @memoized
     def generators(self) -> tuple:
         """A small generating set of the whole group, computed once."""
         return tuple(_generating_sequence(self, range(self.order)))
@@ -185,7 +211,7 @@ class FiniteGroup:
     def element_order(self, a: int) -> int:
         return self._element_orders()[a]
 
-    @functools.cache
+    @memoized
     def _element_orders(self) -> tuple:
         orders = []
         for x in range(self.order):
@@ -201,7 +227,7 @@ class FiniteGroup:
         return tuple(sorted(self.element_order(a) for a in range(self.order)))
 
     @property
-    @functools.cache
+    @memoized
     def is_abelian(self) -> bool:
         return all(self.mul(a, b) == self.mul(b, a)
                    for a in range(self.order) for b in range(a))
@@ -225,7 +251,7 @@ class FiniteGroup:
 
     # -- conjugation helpers ------------------------------------------------
 
-    @functools.cache
+    @memoized
     def conjugation_perm(self, g: int) -> tuple:
         """The permutation x -> g x g^-1 as a tuple."""
         f = self._flat
@@ -234,7 +260,7 @@ class FiniteGroup:
         row = g * n
         return tuple(f[f[row + x] * n + gi] for x in range(n))
 
-    @functools.cache
+    @memoized
     def conjugation_reps(self) -> tuple:
         """Coset representatives of the center; conjugation by any element
         equals conjugation by one of these."""
@@ -263,12 +289,21 @@ class FiniteGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
-        table = data["table"]
+        if not isinstance(data, dict):
+            raise GroupError("group JSON must be an object")
+        table, labels, name = map(data.get, ("table", "labels", "name"))
+        if not (isinstance(table, list)
+                and all(isinstance(row, list) for row in table)):
+            raise GroupError("group JSON 'table' must be a list of lists")
+        if not isinstance(labels, (list, type(None))):
+            raise GroupError("group JSON 'labels' must be a list")
+        if not isinstance(name, (str, type(None))):
+            raise GroupError("group JSON 'name' must be a string")
         order = data.get("order", len(table))
         if type(order) is not int or order != len(table):
             raise GroupError(f"order {order!r} does not match the "
                              f"{len(table)} rows of the table")
-        return cls(table, labels=data.get("labels"), name=data.get("name"))
+        return cls(table, labels=labels, name=name)
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -615,13 +650,11 @@ class ProductEmbedding:
         return f"ProductEmbedding({names})"
 
 
-@functools.cache
+@memoized
 def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
     """Memoized product: the same factor tuple yields the same embedding
     (and hence the very same ambient group object).  Groups hash by
     identity, so the key holds the factor groups themselves."""
-    if not factors:
-        raise GroupError("product of no factors")
     orders = [f.order for f in factors]
     strides = []
     s = 1
@@ -697,7 +730,7 @@ def _check_subgroup_bound(order: int):
             f"{SUBGROUP_ORDER_BOUND}")
 
 
-@functools.cache
+@memoized
 def _subgroups(G: FiniteGroup) -> tuple:
     flat = G._flat
     n = G.order
@@ -733,14 +766,14 @@ def _subgroups(G: FiniteGroup) -> tuple:
                  sorted(work, key=lambda w: (len(w[0]), w[0])))
 
 
-@functools.cache
+@memoized
 def center(G: FiniteGroup) -> Subgroup:
     els = tuple(a for a in range(G.order)
                 if all(G.mul(a, b) == G.mul(b, a) for b in range(G.order)))
     return Subgroup(G, els, elements_to_mask(els))
 
 
-@functools.cache
+@memoized
 def frattini(G: FiniteGroup) -> Subgroup:
     """Intersection of all maximal subgroups (the whole group if none)."""
     # every proper subgroup lies in a maximal one of larger order, so
@@ -830,7 +863,7 @@ def _hom_search(G: FiniteGroup, els: Sequence[int], gens: list,
             yield images
 
 
-@functools.cache
+@memoized
 def _homomorphisms(domain: Domain, C: FiniteGroup) -> tuple:
     G = _domain_group(domain)
     els = list(_domain_elements(domain))
@@ -862,7 +895,7 @@ def automorphisms(G: FiniteGroup) -> AutomorphismData:
     return _automorphisms(G)
 
 
-@functools.cache
+@memoized
 def _automorphisms(G: FiniteGroup) -> AutomorphismData:
     els = list(range(G.order))
     autos = tuple(sorted(
@@ -895,7 +928,7 @@ def subgroup_as_group(S: Subgroup):
     return _subgroup_as_group(S)
 
 
-@functools.cache
+@memoized
 def _subgroup_as_group(S: Subgroup):
     G = S.parent
     els = S.elements
@@ -924,7 +957,7 @@ def quotient(G: FiniteGroup, N: Subgroup):
     return _quotient(N)
 
 
-@functools.cache
+@memoized
 def _quotient(N: Subgroup):
     G = N.parent
     n = G.order

@@ -97,7 +97,6 @@ The n^2 cross-check is kept in the test suite as the oracle for this one.
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .groups import (
@@ -113,6 +112,7 @@ from .groups import (
     homomorphisms,
     isomorphism,
     mask_to_elements,
+    memoized,
     pairs_to_raw,
     product_embedding,
     quotient,
@@ -222,7 +222,7 @@ def _catalog_below(order: int) -> List[FiniteGroup]:
     return [K for K in small_groups_catalog() if K.order < order]
 
 
-@functools.cache
+@memoized
 def _iso_to_catalog(grp: FiniteGroup):
     """A catalog group isomorphic to grp, with the isomorphism."""
     for K in small_groups_catalog():
@@ -274,7 +274,7 @@ def _reduction_witness(X: TransitiveFibredBiset
     return None
 
 
-@functools.cache
+@memoized
 def _aut_generators(G: FiniteGroup) -> Tuple[tuple, ...]:
     """Image tuples of a few automorphisms that generate Aut(G) together
     with the inner ones (which fix every canonical class)."""
@@ -305,7 +305,7 @@ def _embeds(K: FiniteGroup, L: FiniteGroup) -> bool:
                for S in subgroups(L))
 
 
-@functools.cache
+@memoized
 def _maximal_below(G: FiniteGroup) -> List[FiniteGroup]:
     """The catalog groups of order < |G| that embed in no larger catalog
     group of order < |G|: the only ones the ideal sweep has to visit."""
@@ -390,7 +390,7 @@ def _kept_factors(G: FiniteGroup, K: FiniteGroup, C: FiniteGroup
     return lefts, sorted(map(opposite, lefts), key=lambda b: b.raw)
 
 
-@functools.cache
+@memoized
 def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
     """Canonical summand keys of compositions a o b through K where both
     outer projections are full and both outer reduced kernels trivial,
@@ -491,7 +491,7 @@ def is_in_ideal(X: TransitiveFibredBiset) -> Optional[FactorizationWitness]:
     return _ideal_decision(X.left, X.fibre, canonicalize(X).raw)
 
 
-@functools.cache
+@memoized
 def _ideal_decision(G: FiniteGroup, C: FiniteGroup, raw: tuple
                     ) -> Optional[FactorizationWitness]:
     """Keyed by the canonical (mask, delta) pair rather than the class
@@ -507,8 +507,9 @@ def _ideal_decision(G: FiniteGroup, C: FiniteGroup, raw: tuple
     return witness
 
 
+@memoized
 def _candidates(G: FiniteGroup, C: FiniteGroup
-                ) -> List[TransitiveFibredBiset]:
+                ) -> Tuple[TransitiveFibredBiset, ...]:
     """The classes X = (D, delta) over G x G with p1(D) = p2(D) = G and
     k1(ker delta) = k2(ker delta) = 1, in key order: the lefts that
     ``_kept_factors(G, G, C)`` builds whose right projection is full and
@@ -520,7 +521,7 @@ def _candidates(G: FiniteGroup, C: FiniteGroup
         if (projection(emb, D, (2,)).order == G.order
                 and kernel_part(emb, kernel, (2,)).order == 1):
             out.append(X)
-    return out
+    return tuple(out)
 
 
 def hat_dimension(G: FiniteGroup, C: FiniteGroup

@@ -3,7 +3,6 @@ catalog, transitive classes over products, and composable tuples."""
 
 from __future__ import annotations
 
-import functools
 import random
 from typing import List, Optional
 
@@ -11,6 +10,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     homomorphisms,
+    memoized,
     product_embedding,
     small_groups_catalog,
     subgroups,
@@ -42,7 +42,7 @@ def random_transitive_class(rng: random.Random, left: FiniteGroup,
                                               delta))
 
 
-@functools.cache
+@memoized
 def _full_projection_subgroups(left: FiniteGroup,
                                right: FiniteGroup) -> List[Subgroup]:
     emb = product_embedding(left, right)

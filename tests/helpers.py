@@ -1,7 +1,9 @@
 """Shared brute-force oracles for the test suite, independent of the
 production enumeration paths."""
 
+import gc
 import itertools
+import sys
 from typing import List, Optional, Tuple
 
 from fibredburnside import monomial
@@ -19,6 +21,38 @@ from fibredburnside.hat import (
     FactorizationWitness, HatGenerator, _iso_to_catalog, _reduction_witness,
     _require_prime_fibre, _summand_reps, _twisted, hat_basis_prime,
     hat_generator_class, hat_multiply, is_in_ideal)
+
+
+def live_groups() -> List[FiniteGroup]:
+    """Every group alive after a full collection.  A group has no weakref
+    slot, so the collector is the way to find them."""
+    gc.collect()
+    return [g for g in gc.get_objects() if type(g) is FiniteGroup]
+
+
+def memo_entries(fn) -> int:
+    """The entries of a memoized function over every live group."""
+    return sum(len(g._memo.get(fn, ())) for g in live_groups())
+
+
+def package_caches() -> dict:
+    """The ``functools.cache`` callables of the package, module-level and
+    on classes, by qualified name."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "fibredburnside":
+            continue
+        for value in vars(module).values():
+            members = [value]
+            if isinstance(value, type):
+                members += [getattr(v, "fget", v)
+                            for v in vars(value).values()]
+            for f in members:
+                if (hasattr(f, "cache_clear")
+                        and getattr(f, "__module__", "").startswith(
+                            "fibredburnside")):
+                    found[f"{f.__module__}.{f.__qualname__}"] = f
+    return found
 
 
 def brute_subgroup_masks(G):

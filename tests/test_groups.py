@@ -6,12 +6,23 @@ Derived expectations are recomputed here by independent brute force
 trusting the production enumeration paths.
 """
 
+import gc
+import importlib
 import itertools
+import pkgutil
 import re
+import tracemalloc
 
 import pytest
 
+import fibredburnside
 from fibredburnside import goursat, groups
+from fibredburnside.fibred import (
+    compose,
+    element_of,
+    subcharacter_classes,
+    transitive_basis,
+)
 from fibredburnside.groups import (
     BoundExceededError,
     GroupError,
@@ -29,8 +40,11 @@ from fibredburnside.groups import (
     subgroup_as_group,
     subgroups,
 )
+from fibredburnside.hat import hat_dimension, verify_hat_vs_quotient
 
 from helpers import (
+    live_groups,
+    package_caches,
     ref_automorphisms,
     ref_closure_mask,
     ref_decode,
@@ -235,6 +249,31 @@ def test_from_json_rejects_large_non_associative_table():
              for a in range(80)]
     with pytest.raises(GroupError, match="not associative"):
         groups.FiniteGroup.from_json({"order": 80, "table": table})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({}, "group JSON 'table' must be a list of lists"),
+    ([], "group JSON must be an object"),
+    ("C2", "group JSON must be an object"),
+    ({"table": 5}, "group JSON 'table' must be a list of lists"),
+    ({"table": [5]}, "group JSON 'table' must be a list of lists"),
+    ({"table": [[0, 1], [1, 0]], "labels": 5},
+     "group JSON 'labels' must be a list"),
+    ({"table": [[0]], "labels": "a"}, "group JSON 'labels' must be a list"),
+    ({"table": [[0]], "name": 7}, "group JSON 'name' must be a string"),
+])
+def test_from_json_names_the_malformed_field(data, message):
+    # each of these escaped as KeyError or TypeError, or was accepted with
+    # a string's characters as labels or an int as name
+    with pytest.raises(GroupError) as info:
+        groups.FiniteGroup.from_json(data)
+    assert str(info.value) == message
+
+
+def test_from_json_accepts_null_labels_and_name():
+    G = groups.FiniteGroup.from_json({"table": [[0]], "labels": None,
+                                      "name": None})
+    assert (G.labels, G.name) == (None, "group1")
 
 
 # -- direct products ---------------------------------------------------------
@@ -876,11 +915,88 @@ def test_group_json_round_trip(q8):
     assert back.labels == q8.labels
 
 
+# -- the group memo -------------------------------------------------------
+
+
+def test_only_int_keyed_builders_use_functools_cache():
+    # every cache keyed by a group goes through groups.memoized, so its
+    # entries die with their group
+    for module in pkgutil.iter_modules(fibredburnside.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"fibredburnside.{module.name}")
+    assert set(package_caches()) == {
+        "fibredburnside.groups._cyclic",
+        "fibredburnside.groups._inverting_extension",
+        "fibredburnside.groups._symmetric",
+        "fibredburnside.groups.alternating4",
+        "fibredburnside.groups._full_catalog",
+    }
+
+
+def _dropping_paths(c2, c4):
+    """Calls that fill the memos of a group G, by name: the quotient
+    dimension with fibre C4, the ring basis, a composition of a class over
+    C2 x G with one over G x C2, and the prime-fibre cross-check."""
+
+    def compose_through(G):
+        X = transitive_basis(c2, G, c2)[-1]
+        Y = transitive_basis(G, c2, c2)[-1]
+        compose(element_of(X), element_of(Y))
+
+    return {
+        "hat_dimension": lambda G: hat_dimension(G, c4),
+        "subcharacter_classes": lambda G: subcharacter_classes(G, c2),
+        "compose": compose_through,
+        "verify_hat_vs_quotient": lambda G: verify_hat_vs_quotient(G, c2),
+    }
+
+
+def test_dropped_groups_are_collected(q8, d8, c2, c4):
+    # G is the youngest group of every key it takes part in, so every
+    # entry about it lives in its own memo and goes with it
+    for base in (d8, q8):
+        for path, run in _dropping_paths(c2, c4).items():
+            name = f"dropped {base.name} {path}"
+            for _ in range(20):
+                run(groups.FiniteGroup(base.table, name=name))
+            alive = sum(G.name == name for G in live_groups())
+            assert alive == 0, (name, alive)
+
+
+def retained_per_copy(run, base, copies):
+    """Bytes still allocated, after a full collection, per dropped copy of
+    ``base`` that ``run`` was called on.  Two copies run first, so that
+    what the catalog's groups keep for good is not counted."""
+    for _ in range(2):
+        run(groups.FiniteGroup(base.table))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(copies):
+            run(groups.FiniteGroup(base.table))
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return (after - before) / copies
+
+
 if __name__ == "__main__":
+    import time
+    # 200 dropped copies of D8 keep under 1 KB each, where caches that
+    # held every group kept about 382 KB (hat_dimension) and 14 KB
+    # (subcharacter_classes) each
+    paths = _dropping_paths(groups.cyclic(2), groups.cyclic(4))
+    for path in ("hat_dimension", "subcharacter_classes"):
+        start = time.monotonic()
+        kept = retained_per_copy(paths[path], groups.dihedral(8), 200)
+        assert kept < 1024, (path, kept)
+        print(f"200 dropped copies of D8 through {path}: {kept:.1f} bytes "
+              f"each ({time.monotonic() - start:.1f}s)", flush=True)
     # the enumeration beyond the shipped bound: G x G for every catalog
     # group G of order 9-15, against the reference as ordered lists, the
     # bound raised in this process only
-    import time
     groups.SUBGROUP_ORDER_BOUND = 225
     for G in small_groups_catalog():
         if G.order < 9:

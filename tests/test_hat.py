@@ -46,6 +46,7 @@ from fibredburnside.hat import (
 
 from helpers import (
     frattini_criterion,
+    live_groups,
     ref_verify_hat_vs_quotient,
     seed_index,
     transport_hat_generator,
@@ -109,13 +110,29 @@ def test_hat_dimension_bouc_factorizes_no_candidate(monkeypatch, q8, c4):
     real = hat.bouc_factorize
     monkeypatch.setattr(hat, "bouc_factorize",
                         lambda X: calls.append(X) or real(X))
-    hat._ideal_decision.cache_clear()
+    for G in live_groups():
+        G._memo.pop(hat._ideal_decision, None)
     assert hat_dimension(q8, c4)[0] == 30
     assert calls == []
     whole = canonicalize(transitive_fibred_biset(q8, q8, c4, range(64),
                                                  [0] * 64))
     assert is_in_ideal(whole).K.order == 1
     assert calls == [whole]
+
+
+def test_second_hat_dimension_rebuilds_no_candidate(monkeypatch, q8, c4):
+    # the candidates are memoized per (G, C) as a tuple, so a warm call
+    # decides the same classes without redoing the Goursat enumeration
+    first = hat_dimension(q8, c4)
+    calls = []
+    real = hat._kept_factors
+    monkeypatch.setattr(hat, "_kept_factors",
+                        lambda *args: calls.append(args) or real(*args))
+    second = hat_dimension(q8, c4)
+    assert calls == []
+    assert second[0] == first[0] == 30
+    assert [X.raw for X in second[1]] == [X.raw for X in first[1]]
+    assert type(hat._candidates(q8, c4)) is tuple
 
 
 def test_catalog_bound_guard(c2):
@@ -604,30 +621,27 @@ def test_counterexample_verify_passes():
 # Run in a fresh interpreter: the session fixtures hold group objects that
 # a cleared cache would no longer hand out.
 _CLEAR_AND_RERUN = """
-import json, sys
+import json
 from fibredburnside.hat import counterexample_verify
+from helpers import live_groups, package_caches
 
 def caches():
-    found = {}
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] != "fibredburnside":
-            continue
-        for value in vars(module).values():
-            members = [value]
-            if isinstance(value, type):
-                members += [getattr(v, "fget", v) for v in vars(value).values()]
-            for f in members:
-                if (hasattr(f, "cache_clear")
-                        and getattr(f, "__module__", "").startswith(
-                            "fibredburnside")):
-                    found[f"{f.__module__}.{f.__qualname__}"] = f
-    return found
+    # entries per memoized function over every live group's memo, and
+    # per builder cache
+    sizes = {n: f.cache_info().currsize for n, f in package_caches().items()}
+    for G in live_groups():
+        for f, entries in G._memo.items():
+            name = f"{f.__module__}.{f.__qualname__}"
+            sizes[name] = sizes.get(name, 0) + len(entries)
+    return sizes
 
 first = counterexample_verify(7)
-filled = {n: f.cache_info().currsize for n, f in caches().items()}
-for f in caches().values():
+filled = caches()
+for G in live_groups():
+    G._memo.clear()
+for f in package_caches().values():
     f.cache_clear()
-cleared = {n: f.cache_info().currsize for n, f in caches().items()}
+cleared = caches()
 second = counterexample_verify(7)
 print(json.dumps({"first": first, "second": second, "filled": filled,
                   "cleared": cleared}))
@@ -635,11 +649,14 @@ print(json.dumps({"first": first, "second": second, "filled": filled,
 
 
 def _run_fresh(script: str) -> subprocess.CompletedProcess:
-    """Run a script in a fresh interpreter that imports this package."""
+    """Run a script in a fresh interpreter that imports this package and
+    the test helpers."""
     src = os.path.dirname(os.path.dirname(fibredburnside.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+        p for p in (src, os.path.dirname(os.path.abspath(__file__)),
+                    env.get("PYTHONPATH"))
+        if p)
     return subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env)
 
@@ -662,11 +679,12 @@ def test_cleared_caches_give_the_same_counterexample_report():
 
 _MAXIMAL_BELOW_ENTRIES = """
 from fibredburnside import groups, hat
+from helpers import memo_entries
 hat.counterexample_verify(7)
 for g_spec in ("Q8", "D8"):
     hat.hat_dimension(groups.group_from_spec(g_spec),
                       groups.group_from_spec("C4"))
-print(hat._maximal_below.cache_info().currsize)
+print(memo_entries(hat._maximal_below))
 """
 
 
@@ -742,6 +760,7 @@ def test_sweep_builds_no_subgroup_of_a_product_through_k():
 _HAT_DECIDES_ONLY_CANDIDATES = """
 import json
 from fibredburnside import fibred, groups, hat
+from helpers import memo_entries
 
 subgroups_of = []
 subgroups = groups._subgroups
@@ -757,8 +776,8 @@ for g_spec in ("Q8", "D8"):
     G, C = groups.group_from_spec(g_spec), groups.group_from_spec("C4")
     out[g_spec] = hat.hat_dimension(G, C)[0]
     products.add(groups.product_embedding(G, G).ambient)
-out["class_keys"] = fibred._class_keys.cache_info().currsize
-out["decisions"] = hat._ideal_decision.cache_info().currsize
+out["class_keys"] = memo_entries(fibred._class_keys)
+out["decisions"] = memo_entries(hat._ideal_decision)
 out["products"] = sum(S in products for S in subgroups_of)
 print(json.dumps(out))
 """
