@@ -514,12 +514,12 @@ def _element_from_stabilizers(left, right, fibre, stabilizers
          for (m, d), v in acc.items()})
 
 
-def _coset_model(X: TransitiveFibredBiset):
-    """The (ambient, fibre) product of a transitive class and its coset
-    model, with the points of ``to_monomial_set(X)``."""
-    emb = product_embedding(X.ambient, X.fibre)
-    return emb, monomial.CosetModel(emb.ambient, monomial._twisted_diagonal(
-        emb, X.elements, X.delta))
+def _coset_model(X: TransitiveFibredBiset) -> monomial.CosetModel:
+    """The coset model of a transitive class, with the points of
+    ``to_monomial_set(X)``, read off the tables of its ambient group and
+    its fibre."""
+    return monomial.CosetModel(X.ambient, X.fibre, monomial._twisted_diagonal(
+        X.fibre, X.elements, X.delta))
 
 
 def _compose_oracle_transitive(tx: TransitiveFibredBiset,
@@ -533,33 +533,25 @@ def _compose_oracle_transitive(tx: TransitiveFibredBiset,
     (1, 1, c) for generators of G, K and C.  The stabilizer of the least
     point [i, j] of each result orbit is read by evaluating i under
     every (g, c) and j under every k, and must satisfy
-    |orbit| |stabilizer| = |G| |K| |C|."""
+    |orbit| |stabilizer| = |G| |K| |C|.  An element (g, h, c) of a coset
+    model is (g |H| + h) |C| + c, and likewise for (h, k, c)."""
     G, H = tx.left, tx.right
     K, C = ty.right, tx.fibre
-    emb_gh = product_embedding(G, H)
-    emb_hk = product_embedding(H, K)
-    emb_gk = product_embedding(G, K)
-    e1, m1 = _coset_model(tx)
-    e2, m2 = _coset_model(ty)
+    nh, nk, nc = H.order, K.order, C.order
+    m1 = _coset_model(tx)
+    m2 = _coset_model(ty)
     n1, n2 = len(m1.reps), len(m2.reps)
     inv = C.inverses
-
-    def x1(g, h, c):
-        return e1.encode(emb_gh.encode(g, h), c)
-
-    def x2(h, k, c):
-        return e2.encode(emb_hk.encode(h, k), c)
-
     # the fibre acts freely on an orbit when (1, c), c != 1, moves its
     # root (i, j) to (c.i, j) outside it
-    fibre_rows = {c: m1.row(x1(0, 0, c)) for c in range(1, C.order)}
+    fibre_rows = {c: m1.row(c) for c in range(1, nc)}
     c_gens = C.generators()
     rows, label, split = monomial._glue(
         n1, n2,
-        [(m1.row(x1(0, h, 0)), m2.row(x2(h, 0, 0))) for h in H.generators()]
-        + [(fibre_rows[c], m2.row(x2(0, 0, inv[c]))) for c in c_gens],
-        [(m1.row(x1(g, 0, 0)), range(n2)) for g in G.generators()]
-        + [(range(n1), m2.row(x2(0, k, 0))) for k in K.generators()]
+        [(m1.row(h * nc), m2.row(h * nk * nc)) for h in H.generators()]
+        + [(fibre_rows[c], m2.row(inv[c])) for c in c_gens],
+        [(m1.row(g * nh * nc), range(n2)) for g in G.generators()]
+        + [(range(n1), m2.row(k * nc)) for k in K.generators()]
         + [(fibre_rows[c], range(n2)) for c in c_gens],
         free=list(fibre_rows.values()))
     find_rep, roots = monomial._orbit_partition(len(split), rows)
@@ -568,13 +560,13 @@ def _compose_oracle_transitive(tx: TransitiveFibredBiset,
     for p in roots:
         i, j = split[p]
         # (g, k, c) fixes [i, j] when it maps (i, j) into the same orbit
-        img1 = [[m1.image(x1(g, 0, c), i) * n2 for c in range(C.order)]
+        img1 = [[m1.image(g * nh * nc + c, i) * n2 for c in range(nc)]
                 for g in range(G.order)]
-        img2 = [m2.image(x2(0, k, 0), j) for k in range(K.order)]
-        stab = [(emb_gk.encode(g, k), inv[c])
+        img2 = [m2.image(k * nc, j) for k in range(nk)]
+        stab = [(g * nk + k, inv[c])
                 for g, row in enumerate(img1) for c, a in enumerate(row)
                 for k, b in enumerate(img2) if label[a + b] == p]
-        if orbit_sizes[p] * len(stab) != G.order * K.order * C.order:
+        if orbit_sizes[p] * len(stab) != G.order * nk * nc:
             raise GroupError("orbit and stabilizer sizes disagree")
         stabilizers.append(monomial._read_stabilizer(stab))
     return _element_from_stabilizers(G, K, C, stabilizers)

@@ -91,10 +91,13 @@ def memoized(fn):
     """Memoize ``fn`` in the ``_memo`` of the youngest group among its
     arguments, a subgroup as first argument standing for its parent, so
     that the entry dies with that group: ``_memo`` maps the wrapper to a
-    dict from argument tuples to values."""
+    dict from argument tuples to values.  A call with no argument has no
+    owner, and goes to ``fn`` uncached."""
 
     @functools.wraps(fn)
     def cached(*args):
+        if not args:
+            return fn()
         owner = args[0]
         if type(owner) is Subgroup:
             owner = owner.parent
@@ -655,6 +658,8 @@ def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
     """Memoized product: the same factor tuple yields the same embedding
     (and hence the very same ambient group object).  Groups hash by
     identity, so the key holds the factor groups themselves."""
+    if not factors:
+        raise GroupError("product of no factors")
     orders = [f.order for f in factors]
     strides = []
     s = 1

@@ -16,7 +16,9 @@ generating set (an inverse is a power of its element), so each gluing
 builds moves only for a small generating set of the acting group, never
 for all of its elements.  The orbit oracle goes further: it builds rows
 of its ``CosetModel``s and of the result only for generators, and reads
-each stabilizer by evaluating one point under every group element.
+each stabilizer by evaluating one point under every group element.  A
+``CosetModel`` of a subgroup of A x C multiplies coordinatewise in the
+tables of A and C, so the oracle builds no table of A x C.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .groups import (
     FiniteGroup,
     GroupError,
     ProductEmbedding,
+    cyclic,
     product_embedding,
 )
 
@@ -93,53 +96,67 @@ class FiniteAction:
 
 
 class CosetModel:
-    """Left translation on the left cosets of a subgroup, evaluated on
-    demand: ``coset_of[x]`` is the coset of element x, ``reps`` the
-    least representative of each coset in ascending order (the points),
-    ``row(x)`` the permutation of x and ``image(x, p)`` one point's
-    image.  No full table is built."""
+    """Left translation on the left cosets of a subgroup S of A x C, the
+    element (a, c) being a |C| + c, evaluated on demand: ``coset_of[x]``
+    is the coset of element x, ``reps`` the least representative of each
+    coset in ascending order (the points), ``row(x)`` the permutation of
+    x and ``image(x, p)`` one point's image.  Products are taken
+    coordinatewise in the rows of A and C; no table of A x C, and no
+    full action table, is built."""
 
-    __slots__ = ("group", "coset_of", "reps")
+    __slots__ = ("acting", "fibre", "coset_of", "reps", "_rep_pairs")
 
-    def __init__(self, G: FiniteGroup, subgroup_elements: Sequence[int]):
-        n = G.order
-        f = G._flat
-        coset_of = [-1] * n
-        reps = []
-        for g in range(n):
-            if coset_of[g] >= 0:
-                continue
-            row = g * n
-            for s in subgroup_elements:
-                coset_of[f[row + s]] = len(reps)
-            reps.append(g)
-        self.group, self.coset_of, self.reps = G, coset_of, reps
+    def __init__(self, A: FiniteGroup, C: FiniteGroup,
+                 subgroup_elements: Sequence[int]):
+        nc = C.order
+        ta, tc = A.table, C.table
+        pairs = [divmod(s, nc) for s in subgroup_elements]
+        coset_of = [-1] * (A.order * nc)
+        reps, rep_pairs = [], []
+        x = 0
+        for a in range(A.order):
+            ra = ta[a]
+            for c in range(nc):
+                if coset_of[x] < 0:
+                    rc = tc[c]
+                    k = len(reps)
+                    for sa, sc in pairs:
+                        coset_of[ra[sa] * nc + rc[sc]] = k
+                    reps.append(x)
+                    rep_pairs.append((a, c))
+                x += 1
+        self.acting, self.fibre = A, C
+        self.coset_of, self.reps, self._rep_pairs = coset_of, reps, rep_pairs
 
     def row(self, x: int) -> List[int]:
-        f, coset_of = self.group._flat, self.coset_of
-        base = x * self.group.order
-        return [coset_of[f[base + r]] for r in self.reps]
+        nc, coset_of = self.fibre.order, self.coset_of
+        a, c = divmod(x, nc)
+        ra, rc = self.acting.table[a], self.fibre.table[c]
+        return [coset_of[ra[p] * nc + rc[q]] for p, q in self._rep_pairs]
 
     def image(self, x: int, p: int) -> int:
-        return self.coset_of[self.group._flat[x * self.group.order
-                                              + self.reps[p]]]
+        nc = self.fibre.order
+        a, c = divmod(x, nc)
+        pa, pc = self._rep_pairs[p]
+        return self.coset_of[self.acting.table[a][pa] * nc
+                             + self.fibre.table[c][pc]]
 
 
 def coset_action(G: FiniteGroup, subgroup_elements: Sequence[int]) -> FiniteAction:
     """Left translation on the left cosets of a subgroup; points are
     ordered by least coset representative."""
-    model = CosetModel(G, subgroup_elements)
+    model = CosetModel(G, cyclic(1), subgroup_elements)
     return FiniteAction(G, [model.row(x) for x in range(G.order)])
 
 
-def _twisted_diagonal(emb: ProductEmbedding, d_elements: Sequence[int],
+def _twisted_diagonal(C: FiniteGroup, d_elements: Sequence[int],
                       values: Iterable[int]) -> List[int]:
-    """The twisted diagonal {(a, delta(a)^-1)} in the (acting, fibre)
-    product ``emb`` of a subgroup D of the acting group and a character
-    delta on it, given by its values on ``d_elements``: the stabilizer
-    of a transitive monomial set."""
-    inv = emb.factors[1].inverses
-    return sorted(emb.encode(a, inv[v]) for a, v in zip(d_elements, values))
+    """The twisted diagonal {(a, delta(a)^-1)} of a subgroup D of the
+    acting group and a character delta on it into the fibre C, given by
+    its values on ``d_elements``, with (a, c) encoded as a |C| + c: the
+    stabilizer of a transitive monomial set."""
+    n, inv = C.order, C.inverses
+    return sorted(a * n + inv[v] for a, v in zip(d_elements, values))
 
 
 class MonomialSet:
@@ -192,9 +209,9 @@ def monomial_set_from_pair(acting: FiniteGroup, fibre: FiniteGroup,
     """The transitive monomial set attached to a subgroup D of the acting
     group and a character delta on it: cosets of the twisted diagonal
     {(a, delta(a)^-1)}."""
-    emb = product_embedding(acting, fibre)
-    twisted = _twisted_diagonal(emb, d_elements, map(delta, d_elements))
-    return MonomialSet(acting, fibre, coset_action(emb.ambient, twisted))
+    twisted = _twisted_diagonal(fibre, d_elements, map(delta, d_elements))
+    return MonomialSet(acting, fibre, coset_action(
+        product_embedding(acting, fibre).ambient, twisted))
 
 
 def decompose_monomial(T: MonomialSet) -> List[Tuple[Tuple[int, ...],

@@ -306,6 +306,27 @@ def ref_orbit_partition(n_points, moves):
     return [find(p) for p in range(n_points)], roots
 
 
+def ref_coset_model(A, C, subgroup_elements):
+    """The coset model of a subgroup of A x C as it was built before it
+    read the factor tables: on the full table of the ambient of
+    ``product_embedding(A, C)``.  Returns ``coset_of``, ``reps`` and the
+    row of every element."""
+    G = product_embedding(A, C).ambient
+    n = G.order
+    f = G._flat
+    coset_of = [-1] * n
+    reps = []
+    for g in range(n):
+        if coset_of[g] >= 0:
+            continue
+        row = g * n
+        for s in subgroup_elements:
+            coset_of[f[row + s]] = len(reps)
+        reps.append(g)
+    rows = [[coset_of[f[x * n + r]] for r in reps] for x in range(n)]
+    return coset_of, reps, rows
+
+
 def _ref_pair_move(r1, r2, n2):
     return [r1[p // n2] * n2 + r2[p % n2] for p in range(len(r1) * n2)]
 

@@ -279,6 +279,11 @@ def test_from_json_accepts_null_labels_and_name():
 # -- direct products ---------------------------------------------------------
 
 
+def test_product_of_no_factors_is_refused():
+    with pytest.raises(GroupError, match="^product of no factors$"):
+        product_embedding()
+
+
 def test_product_with_trivial_is_identity(c1, q8):
     emb = product_embedding(c1, q8)
     assert emb.ambient is q8
@@ -324,9 +329,10 @@ def test_product_ordering_is_lexicographic(c2, c4):
 def _reference_products():
     """Every ordered pair of catalog groups of order <= 8, three-factor
     products, products with trivial factors in every position, and
-    products of order above 64 that the orbit oracle builds: (C3 x Q8) x C4
-    of order 96, and (D8 x Q8) x C4 and (Q8 x D8) x C4 of order 256, the
-    two that the counterexample's check builds."""
+    products of order above 64, which ``product_embedding`` supports
+    although the orbit oracle no longer builds them: (C3 x Q8) x C4 of
+    order 96, and (D8 x Q8) x C4 and (Q8 x D8) x C4 of order 256, the
+    coset spaces of the counterexample's check."""
     cat = small_groups_catalog(8)
     c1, c2, c3, c4 = (groups.cyclic(n) for n in (1, 2, 3, 4))
     s3 = groups.symmetric(3)

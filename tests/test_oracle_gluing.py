@@ -4,10 +4,13 @@ give the same root of every point and the same numbering of the roots.
 The oracle builds rows for generators only and reads its stabilizers by
 evaluating one point; ``ref_compose_oracle_transitive`` builds every
 row and reads them off full tables, and both give the same elements.
+The coset models multiply in the tables of the two factors, and
+``ref_coset_model`` builds the same model on the full table of their
+product.
 
 Run as a script, it holds every product ambient that the ``oracle``
-benchmark design builds for seeds 1-3 (G x H, H x K and G x K, and each
-of them times the fibre C, of orders up to 256) to ``ref_product_table``,
+benchmark design builds for seeds 1-3 (G x H, H x K and G x K, of orders
+up to 64; no product with the fibre C is built) to ``ref_product_table``,
 as products are built without validation; and the comparison with the
 oracle's reference covers all pairs of that design for seeds 1-3, and
 fibres C2xC2 and C6 over every catalog triple of order <= 4:
@@ -34,6 +37,7 @@ from fibredburnside.groups import (
 
 from helpers import (
     ref_compose_oracle_transitive,
+    ref_coset_model,
     ref_mackey_moves,
     ref_oracle_moves,
     ref_oracle_result_rows,
@@ -218,14 +222,14 @@ def _oracle_design_pairs(seed):
 
 def _oracle_design_products(seeds):
     """The factor tuples of the product ambients that composing the pairs
-    of the ``oracle`` workload builds, once each: G x H, H x K and G x K,
-    and each of them times C."""
+    of the ``oracle`` workload builds, once each: G x H, H x K and
+    G x K.  The coset models read the tables of these and of C, so no
+    product with C is built."""
     found = {}
     for seed in seeds:
-        for G, H, K, C, _ in _oracle_design(seed):
+        for G, H, K, _, _ in _oracle_design(seed):
             for left, right in ((G, H), (H, K), (G, K)):
                 found[left, right] = None
-                found[product_embedding(left, right).ambient, C] = None
     return list(found)
 
 
@@ -248,6 +252,39 @@ def _assert_oracle_matches_reference(pairs):
                 == ref_compose_oracle_transitive(X, Y)), (X, Y)
         count += 1
     return count
+
+
+def _assert_coset_models_match_reference(pairs):
+    """The coset model of each class of each pair equals the full-table
+    one: the twisted diagonal, ``coset_of``, ``reps``, and the row and
+    every image of every element."""
+    count = 0
+    for X, Y in pairs:
+        for T in (X, Y):
+            emb = product_embedding(T.ambient, T.fibre)
+            inv = T.fibre.inverses
+            twisted = sorted(emb.encode(a, inv[v])
+                             for a, v in zip(T.elements, T.delta))
+            assert monomial._twisted_diagonal(
+                T.fibre, T.elements, T.delta) == twisted
+            coset_of, reps, rows = ref_coset_model(T.ambient, T.fibre,
+                                                   twisted)
+            model = fibred._coset_model(T)
+            assert model.coset_of == coset_of, T
+            assert model.reps == reps, T
+            assert [model.row(x) for x in range(emb.ambient.order)] == rows
+            assert [[model.image(x, p) for p in range(len(reps))]
+                    for x in range(emb.ambient.order)] == rows
+            count += 1
+    return count
+
+
+def test_coset_models_match_full_table_reference():
+    assert _assert_coset_models_match_reference(
+        _oracle_design_pairs(1)) == 336
+    for seed, fibre in ((4, "C2xC2"), (6, "C6")):
+        assert _assert_coset_models_match_reference(
+            _triple_pairs(seed, fibre)) == 250
 
 
 def test_oracle_matches_full_table_reference_on_random_pairs():
@@ -317,11 +354,26 @@ def test_stabilizer_with_two_fibre_values_is_not_a_twisted_diagonal(
     assert dropped[0] > 0
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter with ``src/`` and ``tests/`` on
+    the path, and return its stdout split into words."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_oracle_builds_no_full_table_in_a_fresh_interpreter():
     """The oracle builds no full coset table (``coset_action`` is never
-    called) and no (G x K) x C product, and still gives the formula's
-    answers.  A fresh interpreter starts with empty product caches."""
-    code = textwrap.dedent("""
+    called) and none of the products (G x H) x C, (H x K) x C and
+    (G x K) x C, and still gives the formula's answers.  A fresh
+    interpreter starts with empty product caches."""
+    assert _run_fresh("""
         import random
         from fibredburnside import fibred, groups, monomial, sampling
         from helpers import memo_entries
@@ -335,8 +387,8 @@ def test_oracle_builds_no_full_table_in_a_fresh_interpreter():
 
         monomial.coset_action = counting
         rng = random.Random(3)
-        # G, H and K distinct and nontrivial, so that no other product
-        # is the (G x K, C) one
+        # G, H and K distinct and nontrivial, so that no product of two
+        # of them stands for another
         specs = [("C2", "C3", "C4", "C2"), ("S3", "C2", "C2xC2", "C3"),
                  ("D8", "C4", "Q8", "C4"), ("C2xC2", "S3", "C3", "C2")]
         pairs = []
@@ -349,23 +401,36 @@ def test_oracle_builds_no_full_table_in_a_fresh_interpreter():
         results = [fibred.compose_oracle(X, Y) for X, Y in pairs]
         assert calls == [], len(calls)
         for names in specs:
-            G, K, C = (groups.group_from_spec(names[i]) for i in (0, 2, 3))
-            amb = groups.product_embedding(G, K).ambient
-            misses = memo_entries(groups.product_embedding)
-            groups.product_embedding(amb, C)
-            assert memo_entries(groups.product_embedding) == misses + 1
+            G, H, K, C = map(groups.group_from_spec, names)
+            for left, right in ((G, H), (H, K), (G, K)):
+                amb = groups.product_embedding(left, right).ambient
+                entries = memo_entries(groups.product_embedding)
+                groups.product_embedding(amb, C)
+                assert memo_entries(groups.product_embedding) == entries + 1
         assert results == [fibred.compose(X, Y) for X, Y in pairs]
         assert sum(not r.is_zero() for r in results) >= 6
         print("ok", len(pairs))
-    """)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
-        + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ok", "12"]
+    """) == ["ok", "12"]
+
+
+def test_oracle_design_builds_no_product_above_order_64():
+    """Composing every pair of the seed-1 ``oracle`` design with
+    ``check=True`` in a fresh interpreter builds no product ambient of
+    order above 64: G x H, H x K and G x K, never one of them times the
+    fibre."""
+    assert _run_fresh("""
+        from fibredburnside import fibred, groups
+        from helpers import live_groups
+        from test_oracle_gluing import _oracle_design_pairs
+
+        for X, Y in _oracle_design_pairs(1):
+            fibred.compose(fibred.element_of(X), fibred.element_of(Y),
+                           check=True)
+        orders = [emb.ambient.order for g in live_groups()
+                  for emb in g._memo.get(groups.product_embedding,
+                                         {}).values()]
+        print(max(orders))
+    """) == ["64"]
 
 
 if __name__ == "__main__":
@@ -375,9 +440,10 @@ if __name__ == "__main__":
     for factors in products:
         assert (product_embedding(*factors).ambient.table
                 == ref_product_table(factors)), factors
+    largest = max(product_embedding(*f).ambient.order for f in products)
+    assert largest <= 64, largest
     print(f"product ambients of the oracle design, seeds 1-3: "
-          f"{len(products)} tables ok, orders up to "
-          f"{max(product_embedding(*f).ambient.order for f in products)} "
+          f"{len(products)} tables ok, orders up to {largest} "
           f"({time.monotonic() - start:.1f}s)", flush=True)
     runs = [("oracle design, seed 1", _oracle_design_pairs(1)),
             ("oracle design, seed 2", _oracle_design_pairs(2)),
