@@ -48,20 +48,38 @@ def _load_element(arg: str) -> fibred.FibredElement:
     return fibred.element_from_json(json.loads(text))
 
 
-def _emit(data, as_json: bool, text_lines):
-    if as_json:
-        # With indent the encoder is pure Python and yields tens of
-        # millions of small chunks for a large table: json.dumps holds them
-        # all in one list (1.1 GB for hat C2xC2xC2 C2), and json.dump
-        # writes them one by one.  Joining batches of them does neither.
+def _emit(data, as_json: bool, text_lines, table=None):
+    """Print ``data`` as JSON (indent 2, sorted keys) or the text lines.
+    ``table``, a pair (rows, cells), stands for ``data["table"]``, the
+    matrix with cells[i] at each index i of ``rows``: the n + 1 cells are
+    encoded once and each row is joined from them, as the pure-Python
+    encoder that indent selects takes seconds on millions of cells."""
+    if not as_json:
+        for line in text_lines:
+            print(line)
+        return
+    if table is None:
+        # With indent the encoder yields tens of millions of small chunks
+        # for a large value: json.dumps holds them all in one list, and
+        # json.dump writes them one by one.  Batches of them do neither.
         chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
         for batch in iter(lambda: "".join(itertools.islice(chunks, 1 << 16)),
                           ""):
             sys.stdout.write(batch)
         print()
-    else:
-        for line in text_lines:
-            print(line)
+        return
+    rows, cells = table
+    # the key is at depth 1, the only lines indented by exactly two spaces
+    head, tail = json.dumps({**data, "table": []}, indent=2,
+                            sort_keys=True).split('\n  "table": []')
+    cells = [json.dumps(c, indent=2, sort_keys=True).replace("\n", "\n      ")
+             for c in cells]
+    sys.stdout.write(head + '\n  "table": [' + ("" if rows else "]"))
+    for i, row in enumerate(rows):
+        text = ("[\n      " + ",\n      ".join([cells[c] for c in row])
+                + "\n    ]") if row else "[]"
+        sys.stdout.write(("," if i else "") + "\n    " + text)
+    print(("\n  ]" if rows else "") + tail)
 
 
 def cmd_group(args) -> int:
@@ -140,16 +158,15 @@ def cmd_hat(args) -> int:
         closed_ok = ({hat.hat_generator_class(g).raw for g in gens}
                      == {X.raw for X in basis})
         report = hat.verify_hat_vs_quotient(G, C)
-        # the checked table holds generator indices, -1 for zero, and
-        # hat_multiply gives one generator or zero, so every nonzero cell
-        # has coefficient 1: the cells share one dict per generator, and
-        # index -1 reads the None last
+        # the checked table holds generator indices, -1 for zero, and every
+        # product is one generator or zero, so every nonzero cell has
+        # coefficient 1: one cell per generator, and index -1 reads the
+        # None last
         cells = [{"generator": i, "coeff": "1"}
                  for i in range(len(gens))] + [None]
-        table = [[cells[i] for i in row] for row in report["table"]]
+        table = (report["table"], cells)
         data.update({
             "generators": [g.describe() for g in gens],
-            "table": table,
             "closed_form_ok": closed_ok,
             "cross_check_ok": report["ok"],
             "cross_check_pairs": report["pairs"],
@@ -162,21 +179,22 @@ def cmd_hat(args) -> int:
             lines.append(f"    [{i}] {g.describe()}")
         lines.append("  multiplication table "
                      "(entries are generator indices, . = 0):")
-        for i, row in enumerate(table):
-            cells = " ".join(f"{cell['generator']:>3d}" if cell else "  ."
-                             for cell in row)
-            lines.append(f"    [{i:>3d}] {cells}")
+        if not args.json:
+            for i, row in enumerate(report["table"]):
+                text = " ".join(f"{c:>3d}" if c >= 0 else "  ." for c in row)
+                lines.append(f"    [{i:>3d}] {text}")
         lines.append("  survivors equal the closed-form generator classes: "
                      + ("ok" if closed_ok else "MISMATCH"))
         lines.append("  cross-check against compose-then-reduce: "
                      + ("ok" if report["ok"] else "MISMATCH"))
         if not (closed_ok and report["ok"]):
-            _emit(data, args.json, lines)
+            _emit(data, args.json, lines, table)
             return EXIT_FAILURE
     else:
+        table = None
         lines.append("  fibre order is not prime: brute-force dimension "
                      "only, no closed-form table")
-    _emit(data, args.json, lines)
+    _emit(data, args.json, lines, table)
     return EXIT_OK
 
 

@@ -66,11 +66,27 @@ filtered by their outer reduced kernels; the candidates and survivors are
 held there to the whole basis decided class by class.
 
 For a fibre of prime order the surviving classes have a closed
-description: diagonal classes indexed by characters and outer
-automorphisms, plus central classes indexed by outer automorphisms and
-fibre embeddings into the center-intersect-Frattini subgroup.  The
-product rules on those generators are implemented directly and verified
-against compose-then-reduce, with a seventh cut:
+description: diagonal classes X(t, s) indexed by characters t and outer
+automorphisms s, plus central classes Y(w, z) indexed by outer
+automorphisms w and fibre embeddings z into the center-intersect-Frattini
+subgroup.  They multiply like Gamma = Hom(G, C) x| Out(G) and the action
+groupoid of Out(G) on the embeddings.  With mu(t, z) the outer class of
+the automorphism g -> g z(t(g))^-1 (see ``hat_multiply``):
+
+* X(t1, s1) X(t2, s2) = X((t1 o s2) t2, s1 s2);
+* Y(w, z) Y(a, y) = Y(w a, z) when w o y = z, and 0 otherwise;
+* X(t, s) Y(w, z) = Y(s mu(t, z) w, s o z);
+* Y(w, z) X(t, s) = Y(mu(t o phi^-1, z) phi, z), with phi = w s: the
+  map g -> w(s(g)) z(t(g))^-1 is phi followed by h -> h z(t(phi^-1 h))^-1.
+
+They are well defined on outer classes: a character into the abelian C is
+constant on conjugacy classes, so t o s only depends on the class of s,
+and z lands in Z(G), so s o z and w o y do too; the class of a composite
+of automorphisms is the product of their classes.  ``_hat_table`` reads
+every product off index tables of Gamma built once per (G, C), and
+``hat_multiply``, the one-pair reference on image tuples, is held to it
+cell by cell in the test suite.  The table is verified against
+compose-then-reduce, with a seventh cut:
 
 * Orbits of generator pairs.  The product rules are checked on every
   pair of generators, but compose runs on one pair per orbit of the
@@ -97,6 +113,7 @@ The n^2 cross-check is kept in the test suite as the oracle for this one.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .groups import (
@@ -655,7 +672,8 @@ def hat_generator_class(gen: HatGenerator) -> TransitiveFibredBiset:
 def hat_multiply(a: HatGenerator, b: HatGenerator
                  ) -> Optional[HatGenerator]:
     """Product of two generators as the basis generator it equals, or None
-    when it is zero.
+    when it is zero: the one-pair reference, computed from image tuples,
+    that the index table of ``_hat_table`` is held to.
 
     X.X always lands on an X generator, and Y.Y is zero unless the left
     omega transports the right zeta onto the left one.  The mixed products
@@ -705,25 +723,68 @@ def hat_multiply(a: HatGenerator, b: HatGenerator
     return HatGenerator("Y", G, C, omega=omega, zeta=z)
 
 
-def _product_table(gens: List[HatGenerator],
-                   position: Dict[HatGenerator, int],
-                   mismatches: list) -> List[List[int]]:
-    """hat_multiply on every generator pair, each product stored at once as
-    the index of its generator, or -1 for zero.  A product that is not a
-    basis generator is recorded as a mismatch and stored as zero."""
+@memoized
+def _gamma_tables(G: FiniteGroup, C: FiniteGroup) -> tuple:
+    """Index tables of Gamma = Hom(G, C) x| Out(G) and of Out(G) on the
+    fibre embeddings, over the positions of the characters t_a in
+    ``homomorphisms(G, C)``, the outer representatives s_i and the
+    embeddings z_e of ``_fibre_embeddings``: (out_mul, out_inv, hom_mul,
+    hom_act, emb_act, mu), where out_mul[i][j] is the class of s_i s_j,
+    out_inv[i] that of s_i^-1, hom_mul[a][b] is t_a t_b, hom_act[a][i] is
+    t_a o s_i, emb_act[i][e] is s_i o z_e, and mu[a][e] is the class of
+    g -> g z_e(t_a(g))^-1."""
+    auts = automorphisms(G)
+    reps = auts.out_representatives
+    position = {rep: i for i, rep in enumerate(reps)}
+    cls = {h: position[rep] for h, rep in auts.out_rep_of.items()}
+    homs = homomorphisms(G, C)
+    hom_index = {t: a for a, t in enumerate(homs)}
+    embs = _fibre_embeddings(G, C)
+    emb_index = {z: e for e, z in enumerate(embs)}
+    els = range(G.order)
+    cinv = C.inverses
+    out_mul = [[cls[tuple(s[x] for x in r)] for r in reps] for s in reps]
+    one = position[tuple(els)]
+    return (out_mul, [row.index(one) for row in out_mul],
+            [[hom_index[tuple(C.mul(t[g], u[g]) for g in els)]
+              for u in homs] for t in homs],
+            [[hom_index[tuple(t[x] for x in s)] for s in reps]
+             for t in homs],
+            [[emb_index[tuple(s[x] for x in z)] for z in embs]
+             for s in reps],
+            [[cls[tuple(G.mul(g, z[cinv[t[g]]]) for g in els)]
+              for z in embs] for t in homs])
+
+
+def _hat_table(G: FiniteGroup, C: FiniteGroup) -> List[List[int]]:
+    """The product of every pair of ``hat_basis_prime(G, C)`` as the index
+    of its generator, -1 for zero, read off ``_gamma_tables`` by the four
+    rules of the module docstring; X(t, s) has index t |Out| + s and
+    Y(w, z) index |X| + w |E| + z."""
+    out_mul, out_inv, hom_mul, hom_act, emb_act, mu = _gamma_tables(G, C)
+    no, nh, ne = len(out_mul), len(hom_mul), len(emb_act[0])
+    nx = nh * no
+    # one int object per generator index, shared by all the cells
+    cell = list(range(nx + no * ne)).__getitem__
     table = []
-    for a in gens:
-        row = []
-        for b in gens:
-            g = hat_multiply(a, b)
-            cell = -1 if g is None else position.get(g, -1)
-            if g is not None and cell < 0:
-                mismatches.append({
-                    "left": a.describe(), "right": b.describe(),
-                    "predicted": g.describe(),
-                    "detail": "not a basis generator"})
-            row.append(cell)
-        table.append(row)
+    for t1, act in enumerate(hom_act):
+        # (t1 o s2) t2, times |Out|, at every X(t2, s2)
+        base = [hom_mul[act[s2]][t2] * no for t2 in range(nh)
+                for s2 in range(no)]
+        for s1, om in enumerate(out_mul):
+            row = list(map(cell, map(add, base, om * nh)))
+            by_z = [(out_mul[om[m]], nx + s1z)
+                    for m, s1z in zip(mu[t1], emb_act[s1])]
+            row += [cell(ys[w] * ne + y) for w in range(no) for ys, y in by_z]
+            table.append(row)
+    for w, ow in enumerate(out_mul):
+        for z in range(ne):
+            row = [cell(nx + z + ne * out_mul[
+                mu[hom_act[t][out_inv[ow[s]]]][z]][ow[s]])
+                for t in range(nh) for s in range(no)]
+            row += [cell(nx + ow[a] * ne + z) if emb_act[w][y] == z else -1
+                    for a in range(no) for y in range(ne)]
+            table.append(row)
     return table
 
 
@@ -767,9 +828,9 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
                            check: bool = False) -> dict:
     """Check the generator product rules against the ring: multiply the
     attached classes with compose, drop ideal summands, and compare with
-    hat_multiply, for every generator pair.  With ``check`` every
-    composition is also cross-checked against the orbit oracle.
-    ``hat_multiply`` runs on all n^2 pairs, ``compose`` on one pair per
+    the index table of ``_hat_table``, for every generator pair.  With
+    ``check`` every composition is also cross-checked against the orbit
+    oracle.  The table covers all n^2 pairs, ``compose`` one pair per
     orbit of generator pairs (the seventh cut of the module docstring).
 
     The report gives the checked table, as generator indices with -1 for
@@ -782,9 +843,8 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
     index = {cls.raw: i for i, cls in enumerate(classes)}
     if len(index) != n:
         raise GroupError("generator classes are not distinct")
-    position = {g: i for i, g in enumerate(gens)}
     mismatches = []
-    table = _product_table(gens, position, mismatches)
+    table = _hat_table(G, C)
     moves = _generator_moves(G, gens, classes, index, mismatches)
 
     def describe(cell: int) -> str:

@@ -4,7 +4,7 @@ production enumeration paths."""
 import gc
 import itertools
 import sys
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from fibredburnside import monomial
 from fibredburnside.fibred import (
@@ -696,6 +696,33 @@ def ref_hat_candidates(G, C):
     from ``_reduction_witness``, in key order."""
     return [X.raw for X in transitive_basis(G, G, C)
             if _reduction_witness(X) is None]
+
+
+# -- reference product table of the prime-fibre generators: ``hat_multiply``
+#    on every pair, as ``verify_hat_vs_quotient`` built it before it read
+#    the index tables of ``hat._gamma_tables``
+
+
+def ref_hat_table(gens: List[HatGenerator],
+                  position: Dict[HatGenerator, int],
+                  mismatches: list) -> List[List[int]]:
+    """hat_multiply on every generator pair, each product stored at once as
+    the index of its generator, or -1 for zero.  A product that is not a
+    basis generator is recorded as a mismatch and stored as zero."""
+    table = []
+    for a in gens:
+        row = []
+        for b in gens:
+            g = hat_multiply(a, b)
+            cell = -1 if g is None else position.get(g, -1)
+            if g is not None and cell < 0:
+                mismatches.append({
+                    "left": a.describe(), "right": b.describe(),
+                    "predicted": g.describe(),
+                    "detail": "not a basis generator"})
+            row.append(cell)
+        table.append(row)
+    return table
 
 
 # -- reference cross-check of the prime-fibre product rules: every one of

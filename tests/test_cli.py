@@ -341,6 +341,9 @@ def test_hat_table_matches_generator_scan(capsys, group, fibre):
     from fibredburnside import hat
     code, out, _ = run_cli(capsys, "--json", "hat", group, fibre)
     assert code == 0
+    # the rows are written from preformatted cells, byte for byte what the
+    # encoder gives; CI pins C2xC2xC2 with C2 by its sha256
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     table = json.loads(out)["table"]
     gens = hat.hat_basis_prime(group_from_spec(group), group_from_spec(fibre))
     expected = []
@@ -516,6 +519,21 @@ def test_json_emitted_in_batches_equals_json_dumps(capsys):
     cli._emit(data, True, [])
     assert capsys.readouterr().out == \
         json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [[(a * b) % 5 - 1 for b in range(7)] for a in range(6)], [], [[], [2]]],
+    ids=["6x7", "no rows", "an empty row"])
+def test_json_table_written_by_rows_equals_json_dumps(capsys, rows):
+    # the table is spliced in at its sorted place, after nested keys of
+    # the same name and before later ones
+    cells = [{"coeff": "1", "generator": i} for i in range(4)] + [None]
+    data = {"ok": False, "zeta": [1, {"b": 2}],
+            "mismatches": [{"table": [], "left": "X[t]"}]}
+    cli._emit(data, True, [], (rows, cells))
+    table = [[cells[i] for i in row] for row in rows]
+    assert capsys.readouterr().out == json.dumps(
+        {**data, "table": table}, indent=2, sort_keys=True) + "\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"

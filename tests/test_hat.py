@@ -47,6 +47,8 @@ from fibredburnside.hat import (
 from helpers import (
     frattini_criterion,
     live_groups,
+    memo_entries,
+    ref_hat_table,
     ref_verify_hat_vs_quotient,
     seed_index,
     transport_hat_generator,
@@ -422,13 +424,55 @@ def test_cross_check_compositions_on_the_prime_workload(composed_pairs):
     assert (len(composed_pairs), pairs) == (615, 2682)
 
 
-def test_cross_check_table_is_hat_multiply(c2):
-    G = group_from_spec("C4xC2")
-    gens = hat_basis_prime(G, c2)
-    table = verify_hat_vs_quotient(G, c2)["table"]
-    products = [[hat_multiply(a, b) for b in gens] for a in gens]
-    assert table == [[-1 if g is None else gens.index(g) for g in row]
-                     for row in products]
+def check_table_is_hat_multiply(G, C, table):
+    """``table`` is ``ref_hat_table``: hat_multiply on every generator
+    pair, each product mapped through the generator positions, where a
+    product outside the basis is a failure."""
+    gens = hat_basis_prime(G, C)
+    outside = []
+    ref = ref_hat_table(gens, {g: i for i, g in enumerate(gens)}, outside)
+    assert outside == []
+    assert table == ref
+
+
+def test_cross_check_table_is_hat_multiply(monkeypatch, c3):
+    # every catalog group of order <= 8 with C2 and C3, but C2xC2xC2 with
+    # C2 (1,344 generators), which this file checks when run as a script,
+    # with orders 9-15
+    for G in small_groups_catalog(8):
+        for fibre in ("C2", "C3"):
+            if (G.name, fibre) == ("C2xC2xC2", "C2"):
+                continue
+            C = group_from_spec(fibre)
+            check_table_is_hat_multiply(
+                G, C, verify_hat_vs_quotient(G, C)["table"])
+    # below order 9 no Y generator has an odd fibre or two embeddings;
+    # C9 with C3 has both (the bound raised for this test only)
+    monkeypatch.setattr(groups, "SUBGROUP_ORDER_BOUND", 81)
+    c9 = cyclic(9)
+    check_table_is_hat_multiply(c9, c3, hat._hat_table(c9, c3))
+
+
+def test_second_cross_check_multiplies_no_pair(monkeypatch, c2):
+    # the table is read off the index tables, memoized per (G, C):
+    # hat_multiply is never called, and a second check builds none again.
+    # A new copy of C4xC2 has no memo yet
+    G = groups.FiniteGroup(group_from_spec("C4xC2").table)
+    calls = []
+    real = hat.hat_multiply
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(hat, "hat_multiply", counting)
+    before = memo_entries(hat._gamma_tables)
+    first = verify_hat_vs_quotient(G, c2)
+    built = memo_entries(hat._gamma_tables)
+    assert (first["ok"], built) == (True, before + 1)
+    assert verify_hat_vs_quotient(G, c2) == first
+    assert memo_entries(hat._gamma_tables) == built
+    assert calls == []
 
 
 # mutations: each breaks one input of the reduced check on C4xC2 with C2,
@@ -441,42 +485,23 @@ def test_cross_check_catches_a_wrong_product_off_the_representatives(
     assert verify_hat_vs_quotient(G, c2)["ok"]
     composed = set(composed_pairs)
     gens = hat_basis_prime(G, c2)
-    real = hat.hat_multiply
-    wrong = next((a, b) for a in gens for b in gens
-                 if (hat_generator_class(a).raw, hat_generator_class(b).raw)
-                 not in composed and real(a, b) is not None)
+    real = hat._hat_table(G, c2)
+    wrong = next((a, b) for a in range(len(gens)) for b in range(len(gens))
+                 if (hat_generator_class(gens[a]).raw,
+                     hat_generator_class(gens[b]).raw) not in composed
+                 and real[a][b] >= 0)
 
-    def mutated(a, b):
-        return None if (a, b) == wrong else real(a, b)
+    def mutated(group, fibre):
+        table = [list(row) for row in real]
+        table[wrong[0]][wrong[1]] = -1
+        return table
 
-    monkeypatch.setattr(hat, "hat_multiply", mutated)
+    monkeypatch.setattr(hat, "_hat_table", mutated)
     composed_pairs.clear()
     report = verify_hat_vs_quotient(G, c2)
     assert not report["ok"]
     assert set(composed_pairs) == composed
     assert any("symmetry" in m for m in report["mismatches"])
-
-
-def test_cross_check_reports_a_product_outside_the_basis(monkeypatch, c2):
-    # a nontrivial inner automorphism is no outer representative, so this
-    # X generator is not in the basis; the check records it, not KeyError
-    G = group_from_spec("D8")
-    one = _identity_generator(G, c2)
-    inner = next(h for h in automorphisms(G).inner
-                 if h != tuple(range(G.order)))
-    stray = HatGenerator("X", G, c2, t=one.t, sigma=inner)
-    assert stray not in hat_basis_prime(G, c2)
-    real = hat.hat_multiply
-
-    def mutated(a, b):
-        return stray if (a, b) == (one, one) else real(a, b)
-
-    monkeypatch.setattr(hat, "hat_multiply", mutated)
-    report = verify_hat_vs_quotient(G, c2)
-    assert not report["ok"]
-    assert {"left": one.describe(), "right": one.describe(),
-            "predicted": stray.describe(),
-            "detail": "not a basis generator"} in report["mismatches"]
 
 
 def test_cross_check_catches_a_wrong_class_move(monkeypatch, c2):
@@ -806,15 +831,24 @@ def test_counterexample_contrast_with_prime_fibre(q8, d8, c2):
 
 
 if __name__ == "__main__":
-    # the prime-fibre census beyond the shipped bound: every catalog group
-    # of order 9-15 with C2 and C3, the bound raised in this process only
+    # the index table of C2xC2xC2 with C2 against ref_hat_table, then the
+    # prime-fibre census beyond the shipped bound: every catalog group of
+    # order 9-15 with C2 and C3, the bound raised in this process only,
+    # with the index table against ref_hat_table
     import time
+    G, C = group_from_spec("C2xC2xC2"), group_from_spec("C2")
+    start = time.monotonic()
+    check_table_is_hat_multiply(G, C, hat._hat_table(G, C))
+    print(f"{G.name} C2 table: ok ({time.monotonic() - start:.1f}s)",
+          flush=True)
     groups.SUBGROUP_ORDER_BOUND = 225
     for G in small_groups_catalog():
         if G.order < 9:
             continue
         for c_spec in ("C2", "C3"):
             start = time.monotonic()
-            check_prime_census(G, group_from_spec(c_spec))
+            C = group_from_spec(c_spec)
+            report = check_prime_census(G, C)
+            check_table_is_hat_multiply(G, C, report["table"])
             print(f"{G.name} {c_spec}: ok ({time.monotonic() - start:.1f}s)",
                   flush=True)
