@@ -154,9 +154,9 @@ def cmd_hat(args) -> int:
     lines = [f"quotient algebra of {G.name} with fibre {C.name}: "
              f"dimension {dim}"]
     if prime:
-        gens = hat.hat_basis_prime(G, C)
-        closed_ok = ({hat.hat_generator_class(g).raw for g in gens}
-                     == {X.raw for X in basis})
+        # the generators and their classes that the cross-check reads
+        gens, classes = hat._generator_data(G, C)[:2]
+        closed_ok = {X.raw for X in classes} == {X.raw for X in basis}
         report = hat.verify_hat_vs_quotient(G, C)
         # the checked table holds generator indices, -1 for zero, and every
         # product is one generator or zero, so every nonzero cell has

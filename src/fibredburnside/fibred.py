@@ -230,6 +230,16 @@ class FibredElement:
             clean[cls] = clean.get(cls, 0) + coeff
         self.terms = {k: v for k, v in clean.items() if v != 0}
 
+    @classmethod
+    def _of_canonical(cls, left, right, fibre,
+                      terms: Dict[TransitiveFibredBiset, int]):
+        """The element with ``terms`` as they are: canonical classes over
+        (left, right, fibre) with nonzero coefficients, so that none is
+        looked up again."""
+        elt = object.__new__(cls)
+        elt.left, elt.right, elt.fibre, elt.terms = left, right, fibre, terms
+        return elt
+
     @property
     def ambient(self) -> FiniteGroup:
         return product_embedding(self.left, self.right).ambient
@@ -453,7 +463,8 @@ def compose(X: FibredElement, Y: FibredElement,
                     y_elements, y_delta):
                 key = _canonical_raw(amb_gk, mask, delta)
                 acc[key] = acc.get(key, 0) + coeff
-    result = FibredElement(
+    # the keys are canonical already
+    result = FibredElement._of_canonical(
         X.left, Y.right, X.fibre,
         {TransitiveFibredBiset(X.left, Y.right, X.fibre, m, d): v
          for (m, d), v in acc.items() if v != 0})

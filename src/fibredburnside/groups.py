@@ -399,7 +399,11 @@ def check_homomorphism(domain: Domain, codomain: FiniteGroup,
 # bitmask helpers
 
 
+@functools.lru_cache(maxsize=256)
 def mask_to_elements(mask: int) -> tuple:
+    """The set bits of ``mask`` in ascending order.  A class is decoded
+    on every composition it takes part in, so the last few hundred masks
+    are kept; the key is an int, so no group is kept alive."""
     out = []
     while mask:
         b = mask & -mask

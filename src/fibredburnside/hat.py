@@ -108,7 +108,11 @@ compose-then-reduce, with a seventh cut:
   automorphisms fix every canonical class, so the generators of Aut(G)
   modulo them suffice.
 
-The n^2 cross-check is kept in the test suite as the oracle for this one.
+The generators, their classes and the symmetry moves depend on (G, C)
+alone, and are built once per (G, C), in the memo of the younger group;
+the table, the orbit traversal, the compositions and the ideal decisions
+run on every check.  The n^2 cross-check is kept in the test suite as the
+oracle for this one.
 """
 
 from __future__ import annotations
@@ -788,8 +792,8 @@ def _hat_table(G: FiniteGroup, C: FiniteGroup) -> List[List[int]]:
     return table
 
 
-def _generator_moves(G: FiniteGroup, gens: List[HatGenerator],
-                     classes: List[TransitiveFibredBiset],
+def _generator_moves(G: FiniteGroup, gens: Tuple[HatGenerator, ...],
+                     classes: Tuple[TransitiveFibredBiset, ...],
                      index: Dict[tuple, int], mismatches: list
                      ) -> List[Tuple[List[int], bool, str]]:
     """The symmetries of the check as permutations of generator indices,
@@ -824,6 +828,24 @@ def _generator_moves(G: FiniteGroup, gens: List[HatGenerator],
     return moves
 
 
+@memoized
+def _generator_data(G: FiniteGroup, C: FiniteGroup) -> tuple:
+    """What the cross-check of (G, C) reads that depends on G and C alone:
+    (gens, classes, elements, index, moves, mismatches), with the
+    generators of ``hat_basis_prime``, their classes, each class as an
+    element, the position of each class key, the moves of
+    ``_generator_moves`` and the mismatches those record, as a tuple."""
+    gens = tuple(hat_basis_prime(G, C))
+    classes = tuple(map(hat_generator_class, gens))
+    index = {cls.raw: i for i, cls in enumerate(classes)}
+    if len(index) != len(gens):
+        raise GroupError("generator classes are not distinct")
+    mismatches = []
+    moves = tuple(_generator_moves(G, gens, classes, index, mismatches))
+    return (gens, classes, tuple(map(element_of, classes)), index, moves,
+            tuple(mismatches))
+
+
 def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
                            check: bool = False) -> dict:
     """Check the generator product rules against the ring: multiply the
@@ -833,19 +855,22 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
     oracle.  The table covers all n^2 pairs, ``compose`` one pair per
     orbit of generator pairs (the seventh cut of the module docstring).
 
+    What depends on G and C alone is built once per (G, C) by
+    ``_generator_data``: the generators, their classes and elements, the
+    position of each class key and the symmetry moves, with the
+    mismatches the moves record, which each report gets as a fresh copy.
+    The table, the orbit traversal that checks every pair against the
+    moves, every composition and every ideal decision run on each call:
+    they are the check.
+
     The report gives the checked table, as generator indices with -1 for
     zero, under ``"table"``; ``"pairs"`` counts the pairs checked,
     ``"composed"`` the compositions made, and ``"mismatches"`` lists the
     disagreements, with ``"ok"`` true when there is none."""
-    gens = hat_basis_prime(G, C)
+    gens, _, elements, index, moves, mismatches = _generator_data(G, C)
     n = len(gens)
-    classes = [hat_generator_class(g) for g in gens]
-    index = {cls.raw: i for i, cls in enumerate(classes)}
-    if len(index) != n:
-        raise GroupError("generator classes are not distinct")
-    mismatches = []
+    mismatches = [dict(m) for m in mismatches]
     table = _hat_table(G, C)
-    moves = _generator_moves(G, gens, classes, index, mismatches)
 
     def describe(cell: int) -> str:
         return "0" if cell < 0 else gens[cell].describe()
@@ -880,8 +905,7 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
 
     for pair in reps:
         a, b = divmod(pair, n)
-        composed = compose(element_of(classes[a]), element_of(classes[b]),
-                           check=check)
+        composed = compose(elements[a], elements[b], check=check)
         # distinct summands are distinct classes, so no index repeats
         reduced = {}
         unknown = []

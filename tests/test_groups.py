@@ -926,7 +926,7 @@ def test_group_json_round_trip(q8):
 
 def test_only_int_keyed_builders_use_functools_cache():
     # every cache keyed by a group goes through groups.memoized, so its
-    # entries die with their group
+    # entries die with their group; mask_to_elements is keyed by an int
     for module in pkgutil.iter_modules(fibredburnside.__path__):
         if module.name != "__main__":
             importlib.import_module(f"fibredburnside.{module.name}")
@@ -936,6 +936,7 @@ def test_only_int_keyed_builders_use_functools_cache():
         "fibredburnside.groups._symmetric",
         "fibredburnside.groups.alternating4",
         "fibredburnside.groups._full_catalog",
+        "fibredburnside.groups.mask_to_elements",
     }
 
 
@@ -992,9 +993,11 @@ if __name__ == "__main__":
     import time
     # 200 dropped copies of D8 keep under 1 KB each, where caches that
     # held every group kept about 382 KB (hat_dimension) and 14 KB
-    # (subcharacter_classes) each
+    # (subcharacter_classes) each; the prime-fibre cross-check memoizes
+    # its generator data per (G, C), which must go with G as well
     paths = _dropping_paths(groups.cyclic(2), groups.cyclic(4))
-    for path in ("hat_dimension", "subcharacter_classes"):
+    for path in ("hat_dimension", "subcharacter_classes",
+                 "verify_hat_vs_quotient"):
         start = time.monotonic()
         kept = retained_per_copy(paths[path], groups.dihedral(8), 200)
         assert kept < 1024, (path, kept)

@@ -53,7 +53,7 @@ from helpers import (
     seed_index,
     transport_hat_generator,
 )
-from test_fibred import counterexample_class
+from test_fibred import assert_terms_canonical, counterexample_class
 
 
 # -- ideal membership ---------------------------------------------------------
@@ -411,8 +411,18 @@ def test_cross_check_composes_one_pair_per_orbit(composed_pairs, spec,
     assert len(set(composed_pairs)) == composed
 
 
-def test_cross_check_compositions_on_the_prime_workload(composed_pairs):
-    # the groups and fibres of the benchmark's prime workload
+def test_cross_check_compositions_on_the_prime_workload(monkeypatch,
+                                                       composed_pairs):
+    # the groups and fibres of the benchmark's prime workload; compose
+    # builds every result from canonical keys
+    results = []
+    real = hat.compose
+
+    def checked(X, Y, check=False):
+        results.append(real(X, Y, check=check))
+        return results[-1]
+
+    monkeypatch.setattr(hat, "compose", checked)
     pairs = 0
     for G in small_groups_catalog(8):
         if G.order < 2 or G.name in ("C2xC2xC2", "D8", "Q8"):
@@ -422,6 +432,9 @@ def test_cross_check_compositions_on_the_prime_workload(composed_pairs):
             assert report["ok"]
             pairs += report["pairs"]
     assert (len(composed_pairs), pairs) == (615, 2682)
+    assert len(results) == 615
+    for result in results:
+        assert_terms_canonical(result)
 
 
 def check_table_is_hat_multiply(G, C, table):
@@ -456,23 +469,55 @@ def test_cross_check_table_is_hat_multiply(monkeypatch, c3):
 def test_second_cross_check_multiplies_no_pair(monkeypatch, c2):
     # the table is read off the index tables, memoized per (G, C):
     # hat_multiply is never called, and a second check builds none again.
-    # A new copy of C4xC2 has no memo yet
+    # The generator classes and their moves are memoized per (G, C) too,
+    # so a second check builds neither.  A new copy of C4xC2 has no memo
+    # yet
     G = groups.FiniteGroup(group_from_spec("C4xC2").table)
     calls = []
-    real = hat.hat_multiply
 
-    def counting(a, b):
-        calls.append((a, b))
-        return real(a, b)
+    def counting(name):
+        real = getattr(hat, name)
 
-    monkeypatch.setattr(hat, "hat_multiply", counting)
-    before = memo_entries(hat._gamma_tables)
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(hat, name, counted)
+
+    for name in ("hat_multiply", "hat_generator_class", "_generator_moves"):
+        counting(name)
+    before = [memo_entries(hat._gamma_tables),
+              memo_entries(hat._generator_data)]
     first = verify_hat_vs_quotient(G, c2)
-    built = memo_entries(hat._gamma_tables)
-    assert (first["ok"], built) == (True, before + 1)
+    built = [memo_entries(hat._gamma_tables),
+             memo_entries(hat._generator_data)]
+    assert (first["ok"], built) == (True, [n + 1 for n in before])
+    assert "hat_multiply" not in calls
+    assert calls.count("_generator_moves") == 1
+    calls.clear()
     assert verify_hat_vs_quotient(G, c2) == first
-    assert memo_entries(hat._gamma_tables) == built
+    assert [memo_entries(hat._gamma_tables),
+            memo_entries(hat._generator_data)] == built
     assert calls == []
+
+
+def test_failing_cross_checks_report_the_same_mismatches(monkeypatch, c2):
+    # the move mismatches are memoized with the moves and copied into each
+    # report, so those of one check never carry over to the next
+    G = groups.FiniteGroup(group_from_spec("C4xC2").table)
+    real = hat._hat_table(G, c2)
+
+    def mutated(group, fibre):
+        table = [list(row) for row in real]
+        table[1][2] = -1
+        return table
+
+    monkeypatch.setattr(hat, "_hat_table", mutated)
+    first = verify_hat_vs_quotient(G, c2)
+    second = verify_hat_vs_quotient(G, c2)
+    assert not first["ok"] and first["mismatches"]
+    assert second["mismatches"] == first["mismatches"]
+    assert second["mismatches"] is not first["mismatches"]
 
 
 # mutations: each breaks one input of the reduced check on C4xC2 with C2,
@@ -508,9 +553,12 @@ def test_cross_check_catches_a_wrong_class_move(monkeypatch, c2):
     # with opposite the identity, the opposite move would swap the factors
     # and fix every generator, which asks the table to be commutative; the
     # Hom x| Out product of C4xC2 is not.  The first run fills the ideal
-    # caches, so that the mutation reaches the moves alone
-    G = group_from_spec("C4xC2")
+    # caches, so that the mutation reaches the moves alone; the moves are
+    # memoized in the new group's memo, so they are dropped there to be
+    # built again under the mutation
+    G = groups.FiniteGroup(group_from_spec("C4xC2").table)
     assert verify_hat_vs_quotient(G, c2)["ok"]
+    del G._memo[hat._generator_data][G, c2]
     monkeypatch.setattr(hat, "opposite", lambda X: X)
     report = verify_hat_vs_quotient(G, c2)
     assert not report["ok"]
@@ -518,7 +566,8 @@ def test_cross_check_catches_a_wrong_class_move(monkeypatch, c2):
 
 
 def test_cross_check_catches_a_wrong_generator_class(monkeypatch, c2):
-    G = group_from_spec("C4xC2")
+    # a new copy of C4xC2 has no memoized generator classes yet
+    G = groups.FiniteGroup(group_from_spec("C4xC2").table)
     broken = hat_basis_prime(G, c2)[1]
     real = hat.hat_generator_class
     n = G.order * G.order

@@ -1,15 +1,17 @@
 """Property tests with shrinking: the double-coset formula against the
-orbit oracle on random composable classes.  A failing example is reported
-with the element JSON that ``compose --check`` accepts."""
+orbit oracle on random composable classes, and the memoized mask decode
+against a bit scan.  A failing composition is reported with the element
+JSON that ``compose --check`` accepts."""
 
 import json
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fibredburnside import cli, fibred, sampling
-from fibredburnside.groups import group_from_spec, small_groups_catalog
+from fibredburnside.groups import (
+    group_from_spec, mask_to_elements, small_groups_catalog)
 
 GROUPS = {g.name: g for g in small_groups_catalog(6)}
 FIBRES = ("C2", "C3", "C4")
@@ -62,3 +64,13 @@ def test_property_failure_prints_compose_check_input(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["left"] == json.loads(blobs[0])["left"]
     assert out["right"] == json.loads(blobs[1])["right"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 1 << 256))
+@example(0)
+def test_mask_to_elements_is_a_bit_scan(mask):
+    # twice, so that the second read is a hit of the bounded cache
+    ref = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    assert mask_to_elements(mask) == ref
+    assert mask_to_elements(mask) == ref
