@@ -155,8 +155,10 @@ def cmd_hat(args) -> int:
              f"dimension {dim}"]
     if prime:
         # the generators and their classes that the cross-check reads
-        gens, classes = hat._generator_data(G, C)[:2]
-        closed_ok = {X.raw for X in classes} == {X.raw for X in basis}
+        gen_data = hat._generator_data(G, C)
+        gens = gen_data.gens
+        closed_ok = ({X.raw for X in gen_data.classes}
+                     == {X.raw for X in basis})
         report = hat.verify_hat_vs_quotient(G, C)
         # the checked table holds generator indices, -1 for zero, and every
         # product is one generator or zero, so every nonzero cell has

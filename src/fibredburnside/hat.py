@@ -149,6 +149,7 @@ from .goursat import (
     rebuild_from_goursat,
 )
 from .fibred import (
+    FibredElement,
     TransitiveFibredBiset,
     _canonical_class,
     _canonical_raw,
@@ -828,13 +829,22 @@ def _generator_moves(G: FiniteGroup, gens: Tuple[HatGenerator, ...],
     return moves
 
 
-@memoized
-def _generator_data(G: FiniteGroup, C: FiniteGroup) -> tuple:
+class _GeneratorData(NamedTuple):
     """What the cross-check of (G, C) reads that depends on G and C alone:
-    (gens, classes, elements, index, moves, mismatches), with the
-    generators of ``hat_basis_prime``, their classes, each class as an
+    the generators of ``hat_basis_prime``, their classes, each class as an
     element, the position of each class key, the moves of
-    ``_generator_moves`` and the mismatches those record, as a tuple."""
+    ``_generator_moves`` and the mismatches those record."""
+
+    gens: Tuple[HatGenerator, ...]
+    classes: Tuple[TransitiveFibredBiset, ...]
+    elements: Tuple[FibredElement, ...]
+    index: Dict[tuple, int]
+    moves: Tuple[Tuple[List[int], bool, str], ...]
+    mismatches: Tuple[dict, ...]
+
+
+@memoized
+def _generator_data(G: FiniteGroup, C: FiniteGroup) -> _GeneratorData:
     gens = tuple(hat_basis_prime(G, C))
     classes = tuple(map(hat_generator_class, gens))
     index = {cls.raw: i for i, cls in enumerate(classes)}
@@ -842,8 +852,8 @@ def _generator_data(G: FiniteGroup, C: FiniteGroup) -> tuple:
         raise GroupError("generator classes are not distinct")
     mismatches = []
     moves = tuple(_generator_moves(G, gens, classes, index, mismatches))
-    return (gens, classes, tuple(map(element_of, classes)), index, moves,
-            tuple(mismatches))
+    return _GeneratorData(gens, classes, tuple(map(element_of, classes)),
+                          index, moves, tuple(mismatches))
 
 
 def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
@@ -867,9 +877,11 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
     zero, under ``"table"``; ``"pairs"`` counts the pairs checked,
     ``"composed"`` the compositions made, and ``"mismatches"`` lists the
     disagreements, with ``"ok"`` true when there is none."""
-    gens, _, elements, index, moves, mismatches = _generator_data(G, C)
+    data = _generator_data(G, C)
+    gens, elements, index, moves = (
+        data.gens, data.elements, data.index, data.moves)
     n = len(gens)
-    mismatches = [dict(m) for m in mismatches]
+    mismatches = [dict(m) for m in data.mismatches]
     table = _hat_table(G, C)
 
     def describe(cell: int) -> str:

@@ -2,7 +2,6 @@
 the orbit oracle, tensor and internal products, elementary classes, and
 the factorization through projections."""
 
-import random
 import time
 
 import pytest
@@ -40,7 +39,6 @@ from fibredburnside.groups import (
     isomorphism,
     product_embedding,
     quotient,
-    small_groups_catalog,
 )
 from fibredburnside.monomial import monomial_set_from_pair
 
@@ -371,36 +369,12 @@ def test_compose_formula_matches_oracle_randomized(rng):
         X = sampling.random_transitive_class(rng, G, H, C)
         Y = sampling.random_transitive_class(rng, H, K, C)
         compose(element_of(X), element_of(Y), check=True)
-
-
-def assert_terms_canonical(elt):
-    """Every term of elt is its own canonical class, and elt built anew
-    from its terms, each looked up again, is elt."""
-    for cls in elt.terms:
-        assert canonicalize(cls) == cls, cls
-    assert FibredElement(elt.left, elt.right, elt.fibre,
-                         dict(elt.terms)) == elt
-
-
-def test_compose_builds_canonical_terms():
-    # compose builds its result from canonical keys without looking them
-    # up again: for every catalog triple (G, H, K) of order <= 6 and fibres
-    # C2, C3 and C4, one seeded pair of two-term elements, with
-    # coefficients that can cancel
-    rng = random.Random(26)
-    pool = small_groups_catalog(6)
-    count = 0
-    for C in (cyclic(2), cyclic(3), cyclic(4)):
-        for G in pool:
-            for H in pool:
-                for K in pool:
-                    x, y = ({sampling.random_transitive_class(rng, L, R, C):
-                             coeff for coeff in (1, -1)}
-                            for L, R in ((G, H), (H, K)))
-                    assert_terms_canonical(compose(
-                        FibredElement(G, H, C, x), FibredElement(H, K, C, y)))
-                    count += 1
-    assert count == 3 * len(pool) ** 3 == 1536
+        # two-term elements, whose summands can cancel: compose builds its
+        # result from canonical keys, which the oracle looks up anew
+        X2 = sampling.random_transitive_class(rng, G, H, C)
+        Y2 = sampling.random_transitive_class(rng, H, K, C)
+        compose(FibredElement(G, H, C, {X: 1, X2: -1}),
+                FibredElement(H, K, C, {Y: 1, Y2: -1}), check=True)
 
 
 def test_compose_oracle_associativity_small(rng):
