@@ -155,9 +155,9 @@ def cmd_hat(args) -> int:
              f"dimension {dim}"]
     if prime:
         # the generators and their classes that the cross-check reads
-        gen_data = hat._generator_data(G, C)
-        gens = gen_data.gens
-        closed_ok = ({X.raw for X in gen_data.classes}
+        record = hat._prime_data(G, C)
+        gens = record.gens
+        closed_ok = ({X.raw for X in record.classes}
                      == {X.raw for X in basis})
         report = hat.verify_hat_vs_quotient(G, C)
         # the checked table holds generator indices, -1 for zero, and every

@@ -387,10 +387,9 @@ def _compose_raw(emb_gh: ProductEmbedding, emb_hk: ProductEmbedding,
     if H is not H2:
         raise GroupError("middle groups do not agree")
     # a summand's elements (g, k) are encoded in G x K inline, as
-    # g * stride + k, and fibre products are read from the flat table
+    # g * stride + k, and fibre products are read from the rows of C
     stride = K.order
-    cflat = C._flat
-    cn = C.order
+    ctable = C.table
     hinv = H.inverses
 
     gh = emb_gh.coords
@@ -416,7 +415,7 @@ def _compose_raw(emb_gh: ProductEmbedding, emb_hk: ProductEmbedding,
             c_mu = k1u_vals.get(twist[hp])
             if c_mu is None:
                 continue
-            if cflat[c_nu * cn + c_mu] != 0:
+            if ctable[c_nu][c_mu] != 0:
                 ok = False
                 break
         if not ok:
@@ -426,11 +425,11 @@ def _compose_raw(emb_gh: ProductEmbedding, emb_hk: ProductEmbedding,
             hits = u_by_first.get(twist[h1])
             if not hits:
                 continue
-            row = c_nu * cn
+            row = ctable[c_nu]
             base = g * stride
             for k, c_mu in hits:
                 e = base + k
-                val = cflat[row + c_mu]
+                val = row[c_mu]
                 old = values.get(e)
                 if old is None:
                     values[e] = val

@@ -3,12 +3,14 @@ built on top: subgroups, quotients, homomorphisms, automorphisms, double
 cosets and a small-groups catalog.
 
 Element convention: elements of a group of order n are the indices
-0..n-1, with 0 always the identity.  Conjugation is ``^g x = g x g^-1``
-and ``x^g = g^-1 x g`` throughout.  A subgroup is the tuple
-``(parent, elements, mask)``: its elements ascending and their bitmask;
-``check_subgroup`` validates one given from outside.  A homomorphism is
-the tuple of the images of its domain's elements, in index order for a
-group and in ascending order for a subgroup; ``check_homomorphism``
+0..n-1, with 0 always the identity.  The group law is held once, as the
+rows of ``FiniteGroup.table``; every product is read off a row.
+Conjugation is ``^g x = g x g^-1`` and ``x^g = g^-1 x g`` throughout.  A
+subgroup is the tuple ``(parent, elements, mask)``: its elements
+ascending and their bitmask; ``check_subgroup`` validates one given from
+outside.  The domain of a homomorphism is a subgroup, a group standing
+for its full subgroup, and the homomorphism is the tuple of the images
+of its domain's elements in ascending order; ``check_homomorphism``
 validates one given from outside.
 
 All values are immutable after construction, and every operation is a
@@ -124,8 +126,8 @@ class FiniteGroup:
     which, so a dropped group takes its entries with it.
     """
 
-    __slots__ = ("order", "table", "identity", "inverses", "labels", "name",
-                 "_flat", "_memo", "_serial")
+    __slots__ = ("order", "table", "inverses", "labels", "name", "_memo",
+                 "_serial")
 
     def __init__(self, table, labels=None, name=None):
         rows = tuple(tuple(row) for row in table)
@@ -156,13 +158,8 @@ class FiniteGroup:
         n = len(rows)
         self.order = n
         self.table = rows
-        self.identity = 0
         self.name = name or f"group{n}"
         self.labels = labels
-        flat = []
-        for row in rows:
-            flat.extend(row)
-        self._flat = flat
         if validate:
             self._validate()
         inv = [-1] * n
@@ -201,7 +198,7 @@ class FiniteGroup:
     # -- basic operations ---------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return self._flat[a * self.order + b]
+        return self.table[a][b]
 
     def inv(self, a: int) -> int:
         return self.inverses[a]
@@ -257,11 +254,9 @@ class FiniteGroup:
     @memoized
     def conjugation_perm(self, g: int) -> tuple:
         """The permutation x -> g x g^-1 as a tuple."""
-        f = self._flat
-        n = self.order
+        table = self.table
         gi = self.inverses[g]
-        row = g * n
-        return tuple(f[f[row + x] * n + gi] for x in range(n))
+        return tuple(table[x][gi] for x in table[g])
 
     @memoized
     def conjugation_reps(self) -> tuple:
@@ -361,36 +356,26 @@ def check_subgroup(G: FiniteGroup, elements) -> Subgroup:
     return Subgroup(G, els, mask)
 
 
-Domain = Union[FiniteGroup, Subgroup]
-
-
-def _domain_group(domain: Domain) -> FiniteGroup:
-    return domain if isinstance(domain, FiniteGroup) else domain.parent
-
-
-def _domain_elements(domain: Domain) -> Sequence[int]:
-    if isinstance(domain, FiniteGroup):
-        return range(domain.order)
-    return domain.elements
-
-
-def check_homomorphism(domain: Domain, codomain: FiniteGroup,
-                       images) -> tuple:
+def check_homomorphism(domain: Union[FiniteGroup, Subgroup],
+                       codomain: FiniteGroup, images) -> tuple:
     """The image tuple of a map given from outside, checked to be a
-    homomorphism from ``domain`` into ``codomain``.  Every image is
-    range-checked before any product is read."""
+    homomorphism from ``domain``, a group read as its full subgroup, into
+    ``codomain``.  Every image is range-checked before any product is
+    read."""
+    if type(domain) is FiniteGroup:
+        domain = domain.full_subgroup()
     images = tuple(images)
-    els = _domain_elements(domain)
+    els = domain.elements
     if len(images) != len(els):
         raise GroupError("image list does not match domain size")
     if not all(0 <= fa < codomain.order for fa in images):
         raise GroupError("image out of range")
-    amb = _domain_group(domain)
+    mul = domain.parent.mul
     lookup = dict(zip(els, images))
     cmul = codomain.mul
     for a, fa in zip(els, images):
         for b, fb in zip(els, images):
-            if lookup[amb.mul(a, b)] != cmul(fa, fb):
+            if lookup[mul(a, b)] != cmul(fa, fb):
                 raise GroupError("map is not a homomorphism")
     return images
 
@@ -454,26 +439,25 @@ def closure_mask(G: FiniteGroup, seed: Iterable[int],
     with one multiplication per (representative, seed element) plus one
     per element added.  With the trivial base each coset is one element.
     """
-    flat = G._flat
-    n = G.order
+    table = G.table
     gens = []
     seen = 1
     for s in seed:
         if not (seen >> s) & 1:
             seen |= 1 << s
             gens.append(s)
-    rows = [x * n for x in base]
+    rows = [table[x] for x in base]
     mask = 0
     for x in base:
         mask |= 1 << x
     reps = [0]
     for r in reps:
-        row = r * n
+        row = table[r]
         for g in gens:
-            z = flat[row + g]
+            z = row[g]
             if not (mask >> z) & 1:
                 for x in rows:
-                    mask |= 1 << flat[x + z]
+                    mask |= 1 << x[z]
                 reps.append(z)
     return mask
 
@@ -730,33 +714,34 @@ def subgroups(G: FiniteGroup) -> list:
     element below g, <P, g> is not a child of P and is not closed at
     all.
     """
-    _check_subgroup_bound(G.order)
+    _check_bound("subgroup enumeration", G.order)
     return list(_subgroups(G))
 
 
-def _check_subgroup_bound(order: int):
+def _check_bound(what: str, order: int):
+    """Refuse ``order`` above ``SUBGROUP_ORDER_BOUND``, naming what it
+    bounds and the order."""
     if order > SUBGROUP_ORDER_BOUND:
         raise BoundExceededError(
-            f"subgroup enumeration bound exceeded: {order} > "
-            f"{SUBGROUP_ORDER_BOUND}")
+            f"{what} bound exceeded: {order} > {SUBGROUP_ORDER_BOUND}")
 
 
 @memoized
 def _subgroups(G: FiniteGroup) -> tuple:
-    flat = G._flat
+    table = G.table
     n = G.order
     # the generators of each <g>: its powers g^u with u prime to |g|
     cyclic_gens = []
     for g in range(n):
         powers = [g]
         while powers[-1]:
-            powers.append(flat[powers[-1] * n + g])
+            powers.append(table[powers[-1]][g])
         k = len(powers)
         cyclic_gens.append([y for u, y in enumerate(powers, 1)
                             if math.gcd(u, k) == 1])
     work = [((0,), 1, [])]
     for els, mask, seed in work:
-        rows = [x * n for x in els]
+        rows = [table[x] for x in els]
         covered = mask
         for g in range(seed[-1] + 1 if seed else 1, n):
             if (covered >> g) & 1:
@@ -764,7 +749,7 @@ def _subgroups(G: FiniteGroup) -> tuple:
             cosets = 0
             for y in cyclic_gens[g]:
                 for x in rows:
-                    cosets |= 1 << flat[x + y]
+                    cosets |= 1 << x[y]
             covered |= cosets
             below = (1 << g) - 1
             if cosets & below:
@@ -846,11 +831,14 @@ def _extend_hom(G: FiniteGroup, elements: Sequence[int], gens: list,
     return images
 
 
-def homomorphisms(domain: Domain, C: FiniteGroup) -> list:
-    """All homomorphisms from a group or subgroup into C, as sorted image
-    tuples; a group and its full subgroup give the same list."""
-    if max(len(_domain_elements(domain)), C.order) > SUBGROUP_ORDER_BOUND:
-        raise BoundExceededError("homomorphism enumeration bound exceeded")
+def homomorphisms(domain: Union[FiniteGroup, Subgroup],
+                  C: FiniteGroup) -> list:
+    """All homomorphisms from a subgroup into C, as sorted image tuples; a
+    group is read as its full subgroup, so both share one memo entry."""
+    if type(domain) is FiniteGroup:
+        domain = domain.full_subgroup()
+    _check_bound("homomorphism enumeration",
+                 max(len(domain.elements), C.order))
     return list(_homomorphisms(domain, C))
 
 
@@ -875,9 +863,9 @@ def _hom_search(G: FiniteGroup, els: Sequence[int], gens: list,
 
 
 @memoized
-def _homomorphisms(domain: Domain, C: FiniteGroup) -> tuple:
-    G = _domain_group(domain)
-    els = list(_domain_elements(domain))
+def _homomorphisms(S: Subgroup, C: FiniteGroup) -> tuple:
+    G = S.parent
+    els = S.elements
     return tuple(sorted(
         tuple(images[a] for a in els)
         for images in _hom_search(G, els, _generating_sequence(G, els), C,
@@ -901,8 +889,7 @@ class AutomorphismData(NamedTuple):
 
 
 def automorphisms(G: FiniteGroup) -> AutomorphismData:
-    if G.order > SUBGROUP_ORDER_BOUND:
-        raise BoundExceededError("automorphism enumeration bound exceeded")
+    _check_bound("automorphism enumeration", G.order)
     return _automorphisms(G)
 
 
@@ -992,19 +979,17 @@ def _quotient(N: Subgroup):
 def double_coset_representatives(G: FiniteGroup, A: Subgroup,
                                  B: Subgroup) -> list:
     """Least-index representatives of the double cosets A g B, ascending."""
-    n = G.order
-    flat = G._flat
+    table = G.table
     covered = 0
     reps = []
-    for g in range(n):
+    for g in range(G.order):
         if (covered >> g) & 1:
             continue
         reps.append(g)
         for a in A.elements:
-            ag = flat[a * n + g]
-            row = ag * n
+            row = table[table[a][g]]
             for b in B.elements:
-                covered |= 1 << flat[row + b]
+                covered |= 1 << row[b]
     return reps
 
 
@@ -1153,10 +1138,7 @@ def group_from_spec(spec: str) -> FiniteGroup:
     if any(not t for t in tokens):
         raise GroupSpecError(f"cannot parse spec {spec!r}")
     atoms = [_parse_atom(t) for t in tokens]
-    order = math.prod(o for o, _ in atoms)
-    if order > SUBGROUP_ORDER_BOUND:
-        raise BoundExceededError(f"group order bound exceeded: {order} > "
-                                 f"{SUBGROUP_ORDER_BOUND}")
+    _check_bound("group order", math.prod(o for o, _ in atoms))
     factors = [build() for _, build in atoms]
     if len(factors) == 1:
         return factors[0]

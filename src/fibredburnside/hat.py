@@ -58,7 +58,7 @@ A sixth cut chooses the classes to decide at all:
   full right projection and a trivial inner reduced kernel are the
   candidates, and ``hat_dimension`` decides only them, never the whole
   basis over G x G (for Q8 and D8 with C4: 30 and 14 of 606 and 1,134
-  classes).
+  classes).  Both read the test of one side from ``_full_side``.
 
 The unreduced sweep is kept in the test suite as the oracle for this one,
 and the kept factors are held there to the full-projection classes
@@ -83,9 +83,9 @@ They are well defined on outer classes: a character into the abelian C is
 constant on conjugacy classes, so t o s only depends on the class of s,
 and z lands in Z(G), so s o z and w o y do too; the class of a composite
 of automorphisms is the product of their classes.  ``_hat_table`` reads
-every product off index tables of Gamma built once per (G, C), and
-``hat_multiply``, the one-pair reference on image tuples, is held to it
-cell by cell in the test suite.  The table is verified against
+every product off index tables of Gamma, and ``hat_multiply``, the
+one-pair reference on image tuples, is held to it cell by cell in the
+test suite.  The table is verified against
 compose-then-reduce, with a seventh cut:
 
 * Orbits of generator pairs.  The product rules are checked on every
@@ -108,11 +108,13 @@ compose-then-reduce, with a seventh cut:
   automorphisms fix every canonical class, so the generators of Aut(G)
   modulo them suffice.
 
-The generators, their classes and the symmetry moves depend on (G, C)
-alone, and are built once per (G, C), in the memo of the younger group;
-the table, the orbit traversal, the compositions and the ideal decisions
-run on every check.  The n^2 cross-check is kept in the test suite as the
-oracle for this one.
+The generators, the index tables of Gamma, the generator classes and the
+symmetry moves depend on (G, C) alone: they are one record,
+``_prime_data``, built once per (G, C) in the memo of the younger group,
+and ``hat_basis_prime`` reads the generators from it.  The table, the
+orbit traversal, the compositions and the ideal decisions run on every
+check.  The n^2 cross-check is kept in the test suite as the oracle for
+this one.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ from .groups import (
     BoundExceededError,
     FiniteGroup,
     GroupError,
-    _check_subgroup_bound,
+    _check_bound,
     automorphisms,
     center,
     conjugate_mask,
@@ -268,6 +270,15 @@ def _side_map(emb_from, emb_to, side: int, images) -> list:
     return out
 
 
+def _full_side(emb, D, kernel, side: int) -> bool:
+    """Whether a class (D, delta) over ``emb`` with ker delta = ``kernel``
+    has p_side(D) the whole factor and k_side(ker delta) = 1, for side 1
+    (left) or 2 (right): the test of the sixth cut of the module
+    docstring."""
+    return (projection(emb, D, (side,)).order == emb.factors[side - 1].order
+            and kernel_part(emb, kernel, (side,)).order == 1)
+
+
 def _reduction_witness(X: TransitiveFibredBiset
                        ) -> Optional[FactorizationWitness]:
     """Constructed witness when a projection or reduced kernel is proper:
@@ -275,12 +286,10 @@ def _reduction_witness(X: TransitiveFibredBiset
     strictly smaller and has a catalog twin.  The left side is tried
     first, and X is Bouc-factorized only when one side has a smaller
     middle p_i(D)/k_i(ker delta)."""
-    G = X.left
     emb = X.embedding
-    D, reduced = X.subgroup_and_kernel()
+    D, kernel = X.subgroup_and_kernel()
     for side in (1, 2):
-        if (projection(emb, D, (side,)).order == G.order
-                and kernel_part(emb, reduced, (side,)).order == 1):
+        if _full_side(emb, D, kernel, side):
             continue
         fac = bouc_factorize(X)
         middle, left_cls, right_cls = (
@@ -361,12 +370,11 @@ def _orbit_representatives(classes: List[TransitiveFibredBiset],
 
 
 def _kept_factors(G: FiniteGroup, K: FiniteGroup, C: FiniteGroup
-                  ) -> Tuple[List[TransitiveFibredBiset],
-                             List[TransitiveFibredBiset]]:
-    """The factors the sweep through K composes, as canonical classes in
-    key order: the lefts a = (V, nu) over G x K with p1(V) = G and
-    k1(ker nu) = 1, and their opposites, the rights over K x G with
-    p2(U) = G and k2(ker mu) = 1.
+                  ) -> List[TransitiveFibredBiset]:
+    """The left factors the sweep through K composes, as canonical classes
+    in key order: a = (V, nu) over G x K with p1(V) = G and
+    k1(ker nu) = 1.  Their opposites are the rights, the classes over
+    K x G with p2(U) = G and k2(ker mu) = 1.
 
     A left is built from its Goursat data (the fifth cut of the module
     docstring): N = k1(V) is central and embeds in C, k2 is normal in
@@ -407,9 +415,8 @@ def _kept_factors(G: FiniteGroup, K: FiniteGroup, C: FiniteGroup
                     for nu in homomorphisms(V, C):
                         if len({nu[i] for i in at}) == len(at):
                             found.add(_canonical_raw(amb, V.mask, nu))
-    lefts = [TransitiveFibredBiset(G, K, C, mask, delta)
-             for mask, delta in sorted(found)]
-    return lefts, sorted(map(opposite, lefts), key=lambda b: b.raw)
+    return [TransitiveFibredBiset(G, K, C, mask, delta)
+            for mask, delta in sorted(found)]
 
 
 @memoized
@@ -429,9 +436,10 @@ def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
     closed under Aut(G) on both sides (the second and third cuts of the
     module docstring).
     """
-    lefts, rights = _kept_factors(G, K, C)
+    lefts = _kept_factors(G, K, C)
     if not lefts:
         return {}
+    rights = sorted(map(opposite, lefts), key=lambda b: b.raw)
     emb_gg = product_embedding(G, G)
     emb_gk = product_embedding(G, K)
     emb_kg = product_embedding(K, G)
@@ -534,16 +542,10 @@ def _candidates(G: FiniteGroup, C: FiniteGroup
                 ) -> Tuple[TransitiveFibredBiset, ...]:
     """The classes X = (D, delta) over G x G with p1(D) = p2(D) = G and
     k1(ker delta) = k2(ker delta) = 1, in key order: the lefts that
-    ``_kept_factors(G, G, C)`` builds whose right projection is full and
-    whose inner reduced kernel is trivial."""
+    ``_kept_factors(G, G, C)`` builds whose right side is full too."""
     emb = product_embedding(G, G)
-    out = []
-    for X in _kept_factors(G, G, C)[0]:
-        D, kernel = X.subgroup_and_kernel()
-        if (projection(emb, D, (2,)).order == G.order
-                and kernel_part(emb, kernel, (2,)).order == 1):
-            out.append(X)
-    return tuple(out)
+    return tuple(X for X in _kept_factors(G, G, C)
+                 if _full_side(emb, *X.subgroup_and_kernel(), 2))
 
 
 def hat_dimension(G: FiniteGroup, C: FiniteGroup
@@ -559,7 +561,7 @@ def hat_dimension(G: FiniteGroup, C: FiniteGroup
     over G x G is enumerated, so the fibre and the order of G x G are
     checked here, as the enumeration would."""
     _check_fibre(C)
-    _check_subgroup_bound(G.order * G.order)
+    _check_bound("subgroup enumeration", G.order * G.order)
     survivors = [X for X in _candidates(G, C) if is_in_ideal(X) is None]
     return len(survivors), survivors
 
@@ -647,15 +649,8 @@ def hat_basis_prime(G: FiniteGroup, C: FiniteGroup) -> List[HatGenerator]:
     for every character t and outer representative sigma, plus Y[omega,
     zeta] for every outer representative and fibre embedding into the
     center-intersect-Frattini subgroup (only possible when the prime
-    divides the center's order)."""
-    _require_prime_fibre(C)
-    reps = automorphisms(G).out_representatives
-    gens = [HatGenerator("X", G, C, t=t, sigma=s)
-            for t in homomorphisms(G, C) for s in reps]
-    if center(G).order % C.order == 0:
-        gens.extend(HatGenerator("Y", G, C, omega=w, zeta=z)
-                    for w in reps for z in _fibre_embeddings(G, C))
-    return gens
+    divides the center's order), in the index order of ``_prime_data``."""
+    return list(_prime_data(G, C).gens)
 
 
 def hat_generator_class(gen: HatGenerator) -> TransitiveFibredBiset:
@@ -728,45 +723,77 @@ def hat_multiply(a: HatGenerator, b: HatGenerator
     return HatGenerator("Y", G, C, omega=omega, zeta=z)
 
 
+class _PrimeData(NamedTuple):
+    """What the prime-fibre table and its check read that depends on
+    (G, C) alone, from one enumeration of the characters t_a of
+    ``homomorphisms(G, C)``, the outer representatives s_i and the fibre
+    embeddings z_e: the generators, X(t_a, s_i) at a |Out| + i and then
+    Y(s_i, z_e) at |X| + i |E| + e; the index tables of Gamma, where
+    out_mul[i][j] is the class of s_i s_j, out_inv[i] that of s_i^-1,
+    hom_mul[a][b] is t_a t_b, hom_act[a][i] is t_a o s_i, emb_act[i][e]
+    is s_i o z_e and mu[a][e] the class of g -> g z_e(t_a(g))^-1; the
+    generator classes, as elements too, the position of each class key,
+    and the moves of ``_generator_moves`` with their mismatches."""
+
+    gens: Tuple[HatGenerator, ...]
+    out_mul: List[List[int]]
+    out_inv: List[int]
+    hom_mul: List[List[int]]
+    hom_act: List[List[int]]
+    emb_act: List[List[int]]
+    mu: List[List[int]]
+    classes: Tuple[TransitiveFibredBiset, ...]
+    elements: Tuple[FibredElement, ...]
+    index: Dict[tuple, int]
+    moves: Tuple[Tuple[List[int], bool, str], ...]
+    mismatches: Tuple[dict, ...]
+
+
 @memoized
-def _gamma_tables(G: FiniteGroup, C: FiniteGroup) -> tuple:
-    """Index tables of Gamma = Hom(G, C) x| Out(G) and of Out(G) on the
-    fibre embeddings, over the positions of the characters t_a in
-    ``homomorphisms(G, C)``, the outer representatives s_i and the
-    embeddings z_e of ``_fibre_embeddings``: (out_mul, out_inv, hom_mul,
-    hom_act, emb_act, mu), where out_mul[i][j] is the class of s_i s_j,
-    out_inv[i] that of s_i^-1, hom_mul[a][b] is t_a t_b, hom_act[a][i] is
-    t_a o s_i, emb_act[i][e] is s_i o z_e, and mu[a][e] is the class of
-    g -> g z_e(t_a(g))^-1."""
+def _prime_data(G: FiniteGroup, C: FiniteGroup) -> _PrimeData:
+    _require_prime_fibre(C)
     auts = automorphisms(G)
     reps = auts.out_representatives
-    position = {rep: i for i, rep in enumerate(reps)}
-    cls = {h: position[rep] for h, rep in auts.out_rep_of.items()}
     homs = homomorphisms(G, C)
-    hom_index = {t: a for a, t in enumerate(homs)}
     embs = _fibre_embeddings(G, C)
+    gens = tuple([HatGenerator("X", G, C, t=t, sigma=s)
+                  for t in homs for s in reps]
+                 + [HatGenerator("Y", G, C, omega=w, zeta=z)
+                    for w in reps for z in embs])
+    position = {rep: i for i, rep in enumerate(reps)}
+    out_class = {h: position[rep] for h, rep in auts.out_rep_of.items()}
+    hom_index = {t: a for a, t in enumerate(homs)}
     emb_index = {z: e for e, z in enumerate(embs)}
     els = range(G.order)
     cinv = C.inverses
-    out_mul = [[cls[tuple(s[x] for x in r)] for r in reps] for s in reps]
+    out_mul = [[out_class[tuple(s[x] for x in r)] for r in reps]
+               for s in reps]
     one = position[tuple(els)]
-    return (out_mul, [row.index(one) for row in out_mul],
-            [[hom_index[tuple(C.mul(t[g], u[g]) for g in els)]
-              for u in homs] for t in homs],
-            [[hom_index[tuple(t[x] for x in s)] for s in reps]
-             for t in homs],
-            [[emb_index[tuple(s[x] for x in z)] for z in embs]
-             for s in reps],
-            [[cls[tuple(G.mul(g, z[cinv[t[g]]]) for g in els)]
-              for z in embs] for t in homs])
+    classes = tuple(map(hat_generator_class, gens))
+    index = {cls.raw: i for i, cls in enumerate(classes)}
+    if len(index) != len(gens):
+        raise GroupError("generator classes are not distinct")
+    moves, mismatches = _generator_moves(G, gens, classes, index)
+    return _PrimeData(
+        gens, out_mul, [row.index(one) for row in out_mul],
+        [[hom_index[tuple(C.mul(t[g], u[g]) for g in els)] for u in homs]
+         for t in homs],
+        [[hom_index[tuple(t[x] for x in s)] for s in reps] for t in homs],
+        [[emb_index[tuple(s[x] for x in z)] for z in embs] for s in reps],
+        [[out_class[tuple(G.mul(g, z[cinv[t[g]]]) for g in els)]
+          for z in embs] for t in homs],
+        classes, tuple(map(element_of, classes)), index, moves, mismatches)
 
 
 def _hat_table(G: FiniteGroup, C: FiniteGroup) -> List[List[int]]:
     """The product of every pair of ``hat_basis_prime(G, C)`` as the index
-    of its generator, -1 for zero, read off ``_gamma_tables`` by the four
-    rules of the module docstring; X(t, s) has index t |Out| + s and
-    Y(w, z) index |X| + w |E| + z."""
-    out_mul, out_inv, hom_mul, hom_act, emb_act, mu = _gamma_tables(G, C)
+    of its generator, -1 for zero, read off the index tables of Gamma in
+    ``_prime_data`` by the four rules of the module docstring; X(t, s) has
+    index t |Out| + s and Y(w, z) index |X| + w |E| + z, the order of
+    ``_prime_data.gens``."""
+    data = _prime_data(G, C)
+    out_mul, out_inv, hom_mul = data.out_mul, data.out_inv, data.hom_mul
+    hom_act, emb_act, mu = data.hom_act, data.emb_act, data.mu
     no, nh, ne = len(out_mul), len(hom_mul), len(emb_act[0])
     nx = nh * no
     # one int object per generator index, shared by all the cells
@@ -795,15 +822,14 @@ def _hat_table(G: FiniteGroup, C: FiniteGroup) -> List[List[int]]:
 
 def _generator_moves(G: FiniteGroup, gens: Tuple[HatGenerator, ...],
                      classes: Tuple[TransitiveFibredBiset, ...],
-                     index: Dict[tuple, int], mismatches: list
-                     ) -> List[Tuple[List[int], bool, str]]:
+                     index: Dict[tuple, int]) -> tuple:
     """The symmetries of the check as permutations of generator indices,
     read off the generator classes: each class is mapped and its key looked
     up in ``index``.  There is one (phi, phi)-twist per automorphism phi of
     ``_aut_generators(G)``, and ``opposite``.  Each move is (permutation,
     whether it swaps the two factors, name).  A symmetry that maps some
-    generator class outside the generator classes is recorded as a
-    mismatch and left out, so the orbits are only finer."""
+    generator class outside the generator classes is left out, so the
+    orbits are only finer, and returned as a mismatch, after the moves."""
     emb = product_embedding(G, G)
     amb = emb.ambient
     pairs = [(cls.elements, cls.delta) for cls in classes]
@@ -817,6 +843,7 @@ def _generator_moves(G: FiniteGroup, gens: Tuple[HatGenerator, ...],
     symmetries.append(("opposite", True,
                        [opposite(cls).raw for cls in classes]))
     moves = []
+    mismatches = []
     for name, swap, raws in symmetries:
         perm = [index.get(raw, -1) for raw in raws]
         if -1 in perm:
@@ -826,34 +853,7 @@ def _generator_moves(G: FiniteGroup, gens: Tuple[HatGenerator, ...],
                 "detail": "the image class is not a generator class"})
         else:
             moves.append((perm, swap, name))
-    return moves
-
-
-class _GeneratorData(NamedTuple):
-    """What the cross-check of (G, C) reads that depends on G and C alone:
-    the generators of ``hat_basis_prime``, their classes, each class as an
-    element, the position of each class key, the moves of
-    ``_generator_moves`` and the mismatches those record."""
-
-    gens: Tuple[HatGenerator, ...]
-    classes: Tuple[TransitiveFibredBiset, ...]
-    elements: Tuple[FibredElement, ...]
-    index: Dict[tuple, int]
-    moves: Tuple[Tuple[List[int], bool, str], ...]
-    mismatches: Tuple[dict, ...]
-
-
-@memoized
-def _generator_data(G: FiniteGroup, C: FiniteGroup) -> _GeneratorData:
-    gens = tuple(hat_basis_prime(G, C))
-    classes = tuple(map(hat_generator_class, gens))
-    index = {cls.raw: i for i, cls in enumerate(classes)}
-    if len(index) != len(gens):
-        raise GroupError("generator classes are not distinct")
-    mismatches = []
-    moves = tuple(_generator_moves(G, gens, classes, index, mismatches))
-    return _GeneratorData(gens, classes, tuple(map(element_of, classes)),
-                          index, moves, tuple(mismatches))
+    return tuple(moves), tuple(mismatches)
 
 
 def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
@@ -865,19 +865,21 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
     oracle.  The table covers all n^2 pairs, ``compose`` one pair per
     orbit of generator pairs (the seventh cut of the module docstring).
 
-    What depends on G and C alone is built once per (G, C) by
-    ``_generator_data``: the generators, their classes and elements, the
+    What depends on G and C alone is read from the one record per (G, C),
+    ``_prime_data``: the generators, their classes and elements, the
     position of each class key and the symmetry moves, with the
     mismatches the moves record, which each report gets as a fresh copy.
     The table, the orbit traversal that checks every pair against the
     moves, every composition and every ideal decision run on each call:
-    they are the check.
+    they are the check.  The summands of ``compose`` are canonical, so
+    each is decided by its key, without canonicalizing it again as
+    ``is_in_ideal`` would.
 
     The report gives the checked table, as generator indices with -1 for
     zero, under ``"table"``; ``"pairs"`` counts the pairs checked,
     ``"composed"`` the compositions made, and ``"mismatches"`` lists the
     disagreements, with ``"ok"`` true when there is none."""
-    data = _generator_data(G, C)
+    data = _prime_data(G, C)
     gens, elements, index, moves = (
         data.gens, data.elements, data.index, data.moves)
     n = len(gens)
@@ -922,7 +924,7 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
         reduced = {}
         unknown = []
         for cls, coeff in composed.terms.items():
-            if is_in_ideal(cls) is not None:
+            if _ideal_decision(G, C, cls.raw) is not None:
                 continue
             i = index.get(cls.raw)
             if i is None:

@@ -14,13 +14,14 @@ from fibredburnside.fibred import (
 from fibredburnside.goursat import _quotient_of_subgroup
 from fibredburnside.groups import (
     FiniteGroup, GroupError, ProductEmbedding, _extend_hom,
-    _generating_sequence, automorphisms, elements_to_mask, homomorphisms,
-    mask_to_elements, product_embedding, subgroup_of_mask, subgroups)
+    _generating_sequence, automorphisms, center, elements_to_mask,
+    homomorphisms, mask_to_elements, product_embedding, subgroup_of_mask,
+    subgroups)
 from fibredburnside.monomial import FiniteAction, MonomialSet
 from fibredburnside.hat import (
-    FactorizationWitness, HatGenerator, _iso_to_catalog, _reduction_witness,
-    _require_prime_fibre, _summand_reps, _twisted, hat_basis_prime,
-    hat_generator_class, hat_multiply, is_in_ideal)
+    FactorizationWitness, HatGenerator, _fibre_embeddings, _iso_to_catalog,
+    _reduction_witness, _require_prime_fibre, _summand_reps, _twisted,
+    hat_basis_prime, hat_generator_class, hat_multiply, is_in_ideal)
 
 
 def live_groups() -> List[FiniteGroup]:
@@ -313,17 +314,16 @@ def ref_coset_model(A, C, subgroup_elements):
     row of every element."""
     G = product_embedding(A, C).ambient
     n = G.order
-    f = G._flat
+    t = G.table
     coset_of = [-1] * n
     reps = []
     for g in range(n):
         if coset_of[g] >= 0:
             continue
-        row = g * n
         for s in subgroup_elements:
-            coset_of[f[row + s]] = len(reps)
+            coset_of[t[g][s]] = len(reps)
         reps.append(g)
-    rows = [[coset_of[f[x * n + r]] for r in reps] for x in range(n)]
+    rows = [[coset_of[t[x][r]] for r in reps] for x in range(n)]
     return coset_of, reps, rows
 
 
@@ -698,9 +698,27 @@ def ref_hat_candidates(G, C):
             if _reduction_witness(X) is None]
 
 
+# -- reference prime-fibre basis, as ``hat_basis_prime`` enumerated it
+#    before it read the generators of ``hat._prime_data``
+
+
+def ref_hat_basis_prime(G, C):
+    """X[t, sigma] for every character t and outer representative sigma,
+    then Y[omega, zeta] for every outer representative and fibre
+    embedding, the latter only when the prime divides |Z(G)|."""
+    _require_prime_fibre(C)
+    reps = automorphisms(G).out_representatives
+    gens = [HatGenerator("X", G, C, t=t, sigma=s)
+            for t in homomorphisms(G, C) for s in reps]
+    if center(G).order % C.order == 0:
+        gens.extend(HatGenerator("Y", G, C, omega=w, zeta=z)
+                    for w in reps for z in _fibre_embeddings(G, C))
+    return gens
+
+
 # -- reference product table of the prime-fibre generators: ``hat_multiply``
 #    on every pair, as ``verify_hat_vs_quotient`` built it before it read
-#    the index tables of ``hat._gamma_tables``
+#    the index tables of ``hat._prime_data``
 
 
 def ref_hat_table(gens: List[HatGenerator],

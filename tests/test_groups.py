@@ -44,6 +44,7 @@ from fibredburnside.hat import hat_dimension, verify_hat_vs_quotient
 
 from helpers import (
     live_groups,
+    memo_entries,
     package_caches,
     ref_automorphisms,
     ref_closure_mask,
@@ -647,6 +648,43 @@ def test_homs_of_a_group_and_its_full_subgroup_agree(c2):
     homs = homomorphisms(G, c2)
     assert all(groups.check_homomorphism(G, c2, h) == h for h in homs)
     assert homomorphisms(G.full_subgroup(), c2) == homs
+
+
+def test_a_group_is_read_as_its_full_subgroup(c4):
+    # both forms of one domain fill one memo entry with one list, and
+    # check_homomorphism gives the same result or error for both; a fresh
+    # group has no entry yet
+    G = groups.FiniteGroup(groups.dihedral(8).table)
+    before = memo_entries(groups._homomorphisms)
+    homs = homomorphisms(G, c4)
+    assert homomorphisms(G.full_subgroup(), c4) == homs
+    assert memo_entries(groups._homomorphisms) == before + 1
+    errors = set()
+    for images in [*homs, (0,) * 7, (0, 5) + (0,) * 6, (0, 1) * 4]:
+        outcomes = []
+        for domain in (G, G.full_subgroup()):
+            try:
+                outcomes.append(groups.check_homomorphism(domain, c4,
+                                                          images))
+            except GroupError as e:
+                outcomes.append(str(e))
+                errors.add(str(e))
+        assert outcomes[0] == outcomes[1], images
+    assert errors == {"image list does not match domain size",
+                      "image out of range", "map is not a homomorphism"}
+
+
+def test_every_bound_error_names_the_order(c2):
+    big = product_embedding(groups.cyclic(9), groups.cyclic(9)).ambient
+    for enumerate_, what in ((subgroups, "subgroup"),
+                             (lambda G: homomorphisms(G, c2), "homomorphism"),
+                             (groups.automorphisms, "automorphism")):
+        with pytest.raises(BoundExceededError, match=f"^{what} enumeration "
+                           "bound exceeded: 81 > 64$"):
+            enumerate_(big)
+    with pytest.raises(BoundExceededError,
+                       match="^group order bound exceeded: 65 > 64$"):
+        group_from_spec("C65")
 
 
 def test_homomorphisms_are_plain_image_tuples(q8, d8, c4):

@@ -48,6 +48,7 @@ from helpers import (
     frattini_criterion,
     live_groups,
     memo_entries,
+    ref_hat_basis_prime,
     ref_hat_table,
     ref_verify_hat_vs_quotient,
     seed_index,
@@ -203,6 +204,42 @@ def test_hat_basis_c4_c3(c4, c3):
 def test_hat_basis_needs_prime_fibre(q8, c4):
     with pytest.raises(GroupError):
         hat_basis_prime(q8, c4)
+
+
+def test_hat_basis_prime_matches_reference(monkeypatch, c2, c3):
+    # as ordered lists: _hat_table reads the generators in this index order
+    for G in small_groups_catalog(8):
+        for C in (c2, c3):
+            assert hat_basis_prime(G, C) == ref_hat_basis_prime(G, C), \
+                (G.name, C.name)
+    # C9 with C3 has two fibre embeddings (the bound raised for this test
+    # only)
+    monkeypatch.setattr(groups, "SUBGROUP_ORDER_BOUND", 81)
+    c9 = cyclic(9)
+    gens = hat_basis_prime(c9, c3)
+    assert gens == ref_hat_basis_prime(c9, c3)
+    assert sum(g.variant == "Y" for g in gens) == 12
+
+
+def test_fibre_embeddings_need_p_to_divide_the_centre():
+    # the embeddings of C_p land in Z(G) meet Phi(G), so they exist exactly
+    # when p divides the order of that subgroup (Cauchy), which divides
+    # |Z(G)| (Lagrange): the basis needs no gate on |Z(G)|.  The converse
+    # of the gate fails: C2, C2xC2 and D12 with C2 have none, though 2
+    # divides |Z(G)|
+    divides = empty = 0
+    for G in small_groups_catalog():
+        both = center(G).mask & frattini(G).mask
+        for p in (2, 3, 5, 7):
+            embs = hat._fibre_embeddings(G, cyclic(p))
+            assert (embs != []) == (bin(both).count("1") % p == 0), \
+                (G.name, p)
+            if center(G).order % p:
+                assert embs == [], (G.name, p)
+            else:
+                divides += 1
+                empty += embs == []
+    assert (divides, empty) == (27, 19)
 
 
 def test_is_prime_by_trial_division():
@@ -454,11 +491,11 @@ def test_cross_check_table_is_hat_multiply(monkeypatch, c3):
 
 
 def test_second_cross_check_multiplies_no_pair(monkeypatch, c2):
-    # the table is read off the index tables, memoized per (G, C):
-    # hat_multiply is never called, and a second check builds none again.
-    # The generator classes and their moves are memoized per (G, C) too,
-    # so a second check builds neither.  A new copy of C4xC2 has no memo
-    # yet
+    # the table is read off the index tables of the one record per
+    # (G, C): hat_multiply is never called, and a second check builds no
+    # record again.  The generator classes and their moves are in the
+    # record too, so a second check builds neither.  A new copy of C4xC2
+    # has no memo yet
     G = groups.FiniteGroup(group_from_spec("C4xC2").table)
     calls = []
 
@@ -473,18 +510,15 @@ def test_second_cross_check_multiplies_no_pair(monkeypatch, c2):
 
     for name in ("hat_multiply", "hat_generator_class", "_generator_moves"):
         counting(name)
-    before = [memo_entries(hat._gamma_tables),
-              memo_entries(hat._generator_data)]
+    before = memo_entries(hat._prime_data)
     first = verify_hat_vs_quotient(G, c2)
-    built = [memo_entries(hat._gamma_tables),
-             memo_entries(hat._generator_data)]
-    assert (first["ok"], built) == (True, [n + 1 for n in before])
+    built = memo_entries(hat._prime_data)
+    assert (first["ok"], built) == (True, before + 1)
     assert "hat_multiply" not in calls
     assert calls.count("_generator_moves") == 1
     calls.clear()
     assert verify_hat_vs_quotient(G, c2) == first
-    assert [memo_entries(hat._gamma_tables),
-            memo_entries(hat._generator_data)] == built
+    assert memo_entries(hat._prime_data) == built
     assert calls == []
 
 
@@ -541,11 +575,11 @@ def test_cross_check_catches_a_wrong_class_move(monkeypatch, c2):
     # and fix every generator, which asks the table to be commutative; the
     # Hom x| Out product of C4xC2 is not.  The first run fills the ideal
     # caches, so that the mutation reaches the moves alone; the moves are
-    # memoized in the new group's memo, so they are dropped there to be
+    # in the new group's record of (G, C), so it is dropped there to be
     # built again under the mutation
     G = groups.FiniteGroup(group_from_spec("C4xC2").table)
     assert verify_hat_vs_quotient(G, c2)["ok"]
-    del G._memo[hat._generator_data][G, c2]
+    del G._memo[hat._prime_data][G, c2]
     monkeypatch.setattr(hat, "opposite", lambda X: X)
     report = verify_hat_vs_quotient(G, c2)
     assert not report["ok"]
@@ -553,9 +587,11 @@ def test_cross_check_catches_a_wrong_class_move(monkeypatch, c2):
 
 
 def test_cross_check_catches_a_wrong_generator_class(monkeypatch, c2):
-    # a new copy of C4xC2 has no memoized generator classes yet
+    # a new copy of C4xC2; hat_basis_prime fills its record of (G, C),
+    # classes included, so the record is dropped before the mutation
     G = groups.FiniteGroup(group_from_spec("C4xC2").table)
     broken = hat_basis_prime(G, c2)[1]
+    del G._memo[hat._prime_data][G, c2]
     real = hat.hat_generator_class
     n = G.order * G.order
     # the class of the whole of G x G with the trivial character; it
