@@ -3,9 +3,13 @@
 Transitive classes are pairs (D, delta) with D a subgroup of an ambient
 group and delta a character of D into an abelian fibre group C; classes
 over a product G x H compose like bisets.  ``compose`` implements the
-double-coset formula and ``compose_oracle`` recomputes the same thing
-set-theoretically from explicit orbit counting; the two must always
-agree, and that agreement is the backbone of the test suite.
+double-coset formula in one kernel, ``_compose_raw``, which reads each
+factor through its profile (decoded once per class and kept in the memo
+of the class's younger group) and the double cosets of the two middle
+projections through a memo per middle group.  ``compose_oracle``
+recomputes the same thing set-theoretically from explicit orbit
+counting and shares none of that code; the two must always agree, and
+that agreement is the backbone of the test suite.
 """
 
 from __future__ import annotations
@@ -372,69 +376,109 @@ def opposite_element(elt: FibredElement) -> FibredElement:
 
 # ---------------------------------------------------------------------------
 # composition: the double-coset formula
+#
+# A profile is keyed by the character too, so that a subgroup with two
+# characters has two, and holds ints only, so that one serves every fibre.
 
 
-def _compose_raw(emb_gh: ProductEmbedding, emb_hk: ProductEmbedding,
-                 C: FiniteGroup, v_elements, nu, u_elements, mu):
-    """All summands of the composition of transitive classes (V, nu) over
-    G x H and (U, mu) over H x K.
+@memoized
+def _left_profile(left: FiniteGroup, right: FiniteGroup, mask: int,
+                  delta: Tuple[int, ...]) -> tuple:
+    """What a class (V, nu) over left x right contributes as the left
+    factor of a composition: the mask of p2(V); k2(V) with its values, as
+    (h, nu(1, h)) pairs, which the character condition walks; and the
+    elements of V grouped by their right coordinate, as
+    (h, ((g, nu(g, h)), ...)) pairs."""
+    n = right.order
+    rows: Dict[int, list] = {}
+    # x is g |right| + h, as product_embedding encodes it
+    for x, c in zip(mask_to_elements(mask), delta):
+        g, h = divmod(x, n)
+        rows.setdefault(h, []).append((g, c))
+    return (elements_to_mask(rows),
+            tuple((h, row[0][1]) for h, row in rows.items() if not row[0][0]),
+            tuple((h, tuple(row)) for h, row in rows.items()))
 
-    Returns (h, mask, delta) per double-coset representative h that passes
-    the character condition.
+
+@memoized
+def _right_profile(left: FiniteGroup, right: FiniteGroup, mask: int,
+                   delta: Tuple[int, ...]) -> tuple:
+    """What a class (U, mu) over left x right contributes as the right
+    factor of a composition: the mask of p1(U), and the elements of U by
+    their left coordinate h, as a tuple over all h of left holding
+    ((k, mu(h, k)), ...) in ascending k, empty when h is not in p1(U).
+    So h is in k1(U) when its first k is 1, with mu(h, 1) beside it."""
+    n = right.order
+    rows = [[] for _ in range(left.order)]
+    p1 = 0
+    for x, c in zip(mask_to_elements(mask), delta):
+        h, k = divmod(x, n)
+        rows[h].append((k, c))
+        p1 |= 1 << h
+    return p1, tuple(map(tuple, rows))
+
+
+@memoized
+def _double_cosets(H: FiniteGroup, a_mask: int, b_mask: int) -> tuple:
+    """The representatives h of the double cosets A h B of the subgroups
+    of H with masks ``a_mask`` and ``b_mask``, ascending, each with the
+    permutation x -> h^-1 x h."""
+    A = Subgroup(H, mask_to_elements(a_mask), a_mask)
+    B = Subgroup(H, mask_to_elements(b_mask), b_mask)
+    hinv = H.inverses
+    return tuple((h, H.conjugation_perm(hinv[h]))
+                 for h in double_coset_representatives(H, A, B))
+
+
+def _compose_raw(V: TransitiveFibredBiset, U: TransitiveFibredBiset):
+    """All summands of the composition of a transitive class (V, nu) over
+    G x H with one (U, mu) over H x K, by the double-coset formula: for
+    each representative h of p2(V) h p1(U) whose character condition
+    holds (nu(1, x) mu(h^-1 x h, 1) = 1 wherever both are defined), the
+    pairs (g, k) with (g, x) in V and (h^-1 x h, k) in U for some x, with
+    the value nu(g, x) mu(h^-1 x h, k).
+
+    Returns (h, mask, delta) per such h, in ascending h.  The factors are
+    read from their profiles and the representatives from
+    ``_double_cosets``; the classes need not be canonical.
     """
-    _, H = emb_gh.factors
-    H2, K = emb_hk.factors
-    if H is not H2:
+    H = V.right
+    if H is not U.left:
         raise GroupError("middle groups do not agree")
+    p2v, k2v, v_rows = _left_profile(V.left, H, V.mask, V.delta)
+    p1u, u_rows = _right_profile(H, U.right, U.mask, U.delta)
     # a summand's elements (g, k) are encoded in G x K inline, as
     # g * stride + k, and fibre products are read from the rows of C
-    stride = K.order
-    ctable = C.table
-    hinv = H.inverses
-
-    gh = emb_gh.coords
-    hk = emb_hk.coords
-    v_dec = [gh[x] for x in v_elements]
-    u_dec = [hk[x] for x in u_elements]
-    p2v = tuple(sorted({h for _, h in v_dec}))
-    p1u = tuple(sorted({h for h, _ in u_dec}))
-    k2v = [(h, c) for (g, h), c in zip(v_dec, nu) if g == 0]
-    k1u_vals = {h: c for (h, k), c in zip(u_dec, mu) if k == 0}
-    u_by_first: Dict[int, list] = {}
-    for (h, k), c in zip(u_dec, mu):
-        u_by_first.setdefault(h, []).append((k, c))
-
-    A = Subgroup(H, p2v, elements_to_mask(p2v))
-    B = Subgroup(H, p1u, elements_to_mask(p1u))
+    stride = U.right.order
+    ctable = V.fibre.table
     out = []
-    for h in double_coset_representatives(H, A, B):
-        twist = H.conjugation_perm(hinv[h])  # x -> h^-1 x h
-
+    for h, twist in _double_cosets(H, p2v, p1u):
+        # the character condition, on x in k2(V) with h^-1 x h in k1(U)
         ok = True
-        for hp, c_nu in k2v:
-            c_mu = k1u_vals.get(twist[hp])
-            if c_mu is None:
-                continue
-            if ctable[c_nu][c_mu] != 0:
+        for x, c_nu in k2v:
+            hits = u_rows[twist[x]]
+            if hits and hits[0][0] == 0 and ctable[c_nu][hits[0][1]]:
                 ok = False
                 break
         if not ok:
             continue
         values: Dict[int, int] = {}
-        for (g, h1), c_nu in zip(v_dec, nu):
-            hits = u_by_first.get(twist[h1])
+        for h1, v_row in v_rows:
+            hits = u_rows[twist[h1]]
             if not hits:
                 continue
-            row = ctable[c_nu]
-            base = g * stride
-            for k, c_mu in hits:
-                e = base + k
-                val = row[c_mu]
-                old = values.get(e)
-                if old is None:
-                    values[e] = val
-                elif old != val:
-                    raise GroupError("composite character is ill-defined")
+            for g, c_nu in v_row:
+                row = ctable[c_nu]
+                base = g * stride
+                for k, c_mu in hits:
+                    e = base + k
+                    val = row[c_mu]
+                    old = values.get(e)
+                    if old is None:
+                        values[e] = val
+                    elif old != val:
+                        raise GroupError("composite character is "
+                                         "ill-defined")
         out.append((h, *pairs_to_raw(values.items())))
     return out
 
@@ -442,24 +486,20 @@ def _compose_raw(emb_gh: ProductEmbedding, emb_hk: ProductEmbedding,
 def compose(X: FibredElement, Y: FibredElement,
             check: bool = False) -> FibredElement:
     """Composition of morphisms: an element over G x H composed with one
-    over H x K gives an element over G x K.  With ``check`` the orbit
-    oracle is run as well and any disagreement raises."""
+    over H x K gives an element over G x K, summed term by term over the
+    summands ``_compose_raw`` gives for each pair of classes, each
+    canonicalized once.  With ``check`` the orbit oracle is run as well
+    and any disagreement raises."""
     if X.right is not Y.left:
         raise GroupError("middle groups do not agree")
     if X.fibre is not Y.fibre:
         raise GroupError("fibre groups do not agree")
-    emb_gh = product_embedding(X.left, X.right)
-    emb_hk = product_embedding(Y.left, Y.right)
     amb_gk = product_embedding(X.left, Y.right).ambient
     acc: Dict[tuple, int] = {}
-    ys = [(ty.elements, ty.delta, cy) for ty, cy in Y.terms.items()]
     for tx, cx in X.terms.items():
-        x_elements = tx.elements
-        for y_elements, y_delta, cy in ys:
+        for ty, cy in Y.terms.items():
             coeff = cx * cy
-            for _, mask, delta in _compose_raw(
-                    emb_gh, emb_hk, X.fibre, x_elements, tx.delta,
-                    y_elements, y_delta):
+            for _, mask, delta in _compose_raw(tx, ty):
                 key = _canonical_raw(amb_gk, mask, delta)
                 acc[key] = acc.get(key, 0) + coeff
     # the keys are canonical already

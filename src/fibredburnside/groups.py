@@ -387,10 +387,11 @@ def check_homomorphism(domain: Union[FiniteGroup, Subgroup],
 @functools.lru_cache(maxsize=256)
 def mask_to_elements(mask: int) -> tuple:
     """The set bits of ``mask`` in ascending order.  A class is decoded
-    on every composition it takes part in, so the last 256 masks are
-    kept: that holds every mask a warm pass of the benchmark workloads
-    decodes (at most 144), and 95 % of the reads of ``hat C2xC2xC2 C2``
-    (981 masks) hit.  The key is an int, so no group is kept alive."""
+    wherever its elements are read (canonical forms, ``.elements``, a
+    composition's profiles), so the last 256 masks are kept: that holds
+    every mask a warm pass of the benchmark workloads decodes (at most
+    144), and 95 % of the reads of ``hat C2xC2xC2 C2`` hit.  The key is
+    an int, so no group is kept alive."""
     out = []
     while mask:
         b = mask & -mask

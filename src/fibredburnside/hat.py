@@ -220,10 +220,7 @@ def _summand_reps(X: TransitiveFibredBiset, a: TransitiveFibredBiset,
     """The double-coset representatives h at which X occurs in
     compose(a, b), lazily."""
     amb = X.ambient
-    for h, mask, delta in _compose_raw(
-            product_embedding(a.left, a.right),
-            product_embedding(b.left, b.right), X.fibre,
-            a.elements, a.delta, b.elements, b.delta):
+    for h, mask, delta in _compose_raw(a, b):
         if _canonical_raw(amb, mask, delta) == X.raw:
             yield h
 
@@ -454,13 +451,9 @@ def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
         [_side_map(emb_kg, emb_kg, 1, s) for s in gens])
     one = tuple(range(G.order))
     found = {}
-    rights = [(b, b.elements) for b in rights]
     for a in lefts:
-        a_elements = a.elements
-        for b, b_elements in rights:
-            for h, mask, delta in _compose_raw(
-                    emb_gk, emb_kg, C, a_elements, a.delta,
-                    b_elements, b.delta):
+        for b in rights:
+            for h, mask, delta in _compose_raw(a, b):
                 raw = _canonical_raw(amb, mask, delta)
                 if raw not in found:
                     found[raw] = (a, b, h, one, one)

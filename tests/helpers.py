@@ -8,15 +8,15 @@ from typing import Dict, List, Optional, Tuple
 
 from fibredburnside import monomial
 from fibredburnside.fibred import (
-    BoucFactorization, _canonical_raw, _compose_raw, _graph_class,
+    BoucFactorization, _canonical_raw, _graph_class,
     _permute_raw, bouc_factorize, canonicalize, compose, element_of,
     from_monomial_set, to_monomial_set, transitive_basis)
 from fibredburnside.goursat import _quotient_of_subgroup
 from fibredburnside.groups import (
-    FiniteGroup, GroupError, ProductEmbedding, _extend_hom,
-    _generating_sequence, automorphisms, center, elements_to_mask,
-    homomorphisms, mask_to_elements, product_embedding, subgroup_of_mask,
-    subgroups)
+    FiniteGroup, GroupError, ProductEmbedding, Subgroup, _extend_hom,
+    _generating_sequence, automorphisms, center, double_coset_representatives,
+    elements_to_mask, homomorphisms, mask_to_elements, pairs_to_raw,
+    product_embedding, subgroup_of_mask, subgroups)
 from fibredburnside.monomial import FiniteAction, MonomialSet
 from fibredburnside.hat import (
     FactorizationWitness, HatGenerator, _fibre_embeddings, _iso_to_catalog,
@@ -242,6 +242,75 @@ def orbit_size(ambient, mask, delta):
                 for g in range(ambient.order)})
 
 
+# -- reference double-coset formula: ``fibred._compose_raw`` as it decoded
+#    both factors and searched their double cosets on every call
+
+
+def ref_compose_raw(emb_gh: ProductEmbedding, emb_hk: ProductEmbedding,
+                    C: FiniteGroup, v_elements, nu, u_elements, mu):
+    """All summands of the composition of transitive classes (V, nu) over
+    G x H and (U, mu) over H x K.
+
+    Returns (h, mask, delta) per double-coset representative h that passes
+    the character condition.
+    """
+    _, H = emb_gh.factors
+    H2, K = emb_hk.factors
+    if H is not H2:
+        raise GroupError("middle groups do not agree")
+    # a summand's elements (g, k) are encoded in G x K inline, as
+    # g * stride + k, and fibre products are read from the rows of C
+    stride = K.order
+    ctable = C.table
+    hinv = H.inverses
+
+    gh = emb_gh.coords
+    hk = emb_hk.coords
+    v_dec = [gh[x] for x in v_elements]
+    u_dec = [hk[x] for x in u_elements]
+    p2v = tuple(sorted({h for _, h in v_dec}))
+    p1u = tuple(sorted({h for h, _ in u_dec}))
+    k2v = [(h, c) for (g, h), c in zip(v_dec, nu) if g == 0]
+    k1u_vals = {h: c for (h, k), c in zip(u_dec, mu) if k == 0}
+    u_by_first: Dict[int, list] = {}
+    for (h, k), c in zip(u_dec, mu):
+        u_by_first.setdefault(h, []).append((k, c))
+
+    A = Subgroup(H, p2v, elements_to_mask(p2v))
+    B = Subgroup(H, p1u, elements_to_mask(p1u))
+    out = []
+    for h in double_coset_representatives(H, A, B):
+        twist = H.conjugation_perm(hinv[h])  # x -> h^-1 x h
+
+        ok = True
+        for hp, c_nu in k2v:
+            c_mu = k1u_vals.get(twist[hp])
+            if c_mu is None:
+                continue
+            if ctable[c_nu][c_mu] != 0:
+                ok = False
+                break
+        if not ok:
+            continue
+        values: Dict[int, int] = {}
+        for (g, h1), c_nu in zip(v_dec, nu):
+            hits = u_by_first.get(twist[h1])
+            if not hits:
+                continue
+            row = ctable[c_nu]
+            base = g * stride
+            for k, c_mu in hits:
+                e = base + k
+                val = row[c_mu]
+                old = values.get(e)
+                if old is None:
+                    values[e] = val
+                elif old != val:
+                    raise GroupError("composite character is ill-defined")
+        out.append((h, *pairs_to_raw(values.items())))
+    return out
+
+
 # -- reference ideal sweep: every pair of full-projection classes through
 #    one intermediate group, no orbit reduction
 
@@ -266,7 +335,7 @@ def ref_ideal_sweep(G, C, K):
     out = {}
     for a in lefts:
         for b in rights:
-            for h, mask, delta in _compose_raw(
+            for h, mask, delta in ref_compose_raw(
                     emb_gk, emb_kg, C, a.elements, a.delta,
                     b.elements, b.delta):
                 raw = _canonical_raw(amb, mask, delta)

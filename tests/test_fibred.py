@@ -2,6 +2,7 @@
 the orbit oracle, tensor and internal products, elementary classes, and
 the factorization through projections."""
 
+import itertools
 import time
 
 import pytest
@@ -28,6 +29,7 @@ from fibredburnside.fibred import (
     subcharacter_classes,
     tensor,
     to_monomial_set,
+    transitive_basis,
     transitive_fibred_biset,
 )
 from fibredburnside.groups import (
@@ -36,13 +38,16 @@ from fibredburnside.groups import (
     check_subgroup,
     cyclic,
     group_from_spec,
+    homomorphisms,
     isomorphism,
     product_embedding,
     quotient,
+    small_groups_catalog,
 )
+from fibredburnside.hat import verify_hat_vs_quotient
 from fibredburnside.monomial import monomial_set_from_pair
 
-from helpers import brute_subcharacter_count, orbit_size
+from helpers import brute_subcharacter_count, orbit_size, ref_compose_raw
 
 
 def counterexample_class(canonical=True):
@@ -375,6 +380,72 @@ def test_compose_formula_matches_oracle_randomized(rng):
         Y2 = sampling.random_transitive_class(rng, H, K, C)
         compose(FibredElement(G, H, C, {X: 1, X2: -1}),
                 FibredElement(H, K, C, {Y: 1, Y2: -1}), check=True)
+
+
+def _kernel_matches_reference(V, U) -> list:
+    """The summands of the profiled kernel for V o U, held equal to the
+    reference that decodes both classes and searches their double cosets
+    anew, as ordered (h, mask, delta) lists."""
+    out = fibred._compose_raw(V, U)
+    assert out == ref_compose_raw(
+        product_embedding(V.left, V.right),
+        product_embedding(U.left, U.right), V.fibre,
+        V.elements, V.delta, U.elements, U.delta), (V, U)
+    return out
+
+
+def test_profiled_kernel_matches_reference_on_small_catalog_triples():
+    # every ordered pair of basis classes over every triple of catalog
+    # groups of order <= 3, with fibres C2, C3 and C4
+    small = small_groups_catalog(3)
+    pairs = 0
+    for C in (cyclic(2), cyclic(3), cyclic(4)):
+        for G, H, K in itertools.product(small, repeat=3):
+            rights = transitive_basis(H, K, C)
+            for V in transitive_basis(G, H, C):
+                for U in rights:
+                    _kernel_matches_reference(V, U)
+                    pairs += 1
+    assert pairs == 2694
+
+
+def test_profiled_kernel_matches_reference_on_the_prime_workload(
+        monkeypatch):
+    # every composition the 20 cross-checks of the benchmark's prime
+    # workload make
+    seen = []
+    real = fibred._compose_raw
+
+    def recording(V, U):
+        seen.append((V, U))
+        return real(V, U)
+
+    monkeypatch.setattr(fibred, "_compose_raw", recording)
+    for G in small_groups_catalog(8):
+        if G.order < 2 or G.name in ("C2xC2xC2", "D8", "Q8"):
+            continue
+        for C in (cyclic(2), cyclic(3)):
+            assert verify_hat_vs_quotient(G, C)["ok"]
+    monkeypatch.undo()
+    assert len(seen) == 615
+    for V, U in seen:
+        _kernel_matches_reference(V, U)
+
+
+def test_profiles_of_one_subgroup_stay_apart_by_character(c4):
+    # D = C2 x C4 with each of its characters in turn, composed on either
+    # side with one fixed class: a profile keyed by D alone would hand
+    # every composition after the first the values of the first
+    c2g = cyclic(2)
+    for left, right in ((c2g, c4), (c4, c2g)):
+        D = product_embedding(left, right).ambient.full_subgroup()
+        fixed = TransitiveFibredBiset(right, left, c4, D.mask, (0,) * 8)
+        as_left, as_right = set(), set()
+        for nu in homomorphisms(D, c4):
+            X = TransitiveFibredBiset(left, right, c4, D.mask, nu)
+            as_left.add(tuple(_kernel_matches_reference(X, fixed)))
+            as_right.add(tuple(_kernel_matches_reference(fixed, X)))
+        assert len(as_left) > 1 and len(as_right) > 1
 
 
 def test_compose_oracle_associativity_small(rng):

@@ -980,13 +980,17 @@ def test_only_int_keyed_builders_use_functools_cache():
 
 def _dropping_paths(c2, c4):
     """Calls that fill the memos of a group G, by name: the quotient
-    dimension with fibre C4, the ring basis, a composition of a class over
-    C2 x G with one over G x C2, and the prime-fibre cross-check."""
+    dimension with fibre C4, the ring basis, the compositions of a class
+    over C2 x G with one over G x C2 both ways, with fibre C4, and the
+    prime-fibre cross-check."""
 
     def compose_through(G):
-        X = transitive_basis(c2, G, c2)[-1]
-        Y = transitive_basis(G, c2, c2)[-1]
-        compose(element_of(X), element_of(Y))
+        # the profiles of both classes and the double cosets in G live
+        # in G's memo; those in C2 are the same for every copy of G
+        X = element_of(transitive_basis(c2, G, c4)[-1])
+        Y = element_of(transitive_basis(G, c2, c4)[-1])
+        compose(X, Y)
+        compose(Y, X)
 
     return {
         "hat_dimension": lambda G: hat_dimension(G, c4),
@@ -1032,9 +1036,11 @@ if __name__ == "__main__":
     # 200 dropped copies of D8 keep under 1 KB each, where caches that
     # held every group kept about 382 KB (hat_dimension) and 14 KB
     # (subcharacter_classes) each; the prime-fibre cross-check memoizes
-    # its generator data per (G, C), which must go with G as well
+    # its generator data per (G, C), and compose the profiles of its
+    # classes and the double cosets of its middle group, which must go
+    # with G as well
     paths = _dropping_paths(groups.cyclic(2), groups.cyclic(4))
-    for path in ("hat_dimension", "subcharacter_classes",
+    for path in ("hat_dimension", "subcharacter_classes", "compose",
                  "verify_hat_vs_quotient"):
         start = time.monotonic()
         kept = retained_per_copy(paths[path], groups.dihedral(8), 200)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import fibredburnside
-from fibredburnside import groups, hat
+from fibredburnside import fibred, groups, hat
 from fibredburnside.fibred import (
     FibreError,
     canonicalize,
@@ -494,31 +494,37 @@ def test_second_cross_check_multiplies_no_pair(monkeypatch, c2):
     # the table is read off the index tables of the one record per
     # (G, C): hat_multiply is never called, and a second check builds no
     # record again.  The generator classes and their moves are in the
-    # record too, so a second check builds neither.  A new copy of C4xC2
-    # has no memo yet
+    # record too, so a second check builds neither; its compositions read
+    # the profiles and double cosets the first one stored, and search no
+    # double coset again.  A new copy of C4xC2 has no memo yet
     G = groups.FiniteGroup(group_from_spec("C4xC2").table)
     calls = []
 
-    def counting(name):
-        real = getattr(hat, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def counted(*args):
             calls.append(name)
             return real(*args)
 
-        monkeypatch.setattr(hat, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     for name in ("hat_multiply", "hat_generator_class", "_generator_moves"):
-        counting(name)
-    before = memo_entries(hat._prime_data)
+        counting(hat, name)
+    counting(fibred, "double_coset_representatives")
+    memos = (hat._prime_data, fibred._left_profile, fibred._right_profile,
+             fibred._double_cosets)
+    before = [memo_entries(fn) for fn in memos]
     first = verify_hat_vs_quotient(G, c2)
-    built = memo_entries(hat._prime_data)
-    assert (first["ok"], built) == (True, before + 1)
+    built = [memo_entries(fn) for fn in memos]
+    assert (first["ok"], built[0]) == (True, before[0] + 1)
+    assert all(b > a for a, b in zip(before, built))
     assert "hat_multiply" not in calls
     assert calls.count("_generator_moves") == 1
+    assert "double_coset_representatives" in calls
     calls.clear()
     assert verify_hat_vs_quotient(G, c2) == first
-    assert memo_entries(hat._prime_data) == built
+    assert [memo_entries(fn) for fn in memos] == built
     assert calls == []
 
 
@@ -775,7 +781,7 @@ def test_cleared_caches_give_the_same_counterexample_report():
 
 
 _MAXIMAL_BELOW_ENTRIES = """
-from fibredburnside import groups, hat
+from fibredburnside import fibred, groups, hat
 from helpers import memo_entries
 hat.counterexample_verify(7)
 for g_spec in ("Q8", "D8"):
@@ -794,7 +800,7 @@ def test_maximal_groups_are_cached_once_per_group():
 
 _SWEEP_BUILDS_NOTHING = """
 import json
-from fibredburnside import groups, hat
+from fibredburnside import fibred, groups, hat
 
 subgroups_of, homomorphisms_on = [], []
 subgroups, homomorphisms = groups._subgroups, groups._homomorphisms

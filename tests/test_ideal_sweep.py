@@ -183,9 +183,7 @@ def test_nontrivial_outer_kernel_stays_in_every_summand(order):
                 for a, ka in lefts:
                     for b, kb in rights:
                         pairs += 1
-                        for _, mask, delta in _compose_raw(
-                                emb_gk, emb_kg, C, a.elements,
-                                a.delta, b.elements, b.delta):
+                        for _, mask, delta in _compose_raw(a, b):
                             elements = mask_to_elements(mask)
                             assert ka <= set(ref_raw_reduced_kernel(
                                 emb_gg, elements, delta, 0))

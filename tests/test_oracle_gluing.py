@@ -159,9 +159,9 @@ def test_mackey_and_tensor_gluing_match_reference_on_criterion_8(
 
 def test_oracle_runs_without_the_formula_path(monkeypatch):
     """The orbit oracle uses nothing of the double-coset formula: with
-    ``_compose_raw`` and ``double_coset_representatives`` made to raise
-    in every module that binds them, it still gives the formula's
-    results."""
+    ``_compose_raw``, its profiles, its double-coset memo and
+    ``double_coset_representatives`` made to raise in every module that
+    binds them, it still gives the formula's results."""
     from fibredburnside import goursat, groups, hat
 
     rng = random.Random(8)
@@ -179,7 +179,8 @@ def test_oracle_runs_without_the_formula_path(monkeypatch):
         raise AssertionError("the oracle reached the formula path")
 
     for module in (groups, goursat, monomial, fibred, hat, sampling):
-        for name in ("_compose_raw", "double_coset_representatives"):
+        for name in ("_compose_raw", "_left_profile", "_right_profile",
+                     "_double_cosets", "double_coset_representatives"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     results = [fibred.compose_oracle(X, Y) for X, Y in pairs]
