@@ -2,7 +2,8 @@
 
 Transitive classes are pairs (D, delta) with D a subgroup of an ambient
 group and delta a character of D into an abelian fibre group C; classes
-over a product G x H compose like bisets.  ``compose`` implements the
+over a product G x H compose like bisets, and every class given by
+coordinate pairs is built by ``_graph_class``.  ``compose`` implements the
 double-coset formula in one kernel, ``_compose_raw``, which reads each
 factor through its profile (decoded once per class and kept in the memo
 of the class's younger group) and the double cosets of the two middle
@@ -15,7 +16,6 @@ that agreement is the backbone of the test suite.
 from __future__ import annotations
 
 import collections
-import itertools
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .groups import (
@@ -23,6 +23,7 @@ from .groups import (
     GroupError,
     ProductEmbedding,
     Subgroup,
+    _permute_raw,
     check_homomorphism,
     check_subgroup,
     cyclic,
@@ -79,12 +80,6 @@ __all__ = [
 # subgroup elements.  Canonical form is the least such pair over the
 # conjugacy orbit; the orbit walk only needs coset representatives of the
 # center.
-
-
-def _permute_raw(perm, elements: Tuple[int, ...], delta: Tuple[int, ...]):
-    """The pair of the image of D under an element map, with the character
-    values carried along."""
-    return pairs_to_raw(zip((perm[x] for x in elements), delta))
 
 
 @memoized
@@ -177,11 +172,24 @@ class TransitiveFibredBiset(NamedTuple):
                 f"fibre={self.fibre.name}, |D|={len(self.delta)})")
 
 
-def _canonical_class(left, right, fibre, mask, delta):
-    """The canonical class of the conjugacy orbit of (mask, delta) over
-    left x right."""
+def _graph_class(left: FiniteGroup, right: FiniteGroup, C: FiniteGroup,
+                 pairs: Iterable[Tuple[int, int]],
+                 values: Optional[Iterable[int]] = None
+                 ) -> TransitiveFibredBiset:
+    """The canonical class of the subgroup of left x right on the pairs
+    (a, b), with the character values read from ``values`` in the same
+    order, all 0 by default.  A pair listed twice must carry one value."""
+    n = right.order
+    # (a, b) is a |right| + b, as product_embedding encodes it
+    keys = [a * n + b for a, b in pairs]
+    values = [0] * len(keys) if values is None else list(values)
+    mask, delta = pairs_to_raw(zip(keys, values))
+    if mask.bit_count() < len(delta):  # a pair listed more than once
+        mask, delta = pairs_to_raw(set(zip(keys, values)))
+        if mask.bit_count() < len(delta):
+            raise GroupError("character is ill-defined on the subgroup")
     amb = product_embedding(left, right).ambient
-    return TransitiveFibredBiset(left, right, fibre,
+    return TransitiveFibredBiset(left, right, C,
                                  *_canonical_raw(amb, mask, delta))
 
 
@@ -341,15 +349,13 @@ def subcharacter_classes(G: FiniteGroup,
 
 def ring_identity(G: FiniteGroup, C: FiniteGroup) -> FibredElement:
     """The class of C G/G: the identity of the ring of G."""
-    return element_of(_canonical_class(G, cyclic(1), C, (1 << G.order) - 1,
-                                       (0,) * G.order))
+    return element_of(_graph_class(G, cyclic(1), C,
+                                   [(g, 0) for g in range(G.order)]))
 
 
 def identity_element(G: FiniteGroup, C: FiniteGroup) -> FibredElement:
     """The class of C (G x G)/Delta(G): the identity morphism of G."""
-    emb = product_embedding(G, G)
-    mask, delta = pairs_to_raw((emb.encode(g, g), 0) for g in range(G.order))
-    return element_of(_canonical_class(G, G, C, mask, delta))
+    return element_of(_graph_class(G, G, C, [(g, g) for g in range(G.order)]))
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +365,11 @@ def identity_element(G: FiniteGroup, C: FiniteGroup) -> FibredElement:
 def opposite(X: TransitiveFibredBiset) -> TransitiveFibredBiset:
     """Swap the two factors: D -> {(h, g) : (g, h) in D} and
     delta -> delta(g, h)^-1."""
-    emb = X.embedding
-    emb_op = product_embedding(X.right, X.left)
+    coords = X.embedding.coords
     inv = X.fibre.inverses
-    pairs = []
-    for x, c in zip(X.elements, X.delta):
-        g, h = emb.decode(x)
-        pairs.append((emb_op.encode(h, g), inv[c]))
-    return _canonical_class(X.right, X.left, X.fibre, *pairs_to_raw(pairs))
+    return _graph_class(X.right, X.left, X.fibre,
+                        [coords[x][::-1] for x in X.elements],
+                        [inv[c] for c in X.delta])
 
 
 def opposite_element(elt: FibredElement) -> FibredElement:
@@ -698,24 +701,6 @@ def ring_product(X: FibredElement, Y: FibredElement) -> FibredElement:
 # elementary bisets and the factorization through projections
 
 
-def _graph_class(left: FiniteGroup, right: FiniteGroup, C: FiniteGroup,
-                 pairs: Iterable[Tuple[int, int]],
-                 values: Optional[Iterable[int]] = None
-                 ) -> TransitiveFibredBiset:
-    emb = product_embedding(left, right)
-    if values is None:
-        values = itertools.repeat(0)
-    items: Dict[int, int] = {}
-    for (a, b), v in zip(pairs, values):
-        e = emb.encode(a, b)
-        old = items.get(e)
-        if old is None:
-            items[e] = v
-        elif old != v:
-            raise GroupError("character is ill-defined on the subgroup")
-    return _canonical_class(left, right, C, *pairs_to_raw(items.items()))
-
-
 def elementary_fibred_biset(kind: str, C: FiniteGroup, *,
                             group: Optional[FiniteGroup] = None,
                             subgroup: Optional[Subgroup] = None,
@@ -737,8 +722,7 @@ def elementary_fibred_biset(kind: str, C: FiniteGroup, *,
         sub_grp, inclusion = subgroup_as_group(subgroup)
         pairs = [(g, i) for i, g in enumerate(inclusion)]
         if kind == "ind":
-            return _graph_class(group, sub_grp, C,
-                                [(g, e) for g, e in pairs])
+            return _graph_class(group, sub_grp, C, pairs)
         return _graph_class(sub_grp, group, C, [(e, g) for g, e in pairs])
     if kind in ("inf", "def"):
         if group is None or normal is None or normal.parent is not group:
@@ -773,41 +757,43 @@ class BoucFactorization(NamedTuple):
     right_middle: FiniteGroup
 
 
-def bouc_factorize(X: TransitiveFibredBiset) -> BoucFactorization:
-    """Factor a transitive class over G x H through the quotients of its
-    projections.  With E = p1(D) and k1 = k_1(ker delta) the left reduced
-    kernel, the left factorization passes through E' = E/k1; symmetrically
-    on the right.  Both recompositions return X exactly.
-    """
+def _bouc_side(X: TransitiveFibredBiset, side: int) -> tuple:
+    """The factorization X = a o b of a class X = (D, delta) over G x H
+    through the middle p_side(D)/k_side(ker delta), side 1 (left) or 2
+    (right), as (middle, a, b).  The class on the side's own factor is
+    the graph of the quotient map, with the trivial character."""
     emb = X.embedding
     G, H = emb.factors
-    C = X.fibre
     D, reduced = X.subgroup_and_kernel()
-    coords = [emb.decode(x) for x in D.elements]
+    E = projection(emb, D, (side,))
+    middle, proj = _quotient_of_subgroup(E, kernel_part(emb, reduced,
+                                                         (side,)))
+    q = dict(zip(E.elements, proj))
+    coords = map(emb.decode, D.elements)
+    if side == 1:
+        a = _graph_class(G, middle, X.fibre, q.items())
+        b = _graph_class(middle, H, X.fibre, [(q[g], h) for g, h in coords],
+                         X.delta)
+    else:
+        a = _graph_class(G, middle, X.fibre, [(g, q[h]) for g, h in coords],
+                         X.delta)
+        b = _graph_class(middle, H, X.fibre, [(y, h) for h, y in q.items()])
+    return middle, a, b
 
-    # left side
-    E = projection(emb, D, (1,))
-    k1 = kernel_part(emb, reduced, (1,))
-    E_quot, proj_e = _quotient_of_subgroup(E, k1)
-    pe = dict(zip(E.elements, proj_e))
-    left_elementary = _graph_class(G, E_quot, C,
-                                   [(g, pe[g]) for g in E.elements])
-    beta1 = _graph_class(E_quot, H, C, [(pe[g], h) for g, h in coords],
-                         values=X.delta)
 
-    # right side
-    F = projection(emb, D, (2,))
-    k2 = kernel_part(emb, reduced, (2,))
-    F_quot, proj_f = _quotient_of_subgroup(F, k2)
-    pf = dict(zip(F.elements, proj_f))
-    right_elementary = _graph_class(F_quot, H, C,
-                                    [(pf[h], h) for h in F.elements])
-    beta2 = _graph_class(G, F_quot, C, [(g, pf[h]) for g, h in coords],
-                         values=X.delta)
-
+def bouc_factorize(X: TransitiveFibredBiset) -> BoucFactorization:
+    """Factor a transitive class over G x H through the quotients of its
+    projections, one ``_bouc_side`` each: with E = p1(D) and
+    k1 = k_1(ker delta) the left reduced kernel, the left factorization
+    passes through E' = E/k1; symmetrically on the right.  Both
+    recompositions return X exactly.
+    """
+    left_middle, left_elementary, beta1 = _bouc_side(X, 1)
+    right_middle, beta2, right_elementary = _bouc_side(X, 2)
     return BoucFactorization(left_elementary=left_elementary, beta1=beta1,
                              beta2=beta2, right_elementary=right_elementary,
-                             left_middle=E_quot, right_middle=F_quot)
+                             left_middle=left_middle,
+                             right_middle=right_middle)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from .groups import (
     GroupError,
     ProductEmbedding,
     Subgroup,
+    _permute_raw,
     elements_to_mask,
-    pairs_to_raw,
     product_embedding,
     quotient,
     subgroup_as_group,
@@ -169,6 +169,5 @@ def conjugate_pair(D: Subgroup, delta: tuple,
     """^g (D, delta) = (^g D, ^g delta) with ^g delta(x) = delta(g^-1 x g);
     delta is the tuple of values on the elements of D, ascending."""
     G = D.parent
-    perm = G.conjugation_perm(g)
-    mask, images = pairs_to_raw(zip((perm[x] for x in D.elements), delta))
+    mask, images = _permute_raw(G.conjugation_perm(g), D.elements, delta)
     return subgroup_of_mask(G, mask), images

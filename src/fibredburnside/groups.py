@@ -16,7 +16,10 @@ validates one given from outside.
 All values are immutable after construction, and every operation is a
 pure function of its arguments.  Derived data lives in the memo of the
 youngest group it is keyed by (:func:`memoized`), so it dies with that
-group; only the builders keyed by integers are cached for the process.
+group.  Only the builders keyed by integers are cached for the process,
+and their groups count as the oldest of all; a group derived from others
+(a product, a quotient, a subgroup as a group) is as young as the
+youngest of them.
 
 The enumerations of subgroups, homomorphisms and automorphisms, and group
 specs, refuse orders above ``SUBGROUP_ORDER_BOUND``, and the catalog
@@ -34,7 +37,7 @@ import functools
 import itertools
 import math
 import re
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "GroupError",
@@ -93,8 +96,11 @@ def memoized(fn):
     """Memoize ``fn`` in the ``_memo`` of the youngest group among its
     arguments, a subgroup as first argument standing for its parent, so
     that the entry dies with that group: ``_memo`` maps the wrapper to a
-    dict from argument tuples to values.  A call with no argument has no
-    owner, and goes to ``fn`` uncached."""
+    dict from argument tuples to values.  Youth is ``_serial``: a group
+    from a builder cached for the process has the least, so no entry about
+    a group that can be dropped is stored in it, and of two groups of one
+    serial the earlier argument holds the entry.  A call with no argument
+    has no owner, and goes to ``fn`` uncached."""
 
     @functools.wraps(fn)
     def cached(*args):
@@ -123,7 +129,8 @@ class FiniteGroup:
     Instances are immutable after construction.  Derived data (generators,
     element orders, conjugation, subgroups, homomorphisms, ...) lives in
     the ``_memo`` of the youngest group it is keyed by, ``_serial`` telling
-    which, so a dropped group takes its entries with it.
+    which (see :func:`memoized`), so a dropped group takes its entries with
+    it.
     """
 
     __slots__ = ("order", "table", "inverses", "labels", "name", "_memo",
@@ -138,23 +145,25 @@ class FiniteGroup:
             labels = tuple(str(x) for x in labels)
             if len(labels) != len(rows):
                 raise GroupError("labels length does not match order")
-        self._setup(rows, labels, name, validate=True)
+        self._setup(rows, labels, name, next(_serials), validate=True)
 
     @classmethod
-    def _from_rows(cls, rows: tuple, labels, name) -> "FiniteGroup":
+    def _from_rows(cls, rows: tuple, labels, name,
+                   serial: int) -> "FiniteGroup":
         """A group on rows that are already tuples of ints and labels that
         are already a tuple of strings, derived here (products, quotients,
-        subgroups) from validated groups.  Such a table is trusted at any
-        order, with none of the public constructor's checks:
-        ``SUBGROUP_ORDER_BOUND`` limits enumerations and specs only, and
-        the test suite holds derived tables to references."""
+        subgroups) from validated groups, with the largest ``_serial`` of
+        those.  Such a table is trusted at any order, with none of the
+        public constructor's checks: ``SUBGROUP_ORDER_BOUND`` limits
+        enumerations and specs only, and the test suite holds derived
+        tables to references."""
         self = cls.__new__(cls)
-        self._setup(rows, labels, name, validate=False)
+        self._setup(rows, labels, name, serial, validate=False)
         return self
 
-    def _setup(self, rows, labels, name, validate):
+    def _setup(self, rows, labels, name, serial, validate):
         self._memo = {}
-        self._serial = next(_serials)
+        self._serial = serial
         n = len(rows)
         self.order = n
         self.table = rows
@@ -415,6 +424,12 @@ def pairs_to_raw(pairs) -> tuple:
     return elements_to_mask(elements), delta
 
 
+def _permute_raw(perm, elements: Tuple[int, ...], delta: Tuple[int, ...]):
+    """The (mask, delta) pair of the image of a subgroup with a character
+    under an element map, the character values carried along."""
+    return pairs_to_raw(zip((perm[x] for x in elements), delta))
+
+
 def conjugate_mask(G: FiniteGroup, mask: int, g: int) -> int:
     perm = G.conjugation_perm(g)
     out = 0
@@ -471,6 +486,13 @@ def closure_mask(G: FiniteGroup, seed: Iterable[int],
 # to a cached builder, so every call for one group returns the same object.
 
 
+def _lifelong(G: FiniteGroup) -> FiniteGroup:
+    """G, built by a builder cached for the process, marked as older than
+    every group that can be dropped (see :func:`memoized`)."""
+    G._serial = -1
+    return G
+
+
 def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n; element i is c^i."""
     if n < 1:
@@ -485,7 +507,7 @@ def _cyclic(n: int) -> FiniteGroup:
         labels = ["1"]
     else:
         labels = ["1", "c"] + [f"c{i}" for i in range(2, n)]
-    return FiniteGroup(table, labels=labels, name=f"C{n}")
+    return _lifelong(FiniteGroup(table, labels=labels, name=f"C{n}"))
 
 
 def dihedral(order: int) -> FiniteGroup:
@@ -524,7 +546,7 @@ def _inverting_extension(n: int, s: int, letters: str,
             w = "" if i == 0 else (x if i == 1 else f"{x}{i}")
             w += y if j else ""
             labels.append(w or "1")
-    return FiniteGroup(table, labels=labels, name=name)
+    return _lifelong(FiniteGroup(table, labels=labels, name=name))
 
 
 def _perm_label(p: tuple) -> str:
@@ -554,7 +576,7 @@ def _perm_group(perms: list, name: str) -> FiniteGroup:
     table = [[index[tuple(p[q[i]] for i in range(len(p)))] for q in perms]
              for p in perms]
     labels = [_perm_label(p) for p in perms]
-    return FiniteGroup(table, labels=labels, name=name)
+    return _lifelong(FiniteGroup(table, labels=labels, name=name))
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -686,7 +708,8 @@ def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
             labels = tuple("(" + ",".join(ls) + ")" for ls in
                            itertools.product(*(f.labels for f in factors)))
         name = "x".join(f.name for f in factors)
-        ambient = FiniteGroup._from_rows(rows, labels, name)
+        ambient = FiniteGroup._from_rows(
+            rows, labels, name, max(f._serial for f in factors))
     return ProductEmbedding(factors, ambient, strides, coords)
 
 
@@ -934,7 +957,8 @@ def _subgroup_as_group(S: Subgroup):
     pos = {x: i for i, x in enumerate(els)}
     table = tuple(tuple([pos[G.mul(a, b)] for b in els]) for a in els)
     labels = tuple(G.labels[x] for x in els) if G.labels else None
-    sub = FiniteGroup._from_rows(table, labels, f"{G.name}|{len(els)}")
+    sub = FiniteGroup._from_rows(table, labels, f"{G.name}|{len(els)}",
+                                 G._serial)
     return sub, els
 
 
@@ -973,7 +997,8 @@ def _quotient(N: Subgroup):
     labels = None
     if G.labels is not None:
         labels = tuple(f"[{G.labels[r]}]" for r in reps)
-    Q = FiniteGroup._from_rows(table, labels, f"{G.name}/{len(N.elements)}")
+    Q = FiniteGroup._from_rows(table, labels, f"{G.name}/{len(N.elements)}",
+                               G._serial)
     return Q, tuple(coset_of)
 
 
@@ -1012,32 +1037,13 @@ def isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[tuple]:
 # the small-groups catalog
 
 
-def _catalog_builders():
-    C = cyclic
-    D = dihedral
-
-    def prod(*gs):
-        return product_embedding(*gs).ambient
-
-    return {
-        1: [lambda: C(1)],
-        2: [lambda: C(2)],
-        3: [lambda: C(3)],
-        4: [lambda: C(4), lambda: prod(C(2), C(2))],
-        5: [lambda: C(5)],
-        6: [lambda: C(6), lambda: symmetric(3)],
-        7: [lambda: C(7)],
-        8: [lambda: C(8), lambda: prod(C(4), C(2)),
-            lambda: prod(C(2), C(2), C(2)), lambda: D(8), quaternion8],
-        9: [lambda: C(9), lambda: prod(C(3), C(3))],
-        10: [lambda: C(10), lambda: D(10)],
-        11: [lambda: C(11)],
-        12: [lambda: C(12), lambda: prod(C(6), C(2)), lambda: D(12),
-             alternating4, lambda: dicyclic(12)],
-        13: [lambda: C(13)],
-        14: [lambda: C(14), lambda: D(14)],
-        15: [lambda: C(15)],
-    }
+# one spec per isomorphism class, by order, built by ``group_from_spec``:
+# every catalog name parses to its group by construction
+_CATALOG = (
+    ("C1",), ("C2",), ("C3",), ("C4", "C2xC2"), ("C5",), ("C6", "S3"),
+    ("C7",), ("C8", "C4xC2", "C2xC2xC2", "D8", "Q8"), ("C9", "C3xC3"),
+    ("C10", "D10"), ("C11",), ("C12", "C6xC2", "D12", "A4", "Dic3"),
+    ("C13",), ("C14", "D14"), ("C15",))
 
 
 _EXPECTED_CLASS_COUNTS = (1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1)
@@ -1058,9 +1064,8 @@ def small_groups_catalog(max_order: int = CATALOG_MAX_ORDER) -> list:
 @functools.cache
 def _full_catalog() -> tuple:
     full = []
-    builders = _catalog_builders()
-    for order in range(1, CATALOG_MAX_ORDER + 1):
-        groups = [b() for b in builders[order]]
+    for order, specs in enumerate(_CATALOG, 1):
+        groups = [group_from_spec(spec) for spec in specs]
         if len(groups) != _EXPECTED_CLASS_COUNTS[order - 1]:
             raise GroupError(f"catalog miscount at order {order}")
         for i, g in enumerate(groups):

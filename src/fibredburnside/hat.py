@@ -5,7 +5,8 @@ Membership in the ideal is decided by the summand criterion: a canonical
 transitive class is in the ideal exactly when it appears as a summand of
 some composition a o b with a over G x K, b over K x G and |K| < |G|.
 Classes whose projections or reduced kernels are proper factor through a
-quotient of a projection and get an explicit constructed witness.  The
+quotient of a projection and get an explicit constructed witness, from
+the Bouc factorization of the one side they use.  The
 remaining candidates have full projections and trivial reduced kernels;
 they are settled by a sweep of compositions whose outer projections are
 full, cut down in five sound ways:
@@ -69,7 +70,8 @@ For a fibre of prime order the surviving classes have a closed
 description: diagonal classes X(t, s) indexed by characters t and outer
 automorphisms s, plus central classes Y(w, z) indexed by outer
 automorphisms w and fibre embeddings z into the center-intersect-Frattini
-subgroup.  They multiply like Gamma = Hom(G, C) x| Out(G) and the action
+subgroup, the injective members of ``homomorphisms(C, G)`` that land
+there.  They multiply like Gamma = Hom(G, C) x| Out(G) and the action
 groupoid of Out(G) on the embeddings.  With mu(t, z) the outer class of
 the automorphism g -> g z(t(g))^-1 (see ``hat_multiply``):
 
@@ -128,6 +130,7 @@ from .groups import (
     FiniteGroup,
     GroupError,
     _check_bound,
+    _permute_raw,
     automorphisms,
     center,
     conjugate_mask,
@@ -136,7 +139,6 @@ from .groups import (
     isomorphism,
     mask_to_elements,
     memoized,
-    pairs_to_raw,
     product_embedding,
     quotient,
     small_groups_catalog,
@@ -153,18 +155,16 @@ from .goursat import (
 from .fibred import (
     FibredElement,
     TransitiveFibredBiset,
-    _canonical_class,
+    _bouc_side,
     _canonical_raw,
     _check_fibre,
     _compose_raw,
-    _permute_raw,
-    bouc_factorize,
+    _graph_class,
     canonicalize,
     compose,
     element_of,
     is_idempotent,
     opposite,
-    transitive_fibred_biset,
 )
 
 __all__ = [
@@ -281,17 +281,14 @@ def _reduction_witness(X: TransitiveFibredBiset
     """Constructed witness when a projection or reduced kernel is proper:
     the class then factors through the quotient of a projection, which is
     strictly smaller and has a catalog twin.  The left side is tried
-    first, and X is Bouc-factorized only when one side has a smaller
-    middle p_i(D)/k_i(ker delta)."""
+    first, and X is factored, on that side alone, only when it has a
+    smaller middle p_i(D)/k_i(ker delta)."""
     emb = X.embedding
     D, kernel = X.subgroup_and_kernel()
     for side in (1, 2):
         if _full_side(emb, D, kernel, side):
             continue
-        fac = bouc_factorize(X)
-        middle, left_cls, right_cls = (
-            (fac.left_middle, fac.left_elementary, fac.beta1) if side == 1
-            else (fac.right_middle, fac.beta2, fac.right_elementary))
+        middle, left_cls, right_cls = _bouc_side(X, side)
         K, phi = _iso_to_catalog(middle)
         a = canonicalize(_twisted(left_cls, 1, phi, K))
         b = canonicalize(_twisted(right_cls, 0, phi, K))
@@ -620,21 +617,12 @@ def _require_prime_fibre(C: FiniteGroup):
 
 
 def _fibre_embeddings(G: FiniteGroup, C: FiniteGroup) -> List[tuple]:
-    """Image tuples of the injective homomorphisms from the prime fibre
-    into the center-intersect-Frattini subgroup, sorted."""
-    p = C.order
-    out = []
-    for z in mask_to_elements(center(G).mask & frattini(G).mask):
-        if G.element_order(z) != p:
-            continue
-        images = [0]
-        cur = z
-        for _ in range(p - 1):
-            images.append(cur)
-            cur = G.mul(cur, z)
-        out.append(tuple(images))
-    out.sort()
-    return out
+    """Image tuples of the injective homomorphisms from the fibre into the
+    center-intersect-Frattini subgroup, sorted: the members of
+    ``homomorphisms(C, G)`` that are injective and land there."""
+    target = center(G).mask & frattini(G).mask
+    return [z for z in homomorphisms(C, G)
+            if len(set(z)) == C.order and all(target >> x & 1 for x in z)]
 
 
 def hat_basis_prime(G: FiniteGroup, C: FiniteGroup) -> List[HatGenerator]:
@@ -649,17 +637,15 @@ def hat_basis_prime(G: FiniteGroup, C: FiniteGroup) -> List[HatGenerator]:
 def hat_generator_class(gen: HatGenerator) -> TransitiveFibredBiset:
     """The canonical transitive class over G x G attached to a generator."""
     G, C = gen.group, gen.fibre
-    emb = product_embedding(G, G)
+    els = range(G.order)
     cinv = C.inverses
     if gen.variant == "X":
-        t, sigma = gen.t, gen.sigma
-        pairs = [(emb.encode(sigma[g], g), cinv[t[g]])
-                 for g in range(G.order)]
-    else:
-        omega, zeta = gen.omega, gen.zeta
-        pairs = [(emb.encode(G.mul(omega[g], zeta[c]), g), cinv[c])
-                 for g in range(G.order) for c in range(C.order)]
-    return _canonical_class(G, G, C, *pairs_to_raw(pairs))
+        return _graph_class(G, G, C, zip(gen.sigma, els),
+                            map(cinv.__getitem__, gen.t))
+    # the pair (omega(g) zeta(c), g) carries c^-1, for every g and c
+    omega, zeta, table = gen.omega, gen.zeta, G.table
+    return _graph_class(G, G, C, [(table[omega[g]][z], g)
+                                  for g in els for z in zeta], cinv * G.order)
 
 
 def hat_multiply(a: HatGenerator, b: HatGenerator
@@ -1007,13 +993,10 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
     Xop = opposite(X)
     W = compose(element_of(X), element_of(Xop), check=True)
 
-    embGG = product_embedding(G, G)
-    pairs = sorted((embGG.encode(g1, g2),
-                    images[emb.encode(G.mul(g1, G.inv(g2)), 0)])
-                   for g1 in range(G.order) for g2 in range(G.order)
-                   if (k1.mask >> G.mul(g1, G.inv(g2))) & 1)
-    closed = canonicalize(transitive_fibred_biset(
-        G, G, C, [p[0] for p in pairs], [p[1] for p in pairs]))
+    pairs = [(g1, g2) for g1 in range(G.order) for g2 in range(G.order)
+             if (k1.mask >> G.mul(g1, G.inv(g2))) & 1]
+    closed = _graph_class(G, G, C, pairs, [
+        images[emb.encode(G.mul(g1, G.inv(g2)), 0)] for g1, g2 in pairs])
     step("W = X o X-op matches the closed form over D' = "
          "{(g1,g2) : g1 g2^-1 in <x^2>}",
          W == element_of(closed), f"{len(W.terms)} term(s)")

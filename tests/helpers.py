@@ -3,9 +3,12 @@ production enumeration paths."""
 
 import gc
 import itertools
+import os
+import subprocess
 import sys
 from typing import Dict, List, Optional, Tuple
 
+import fibredburnside
 from fibredburnside import monomial
 from fibredburnside.fibred import (
     BoucFactorization, _canonical_raw, _graph_class,
@@ -29,6 +32,19 @@ def live_groups() -> List[FiniteGroup]:
     slot, so the collector is the way to find them."""
     gc.collect()
     return [g for g in gc.get_objects() if type(g) is FiniteGroup]
+
+
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports this package and
+    the test helpers."""
+    src = os.path.dirname(os.path.dirname(fibredburnside.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.path.dirname(os.path.abspath(__file__)),
+                    env.get("PYTHONPATH"))
+        if p)
+    return subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
 
 
 def memo_entries(fn) -> int:

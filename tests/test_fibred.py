@@ -603,6 +603,18 @@ def test_elementary_data_validation(q8, d8, c2):
 # -- factorization through projections ----------------------------------------
 
 
+def test_graph_class_reads_a_repeated_pair_once(c2, c4):
+    # the diagonal of C2 x C2 with the character sending (1, 1) to c^2; a
+    # pair listed again with the same value adds nothing, with another
+    # value the character is ill-defined
+    once = fibred._graph_class(c2, c2, c4, [(0, 0), (1, 1)], [0, 2])
+    assert once.raw == (0b1001, (0, 2))
+    assert fibred._graph_class(c2, c2, c4, [(1, 1), (0, 0), (1, 1)],
+                               [2, 0, 2]) == once
+    with pytest.raises(GroupError, match="ill-defined"):
+        fibred._graph_class(c2, c2, c4, [(0, 0), (1, 1), (1, 1)], [0, 2, 1])
+
+
 def test_bouc_identity_has_no_smaller_factor(q8, c2):
     ident = next(iter(identity_element(q8, c2).terms))
     f = bouc_factorize(ident)

@@ -43,6 +43,7 @@ from fibredburnside.groups import (
 from fibredburnside.hat import hat_dimension, verify_hat_vs_quotient
 
 from helpers import (
+    _run_fresh,
     live_groups,
     memo_entries,
     package_caches,
@@ -1001,8 +1002,10 @@ def _dropping_paths(c2, c4):
 
 
 def test_dropped_groups_are_collected(q8, d8, c2, c4):
-    # G is the youngest group of every key it takes part in, so every
-    # entry about it lives in its own memo and goes with it
+    # every other group keyed with G is built by a builder cached for the
+    # process, and so counts as older than G, or is derived from G and as
+    # young as G: every entry about G lives in its own memo, or in that of
+    # a group that goes with it, whether or not the catalog is built yet
     for base in (d8, q8):
         for path, run in _dropping_paths(c2, c4).items():
             name = f"dropped {base.name} {path}"
@@ -1010,6 +1013,30 @@ def test_dropped_groups_are_collected(q8, d8, c2, c4):
                 run(groups.FiniteGroup(base.table, name=name))
             alive = sum(G.name == name for G in live_groups())
             assert alive == 0, (name, alive)
+
+
+_EARLY_COPIES = """
+from fibredburnside import groups, hat
+from helpers import live_groups
+
+def alive_after(name, run):
+    run(groups.FiniteGroup(groups.dihedral(8).table, name=name))
+    return sum(G.name == name for G in live_groups())
+
+# C16 is first built after the first copy, and the catalog after the other
+print(alive_after("D8 before C16",
+                  lambda G: groups.homomorphisms(G, groups.cyclic(16))),
+      alive_after("D8 before the catalog",
+                  lambda G: hat.hat_dimension(G, groups.cyclic(4))))
+"""
+
+
+def test_groups_built_before_cached_ones_are_collected():
+    # a process-cached group built after G, such as the catalog's groups or
+    # C16 here, holds no entry about G
+    proc = _run_fresh(_EARLY_COPIES)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def retained_per_copy(run, base, copies):

@@ -2,13 +2,9 @@
 the end-to-end counterexample."""
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import fibredburnside
 from fibredburnside import fibred, groups, hat
 from fibredburnside.fibred import (
     FibreError,
@@ -45,6 +41,7 @@ from fibredburnside.hat import (
 )
 
 from helpers import (
+    _run_fresh,
     frattini_criterion,
     live_groups,
     memo_entries,
@@ -108,11 +105,12 @@ def test_ideal_count_matches_basis_split(s3, c2):
 def test_hat_dimension_bouc_factorizes_no_candidate(monkeypatch, q8, c4):
     # every candidate has full projections and trivial reduced kernels, so
     # its decision tests them and factors nothing; a class with a proper
-    # middle is factored once
+    # middle is factored once, on the side it is witnessed through
     calls = []
-    real = hat.bouc_factorize
-    monkeypatch.setattr(hat, "bouc_factorize",
-                        lambda X: calls.append(X) or real(X))
+    real = hat._bouc_side
+    monkeypatch.setattr(hat, "_bouc_side",
+                        lambda X, side: calls.append((X, side))
+                        or real(X, side))
     for G in live_groups():
         G._memo.pop(hat._ideal_decision, None)
     assert hat_dimension(q8, c4)[0] == 30
@@ -120,7 +118,7 @@ def test_hat_dimension_bouc_factorizes_no_candidate(monkeypatch, q8, c4):
     whole = canonicalize(transitive_fibred_biset(q8, q8, c4, range(64),
                                                  [0] * 64))
     assert is_in_ideal(whole).K.order == 1
-    assert calls == [whole]
+    assert calls == [(whole, 1)]
 
 
 def test_second_hat_dimension_rebuilds_no_candidate(monkeypatch, q8, c4):
@@ -240,6 +238,28 @@ def test_fibre_embeddings_need_p_to_divide_the_centre():
                 divides += 1
                 empty += embs == []
     assert (divides, empty) == (27, 19)
+
+
+def test_fibre_embeddings_read_the_homomorphism_search():
+    # a C5 whose elements are not numbered by powers of a generator:
+    # element i is c^e for e = 0, 1, 3, 2, 4
+    power = (0, 1, 3, 2, 4)
+    C = groups.FiniteGroup([[power.index((power[i] + power[j]) % 5)
+                             for j in range(5)] for i in range(5)],
+                           name="C5'")
+    G = cyclic(25)
+    target = center(G).mask & frattini(G).mask
+    embs = hat._fibre_embeddings(G, C)
+    assert embs == sorted(z for z in groups.homomorphisms(C, G)
+                          if len(set(z)) == 5
+                          and all(target >> x & 1 for x in z))
+    assert len(embs) == 4
+    gens = hat_basis_prime(G, C)
+    # 5 characters and 20 outer classes, 20 outer classes and 4 embeddings
+    assert len(gens) == 5 * 20 + 20 * 4
+    for gen in gens:
+        if gen.variant == "Y":
+            assert groups.check_homomorphism(C, G, gen.zeta) == gen.zeta
 
 
 def test_is_prime_by_trial_division():
@@ -749,19 +769,6 @@ second = counterexample_verify(7)
 print(json.dumps({"first": first, "second": second, "filled": filled,
                   "cleared": cleared}))
 """
-
-
-def _run_fresh(script: str) -> subprocess.CompletedProcess:
-    """Run a script in a fresh interpreter that imports this package and
-    the test helpers."""
-    src = os.path.dirname(os.path.dirname(fibredburnside.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, os.path.dirname(os.path.abspath(__file__)),
-                    env.get("PYTHONPATH"))
-        if p)
-    return subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env)
 
 
 def test_cleared_caches_give_the_same_counterexample_report():
