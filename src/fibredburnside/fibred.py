@@ -580,45 +580,48 @@ def _compose_oracle_transitive(tx: TransitiveFibredBiset,
     """Set-theoretic composition of two transitive classes: orbits of the
     product of their coset models under the middle-group/fibre action,
     keeping the part on which the fibre acts freely.  Rows are built for
-    generators only.  The pairs are glued by the moves of (h, 1) and
-    (1, c) for h and c in generating sets of H and C, which generate
-    H x C; the result orbits by those of (g, 1, 1), (1, k, 1) and
-    (1, 1, c) for generators of G, K and C.  The stabilizer of the least
-    point [i, j] of each result orbit is read by evaluating i under
-    every (g, c) and j under every k, and must satisfy
-    |orbit| |stabilizer| = |G| |K| |C|.  An element (g, h, c) of a coset
-    model is (g |H| + h) |C| + c, and likewise for (h, k, c)."""
+    generators only.  C acts freely on the model of tx, whose point
+    t |C| + c is c times t |C|, so each orbit of (1, c) on pairs meets
+    {t |C|} x Y exactly once: (t |C| + c, j) is glued to its normal form
+    (t |C|, c.j), and only those base pairs are glued, by the moves of
+    (h, 1) for h in a generating set of H.  The result orbits come from
+    the moves of (g, 1, 1), (1, k, 1) and (1, 1, c) for generators of G,
+    K and C, through the same normal form.  The stabilizer of the least
+    pair [i, j] of each result orbit is read by evaluating i under every
+    g and j under every k, with each c applied by the normal form, and
+    must satisfy |orbit| |stabilizer| = |G| |K| |C|.  An element
+    (g, h, c) of a coset model is (g |H| + h) |C| + c, and likewise for
+    (h, k, c)."""
     G, H = tx.left, tx.right
     K, C = ty.right, tx.fibre
     nh, nk, nc = H.order, K.order, C.order
     m1 = _coset_model(tx)
     m2 = _coset_model(ty)
-    n1, n2 = len(m1.reps), len(m2.reps)
-    inv = C.inverses
-    # the fibre acts freely on an orbit when (1, c), c != 1, moves its
-    # root (i, j) to (c.i, j) outside it
-    fibre_rows = {c: m1.row(c) for c in range(1, nc)}
-    c_gens = C.generators()
+    n1, n2 = m1.size, m2.size
+    inv, tc = C.inverses, C.table
+    # (1, 1, c) acts on the points of ty's model by its row
+    shifts = [m2.row(c) for c in range(nc)]
     rows, label, split = monomial._glue(
         n1, n2,
-        [(m1.row(h * nc), m2.row(h * nk * nc)) for h in H.generators()]
-        + [(fibre_rows[c], m2.row(inv[c])) for c in c_gens],
+        [(m1.row(h * nc), m2.row(h * nk * nc)) for h in H.generators()],
         [(m1.row(g * nh * nc), range(n2)) for g in G.generators()]
         + [(range(n1), m2.row(k * nc)) for k in K.generators()]
-        + [(fibre_rows[c], range(n2)) for c in c_gens],
-        free=list(fibre_rows.values()))
+        + [(m1.row(c), range(n2)) for c in C.generators()],
+        shifts, free=range(1, nc))
     find_rep, roots = monomial._orbit_partition(len(split), rows)
     orbit_sizes = collections.Counter(find_rep)
     stabilizers = []
     for p in roots:
         i, j = split[p]
-        # (g, k, c) fixes [i, j] when it maps (i, j) into the same orbit
-        img1 = [[m1.image(g * nh * nc + c, i) * n2 for c in range(nc)]
-                for g in range(G.order)]
+        # (g, k, c) fixes [i, j] when it maps (i, j) into the same orbit;
+        # for (g, 1, 1).i = t |C| + f that is the base pair (t, f c k.j)
+        img1 = [divmod(m1.image(g * nh * nc, i), nc) for g in range(G.order)]
         img2 = [m2.image(k * nc, j) for k in range(nk)]
+        by_offset = [[s[b] for b in img2] for s in shifts]
         stab = [(g * nk + k, inv[c])
-                for g, row in enumerate(img1) for c, a in enumerate(row)
-                for k, b in enumerate(img2) if label[a + b] == p]
+                for g, (t, f) in enumerate(img1) for c, fc in enumerate(tc[f])
+                for k, b in enumerate(by_offset[fc])
+                if label[t * n2 + b] == p]
         if orbit_sizes[p] * len(stab) != G.order * nk * nc:
             raise GroupError("orbit and stabilizer sizes disagree")
         stabilizers.append(monomial._read_stabilizer(stab))

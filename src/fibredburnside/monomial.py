@@ -17,8 +17,14 @@ builds moves only for a small generating set of the acting group, never
 for all of its elements.  The orbit oracle goes further: it builds rows
 of its ``CosetModel``s and of the result only for generators, and reads
 each stabilizer by evaluating one point under every group element.  A
-``CosetModel`` of a subgroup of A x C multiplies coordinatewise in the
-tables of A and C, so the oracle builds no table of A x C.
+``CosetModel`` of a subgroup of A x C that meets C trivially holds one
+cell per element of A and multiplies coordinatewise in the tables of A
+and C, so the oracle builds no table of A x C.  C acts freely on such a
+model, and its points are numbered t |C| + c, c times the base point
+t |C|.  So when the acting group contains C, each C-orbit of pairs meets
+the base pairs {t |C|} x Y exactly once, and the oracle glues only those,
+|C| times fewer pairs, carrying each pair to its normal form; the
+set-level gluings pass the trivial fibre.
 """
 
 from __future__ import annotations
@@ -96,50 +102,58 @@ class FiniteAction:
 
 
 class CosetModel:
-    """Left translation on the left cosets of a subgroup S of A x C, the
-    element (a, c) being a |C| + c, evaluated on demand: ``coset_of[x]``
-    is the coset of element x, ``reps`` the least representative of each
-    coset in ascending order (the points), ``row(x)`` the permutation of
-    x and ``image(x, p)`` one point's image.  Products are taken
-    coordinatewise in the rows of A and C; no table of A x C, and no
-    full action table, is built."""
+    """Left translation on the left cosets of a subgroup S of A x C that
+    meets the fibre C trivially, the element (a, c) being a |C| + c,
+    evaluated on demand.  S projects onto a subgroup V of A, and C acts
+    freely on the cosets, so point p = t |C| + c is the coset of
+    (b_t, c), with b_t = ``bases[t]`` the least element of the t-th left
+    coset of V in A (ascending); (b_t, c) is also the least element of
+    the point.  ``cell[a]`` is the point of (a, 1), ``row(x)`` the
+    permutation of element x and ``image(x, p)`` one point's image.
+    Products are taken coordinatewise in the rows of A and C; the model
+    holds one cell per element of A, and no table of A x C and no full
+    action table is built."""
 
-    __slots__ = ("acting", "fibre", "coset_of", "reps", "_rep_pairs")
+    __slots__ = ("acting", "fibre", "cell", "bases")
 
     def __init__(self, A: FiniteGroup, C: FiniteGroup,
                  subgroup_elements: Sequence[int]):
-        nc = C.order
-        ta, tc = A.table, C.table
+        nc, inv = C.order, C.inverses
         pairs = [divmod(s, nc) for s in subgroup_elements]
-        coset_of = [-1] * (A.order * nc)
-        reps, rep_pairs = [], []
-        x = 0
-        for a in range(A.order):
-            ra = ta[a]
-            for c in range(nc):
-                if coset_of[x] < 0:
-                    rc = tc[c]
-                    k = len(reps)
-                    for sa, sc in pairs:
-                        coset_of[ra[sa] * nc + rc[sc]] = k
-                    reps.append(x)
-                    rep_pairs.append((a, c))
-                x += 1
+        if len({v for v, _ in pairs}) != len(pairs):
+            raise GroupError("subgroup meets the fibre nontrivially")
+        cell = [-1] * A.order
+        bases = []
+        for a, ra in enumerate(A.table):
+            if cell[a] < 0:
+                # (a v, c) lies in point (t, 1), so (a v, 1) in (t, c^-1)
+                p = len(bases) * nc
+                for v, c in pairs:
+                    cell[ra[v]] = p + inv[c]
+                bases.append(a)
         self.acting, self.fibre = A, C
-        self.coset_of, self.reps, self._rep_pairs = coset_of, reps, rep_pairs
+        self.cell, self.bases = cell, bases
+
+    @property
+    def size(self) -> int:
+        return len(self.bases) * self.fibre.order
 
     def row(self, x: int) -> List[int]:
-        nc, coset_of = self.fibre.order, self.coset_of
+        nc, tc = self.fibre.order, self.fibre.table
         a, c = divmod(x, nc)
-        ra, rc = self.acting.table[a], self.fibre.table[c]
-        return [coset_of[ra[p] * nc + rc[q]] for p, q in self._rep_pairs]
+        ra, cell = self.acting.table[a], self.cell
+        # (a, c) takes point t |C| + f to t' |C| + f' c f, where
+        # t' |C| + f' is the cell of a b_t
+        heads = [(q - q % nc, tc[q % nc])
+                 for q in [cell[ra[b]] for b in self.bases]]
+        return [base + r[y] for base, r in heads for y in tc[c]]
 
     def image(self, x: int, p: int) -> int:
-        nc = self.fibre.order
+        nc, tc = self.fibre.order, self.fibre.table
         a, c = divmod(x, nc)
-        pa, pc = self._rep_pairs[p]
-        return self.coset_of[self.acting.table[a][pa] * nc
-                             + self.fibre.table[c][pc]]
+        t, f = divmod(p, nc)
+        q = self.cell[self.acting.table[a][self.bases[t]]]
+        return q - q % nc + tc[q % nc][tc[c][f]]
 
 
 def coset_action(G: FiniteGroup, subgroup_elements: Sequence[int]) -> FiniteAction:
@@ -252,37 +266,62 @@ def _orbit_partition(n_points: int, moves: List[Sequence[int]]):
         # every smaller point lies in an orbit already labelled
         roots[p] = len(roots)
         rep[p] = p
-        stack = [p]
-        while stack:
-            x = stack.pop()
+        orbit = [p]
+        # the loop reaches each point appended while it runs
+        for x in orbit:
             for mv in moves:
                 y = mv[x]
                 if rep[y] < 0:
                     rep[y] = p
-                    stack.append(y)
+                    orbit.append(y)
     return rep, roots
 
 
-def _glue(n1: int, n2: int, moves, rows, free=()):
-    """The orbits of pairs of points of two sets of sizes n1 and n2, pair
-    (i, j) being point i * n2 + j.  Each row pair (r1, r2) moves (i, j)
-    to (r1[i], r2[j]): ``moves`` come from a generating set of the group
-    whose orbits are glued, ``rows`` from the elements of the group
-    acting on the result that the caller asks for.  A root (i, j) is
-    dropped when a row r of ``free`` (a fibre element other than 1)
-    leaves (r[i], j) in its orbit.  The kept orbits are numbered by
-    their least points, ascending.  Returns one result row per row pair
-    of ``rows``, the label of every pair (its orbit's number, or None
-    when dropped) and the split (i, j) of each kept root."""
+def _glue(n1: int, n2: int, moves, rows, shifts=None, free=()):
+    """The orbits of pairs of points of two sets of sizes n1 and n2 under
+    a group that may contain a fibre C.  C acts freely on the first set,
+    whose point p = t |C| + c is c times the base point t |C|, and on the
+    second by the rows ``shifts[c]``; (1, c) takes (p, j) to
+    (c.p, c^-1.j).  So each C-orbit of pairs meets the base pairs
+    {t |C|} x {0..n2-1} exactly once, in the normal form (t, c.j) of
+    (t |C| + c, j), and only base pairs are glued, (t, j) being pair
+    t * n2 + j.  Without ``shifts`` C is trivial and every pair is a base
+    pair.  Each row pair (r1, r2) takes (p, j) to the normal form of
+    (r1[p], r2[j]): ``moves`` come from elements that generate the
+    acting group together with C, ``rows`` from the elements of the
+    group acting on the result that the caller asks for.  A root (t, j)
+    is dropped when some c in ``free`` (fibre elements other than 1)
+    leaves (t, c.j), the normal form of (c.p, j), in its orbit.  The
+    kept orbits are numbered by their least pairs, ascending.  Returns
+    one result row per row pair of ``rows``, the label of every base
+    pair (its orbit's number, or None when dropped) and the point pair
+    (t |C|, j) of each kept root."""
+    if shifts is None:
+        shifts = [range(n2)]
+    nc = len(shifts)
+
+    def pair_move(r1, r2):
+        by_offset = [[s[y] for y in r2] for s in shifts]
+        out = []
+        for p in range(0, n1, nc):
+            t, c = divmod(r1[p], nc)
+            t *= n2
+            out.extend([t + y for y in by_offset[c]])
+        return out
+
     find_rep, roots = _orbit_partition(
-        n1 * n2, [[x * n2 + y for x in r1 for y in r2] for r1, r2 in moves])
-    kept = [root for root in roots
-            if all(find_rep[r[root // n2] * n2 + root % n2] != root
-                   for r in free)]
-    index = {root: k for k, root in enumerate(kept)}
-    label = [index.get(r) for r in find_rep]
-    split = [divmod(root, n2) for root in kept]
-    return ([[label[r1[i] * n2 + r2[j]] for i, j in split]
+        n1 // nc * n2, [pair_move(r1, r2) for r1, r2 in moves])
+    fixed = {root for root in roots for c in free
+             if find_rep[root - root % n2 + shifts[c][root % n2]] == root}
+    kept = [root for root in roots if root not in fixed]
+    number = [None] * len(find_rep)
+    for k, root in enumerate(kept):
+        number[root] = k
+    label = [number[r] for r in find_rep]
+    split = [(root // n2 * nc, root % n2) for root in kept]
+    js = [j for _, j in split]
+    return ([[label[q // nc * n2 + shifts[q % nc][r2[j]]]
+              for q, j in zip([r1[i] for i, _ in split], js)]
              for r1, r2 in rows], label, split)
 
 

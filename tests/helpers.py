@@ -9,7 +9,6 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 import fibredburnside
-from fibredburnside import monomial
 from fibredburnside.fibred import (
     BoucFactorization, _canonical_raw, _graph_class,
     _permute_raw, bouc_factorize, canonicalize, compose, element_of,
@@ -435,8 +434,9 @@ def ref_oracle_moves(tx, ty):
 def ref_oracle_result_rows(tx, ty):
     """The orbit oracle's result action over every element of
     (G x K) x C, as the oracle built it before it built rows for
-    generators only: full coset tables of tx and ty, the pairs glued by
-    generators of H x C, and one result row per element.  Returns the
+    generators only: full coset tables of tx and ty, every pair of
+    points glued by union-find over the moves of generators of H x C,
+    and one result row per element.  Returns the
     (G x K, C) embedding and the rows."""
     G, H = tx.left, tx.right
     K = ty.right
@@ -449,18 +449,27 @@ def ref_oracle_result_rows(tx, ty):
     t1, e1 = T1.action.table, T1.embedding
     t2, e2 = T2.action.table, T2.embedding
     emb_res = product_embedding(emb_gk.ambient, C)
+    n2 = T2.size
+    find_rep, roots = ref_orbit_partition(T1.size * n2, [
+        _ref_pair_move(t1[e1.encode(emb_gh.encode(0, h), 0)],
+                       t2[e2.encode(emb_hk.encode(h, 0), 0)], n2)
+        for h in H.generators()] + [
+        _ref_pair_move(t1[e1.encode(0, c)],
+                       t2[e2.encode(0, C.inverses[c])], n2)
+        for c in C.generators()])
     # the fibre acts freely on an orbit when (1, c), c != 1, moves its
     # root (i, j) to (c.i, j) outside it
-    table, _, _ = monomial._glue(
-        T1.size, T2.size,
-        [(t1[e1.encode(emb_gh.encode(0, h), 0)],
-          t2[e2.encode(emb_hk.encode(h, 0), 0)]) for h in H.generators()]
-        + [(t1[e1.encode(0, c)], t2[e2.encode(0, C.inverses[c])])
-           for c in C.generators()],
-        [(t1[e1.encode(emb_gh.encode(g, 0), c)],
-          t2[e2.encode(emb_hk.encode(0, k), 0)])
-         for gk, c in emb_res.coords for g, k in [emb_gk.coords[gk]]],
-        free=[t1[e1.encode(0, c)] for c in range(1, C.order)])
+    free = [t1[e1.encode(0, c)] for c in range(1, C.order)]
+    kept = [root for root in roots
+            if all(find_rep[r[root // n2] * n2 + root % n2] != root
+                   for r in free)]
+    index = {root: k for k, root in enumerate(kept)}
+    table = [[index.get(find_rep[r1[root // n2] * n2 + r2[root % n2]])
+              for root in kept]
+             for r1, r2 in ((t1[e1.encode(emb_gh.encode(g, 0), c)],
+                             t2[e2.encode(emb_hk.encode(0, k), 0)])
+                            for gk, c in emb_res.coords
+                            for g, k in [emb_gk.coords[gk]])]
     return emb_res, table
 
 

@@ -45,6 +45,20 @@ def test_monomial_set_freeness_enforced(q8, c2):
         T.validate()
 
 
+def test_coset_model_needs_a_subgroup_that_meets_the_fibre_trivially(
+        q8, c2):
+    emb = product_embedding(q8, c2)
+    with pytest.raises(GroupError, match="meets the fibre nontrivially"):
+        monomial.CosetModel(q8, c2, [emb.encode(0, 0), emb.encode(0, 1)])
+    # the twisted diagonal of the central involution z = 2 meets it
+    # trivially: 4 cosets of {1, z}, each split into |C| = 2 points, and
+    # (z, 1) lies in point 1, since (z, c) with c != 1 lies in point 0
+    model = monomial.CosetModel(q8, c2, [emb.encode(0, 0), emb.encode(2, 1)])
+    assert model.bases == [0, 1, 4, 5]
+    assert model.cell == [0, 2, 1, 3, 4, 6, 5, 7]
+    assert model.size == 8
+
+
 def test_monomial_set_validate_sees_each_fault(c4, c2, s3):
     # the constructor checks only where the action lives
     with pytest.raises(GroupError, match="must live over the"):

@@ -1,6 +1,9 @@
 """The orbit oracle glues from generating sets of the acting groups; the
 reference glues by union-find over the moves of every element.  Both must
 give the same root of every point and the same numbering of the roots.
+The oracle glues only the base pairs (t |C|, j) of its pair space, each
+pair standing for its fibre orbit through the normal form
+(t |C| + c, j) ~ (t |C|, c.j); the reference glues every pair.
 The oracle builds rows for generators only and reads its stabilizers by
 evaluating one point; ``ref_compose_oracle_transitive`` builds every
 row and reads them off full tables, and both give the same elements.
@@ -13,7 +16,8 @@ benchmark design builds for seeds 1-3 (G x H, H x K and G x K, of orders
 up to 64; no product with the fibre C is built) to ``ref_product_table``,
 as products are built without validation; and the comparison with the
 oracle's reference covers all pairs of that design for seeds 1-3, and
-fibres C2xC2 and C6 over every catalog triple of order <= 4:
+fibres C2xC2, C6, C8, C2xC4 and C2xC2xC2 over every catalog triple of
+order <= 4:
 
     PYTHONPATH=src:tests python tests/test_oracle_gluing.py
 """
@@ -47,6 +51,8 @@ from helpers import (
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the fibres of order 8, where gluing base pairs only saves the most
+LARGE_FIBRES = ("C8", "C2xC4", "C2xC2xC2")
 
 
 @pytest.fixture()
@@ -89,8 +95,9 @@ def test_orbit_partition_roots_are_least_points_in_ascending_order():
 @pytest.mark.parametrize("fibre", ["C2", "C3", "C4"])
 def test_oracle_gluing_matches_all_element_reference(partitions, fibre):
     C = group_from_spec(fibre)
+    nc = C.order
     pool = small_groups_catalog(8)
-    rng = random.Random(20 + C.order)
+    rng = random.Random(20 + nc)
     for H in pool:
         G = pool[rng.randrange(len(pool))]
         K = pool[rng.randrange(len(pool))]
@@ -101,15 +108,42 @@ def test_oracle_gluing_matches_all_element_reference(partitions, fibre):
         # one partition glues the pairs, the other finds the result orbits
         call, result_call = partitions
         ref = ref_oracle_moves(X, Y)
-        gens = ([(h, 0) for h in H.generators()]
-                + [(0, c) for c in C.generators()])
-        # the moves glued are those of (h, 1) and (1, c) for generators
-        # h and c, and these elements generate all of H x C
-        assert call[1] == [ref[g] for g in gens]
+        T2 = fibred.to_monomial_set(Y)
+        n2, n_full = T2.size, len(ref[0, 0])
+        n_base = n_full // nc
+        assert call[0] == n_base
+        # the fibre's action on Y, which carries a pair to its normal form
+        shifts = [T2.action.table[T2.embedding.encode(0, c)]
+                  for c in range(nc)]
+
+        def full(q):
+            # base pair (t, j) is the pair (t |C|, j) of the reference
+            return q // n2 * nc * n2 + q % n2
+
+        def normal(x):
+            p, j = divmod(x, n2)
+            return p // nc * n2 + shifts[p % nc][j]
+
+        ref_rep, ref_roots = ref_orbit_partition(n_full, list(ref.values()))
+        # every pair shares a reference orbit with its normal form
+        assert all(ref_rep[x] == ref_rep[full(normal(x))]
+                   for x in range(n_full))
+        # the moves glued are those of (h, 1) for generators h, as normal
+        # forms of base pairs; with C they generate all of H x C
+        h_gens = [(h, 0) for h in H.generators()]
+        assert call[1] == [[normal(ref[g][full(q)]) for q in range(n_base)]
+                           for g in h_gens]
         emb = product_embedding(H, C)
+        gens = h_gens + [(0, c) for c in C.generators()]
         assert (closure_mask(emb.ambient, [emb.encode(*g) for g in gens])
                 == _full(emb.ambient))
-        _assert_reference_partition(call, list(ref.values()))
+        # the partition of the base pairs is the reference's restricted to
+        # them, roots and their numbering included
+        find_rep, roots = call[2]
+        assert [full(r) for r in find_rep] == [ref_rep[full(q)]
+                                               for q in range(n_base)]
+        assert [(full(r), k) for r, k in roots.items()] == list(
+            ref_roots.items())
         # the result moves are the reference rows of (g, 1, 1), (1, k, 1)
         # and (1, 1, c) for generators g, k and c, which generate
         # G x K x C, and they give the orbits of all the reference rows
@@ -257,12 +291,15 @@ def _assert_oracle_matches_reference(pairs):
 
 def _assert_coset_models_match_reference(pairs):
     """The coset model of each class of each pair equals the full-table
-    one: the twisted diagonal, ``coset_of``, ``reps``, and the row and
-    every image of every element."""
+    one: the twisted diagonal, the point of every element of A x C (its
+    image of point 0, which holds the identity), the cells, the least
+    element (b_t, c) of each point t |C| + c, and the row and every image
+    of every element."""
     count = 0
     for X, Y in pairs:
         for T in (X, Y):
             emb = product_embedding(T.ambient, T.fibre)
+            nc = T.fibre.order
             inv = T.fibre.inverses
             twisted = sorted(emb.encode(a, inv[v])
                              for a, v in zip(T.elements, T.delta))
@@ -271,11 +308,15 @@ def _assert_coset_models_match_reference(pairs):
             coset_of, reps, rows = ref_coset_model(T.ambient, T.fibre,
                                                    twisted)
             model = fibred._coset_model(T)
-            assert model.coset_of == coset_of, T
-            assert model.reps == reps, T
-            assert [model.row(x) for x in range(emb.ambient.order)] == rows
+            n = emb.ambient.order
+            assert [model.image(x, 0) for x in range(n)] == coset_of, T
+            assert model.cell == coset_of[::nc], T
+            assert model.size == len(reps)
+            assert reps == [b * nc + c for b in model.bases
+                            for c in range(nc)], T
+            assert [model.row(x) for x in range(n)] == rows
             assert [[model.image(x, p) for p in range(len(reps))]
-                    for x in range(emb.ambient.order)] == rows
+                    for x in range(n)] == rows
             count += 1
     return count
 
@@ -286,12 +327,16 @@ def test_coset_models_match_full_table_reference():
     for seed, fibre in ((4, "C2xC2"), (6, "C6")):
         assert _assert_coset_models_match_reference(
             _triple_pairs(seed, fibre)) == 250
+    assert _assert_coset_models_match_reference(
+        _random_pairs(15, LARGE_FIBRES, 40, max_order=4)) == 80
 
 
 def test_oracle_matches_full_table_reference_on_random_pairs():
     fibres = ("C1", "C2", "C3", "C4", "C2xC2", "C6")
     assert _assert_oracle_matches_reference(
         _random_pairs(15, fibres, 120)) == 120
+    assert _assert_oracle_matches_reference(
+        _random_pairs(15, LARGE_FIBRES, 60, max_order=4)) == 60
 
 
 def test_oracle_matches_full_table_reference_on_the_oracle_design():
@@ -305,8 +350,8 @@ def _mutated_glue(monkeypatch, mutate):
     real = monomial._glue
     calls = []
 
-    def glue(n1, n2, moves, rows, free=()):
-        args = (n1, n2, moves, rows, free)
+    def glue(n1, n2, moves, rows, shifts=None, free=()):
+        args = (n1, n2, moves, rows, shifts, free)
         calls.append(args)
         return mutate(real, args)
 
@@ -317,9 +362,11 @@ def _mutated_glue(monkeypatch, mutate):
 def test_orbit_stabilizer_check_catches_a_wrong_pair_label(monkeypatch):
     def wrong_root_label(glue, args):
         rows, label, split = glue(*args)
+        n1, n2, _, _, shifts, _ = args
+        # the root pair (t |C|, j) is base pair (t, j)
         i, j = split[0]
         label = list(label)
-        label[i * args[1] + j] = None
+        label[i // len(shifts) * n2 + j] = None
         return rows, label, split
 
     # pairs whose product has a free orbit, so that a root is labelled
@@ -342,9 +389,9 @@ def test_stabilizer_with_two_fibre_values_is_not_a_twisted_diagonal(
     dropped = []
 
     def keep_every_orbit(glue, args):
-        n1, n2, moves, rows, free = args
+        n1, n2, moves, rows, shifts, free = args
         dropped.append(len(glue(*args)[2]))
-        kept = glue(n1, n2, moves, rows)
+        kept = glue(n1, n2, moves, rows, shifts)
         dropped[-1] = len(kept[2]) - dropped[-1]
         return kept
 
@@ -451,6 +498,9 @@ if __name__ == "__main__":
             ("oracle design, seed 3", _oracle_design_pairs(3)),
             ("triples of order <= 4, fibre C2xC2", _triple_pairs(4, "C2xC2")),
             ("triples of order <= 4, fibre C6", _triple_pairs(6, "C6"))]
+    runs += [(f"triples of order <= 4, fibre {fibre}",
+              _triple_pairs(seed, fibre))
+             for seed, fibre in enumerate(LARGE_FIBRES, start=8)]
     for name, pairs in runs:
         start = time.monotonic()
         count = _assert_oracle_matches_reference(pairs)
