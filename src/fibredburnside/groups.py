@@ -223,10 +223,10 @@ class FiniteGroup:
     @memoized
     def _element_orders(self) -> tuple:
         orders = []
-        for x in range(self.order):
+        for x, row in enumerate(self.table):
             k, y = 1, x
-            while y != 0:
-                y = self.mul(y, x)
+            while y:
+                y = row[y]
                 k += 1
             orders.append(k)
         return tuple(orders)
@@ -238,8 +238,11 @@ class FiniteGroup:
     @property
     @memoized
     def is_abelian(self) -> bool:
-        return all(self.mul(a, b) == self.mul(b, a)
-                   for a in range(self.order) for b in range(a))
+        """Whether the generators commute pairwise, which they do exactly
+        when every pair of elements does."""
+        table = self.table
+        gens = self.generators()
+        return all(table[a][b] == table[b][a] for a in gens for b in gens)
 
     def label(self, a: int) -> str:
         if self.labels is not None:
@@ -788,8 +791,12 @@ def _subgroups(G: FiniteGroup) -> tuple:
 
 @memoized
 def center(G: FiniteGroup) -> Subgroup:
-    els = tuple(a for a in range(G.order)
-                if all(G.mul(a, b) == G.mul(b, a) for b in range(G.order)))
+    """The elements that commute with every generator, and so with every
+    element."""
+    table = G.table
+    gens = G.generators()
+    els = tuple(a for a, row in enumerate(table)
+                if all(row[g] == table[g][a] for g in gens))
     return Subgroup(G, els, elements_to_mask(els))
 
 
@@ -825,36 +832,6 @@ def _generating_sequence(G: FiniteGroup, elements: Sequence[int]) -> list:
     return gens
 
 
-def _extend_hom(G: FiniteGroup, elements: Sequence[int], gens: list,
-                codomain: FiniteGroup, gen_images: Sequence[int]):
-    """Propagate generator images over a subgroup; None if inconsistent.
-
-    Walking every (element, generator) edge both assigns and fully checks
-    the homomorphism property on the generated set.
-    """
-    images = {0: 0}
-    order = [0]
-    i = 0
-    gmul = G.mul
-    cmul = codomain.mul
-    while i < len(order):
-        a = order[i]
-        fa = images[a]
-        i += 1
-        for g, fg in zip(gens, gen_images):
-            b = gmul(a, g)
-            fb = cmul(fa, fg)
-            known = images.get(b)
-            if known is None:
-                images[b] = fb
-                order.append(b)
-            elif known != fb:
-                return None
-    if len(images) != len(elements):
-        return None
-    return images
-
-
 def homomorphisms(domain: Union[FiniteGroup, Subgroup],
                   C: FiniteGroup) -> list:
     """All homomorphisms from a subgroup into C, as sorted image tuples; a
@@ -868,32 +845,77 @@ def homomorphisms(domain: Union[FiniteGroup, Subgroup],
 
 def _hom_search(G: FiniteGroup, els: Sequence[int], gens: list,
                 H: FiniteGroup, bijective: bool):
-    """Yield the image dict of every homomorphism from the subgroup
-    ``els`` of G, generated by ``gens``, into H; only the bijective ones
-    if ``bijective``.  A generator's image runs over the elements of H,
-    ascending, whose order divides (equals, for a bijection) its own, and
-    ``_extend_hom`` checks each assignment.  With no generators the one
-    empty assignment gives the trivial map."""
+    """Yield the image tuple, over ``els`` in order, of every
+    homomorphism f from the subgroup ``els`` of G, generated by ``gens``,
+    into H; only the bijective ones if ``bijective``.
+
+    Level j of the breadth-first edge list holds the edges (a, g_i),
+    i <= j, of <g_1..g_j> that <g_1..g_(j-1)> does not hold.  An edge
+    that first reaches b = a g_i defines f(b) = f(a) f(g_i); every other
+    edge checks f(b).  So each edge is read at the first level whose
+    generator images fix it, and f is a homomorphism on <g_1..g_j> once
+    level j holds.  Generator images are assigned depth first, each
+    running ascending over the elements of H whose order divides (equals,
+    for a bijection) its own, so the maps come in ``itertools.product``
+    order.  A conflict prunes the branch, and so does, for a bijection, a
+    repeated image, seen as an element other than 1 sent to 1: a
+    homomorphism is injective exactly when its kernel is trivial.  Images
+    are read off the table rows of H into a list indexed by the elements
+    of G.  With no generators the one empty assignment gives the trivial
+    map."""
+    table = G.table
+    levels = []
+    reached = [0]
+    seen = 1
+    for j in range(len(gens)):
+        edges = []
+        old = len(reached)
+        for k, a in enumerate(reached):  # grows as new elements are found
+            row = table[a]
+            for i in range(j if k < old else 0, j + 1):
+                b = row[gens[i]]
+                defines = not (seen >> b) & 1
+                if defines:
+                    seen |= 1 << b
+                    reached.append(b)
+                edges.append((a, i, b, defines))
+        levels.append(edges)
+
     def fits(g, c):
         o, p = G.element_order(g), H.element_order(c)
         return o == p if bijective else o % p == 0
 
     candidates = [[c for c in range(H.order) if fits(g, c)] for g in gens]
-    for assignment in itertools.product(*candidates):
-        images = _extend_hom(G, els, gens, H, assignment)
-        if images is not None and (not bijective
-                                   or len(set(images.values())) == len(els)):
-            yield images
+    rows = H.table
+    img = [0] * G.order
+    gimg = [0] * len(gens)
+
+    def extend(j):
+        if j == len(gens):
+            yield tuple(map(img.__getitem__, els))
+            return
+        for c in candidates[j]:
+            gimg[j] = c
+            for a, i, b, defines in levels[j]:
+                fb = rows[img[a]][gimg[i]]
+                if defines:
+                    if bijective and not fb:
+                        break
+                    img[b] = fb
+                elif img[b] != fb:
+                    break
+            else:
+                yield from extend(j + 1)
+
+    return extend(0)
 
 
 @memoized
 def _homomorphisms(S: Subgroup, C: FiniteGroup) -> tuple:
     G = S.parent
     els = S.elements
-    return tuple(sorted(
-        tuple(images[a] for a in els)
-        for images in _hom_search(G, els, _generating_sequence(G, els), C,
-                                  bijective=False)))
+    return tuple(sorted(_hom_search(G, els, _generating_sequence(G, els), C,
+                                    bijective=False)))
 
 
 class AutomorphismData(NamedTuple):
@@ -920,10 +942,8 @@ def automorphisms(G: FiniteGroup) -> AutomorphismData:
 @memoized
 def _automorphisms(G: FiniteGroup) -> AutomorphismData:
     els = list(range(G.order))
-    autos = tuple(sorted(
-        tuple(images[a] for a in els)
-        for images in _hom_search(G, els, G.generators(), G,
-                                  bijective=True)))
+    autos = tuple(sorted(_hom_search(G, els, G.generators(), G,
+                                     bijective=True)))
     inner_images = {G.conjugation_perm(g) for g in range(G.order)}
     inner = tuple(h for h in autos if h in inner_images)
     out_rep_of = {}
@@ -1028,9 +1048,8 @@ def isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[tuple]:
     if G.order_census() != H.order_census():
         return None
     els = list(range(G.order))
-    for images in _hom_search(G, els, G.generators(), H, bijective=True):
-        return tuple(images[a] for a in els)
-    return None
+    return next(_hom_search(G, els, G.generators(), H, bijective=True),
+                None)
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,14 @@ full, cut down in five sound ways:
   lefts are built from the tuples (N, E, k2, theta) with N <= Z(G)
   embedding in C, k2 normal in E <= K and theta: E/k2 -> G/N an
   isomorphism, and the characters of V injective on N x 1; nothing else
-  over G x K is enumerated.  The kept right factors over K x G are the
-  opposites of the lefts.  When Z(G) has no nontrivial subgroup that
-  embeds in C (S3, D10, A4, or a fibre of order prime to |Z(G)|) there
-  are no lefts, and the sweep through every K is empty.
+  over G x K is enumerated.  theta runs over one representative per
+  coset of Inn(G/N) in Aut(G/N): conjugation by (h, 1) carries the V of
+  theta to the V of c_hN o theta and fixes N x 1 pointwise, as N is
+  central, so it carries the characters injective on N x 1 onto each
+  other and keeps every canonical key.  The kept right factors over
+  K x G are the opposites of the lefts.  When Z(G) has no nontrivial
+  subgroup that embeds in C (S3, D10, A4, or a fibre of order prime to
+  |Z(G)|) there are no lefts, and the sweep through every K is empty.
 
 A sixth cut chooses the classes to decide at all:
 
@@ -373,7 +377,12 @@ def _kept_factors(G: FiniteGroup, K: FiniteGroup, C: FiniteGroup
     A left is built from its Goursat data (the fifth cut of the module
     docstring): N = k1(V) is central and embeds in C, k2 is normal in
     E = p2(V) <= K, and theta: E/k2 -> G/N is an isomorphism; nu runs over
-    the characters of V that are injective on N x 1."""
+    the characters of V that are injective on N x 1.  theta is taken up to
+    Inn(G/N), as ``alpha o phi`` with alpha an outer representative:
+    V_theta = {(g, k) : gN = theta(k k2)}, and conjugation by (h, 1)
+    carries it to V_(c_hN o theta) and fixes N x 1 pointwise, N being
+    central: nu stays injective there, and the other thetas of a coset
+    give the same canonical classes."""
     emb = product_embedding(G, K)
     amb = emb.ambient
     whole = G.full_subgroup()
@@ -386,7 +395,7 @@ def _kept_factors(G: FiniteGroup, K: FiniteGroup, C: FiniteGroup
                            for h in homomorphisms(N, C))):
             continue
         GQ, gproj = quotient(G, N)
-        thetas = automorphisms(GQ).all
+        alphas = automorphisms(GQ).out_representatives
         outer = [emb.encode(n, 0) for n in N.elements]
         below = subgroups(K)
         for E in below:
@@ -399,7 +408,7 @@ def _kept_factors(G: FiniteGroup, K: FiniteGroup, C: FiniteGroup
                 phi = isomorphism(EQ, GQ)
                 if phi is None:
                     continue
-                for alpha in thetas:
+                for alpha in alphas:
                     iso = tuple(alpha[q] for q in phi)
                     V = rebuild_from_goursat(emb, GoursatData(
                         E=whole, k1=N, F=E, k2=k2, iso=iso, e_quotient=GQ,
@@ -945,7 +954,7 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
 
     Returns a step-by-step report; raises VerificationError on the first
     failing step."""
-    from .groups import _extend_hom, cyclic, dihedral, quaternion8
+    from .groups import cyclic, dihedral, quaternion8
     from . import goursat
 
     steps = []
@@ -970,9 +979,12 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
     D = emb.ambient.generated_subgroup(gens)
     step("subgroup D = <(x,a),(y,b)>", D.order == 16, f"|D| = {D.order}")
 
-    images = _extend_hom(emb.ambient, D.elements, gens, C, (2, 3))
+    at = [D.elements.index(g) for g in gens]
+    delta = next((h for h in homomorphisms(D, C)
+                  if (h[at[0]], h[at[1]]) == (2, 3)), None)
     step("character delta((x,a)) = c^2, delta((y,b)) = c^-1",
-         images is not None, "generator assignment extends to D")
+         delta is not None, "generator assignment extends to D")
+    images = dict(zip(D.elements, delta))
     val = images[emb.encode(2, 0)]
     step("delta(x^2, 1) = c^2 != 1", val == 2, f"value index {val}")
 
@@ -988,8 +1000,7 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
     step("k2(D) = <a^2>", [H.label(x) for x in k2.elements] == ["1", "a2"],
          str([H.label(x) for x in k2.elements]))
 
-    X = canonicalize(TransitiveFibredBiset(
-        G, H, C, D.mask, tuple(images[x] for x in D.elements)))
+    X = canonicalize(TransitiveFibredBiset(G, H, C, D.mask, delta))
     Xop = opposite(X)
     W = compose(element_of(X), element_of(Xop), check=True)
 

@@ -15,8 +15,8 @@ from fibredburnside.fibred import (
     from_monomial_set, to_monomial_set, transitive_basis)
 from fibredburnside.goursat import _quotient_of_subgroup
 from fibredburnside.groups import (
-    FiniteGroup, GroupError, ProductEmbedding, Subgroup, _extend_hom,
-    _generating_sequence, automorphisms, center, double_coset_representatives,
+    FiniteGroup, GroupError, ProductEmbedding, Subgroup, _generating_sequence,
+    automorphisms, center, double_coset_representatives,
     elements_to_mask, homomorphisms, mask_to_elements, pairs_to_raw,
     product_embedding, subgroup_of_mask, subgroups)
 from fibredburnside.monomial import FiniteAction, MonomialSet
@@ -503,6 +503,35 @@ def ref_tensor_moves(emb_ac, T, emb_bc, Y):
 # -- reference homomorphism search: the generator-image loops each of
 #    homomorphisms, automorphisms and isomorphism ran on its own, every
 #    assignment from ``itertools.product`` checked by ``_extend_hom``
+
+
+def _extend_hom(G, elements, gens, codomain, gen_images):
+    """Propagate generator images over a subgroup; None if inconsistent.
+
+    Walking every (element, generator) edge both assigns and fully checks
+    the homomorphism property on the generated set.
+    """
+    images = {0: 0}
+    order = [0]
+    i = 0
+    gmul = G.mul
+    cmul = codomain.mul
+    while i < len(order):
+        a = order[i]
+        fa = images[a]
+        i += 1
+        for g, fg in zip(gens, gen_images):
+            b = gmul(a, g)
+            fb = cmul(fa, fg)
+            known = images.get(b)
+            if known is None:
+                images[b] = fb
+                order.append(b)
+            elif known != fb:
+                return None
+    if len(images) != len(elements):
+        return None
+    return images
 
 
 def ref_homomorphisms(G, els, C):

@@ -41,6 +41,7 @@ from fibredburnside.monomial import (
 )
 
 from helpers import (
+    _extend_hom,
     block_sum,
     c_free_part,
     equivariant_isomorphism,
@@ -63,7 +64,6 @@ def test_criterion_1_counterexample_regression():
     emb = product_embedding(q8, d8)
     gens = [emb.encode(1, 1), emb.encode(4, 4)]
     D = emb.ambient.generated_subgroup(gens)
-    from fibredburnside.groups import _extend_hom
     images = _extend_hom(emb.ambient, D.elements, gens, c4, (2, 3))
     delta = check_homomorphism(D, c4, (images[x] for x in D.elements))
 

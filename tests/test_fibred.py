@@ -47,7 +47,8 @@ from fibredburnside.groups import (
 from fibredburnside.hat import verify_hat_vs_quotient
 from fibredburnside.monomial import monomial_set_from_pair
 
-from helpers import brute_subcharacter_count, orbit_size, ref_compose_raw
+from helpers import (
+    _extend_hom, brute_subcharacter_count, orbit_size, ref_compose_raw)
 
 
 def counterexample_class(canonical=True):
@@ -57,7 +58,6 @@ def counterexample_class(canonical=True):
     emb = product_embedding(q8, d8)
     gens = [emb.encode(1, 1), emb.encode(4, 4)]
     D = emb.ambient.generated_subgroup(gens)
-    from fibredburnside.groups import _extend_hom
     images = _extend_hom(emb.ambient, D.elements, gens, c4, (2, 3))
     delta = check_homomorphism(D, c4, (images[x] for x in D.elements))
     raw = TransitiveFibredBiset(q8, d8, c4, D.mask, delta)

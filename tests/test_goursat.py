@@ -14,6 +14,7 @@ from fibredburnside.groups import (
     small_groups_catalog,
     subgroups,
 )
+from helpers import _extend_hom
 
 
 def conjugate(D, g):
@@ -123,9 +124,8 @@ def test_projection_three_factors(q8, d8, c4):
     emb2 = product_embedding(q8, d8)
     D2 = emb2.ambient.generated_subgroup([emb2.encode(1, 1),
                                           emb2.encode(4, 4)])
-    images = groups._extend_hom(emb2.ambient, D2.elements,
-                                [emb2.encode(1, 1), emb2.encode(4, 4)],
-                                c4, (2, 3))
+    images = _extend_hom(emb2.ambient, D2.elements,
+                         [emb2.encode(1, 1), emb2.encode(4, 4)], c4, (2, 3))
     dd = emb.ambient.subgroup(
         emb.encode(*emb2.decode(x), c4.inv(images[x])) for x in D2.elements)
     # delta carries (y,b)^2 = (x^2, 1) to c^2, so nothing survives in k1
@@ -312,9 +312,8 @@ def test_conjugate_preserves_size_and_goursat_shape(rng):
 
 def test_conjugate_pair_character(q8d8, counterexample_subgroup, c4):
     D = counterexample_subgroup
-    images = groups._extend_hom(q8d8.ambient, D.elements,
-                                [q8d8.encode(1, 1), q8d8.encode(4, 4)],
-                                c4, (2, 3))
+    images = _extend_hom(q8d8.ambient, D.elements,
+                         [q8d8.encode(1, 1), q8d8.encode(4, 4)], c4, (2, 3))
     delta = groups.check_homomorphism(D, c4,
                                       (images[x] for x in D.elements))
     g = q8d8.encode(4, 1)

@@ -602,6 +602,28 @@ def test_frattini_is_intersection_of_maximals(d8):
     assert groups.frattini(d8).mask == mask
 
 
+def test_commutation_and_orders_read_off_the_table_match_definitions():
+    # is_abelian and center test commutation with the generators only, and
+    # element orders step along the element's own row: each is held to
+    # its definition over all pairs or all powers through mul, on the
+    # search range and the 196 products of two catalog groups of order
+    # <= 8
+    cat = small_groups_catalog(8)
+    pool = _hom_search_range() + [product_embedding(g, h).ambient
+                                  for g in cat for h in cat]
+    for G in pool:
+        els = range(G.order)
+        central = tuple(a for a in els
+                        if all(G.mul(a, b) == G.mul(b, a) for b in els))
+        assert groups.center(G).elements == central, G.name
+        assert G.is_abelian == (len(central) == G.order), G.name
+        for a in els:
+            k, y = 1, a
+            while y:
+                k, y = k + 1, G.mul(y, a)
+            assert G.element_order(a) == k, (G.name, a)
+
+
 # -- homomorphisms -----------------------------------------------------------
 
 
@@ -752,6 +774,21 @@ def test_out_c4(c4):
     data = groups.automorphisms(c4)
     assert len(data.all) == 2
     assert data.out_order == 2
+
+
+@pytest.mark.parametrize("spec, aut_order, out_order",
+                         [("D8", 2048, 128), ("Q8", 18432, 1152)])
+def test_automorphisms_of_a_square(spec, aut_order, out_order):
+    # an automorphism of H x H keeps or swaps the two factors, each up to
+    # a central map H -> Z(H): 2 |Aut(H)|^2 |Hom(H, Z(H))|^2 of them for
+    # D8 and Q8, counted here from the library's own enumerations
+    H = group_from_spec(spec)
+    Z = subgroup_as_group(groups.center(H))[0]
+    count = (2 * len(groups.automorphisms(H).all) ** 2
+             * len(homomorphisms(H, Z)) ** 2)
+    auts = groups.automorphisms(product_embedding(H, H).ambient)
+    assert len(auts.all) == count == aut_order
+    assert auts.out_order == out_order
 
 
 def test_out_representatives_partition(d8):
@@ -1074,6 +1111,13 @@ if __name__ == "__main__":
         assert kept < 1024, (path, kept)
         print(f"200 dropped copies of D8 through {path}: {kept:.1f} bytes "
               f"each ({time.monotonic() - start:.1f}s)", flush=True)
+    # the pruned automorphism search against the blind one, as ordered
+    # lists, on D8 x D8 (2,048 automorphisms)
+    start = time.monotonic()
+    D8xD8 = product_embedding(groups.dihedral(8), groups.dihedral(8)).ambient
+    assert list(groups.automorphisms(D8xD8).all) == ref_automorphisms(D8xD8)
+    print(f"automorphisms of {D8xD8.name} against the reference search: ok "
+          f"({time.monotonic() - start:.1f}s)", flush=True)
     # the enumeration beyond the shipped bound: G x G for every catalog
     # group G of order 9-15, against the reference as ordered lists, the
     # bound raised in this process only
