@@ -16,10 +16,10 @@ validates one given from outside.
 All values are immutable after construction, and every operation is a
 pure function of its arguments.  Derived data lives in the memo of the
 youngest group it is keyed by (:func:`memoized`), so it dies with that
-group.  Only the builders keyed by integers are cached for the process,
-and their groups count as the oldest of all; a group derived from others
-(a product, a quotient, a subgroup as a group) is as young as the
-youngest of them.
+group, and keeps the older ones alive until then.  Only the builders
+keyed by integers are cached for the process, and their groups count as
+the oldest of all; a group derived from others (a product, a quotient,
+a subgroup as a group) is as young as the youngest of them.
 
 The enumerations of subgroups, homomorphisms and automorphisms, and group
 specs, refuse orders above ``SUBGROUP_ORDER_BOUND``, and the catalog
@@ -99,7 +99,9 @@ def memoized(fn):
     dict from argument tuples to values.  Youth is ``_serial``: a group
     from a builder cached for the process has the least, so no entry about
     a group that can be dropped is stored in it, and of two groups of one
-    serial the earlier argument holds the entry.  A call with no argument
+    serial the earlier argument holds the entry.  Its key and value hold
+    the older groups: a dropped group is freed once every younger group
+    it met in a memoized call is dropped too.  A call with no argument
     has no owner, and goes to ``fn`` uncached."""
 
     @functools.wraps(fn)

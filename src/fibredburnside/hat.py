@@ -19,12 +19,19 @@ full, cut down in five sound ways:
 * Orbit representatives of pairs.  Twisting a factor by an automorphism
   twists the composite, (sigma a kappa^-1) o (kappa b tau) =
   sigma (a o b) tau, so a runs over the orbits of Aut(G) x Aut(K) and b
-  over the orbits of Aut(G) on its outer factor.
-* Closure.  The summands of the representative pairs are closed under
-  Aut(G) on both sides, which gives exactly the summands of all swept
-  pairs; each witness is twisted along, and keeps its double-coset
-  representative, as a twist of the outer factors leaves the middle
-  coordinates, and with them the double cosets, unchanged.
+  over those of Aut(G) on its outer factor.  ``_orbits`` walks each from
+  its root, its first class in key order, and reaches every member by a
+  word (sigma, tau), the automorphisms of the two factors that carry the
+  root to it.
+* Closure.  Twists keep factors kept.  A kept pair is
+  (sigma a kappa^-1, b') with a a representative and kappa^-1 b' = b tau
+  with b one, so its composite is sigma (a o b) tau, and each
+  sigma X tau, X a summand of a o b, is a summand of the kept pair
+  (sigma a, b tau).  So the summands of all kept pairs are the orbits of
+  the representatives' summands under Aut(G) on both sides: one walk of
+  ``_orbits`` with those as roots.  A key's word twists its root's
+  witness along, which keeps its double-coset representative, as a twist
+  of the outer factors leaves the middle coordinates unchanged.
 * Trivial reduced kernels.  If g lies in k1(ker nu) for a = (V, nu),
   then (g,1) in V pairs with (1,1) in U at every representative h, so
   g lies in k1(ker delta) of every summand (D, delta) of a o b; likewise
@@ -342,29 +349,30 @@ def _maximal_below(G: FiniteGroup) -> List[FiniteGroup]:
     return [K for K in kats if not any(_embeds(K, L) for L in kats)]
 
 
-def _orbit_representatives(classes: List[TransitiveFibredBiset],
-                           ambient: FiniteGroup, perms: List[list]
-                           ) -> List[TransitiveFibredBiset]:
-    """The first class of each orbit of the group generated by the element
-    maps ``perms`` acting on canonical classes over ``ambient``."""
-    seen = set()
-    reps = []
-    for cls in classes:
-        if cls.raw in seen:
-            continue
-        reps.append(cls)
-        seen.add(cls.raw)
-        stack = [cls.raw]
-        while stack:
-            mask, delta = stack.pop()
-            elements = mask_to_elements(mask)
-            for perm in perms:
-                raw = _canonical_raw(ambient,
-                                     *_permute_raw(perm, elements, delta))
-                if raw not in seen:
-                    seen.add(raw)
-                    stack.append(raw)
-    return reps
+def _orbits(emb, seeds, moves) -> Dict[tuple, tuple]:
+    """The canonical class keys over the two factors of ``emb`` reached
+    from the keys ``seeds`` by ``moves``, (side, automorphism) twists of
+    one factor (0 = left, 1 = right).  Every seed is a root, and the keys
+    are walked depth first from the last seed.  Each key maps to
+    (root, sigma, tau): the key is the root twisted by the automorphisms
+    sigma of the left and tau of the right factor (image tuples)."""
+    amb = emb.ambient
+    steps = [(side, s, _side_map(emb, emb, side, s)) for side, s in moves]
+    one = tuple(tuple(range(f.order)) for f in emb.factors)
+    found = {key: (key,) + one for key in seeds}
+    stack = list(found)
+    while stack:
+        key = stack.pop()
+        root, *word = found[key]
+        elements = mask_to_elements(key[0])
+        for side, s, perm in steps:
+            new = _canonical_raw(amb, *_permute_raw(perm, elements, key[1]))
+            if new not in found:
+                twist = list(word)
+                twist[side] = tuple(s[x] for x in word[side])
+                found[new] = (root, *twist)
+                stack.append(new)
+    return found
 
 
 def _kept_factors(G: FiniteGroup, K: FiniteGroup, C: FiniteGroup
@@ -434,53 +442,39 @@ def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
     Each key maps to ``(a, b, h, sigma, tau)``: the key is the summand at
     double-coset representative h of (sigma a) o (b tau), where sigma and
     tau are automorphisms of G (image tuples) applied to the outer factors
-    of a and b; ``_sweep_witness`` builds the witness from it.  Only orbit
-    representatives of pairs are composed, and their summand keys are
-    closed under Aut(G) on both sides (the second and third cuts of the
-    module docstring).
-    """
+    of a and b; ``_sweep_witness`` builds the witness from it.  A left or
+    right is a representative when no earlier one's orbit holds it, and
+    the summands of pairs of representatives are the roots of one more
+    walk of ``_orbits``, under Aut(G) on both sides: a key's root is the
+    summand of a o b at h, and its word is (sigma, tau) (the second and
+    third cuts of the module docstring)."""
     lefts = _kept_factors(G, K, C)
     if not lefts:
         return {}
     rights = sorted(map(opposite, lefts), key=lambda b: b.raw)
-    emb_gg = product_embedding(G, G)
-    emb_gk = product_embedding(G, K)
-    emb_kg = product_embedding(K, G)
-    amb = emb_gg.ambient
     gens = _aut_generators(G)
-    lefts = _orbit_representatives(
-        lefts, emb_gk.ambient,
-        [_side_map(emb_gk, emb_gk, 0, s) for s in gens]
-        + [_side_map(emb_gk, emb_gk, 1, s) for s in _aut_generators(K)])
-    rights = _orbit_representatives(
-        rights, emb_kg.ambient,
-        [_side_map(emb_kg, emb_kg, 1, s) for s in gens])
-    one = tuple(range(G.order))
-    found = {}
-    for a in lefts:
-        for b in rights:
+    reps = []
+    for classes, emb, moves in (
+            (lefts, product_embedding(G, K),
+             [(0, s) for s in gens] + [(1, s) for s in _aut_generators(K)]),
+            (rights, product_embedding(K, G), [(1, s) for s in gens])):
+        reached = {}
+        reps.append([])
+        for cls in classes:
+            if cls.raw not in reached:
+                reps[-1].append(cls)
+                reached.update(_orbits(emb, [cls.raw], moves))
+    emb_gg = product_embedding(G, G)
+    summands = {}
+    for a in reps[0]:
+        for b in reps[1]:
             for h, mask, delta in _compose_raw(a, b):
-                raw = _canonical_raw(amb, mask, delta)
-                if raw not in found:
-                    found[raw] = (a, b, h, one, one)
-    moves = [(side, s, _side_map(emb_gg, emb_gg, side, s))
-             for side in (0, 1) for s in gens]
-    stack = list(found)
-    while stack:
-        raw = stack.pop()
-        a, b, h, sigma, tau = found[raw]
-        elements = mask_to_elements(raw[0])
-        for side, s, perm in moves:
-            new = _canonical_raw(amb,
-                                 *_permute_raw(perm, elements, raw[1]))
-            if new in found:
-                continue
-            if side == 0:
-                found[new] = (a, b, h, tuple(s[x] for x in sigma), tau)
-            else:
-                found[new] = (a, b, h, sigma, tuple(s[x] for x in tau))
-            stack.append(new)
-    return found
+                summands.setdefault(
+                    _canonical_raw(emb_gg.ambient, mask, delta), (a, b, h))
+    closure = _orbits(emb_gg, summands,
+                      [(side, s) for side in (0, 1) for s in gens])
+    return {key: summands[root] + (sigma, tau)
+            for key, (root, sigma, tau) in closure.items()}
 
 
 def _twisted(X: TransitiveFibredBiset, side: int, images: tuple,
@@ -878,7 +872,10 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
         return "0" if cell < 0 else gens[cell].describe()
 
     # orbits of pairs a * n + b, found by a traversal that checks every
-    # edge; the first pair of each orbit in index order represents it
+    # edge; the first pair of each orbit in index order represents it.
+    # Not an ``_orbits`` walk: its points are generator index pairs, not
+    # class keys, and every edge, not only the first into a point, is
+    # checked against the table, on every call.
     seen = bytearray(n * n)
     reps = []
     for start in range(n * n):

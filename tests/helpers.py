@@ -360,6 +360,44 @@ def ref_ideal_sweep(G, C, K):
     return out
 
 
+def ref_twist(emb, key, sigma, tau):
+    """The canonical key of the class ``key`` over the two factors of
+    ``emb`` with the map sigma applied to the left factor and tau to the
+    right, built from the coordinates of every element."""
+    images = [emb.encode(sigma[x], tau[y]) for x, y in emb.coords]
+    return _canonical_raw(emb.ambient, *_permute_raw(
+        images, mask_to_elements(key[0]), key[1]))
+
+
+def ref_orbits(emb, keys, sides):
+    """Each key's orbit, as a frozenset of canonical keys: the key twisted
+    by every pair of ``automorphisms(left).all`` x
+    ``automorphisms(right).all``, a factor whose side (0 = left,
+    1 = right) is not in ``sides`` taking the identity only."""
+    twists = [automorphisms(f).all if side in sides
+              else [tuple(range(f.order))]
+              for side, f in enumerate(emb.factors)]
+    return {key: frozenset(ref_twist(emb, key, sigma, tau)
+                           for sigma in twists[0] for tau in twists[1])
+            for key in keys}
+
+
+def forbid_formula_path(monkeypatch):
+    """Make ``_compose_raw``, its profiles, its double-coset memo and
+    ``double_coset_representatives`` raise in every module that binds
+    them, so that only the orbit oracle can compose."""
+    from fibredburnside import fibred, goursat, groups, hat, monomial, sampling
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached the formula path")
+
+    for module in (groups, goursat, monomial, fibred, hat, sampling):
+        for name in ("_compose_raw", "_left_profile", "_right_profile",
+                     "_double_cosets", "double_coset_representatives"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+
+
 # -- reference gluing: union-find over the moves of every element of the
 #    acting group, as the orbit oracle glued before it used generators
 

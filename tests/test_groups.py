@@ -1076,6 +1076,38 @@ def test_groups_built_before_cached_ones_are_collected():
     assert proc.stdout.split() == ["0", "0"]
 
 
+_OLDER_MET_BY_YOUNGER = """
+from fibredburnside import groups, hat
+from fibredburnside.fibred import compose, element_of, transitive_basis
+from helpers import live_groups
+
+def alive(name):
+    return sum(G.name == name for G in live_groups())
+
+c2, c4 = groups.cyclic(2), groups.cyclic(4)
+older = groups.FiniteGroup(groups.dihedral(8).table, name="older D8")
+younger = groups.FiniteGroup(groups.quaternion8().table, name="younger Q8")
+X = element_of(transitive_basis(older, younger, c2)[-1])
+Y = element_of(transitive_basis(younger, older, c2)[-1])
+compose(X, Y)
+compose(Y, X)
+hat.hat_dimension(older, c4)
+del X, Y, older
+print(alive("older D8"))
+del younger
+print(alive("older D8"), alive("younger Q8"))
+"""
+
+
+def test_an_older_group_lives_while_a_younger_group_it_met_lives():
+    # the entries keyed by both groups live in the younger group's memo,
+    # and their keys and values hold the older group: dropping the older
+    # one frees it only once the younger one is dropped too
+    proc = _run_fresh(_OLDER_MET_BY_YOUNGER)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "0", "0"]
+
+
 def retained_per_copy(run, base, copies):
     """Bytes still allocated, after a full collection, per dropped copy of
     ``base`` that ``run`` was called on.  Two copies run first, so that

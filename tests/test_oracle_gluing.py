@@ -40,6 +40,7 @@ from fibredburnside.groups import (
 )
 
 from helpers import (
+    forbid_formula_path,
     ref_compose_oracle_transitive,
     ref_coset_model,
     ref_mackey_moves,
@@ -196,8 +197,6 @@ def test_oracle_runs_without_the_formula_path(monkeypatch):
     ``_compose_raw``, its profiles, its double-coset memo and
     ``double_coset_representatives`` made to raise in every module that
     binds them, it still gives the formula's results."""
-    from fibredburnside import goursat, groups, hat
-
     rng = random.Random(8)
     pool = small_groups_catalog(8)
     fibres = [group_from_spec(s) for s in ("C2", "C3", "C4")]
@@ -209,14 +208,7 @@ def test_oracle_runs_without_the_formula_path(monkeypatch):
         Y = sampling.random_transitive_class(rng, H, K, C)
         pairs.append((fibred.element_of(X), fibred.element_of(Y, 2)))
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the oracle reached the formula path")
-
-    for module in (groups, goursat, monomial, fibred, hat, sampling):
-        for name in ("_compose_raw", "_left_profile", "_right_profile",
-                     "_double_cosets", "double_coset_representatives"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
+    forbid_formula_path(monkeypatch)
     results = [fibred.compose_oracle(X, Y) for X, Y in pairs]
     monkeypatch.undo()
     assert results == [fibred.compose(X, Y) for X, Y in pairs]
