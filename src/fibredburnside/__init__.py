@@ -33,12 +33,10 @@ from .groups import (
 )
 from .goursat import (
     GoursatData,
-    conjugate_pair,
     goursat_decompose,
     kernel_part,
     projection,
     rebuild_from_goursat,
-    star,
 )
 from .monomial import (
     FiniteAction,
@@ -56,20 +54,12 @@ from .fibred import (
     element_from_json,
     element_of,
     element_to_json,
-    elementary_fibred_biset,
-    from_monomial_set,
     identity_element,
     is_idempotent,
     opposite,
-    opposite_element,
-    ring_identity,
-    ring_product,
     subcharacter_classes,
-    tensor,
-    to_monomial_set,
     transitive_basis,
     transitive_fibred_biset,
-    zero_element,
 )
 from .hat import (
     FactorizationWitness,

@@ -228,18 +228,21 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
+def _quoted(inputs) -> str:
+    """Element JSON, each quoted as ``compose --check`` accepts it."""
+    return " ".join("'" + json.dumps(fibred.element_to_json(e)) + "'"
+                    for e in inputs)
+
+
 def _check(failures, what, inputs, holds):
-    """Record a failure when ``holds()`` is false or raises GroupError.
-    The line carries the element JSON of the inputs, each quoted in the
-    form that ``compose --check`` accepts."""
+    """Record a failure when ``holds()`` is false or raises GroupError,
+    with the quoted element JSON of the inputs."""
     try:
         ok, detail = holds(), ""
     except GroupError as exc:
         ok, detail = False, f" ({exc})"
     if not ok:
-        failures.append(f"{what} fails{detail}; inputs: " + " ".join(
-            "'" + json.dumps(fibred.element_to_json(e)) + "'"
-            for e in inputs))
+        failures.append(f"{what} fails{detail}; inputs: {_quoted(inputs)}")
 
 
 def _verify_axioms(rng, failures):
@@ -281,15 +284,40 @@ def _verify_oracle(rng, failures):
                (ex, ey), lambda: compose(ex, ey) == compose_oracle(ex, ey))
 
 
+def _first_failing_pair(G, C) -> str:
+    """The quoted first generator pair, in index order, that the oracle
+    disputes or whose reduced product is not its table cell.  It composes
+    pair by pair, so only a failure runs it."""
+    data, table = hat._prime_data(G, C), hat._hat_table(G, C)
+    for (a, x), (b, y) in itertools.product(enumerate(data.elements),
+                                            repeat=2):
+        try:
+            terms = fibred.compose(x, y, check=True).terms
+        except GroupError:
+            return _quoted((x, y))
+        kept = {data.index.get(X.raw): v for X, v in terms.items()
+                if hat.is_in_ideal(X) is None}
+        if kept != ({} if table[a][b] < 0 else {table[a][b]: 1}):
+            return _quoted((x, y))
+    return "none, every pair passes and a symmetry move fails"
+
+
 def _verify_prime(rng, failures):
+    # a failing (G, C) is recorded, and the next one is checked
     for spec in ("C2", "C3", "C4", "C2xC2", "S3", "D8", "Q8"):
         G = group_from_spec(spec)
         for cspec in ("C2", "C3"):
             C = group_from_spec(cspec)
-            report = hat.verify_hat_vs_quotient(G, C, check=True)
-            if not report["ok"]:
-                failures.append(f"hat product mismatch for {spec}/{cspec}: "
-                                f"{report['mismatches'][:2]}")
+            try:
+                report = hat.verify_hat_vs_quotient(G, C, check=True)
+                if report["ok"]:
+                    continue
+                detail = f"hat product mismatch: {report['mismatches'][:2]}"
+            except GroupError as exc:
+                detail = str(exc)
+            failures.append(f"prime-fibre cross-check on {spec}/{cspec} "
+                            f"fails ({detail}); inputs: "
+                            + _first_failing_pair(G, C))
 
 
 def cmd_verify(args) -> int:

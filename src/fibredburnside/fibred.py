@@ -34,14 +34,11 @@ from .groups import (
     memoized,
     pairs_to_raw,
     product_embedding,
-    quotient,
-    subgroup_as_group,
     subgroups,
     double_coset_representatives,
 )
 from . import monomial
 from .goursat import _quotient_of_subgroup, kernel_part, projection
-from .monomial import FiniteAction, MonomialSet
 
 __all__ = [
     "FibreError",
@@ -52,19 +49,11 @@ __all__ = [
     "canonicalize",
     "transitive_fibred_biset",
     "element_of",
-    "zero_element",
     "identity_element",
     "opposite",
-    "opposite_element",
     "compose",
     "compose_oracle",
     "is_idempotent",
-    "tensor",
-    "ring_product",
-    "ring_identity",
-    "to_monomial_set",
-    "from_monomial_set",
-    "elementary_fibred_biset",
     "BoucFactorization",
     "bouc_factorize",
     "element_to_json",
@@ -297,20 +286,8 @@ class FibredElement:
                 f"fibre={self.fibre.name}, {n} term{'s' if n != 1 else ''})")
 
 
-def _add_scaled(acc: Dict[TransitiveFibredBiset, int], elt: FibredElement,
-                k: int):
-    """Add k times the terms of elt into ``acc``: a sum built this way is
-    canonicalized once, when its element is built, not on every step."""
-    for cls, v in elt.terms.items():
-        acc[cls] = acc.get(cls, 0) + k * v
-
-
 def element_of(X: TransitiveFibredBiset, coeff: int = 1) -> FibredElement:
     return FibredElement(X.left, X.right, X.fibre, {X: coeff})
-
-
-def zero_element(left, right, fibre) -> FibredElement:
-    return FibredElement(left, right, fibre, {})
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +324,6 @@ def subcharacter_classes(G: FiniteGroup,
     return transitive_basis(G, cyclic(1), C)
 
 
-def ring_identity(G: FiniteGroup, C: FiniteGroup) -> FibredElement:
-    """The class of C G/G: the identity of the ring of G."""
-    return element_of(_graph_class(G, cyclic(1), C,
-                                   [(g, 0) for g in range(G.order)]))
-
-
 def identity_element(G: FiniteGroup, C: FiniteGroup) -> FibredElement:
     """The class of C (G x G)/Delta(G): the identity morphism of G."""
     return element_of(_graph_class(G, G, C, [(g, g) for g in range(G.order)]))
@@ -370,11 +341,6 @@ def opposite(X: TransitiveFibredBiset) -> TransitiveFibredBiset:
     return _graph_class(X.right, X.left, X.fibre,
                         [coords[x][::-1] for x in X.elements],
                         [inv[c] for c in X.delta])
-
-
-def opposite_element(elt: FibredElement) -> FibredElement:
-    terms = {opposite(cls): coeff for cls, coeff in elt.terms.items()}
-    return FibredElement(elt.right, elt.left, elt.fibre, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -525,30 +491,7 @@ def is_idempotent(W: FibredElement) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# monomial-set bridge and the orbit oracle
-
-
-def to_monomial_set(X: TransitiveFibredBiset) -> MonomialSet:
-    """Explicit coset model of a transitive class over its full ambient
-    group (for a ring basis class over G x C1, that is G)."""
-    elements = X.elements
-    dmap = dict(zip(elements, X.delta))
-    return monomial.monomial_set_from_pair(X.ambient, X.fibre, elements,
-                                           dmap.__getitem__)
-
-
-def from_monomial_set(T: MonomialSet, left: Optional[FiniteGroup] = None,
-                      right: Optional[FiniteGroup] = None) -> FibredElement:
-    """Decompose a monomial set into canonical transitive classes.  The
-    acting group must be the product of (left, right) when those are
-    given; otherwise the result is a ring element over the acting group.
-    """
-    if left is None and right is None:
-        left, right = T.acting, cyclic(1)
-    if product_embedding(left, right).ambient is not T.acting:
-        raise GroupError("acting group is not the stated product")
-    return _element_from_stabilizers(left, right, T.fibre,
-                                     monomial.decompose_monomial(T))
+# the orbit oracle
 
 
 def _element_from_stabilizers(left, right, fibre, stabilizers
@@ -568,9 +511,8 @@ def _element_from_stabilizers(left, right, fibre, stabilizers
 
 
 def _coset_model(X: TransitiveFibredBiset) -> monomial.CosetModel:
-    """The coset model of a transitive class, with the points of
-    ``to_monomial_set(X)``, read off the tables of its ambient group and
-    its fibre."""
+    """The coset model of a transitive class, read off the tables of its
+    ambient group and its fibre."""
     return monomial.CosetModel(X.ambient, X.fibre, monomial._twisted_diagonal(
         X.fibre, X.elements, X.delta))
 
@@ -638,114 +580,13 @@ def compose_oracle(X: FibredElement, Y: FibredElement) -> FibredElement:
     acc: Dict[TransitiveFibredBiset, int] = {}
     for tx, cx in X.terms.items():
         for ty, cy in Y.terms.items():
-            _add_scaled(acc, _compose_oracle_transitive(tx, ty), cx * cy)
+            for cls, v in _compose_oracle_transitive(tx, ty).terms.items():
+                acc[cls] = acc.get(cls, 0) + cx * cy * v
     return FibredElement(X.left, Y.right, X.fibre, acc)
 
 
 # ---------------------------------------------------------------------------
-# tensor product and the ring structure
-
-
-def tensor(X: FibredElement, Y: FibredElement) -> FibredElement:
-    """Dress tensor of ring elements: an element of the ring of G and one
-    of the ring of H give one over G x H, computed set-theoretically as
-    fibre-orbits of the product set."""
-    if X.right.order != 1 or Y.right.order != 1:
-        raise GroupError("tensor expects ring elements (trivial right part)")
-    if X.fibre is not Y.fibre:
-        raise GroupError("fibre groups do not agree")
-    C = X.fibre
-    G, H = X.left, Y.left
-    emb_gc = product_embedding(G, C)
-    emb_hc = product_embedding(H, C)
-    amb = product_embedding(G, H).ambient
-    us = [(to_monomial_set(ty).action, cy) for ty, cy in Y.terms.items()]
-    acc: Dict[TransitiveFibredBiset, int] = {}
-    for tx, cx in X.terms.items():
-        T = to_monomial_set(tx).action
-        for U, cy in us:
-            _, action = monomial.tensor_sets(emb_gc, T, emb_hc, U)
-            res = MonomialSet(amb, C, action)
-            _add_scaled(acc, from_monomial_set(res, G, H), cx * cy)
-    return FibredElement(G, H, C, acc)
-
-
-def _restrict_to_diagonal(elt: FibredElement) -> FibredElement:
-    """Pull an element over G x G back along g -> (g, g)."""
-    G = elt.left
-    C = elt.fibre
-    emb_gg = product_embedding(G, G)
-    emb_src = product_embedding(emb_gg.ambient, C)
-    emb_dst = product_embedding(G, C)
-    acc: Dict[TransitiveFibredBiset, int] = {}
-    for cls, coeff in elt.terms.items():
-        T = to_monomial_set(cls)
-        table = []
-        for e in range(emb_dst.ambient.order):
-            g, c = emb_dst.decode(e)
-            table.append(T.action.table[emb_src.encode(
-                emb_gg.encode(g, g), c)])
-        res = MonomialSet(G, C, FiniteAction(emb_dst.ambient, table))
-        _add_scaled(acc, from_monomial_set(res), coeff)
-    return FibredElement(G, cyclic(1), C, acc)
-
-
-def ring_product(X: FibredElement, Y: FibredElement) -> FibredElement:
-    """Internal product of the ring of G: tensor, then restrict along the
-    diagonal of G x G."""
-    if X.left is not Y.left or X.right.order != 1 or Y.right.order != 1:
-        raise GroupError("ring product expects ring elements over one group")
-    if X.fibre is not Y.fibre:
-        raise GroupError("fibre groups do not agree")
-    return _restrict_to_diagonal(tensor(X, Y))
-
-
-# ---------------------------------------------------------------------------
-# elementary bisets and the factorization through projections
-
-
-def elementary_fibred_biset(kind: str, C: FiniteGroup, *,
-                            group: Optional[FiniteGroup] = None,
-                            subgroup: Optional[Subgroup] = None,
-                            normal: Optional[Subgroup] = None,
-                            iso: Optional[Tuple[FiniteGroup, tuple]] = None
-                            ) -> TransitiveFibredBiset:
-    """The trivial-character fibred class of an elementary biset.
-
-    kinds: ``ind``/``res`` take (group, subgroup); ``inf``/``def`` take
-    (group, normal); ``iso`` takes the domain as ``group`` and ``iso =
-    (codomain, images)``, a bijective homomorphism that
-    ``check_homomorphism`` validates.  Morphisms point left: a class over
-    (A, B) is a morphism from B to A.
-    """
-    kind = kind.lower()
-    if kind in ("ind", "res"):
-        if group is None or subgroup is None or subgroup.parent is not group:
-            raise GroupError("ind/res need a group and one of its subgroups")
-        sub_grp, inclusion = subgroup_as_group(subgroup)
-        pairs = [(g, i) for i, g in enumerate(inclusion)]
-        if kind == "ind":
-            return _graph_class(group, sub_grp, C, pairs)
-        return _graph_class(sub_grp, group, C, [(e, g) for g, e in pairs])
-    if kind in ("inf", "def"):
-        if group is None or normal is None or normal.parent is not group:
-            raise GroupError("inf/def need a group and a normal subgroup")
-        Q, proj = quotient(group, normal)
-        pairs = list(enumerate(proj))
-        if kind == "inf":
-            return _graph_class(group, Q, C, pairs)
-        return _graph_class(Q, group, C, [(q, g) for g, q in pairs])
-    if kind == "iso":
-        if not isinstance(group, FiniteGroup) or iso is None:
-            raise GroupError("iso needs a group and a bijective "
-                             "homomorphism of it")
-        target, images = iso
-        images = check_homomorphism(group, target, images)
-        if not len(set(images)) == group.order == target.order:
-            raise GroupError("iso map is not bijective")
-        return _graph_class(target, group, C,
-                            [(h, g) for g, h in enumerate(images)])
-    raise GroupError(f"unknown elementary biset kind {kind!r}")
+# the factorization through projections
 
 
 class BoucFactorization(NamedTuple):

@@ -1,17 +1,16 @@
 """Subgroups of direct products: coordinate projections and kernels,
-the star product, Goursat decomposition, and conjugation of
-subgroup/character pairs."""
+and the Goursat correspondence between a subgroup of G x H and its
+five-tuple of projections, kernels and isomorphism of quotients."""
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence
 
 from .groups import (
     FiniteGroup,
     GroupError,
     ProductEmbedding,
     Subgroup,
-    _permute_raw,
     elements_to_mask,
     product_embedding,
     quotient,
@@ -22,11 +21,9 @@ from .groups import (
 __all__ = [
     "projection",
     "kernel_part",
-    "star",
     "GoursatData",
     "goursat_decompose",
     "rebuild_from_goursat",
-    "conjugate_pair",
 ]
 
 
@@ -71,29 +68,6 @@ def kernel_part(emb: ProductEmbedding, D: Subgroup,
             part = tuple(x for x in part if not p[x])
     return projection(emb, Subgroup(D.parent, part, elements_to_mask(part)),
                       indices)
-
-
-def star(emb_gh: ProductEmbedding, U: Subgroup,
-         emb_hk: ProductEmbedding, V: Subgroup) -> Subgroup:
-    """U * V = {(g,k) : exists h with (g,h) in U and (h,k) in V},
-    a subgroup of G x K."""
-    if len(emb_gh.factors) != 2 or len(emb_hk.factors) != 2:
-        raise GroupError("star is defined for two-factor products")
-    if U.parent is not emb_gh.ambient or V.parent is not emb_hk.ambient:
-        raise GroupError("subgroup does not live in the stated product")
-    if emb_gh.factors[1] is not emb_hk.factors[0]:
-        raise GroupError("middle factors do not agree")
-    emb_gk = product_embedding(emb_gh.factors[0], emb_hk.factors[1])
-    by_h: dict = {}
-    for x in U.elements:
-        g, h = emb_gh.decode(x)
-        by_h.setdefault(h, []).append(g)
-    mask = 0
-    for y in V.elements:
-        h, k = emb_hk.decode(y)
-        for g in by_h.get(h, ()):
-            mask |= 1 << emb_gk.encode(g, k)
-    return subgroup_of_mask(emb_gk.ambient, mask)
 
 
 class GoursatData(NamedTuple):
@@ -162,12 +136,3 @@ def rebuild_from_goursat(emb: ProductEmbedding, data: GoursatData) -> Subgroup:
             if iso[fmap[h]] == emap[g]:
                 out.append(emb.encode(g, h))
     return Subgroup(emb.ambient, tuple(out), elements_to_mask(out))
-
-
-def conjugate_pair(D: Subgroup, delta: tuple,
-                   g: int) -> Tuple[Subgroup, tuple]:
-    """^g (D, delta) = (^g D, ^g delta) with ^g delta(x) = delta(g^-1 x g);
-    delta is the tuple of values on the elements of D, ascending."""
-    G = D.parent
-    mask, images = _permute_raw(G.conjugation_perm(g), D.elements, delta)
-    return subgroup_of_mask(G, mask), images

@@ -263,7 +263,7 @@ class FiniteGroup:
     def generated_subgroup(self, generators: Iterable[int]) -> "Subgroup":
         return subgroup_of_mask(self, closure_mask(self, list(generators)))
 
-    # -- conjugation helpers ------------------------------------------------
+    # -- conjugation --------------------------------------------------------
 
     @memoized
     def conjugation_perm(self, g: int) -> tuple:
@@ -395,7 +395,7 @@ def check_homomorphism(domain: Union[FiniteGroup, Subgroup],
 
 
 # ---------------------------------------------------------------------------
-# bitmask helpers
+# bitmasks
 
 
 @functools.lru_cache(maxsize=256)
@@ -1130,14 +1130,14 @@ def _parse_atom(token: str):
         if n < 2 or n % 2:
             raise GroupSpecError(f"dihedral atom needs an even order: {token!r}")
         return n, lambda: dihedral(n)
-    if kind == "Q" and num == "8":
+    if kind == "Q" and num and n == 8:
         return 8, quaternion8
     if kind == "S" and num:
         if not 1 <= n <= 4:
             raise GroupSpecError(f"symmetric atom supports 1 <= n <= 4: "
                                  f"{token!r}")
         return math.factorial(n), lambda: symmetric(n)
-    if kind == "A" and num == "4":
+    if kind == "A" and num and n == 4:
         return 12, alternating4
     if kind == "Dic" and num:
         if n < 2:

@@ -6,15 +6,14 @@ the ring module.  Everything here works with concrete points and action
 tables, so it is slow but independent of any composition formula: this
 module is the oracle the formulas are tested against.
 
-Every gluing takes the orbits of a group acting on pairs of points, and
-all of them (``mackey_glue``, ``tensor_sets`` and the orbit oracle of the
-ring module) go through one kernel, ``_glue``: pair moves, one orbit
+The orbit oracle of the ring module takes the orbits of a group acting
+on pairs of points through one kernel, ``_glue``: pair moves, one orbit
 partition, root labels, the split of each root into its two points, and
 the result rows it is asked for.  A finite group's orbits are the
 connected components of the graph whose edges are the moves of any
-generating set (an inverse is a power of its element), so each gluing
+generating set (an inverse is a power of its element), so the gluing
 builds moves only for a small generating set of the acting group, never
-for all of its elements.  The orbit oracle goes further: it builds rows
+for all of its elements.  The oracle goes further: it builds rows
 of its ``CosetModel``s and of the result only for generators, and reads
 each stabilizer by evaluating one point under every group element.  A
 ``CosetModel`` of a subgroup of A x C that meets C trivially holds one
@@ -23,8 +22,7 @@ and C, so the oracle builds no table of A x C.  C acts freely on such a
 model, and its points are numbered t |C| + c, c times the base point
 t |C|.  So when the acting group contains C, each C-orbit of pairs meets
 the base pairs {t |C|} x Y exactly once, and the oracle glues only those,
-|C| times fewer pairs, carrying each pair to its normal form; the
-set-level gluings pass the trivial fibre.
+|C| times fewer pairs, carrying each pair to its normal form.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 from .groups import (
     FiniteGroup,
     GroupError,
-    ProductEmbedding,
     cyclic,
     product_embedding,
 )
@@ -46,8 +43,6 @@ __all__ = [
     "coset_action",
     "monomial_set_from_pair",
     "decompose_monomial",
-    "mackey_glue",
-    "tensor_sets",
 ]
 
 
@@ -277,7 +272,7 @@ def _orbit_partition(n_points: int, moves: List[Sequence[int]]):
     return rep, roots
 
 
-def _glue(n1: int, n2: int, moves, rows, shifts=None, free=()):
+def _glue(n1: int, n2: int, moves, rows, shifts, free=()):
     """The orbits of pairs of points of two sets of sizes n1 and n2 under
     a group that may contain a fibre C.  C acts freely on the first set,
     whose point p = t |C| + c is c times the base point t |C|, and on the
@@ -285,8 +280,7 @@ def _glue(n1: int, n2: int, moves, rows, shifts=None, free=()):
     (c.p, c^-1.j).  So each C-orbit of pairs meets the base pairs
     {t |C|} x {0..n2-1} exactly once, in the normal form (t, c.j) of
     (t |C| + c, j), and only base pairs are glued, (t, j) being pair
-    t * n2 + j.  Without ``shifts`` C is trivial and every pair is a base
-    pair.  Each row pair (r1, r2) takes (p, j) to the normal form of
+    t * n2 + j.  Each row pair (r1, r2) takes (p, j) to the normal form of
     (r1[p], r2[j]): ``moves`` come from elements that generate the
     acting group together with C, ``rows`` from the elements of the
     group acting on the result that the caller asks for.  A root (t, j)
@@ -296,8 +290,6 @@ def _glue(n1: int, n2: int, moves, rows, shifts=None, free=()):
     one result row per row pair of ``rows``, the label of every base
     pair (its orbit's number, or None when dropped) and the point pair
     (t |C|, j) of each kept root."""
-    if shifts is None:
-        shifts = [range(n2)]
     nc = len(shifts)
 
     def pair_move(r1, r2):
@@ -323,46 +315,3 @@ def _glue(n1: int, n2: int, moves, rows, shifts=None, free=()):
     return ([[label[q // nc * n2 + shifts[q % nc][r2[j]]]
               for q, j in zip([r1[i] for i, _ in split], js)]
              for r1, r2 in rows], label, split)
-
-
-def mackey_glue(emb_ab: ProductEmbedding, X: FiniteAction,
-                emb_br: ProductEmbedding, T: FiniteAction
-                ) -> Tuple[ProductEmbedding, FiniteAction]:
-    """Glue an (A, B)-biset X (as an (A x B)-set, acting as a x b^-1)
-    with a (B x R)-set T over the middle group B: the orbit set of
-    X x T under b.(x, t) = (x.b^-1, b.t), carrying the leftover
-    (A x R)-action.  Returns the (A, R) embedding and the action."""
-    A, B = emb_ab.factors
-    B2, R = emb_br.factors
-    if B is not B2:
-        raise GroupError("middle groups do not agree")
-    emb_ar = product_embedding(A, R)
-    table, _, _ = _glue(
-        X.size, T.size,
-        [(X.table[emb_ab.encode(0, b)], T.table[emb_br.encode(b, 0)])
-         for b in B.generators()],
-        [(X.table[emb_ab.encode(a, 0)], T.table[emb_br.encode(0, r)])
-         for a, r in emb_ar.coords])
-    return emb_ar, FiniteAction(emb_ar.ambient, table)
-
-
-def tensor_sets(emb_ac: ProductEmbedding, T: FiniteAction,
-                emb_bc: ProductEmbedding, Y: FiniteAction
-                ) -> Tuple[ProductEmbedding, FiniteAction]:
-    """Tensor of a C-fibred A-set and a C-fibred B-set: C-orbits of
-    T x Y under c.(t, y) = (c.t, c^-1.y), with the (A x B x C)-action
-    (a, b, c).[t, y] = [(a, c).t, (b, 1).y]."""
-    A, C = emb_ac.factors
-    B, C2 = emb_bc.factors
-    if C is not C2:
-        raise GroupError("fibre groups do not agree")
-    inv = C.inverses
-    emb_ab = product_embedding(A, B)
-    emb_abc = product_embedding(emb_ab.ambient, C)
-    table, _, _ = _glue(
-        T.size, Y.size,
-        [(T.table[emb_ac.encode(0, c)], Y.table[emb_bc.encode(0, inv[c])])
-         for c in C.generators()],
-        [(T.table[emb_ac.encode(a, c)], Y.table[emb_bc.encode(b, 0)])
-         for ab, c in emb_abc.coords for a, b in [emb_ab.coords[ab]]])
-    return emb_abc, FiniteAction(emb_abc.ambient, table)

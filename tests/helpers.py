@@ -12,7 +12,7 @@ import fibredburnside
 from fibredburnside.fibred import (
     BoucFactorization, _canonical_raw, _graph_class,
     _permute_raw, bouc_factorize, canonicalize, compose, element_of,
-    from_monomial_set, to_monomial_set, transitive_basis)
+    transitive_basis)
 from fibredburnside.goursat import _quotient_of_subgroup
 from fibredburnside.groups import (
     FiniteGroup, GroupError, ProductEmbedding, Subgroup, _generating_sequence,
@@ -24,6 +24,7 @@ from fibredburnside.hat import (
     FactorizationWitness, HatGenerator, _fibre_embeddings, _iso_to_catalog,
     _reduction_witness, _require_prime_fibre, _summand_reps, _twisted,
     hat_basis_prime, hat_generator_class, hat_multiply, is_in_ideal)
+from setlevel import from_monomial_set, to_monomial_set
 
 
 def live_groups() -> List[FiniteGroup]:

@@ -18,7 +18,6 @@ from fibredburnside.fibred import (
     is_idempotent,
     opposite,
     subcharacter_classes,
-    to_monomial_set,
     transitive_basis,
     transitive_fibred_biset,
 )
@@ -34,11 +33,7 @@ from fibredburnside.groups import (
     small_groups_catalog,
     subgroups,
 )
-from fibredburnside.monomial import (
-    coset_action,
-    mackey_glue,
-    tensor_sets,
-)
+from fibredburnside.monomial import coset_action
 
 from helpers import (
     _extend_hom,
@@ -47,6 +42,8 @@ from helpers import (
     equivariant_isomorphism,
     interleaved_product_biset,
 )
+import setlevel
+from setlevel import mackey_glue, tensor_sets, to_monomial_set
 
 
 def report(number, name, ok, detail=""):
@@ -168,7 +165,7 @@ def test_criterion_4_idempotents_from_full_projections():
         C = fibres[i % 3]
         G = pool[rng.randrange(len(pool))]
         H = pool[rng.randrange(len(pool))]
-        X = sampling.random_full_projection_class(rng, G, H, C)
+        X = setlevel.random_full_projection_class(rng, G, H, C)
         W = compose(element_of(X), element_of(opposite(X)))
         if not is_idempotent(W):
             bad += 1

@@ -432,6 +432,69 @@ def test_verify_failures_carry_seed_and_inputs(capsys, monkeypatch, suite):
     assert json.loads(out)["left"] == json.loads(blobs[0])["left"]
 
 
+def test_verify_prime_records_each_failing_pair_and_goes_on(capsys,
+                                                            monkeypatch):
+    # an oracle that disagrees makes every checked composition raise; each
+    # (G, C) is recorded with its first generator pair, and none aborts
+    real = fibred.compose_oracle
+    monkeypatch.setattr(fibred, "compose_oracle",
+                        lambda X, Y: real(X, Y) + real(X, Y))
+    code, out, _ = run_cli(capsys, "--json", "verify", "--suite", "prime",
+                           "--seed", "3")
+    monkeypatch.undo()
+    assert code == 1
+    data = json.loads(out)
+    assert (data["seed"], data["suites"], data["ok"]) == (3, ["prime"], False)
+    failures = data["failures"]
+    assert len(failures) == 14
+    for line in failures:
+        assert line.startswith("seed 3, suite prime: prime-fibre "
+                               "cross-check on ")
+        assert ("(composition formula disagrees with the oracle); "
+                "inputs: '") in line
+    # the quoted inputs are the first generator pair, and reproduce the
+    # composition with compose --check
+    from fibredburnside import hat
+    G, C = group_from_spec("Q8"), group_from_spec("C3")
+    first = hat._prime_data(G, C).elements[0]
+    blobs = [b for b in failures[-1].split("; inputs: ")[1].split("'")
+             if b.strip()]
+    assert [json.loads(b) for b in blobs] == [element_to_json(first)] * 2
+    code, out, _ = run_cli(capsys, "--json", "compose", blobs[0], blobs[1],
+                           "--check")
+    assert code == 0
+    assert json.loads(out)["left"] == "Q8"
+
+
+def test_verify_prime_names_the_pair_whose_product_the_table_misstates(
+        capsys, monkeypatch):
+    from fibredburnside import hat
+    G, C = group_from_spec("C4"), group_from_spec("C2")
+    real = hat._hat_table
+    # a nonzero product off the first row, so that a pair before it passes
+    a, b = next((a, b) for a, row in enumerate(real(G, C)) if a
+                for b, cell in enumerate(row) if cell >= 0)
+
+    def mutated(group, fibre):
+        table = real(group, fibre)
+        if (group, fibre) == (G, C):
+            table = [list(row) for row in table]
+            table[a][b] = -1
+        return table
+
+    monkeypatch.setattr(hat, "_hat_table", mutated)
+    code, out, _ = run_cli(capsys, "--json", "verify", "--suite", "prime")
+    monkeypatch.undo()
+    assert code == 1
+    (line,) = json.loads(out)["failures"]
+    assert line.startswith("seed 0, suite prime: prime-fibre cross-check "
+                           "on C4/C2 fails (hat product mismatch: ")
+    elements = hat._prime_data(G, C).elements
+    blobs = [b for b in line.split("; inputs: ")[1].split("'") if b.strip()]
+    assert [json.loads(b) for b in blobs] == [
+        element_to_json(elements[a]), element_to_json(elements[b])]
+
+
 def test_verify_prime_json(capsys):
     code, out, _ = run_cli(capsys, "--json", "verify", "--suite", "prime",
                            "--seed", "1")

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from fibredburnside import fibred, goursat, sampling
+from fibredburnside import fibred, sampling
 from fibredburnside.fibred import (
     FibredElement,
     TransitiveFibredBiset,
@@ -18,17 +18,10 @@ from fibredburnside.fibred import (
     element_from_json,
     element_of,
     element_to_json,
-    elementary_fibred_biset,
-    from_monomial_set,
     identity_element,
     is_idempotent,
     opposite,
-    opposite_element,
-    ring_identity,
-    ring_product,
     subcharacter_classes,
-    tensor,
-    to_monomial_set,
     transitive_basis,
     transitive_fibred_biset,
 )
@@ -49,6 +42,16 @@ from fibredburnside.monomial import monomial_set_from_pair
 
 from helpers import (
     _extend_hom, brute_subcharacter_count, orbit_size, ref_compose_raw)
+import setlevel
+from setlevel import (
+    elementary_fibred_biset,
+    from_monomial_set,
+    opposite_element,
+    ring_identity,
+    ring_product,
+    tensor,
+    to_monomial_set,
+)
 
 
 def counterexample_class(canonical=True):
@@ -116,7 +119,7 @@ def test_canonicalize_conjugation_invariant(rng, c2):
         X = sampling.random_transitive_class(rng, d8, d8, c2)
         g = rng.randrange(emb.ambient.order)
         D = check_subgroup(emb.ambient, X.elements)
-        D2, delta2 = goursat.conjugate_pair(D, X.delta, g)
+        D2, delta2 = setlevel.conjugate_pair(D, X.delta, g)
         Y = TransitiveFibredBiset(d8, d8, c2, D2.mask, delta2)
         assert canonicalize(Y) == X
         assert element_of(Y) == element_of(X)
@@ -534,7 +537,7 @@ def test_idempotent_from_full_projection_classes(rng, c2, c4):
         G = group_from_spec(gs)
         H = group_from_spec(hs)
         for C in (c2, c4):
-            X = sampling.random_full_projection_class(rng, G, H, C)
+            X = setlevel.random_full_projection_class(rng, G, H, C)
             if X is None:
                 continue
             W = compose(element_of(X), element_of(opposite(X)))

@@ -15,11 +15,12 @@ from fibredburnside.groups import (
     subgroups,
 )
 from helpers import _extend_hom
+import setlevel
 
 
 def conjugate(D, g):
     """^g D, through ``conjugate_pair`` with the trivial character."""
-    return goursat.conjugate_pair(D, (0,) * D.order, g)[0]
+    return setlevel.conjugate_pair(D, (0,) * D.order, g)[0]
 
 
 def diagonal(emb):
@@ -78,11 +79,11 @@ def test_subgroup_builders_return_consistent_triples():
                     assert_triple(S, factor)
                 assert_triple(goursat.rebuild_from_goursat(emb, data), amb)
                 g = amb.order - 1
-                assert_triple(goursat.conjugate_pair(
+                assert_triple(setlevel.conjugate_pair(
                     D, (0,) * D.order, g)[0], amb)
                 subs_hg = subgroups(emb_hg.ambient)
                 V = subs_hg[D.order % len(subs_hg)]
-                assert_triple(goursat.star(emb, D, emb_hg, V), emb_gg.ambient)
+                assert_triple(setlevel.star(emb, D, emb_hg, V), emb_gg.ambient)
                 delta = homomorphisms(D, c2)[-1]
                 X = TransitiveFibredBiset(G, H, c2, D.mask, delta)
                 for S in X.subgroup_and_kernel():
@@ -153,7 +154,7 @@ def test_projection_invalid_indices(q8, c2):
 def test_star_of_diagonals(s3):
     emb = product_embedding(s3, s3)
     D = diagonal(emb)
-    assert goursat.star(emb, D, emb, D).elements == D.elements
+    assert setlevel.star(emb, D, emb, D).elements == D.elements
 
 
 def test_star_blown_diagonal_is_idempotent(q8, d8):
@@ -167,14 +168,14 @@ def test_star_blown_diagonal_is_idempotent(q8, d8):
         emb.encode(g1, g2)
         for g1 in range(8) for g2 in range(8)
         if (k1.mask >> q8.mul(g1, q8.inv(g2))) & 1)
-    assert goursat.star(emb, dp, emb, dp).elements == dp.elements
+    assert setlevel.star(emb, dp, emb, dp).elements == dp.elements
 
 
 def test_star_factor_mismatch(q8, d8, c2):
     emb_gh = product_embedding(q8, d8)
     emb_ck = product_embedding(c2, q8)
     with pytest.raises(GroupError):
-        goursat.star(emb_gh, diagonal(product_embedding(q8, q8)),
+        setlevel.star(emb_gh, diagonal(product_embedding(q8, q8)),
                      emb_ck, emb_ck.ambient.trivial_subgroup())
 
 
@@ -188,7 +189,7 @@ def test_star_matches_definition_randomized(rng):
         subs2 = subgroups(emb_hk.ambient)
         U = subs1[rng.randrange(len(subs1))]
         V = subs2[rng.randrange(len(subs2))]
-        result = goursat.star(emb_gh, U, emb_hk, V)
+        result = setlevel.star(emb_gh, U, emb_hk, V)
         emb_gk = product_embedding(G, K)
         expected = {
             emb_gk.encode(g, k)
@@ -205,11 +206,11 @@ def test_star_associative_exhaustive_small():
     subs = subgroups(emb.ambient)
     for U in subs:
         for V in subs:
-            UV = goursat.star(emb, U, emb, V)
+            UV = setlevel.star(emb, U, emb, V)
             for W in subs[::3]:
-                left = goursat.star(emb, UV, emb, W)
-                right = goursat.star(emb, U, emb,
-                                     goursat.star(emb, V, emb, W))
+                left = setlevel.star(emb, UV, emb, W)
+                right = setlevel.star(emb, U, emb,
+                                     setlevel.star(emb, V, emb, W))
                 assert left.elements == right.elements
 
 
@@ -225,7 +226,7 @@ def test_star_projection_containments(rng):
         U = subs1[rng.randrange(len(subs1))]
         V = subs2[rng.randrange(len(subs2))]
         emb_gk = product_embedding(G, K)
-        UV = goursat.star(emb_gh, U, emb_hk, V)
+        UV = setlevel.star(emb_gh, U, emb_hk, V)
         p1_uv = goursat.projection(emb_gk, UV, (1,)).mask
         assert p1_uv & ~goursat.projection(emb_gh, U, (1,)).mask == 0
         k1_u = goursat.kernel_part(emb_gh, U, (1,)).mask
@@ -317,7 +318,7 @@ def test_conjugate_pair_character(q8d8, counterexample_subgroup, c4):
     delta = groups.check_homomorphism(D, c4,
                                       (images[x] for x in D.elements))
     g = q8d8.encode(4, 1)
-    newD, newdelta = goursat.conjugate_pair(D, delta, g)
+    newD, newdelta = setlevel.conjugate_pair(D, delta, g)
     amb = q8d8.ambient
     for x, value in zip(newD.elements, newdelta):
         orig = amb.mul(amb.inv(g), amb.mul(x, g))

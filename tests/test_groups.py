@@ -61,6 +61,7 @@ from helpers import (
     ref_quaternion8,
     ref_subgroups,
 )
+import setlevel
 
 
 # -- independent oracles -----------------------------------------------------
@@ -203,6 +204,14 @@ def test_every_catalog_name_parses_to_the_catalog_object():
 
 def test_spec_is_memoized():
     assert group_from_spec("C2xC4") is group_from_spec("C2xC4")
+
+
+@pytest.mark.parametrize("spec,plain", [
+    ("C08", "C8"), ("D08", "D8"), ("S03", "S3"), ("Dic03", "Dic3"),
+    ("Q08", "Q8"), ("A04", "A4"), ("Q008xC02", "Q8xC2")])
+def test_atoms_read_their_order_not_its_spelling(spec, plain):
+    # a leading zero leaves the order as it is, for every kind of atom
+    assert group_from_spec(spec) is group_from_spec(plain)
 
 
 def test_table_validation_rejects_bad_tables():
@@ -725,7 +734,7 @@ def test_homomorphisms_are_plain_image_tuples(q8, d8, c4):
             quotient(d8, d8.full_subgroup())[1],
             subgroup_as_group(D)[1], subgroup_as_group(d8.full_subgroup())[1],
             *emb.factor_projections, data.iso, data.e_projection,
-            data.f_projection, goursat.conjugate_pair(D, delta, 5)[1]]
+            data.f_projection, setlevel.conjugate_pair(D, delta, 5)[1]]
     assert all(type(m) is tuple for m in maps)
     assert all(type(field) is tuple for field in
                (auts.all, auts.inner, auts.out_representatives,

@@ -17,6 +17,7 @@ from fibredburnside.monomial import (
 )
 
 from helpers import c_free_part, equivariant_isomorphism
+import setlevel
 
 
 def test_coset_action_regular(q8):
@@ -138,7 +139,7 @@ def test_mackey_glue_with_regular_biset(s3, c2):
     Z = coset_action(emb_gg.ambient, diag)
     emb_gc = product_embedding(s3, c2)
     T = monomial_set_from_pair(s3, c2, [0, 1], {0: 0, 1: 1}.__getitem__)
-    emb_out, glued = monomial.mackey_glue(emb_gg, Z, emb_gc, T.action)
+    emb_out, glued = setlevel.mackey_glue(emb_gg, Z, emb_gc, T.action)
     assert emb_out.ambient is emb_gc.ambient
     result = MonomialSet(s3, c2, glued)
     result.validate()
@@ -150,7 +151,7 @@ def test_tensor_sets_sizes(c2, c4):
     emb2 = product_embedding(c2, c4)
     T = monomial_set_from_pair(c2, c4, [0], lambda x: 0)
     Y = monomial_set_from_pair(c2, c4, [0, 1], {0: 0, 1: 2}.__getitem__)
-    emb_out, action = monomial.tensor_sets(emb1, T.action, emb2, Y.action)
+    emb_out, action = setlevel.tensor_sets(emb1, T.action, emb2, Y.action)
     # fibre orbits of T x Y: |T||Y| / |C|
     assert action.size == T.size * Y.size // 4
 

@@ -50,6 +50,7 @@ from helpers import (
     ref_product_table,
     ref_tensor_moves,
 )
+import setlevel
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the fibres of order 8, where gluing base pairs only saves the most
@@ -109,7 +110,7 @@ def test_oracle_gluing_matches_all_element_reference(partitions, fibre):
         # one partition glues the pairs, the other finds the result orbits
         call, result_call = partitions
         ref = ref_oracle_moves(X, Y)
-        T2 = fibred.to_monomial_set(Y)
+        T2 = setlevel.to_monomial_set(Y)
         n2, n_full = T2.size, len(ref[0, 0])
         n_base = n_full // nc
         assert call[0] == n_base
@@ -183,9 +184,9 @@ def test_mackey_and_tensor_gluing_match_reference_on_criterion_8(
         return run
 
     monkeypatch.setattr(test_acceptance, "mackey_glue", checked(
-        "mackey", monomial.mackey_glue, ref_mackey_moves))
+        "mackey", setlevel.mackey_glue, ref_mackey_moves))
     monkeypatch.setattr(test_acceptance, "tensor_sets", checked(
-        "tensor", monomial.tensor_sets, ref_tensor_moves))
+        "tensor", setlevel.tensor_sets, ref_tensor_moves))
     test_acceptance.test_criterion_8_green_functor_identities()
     # five gluings over the middle group and two tensors per instance
     assert glued.count("mackey") == 250
@@ -342,7 +343,7 @@ def _mutated_glue(monkeypatch, mutate):
     real = monomial._glue
     calls = []
 
-    def glue(n1, n2, moves, rows, shifts=None, free=()):
+    def glue(n1, n2, moves, rows, shifts, free=()):
         args = (n1, n2, moves, rows, shifts, free)
         calls.append(args)
         return mutate(real, args)

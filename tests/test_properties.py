@@ -13,6 +13,8 @@ from fibredburnside import cli, fibred, sampling
 from fibredburnside.groups import (
     group_from_spec, mask_to_elements, small_groups_catalog)
 
+import setlevel
+
 GROUPS = {g.name: g for g in small_groups_catalog(6)}
 FIBRES = ("C2", "C3", "C4")
 
@@ -52,7 +54,7 @@ def test_property_failure_prints_compose_check_input(monkeypatch, capsys):
     # with a broken oracle every example fails; the shrunk one must name
     # inputs that compose --check accepts
     monkeypatch.setattr(fibred, "compose_oracle",
-                        lambda X, Y: fibred.zero_element(X.left, Y.right,
+                        lambda X, Y: setlevel.zero_element(X.left, Y.right,
                                                          X.fibre))
     with pytest.raises(AssertionError) as info:
         test_compose_agrees_with_oracle()

@@ -7,7 +7,7 @@ import itertools
 
 import pytest
 
-from fibredburnside import goursat, hat, sampling
+from fibredburnside import goursat, hat
 from fibredburnside.fibred import bouc_factorize, opposite, transitive_basis
 from fibredburnside.groups import (
     cyclic, dihedral, product_embedding, quaternion8, small_groups_catalog,
@@ -16,6 +16,7 @@ from fibredburnside.groups import (
 from helpers import (
     ref_bouc_factorize, ref_full_projection_subgroups, ref_kept_keys,
     ref_kernel_part, ref_projection)
+import setlevel
 
 CATALOG = small_groups_catalog(6)
 FIBRES = (cyclic(2), cyclic(3), cyclic(4))
@@ -87,6 +88,6 @@ def test_full_side_class_keys_match_reference(name):
 def test_full_projection_pool_matches_reference(name):
     for G, H in _pairs(name):
         assert ([D.elements for D in
-                 sampling._full_projection_subgroups(G, H)]
+                 setlevel._full_projection_subgroups(G, H)]
                 == [D.elements for D in
                     ref_full_projection_subgroups(G, H)]), (G, H)
