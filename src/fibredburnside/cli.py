@@ -286,18 +286,17 @@ def _verify_oracle(rng, failures):
 
 def _first_failing_pair(G, C) -> str:
     """The quoted first generator pair, in index order, that the oracle
-    disputes or whose reduced product is not its table cell.  It composes
-    pair by pair, so only a failure runs it."""
+    disputes or whose product ``hat._reduce`` finds is not its table
+    cell.  It composes pair by pair, so only a failure runs it."""
     data, table = hat._prime_data(G, C), hat._hat_table(G, C)
     for (a, x), (b, y) in itertools.product(enumerate(data.elements),
                                             repeat=2):
         try:
-            terms = fibred.compose(x, y, check=True).terms
+            composed = fibred.compose(x, y, check=True)
         except GroupError:
             return _quoted((x, y))
-        kept = {data.index.get(X.raw): v for X, v in terms.items()
-                if hat.is_in_ideal(X) is None}
-        if kept != ({} if table[a][b] < 0 else {table[a][b]: 1}):
+        _, _, ok = hat._reduce(G, C, data.index, composed, table[a][b])
+        if not ok:
             return _quoted((x, y))
     return "none, every pair passes and a symmetry move fails"
 

@@ -143,10 +143,9 @@ class TransitiveFibredBiset(NamedTuple):
     def subgroup_and_kernel(self) -> Tuple[Subgroup, Subgroup]:
         """D and ker delta as subgroups of the ambient group."""
         amb = self.ambient
-        elements = self.elements
-        kernel = tuple(x for x, c in zip(elements, self.delta) if c == 0)
-        return (Subgroup(amb, elements, self.mask),
-                Subgroup(amb, kernel, elements_to_mask(kernel)))
+        return (Subgroup(amb, self.mask),
+                Subgroup(amb, elements_to_mask(
+                    x for x, c in zip(self.elements, self.delta) if c == 0)))
 
     def describe(self) -> str:
         elements = self.elements
@@ -240,10 +239,6 @@ class FibredElement:
         elt = object.__new__(cls)
         elt.left, elt.right, elt.fibre, elt.terms = left, right, fibre, terms
         return elt
-
-    @property
-    def ambient(self) -> FiniteGroup:
-        return product_embedding(self.left, self.right).ambient
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -392,11 +387,10 @@ def _double_cosets(H: FiniteGroup, a_mask: int, b_mask: int) -> tuple:
     """The representatives h of the double cosets A h B of the subgroups
     of H with masks ``a_mask`` and ``b_mask``, ascending, each with the
     permutation x -> h^-1 x h."""
-    A = Subgroup(H, mask_to_elements(a_mask), a_mask)
-    B = Subgroup(H, mask_to_elements(b_mask), b_mask)
     hinv = H.inverses
     return tuple((h, H.conjugation_perm(hinv[h]))
-                 for h in double_coset_representatives(H, A, B))
+                 for h in double_coset_representatives(
+                     H, Subgroup(H, a_mask), Subgroup(H, b_mask)))
 
 
 def _compose_raw(V: TransitiveFibredBiset, U: TransitiveFibredBiset):

@@ -15,7 +15,6 @@ from .groups import (
     product_embedding,
     quotient,
     subgroup_as_group,
-    subgroup_of_mask,
 )
 
 __all__ = [
@@ -48,12 +47,12 @@ def projection(emb: ProductEmbedding, D: Subgroup,
         p = emb.factor_projections[ids[0] - 1]
         for x in D.elements:
             mask |= 1 << p[x]
-        return subgroup_of_mask(emb.factors[ids[0] - 1], mask)
+        return Subgroup(emb.factors[ids[0] - 1], mask)
     sub = product_embedding(*(emb.factors[i - 1] for i in ids))
     coords = emb.coords
     for x in D.elements:
         mask |= 1 << sub.encode(*(coords[x][i - 1] for i in ids))
-    return subgroup_of_mask(sub.ambient, mask)
+    return Subgroup(sub.ambient, mask)
 
 
 def kernel_part(emb: ProductEmbedding, D: Subgroup,
@@ -62,12 +61,11 @@ def kernel_part(emb: ProductEmbedding, D: Subgroup,
     trivial off the chosen coordinates."""
     if D.parent is not emb.ambient:
         raise GroupError("subgroup does not live in this product")
-    part = D.elements
+    part = D.mask
     for i, p in enumerate(emb.factor_projections, 1):
         if i not in indices:
-            part = tuple(x for x in part if not p[x])
-    return projection(emb, Subgroup(D.parent, part, elements_to_mask(part)),
-                      indices)
+            part &= ~elements_to_mask(x for x in D.elements if p[x])
+    return projection(emb, Subgroup(D.parent, part), indices)
 
 
 class GoursatData(NamedTuple):
@@ -95,8 +93,8 @@ def _quotient_of_subgroup(S: Subgroup, N: Subgroup):
     order, so the projection of the reindexed group is that list."""
     grp, _ = subgroup_as_group(S)
     pos = {x: i for i, x in enumerate(S.elements)}
-    els = tuple(pos[x] for x in N.elements)
-    return quotient(grp, Subgroup(grp, els, elements_to_mask(els)))
+    return quotient(grp, Subgroup(grp, elements_to_mask(
+        pos[x] for x in N.elements)))
 
 
 def goursat_decompose(emb: ProductEmbedding, D: Subgroup) -> GoursatData:
@@ -129,10 +127,9 @@ def rebuild_from_goursat(emb: ProductEmbedding, data: GoursatData) -> Subgroup:
     emap = dict(zip(data.E.elements, data.e_projection))
     fmap = dict(zip(data.F.elements, data.f_projection))
     iso = data.iso
-    # g and h ascend, so their encodings g |H| + h ascend too
-    out = []
+    mask = 0
     for g in data.E.elements:
         for h in data.F.elements:
             if iso[fmap[h]] == emap[g]:
-                out.append(emb.encode(g, h))
-    return Subgroup(emb.ambient, tuple(out), elements_to_mask(out))
+                mask |= 1 << emb.encode(g, h)
+    return Subgroup(emb.ambient, mask)

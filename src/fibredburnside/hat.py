@@ -838,6 +838,30 @@ def _generator_moves(G: FiniteGroup, gens: Tuple[HatGenerator, ...],
     return tuple(moves), tuple(mismatches)
 
 
+def _reduce(G: FiniteGroup, C: FiniteGroup, index: Dict[tuple, int],
+            composed: FibredElement, cell: int) -> tuple:
+    """A composed pair of generators of (G, C), its ideal summands
+    dropped and the rest indexed by ``index``, the generator positions
+    of ``_prime_data``: (reduced, unknown, ok), with ``reduced`` mapping
+    generator indices to coefficients, ``unknown`` the kept summands that
+    are no generator's, and ``ok`` whether the product is generator
+    ``cell`` (zero for -1).  Each summand of ``compose`` is canonical, so
+    it is decided by its key, not canonicalized again by ``is_in_ideal``."""
+    # distinct summands are distinct classes, so no index repeats
+    reduced = {}
+    unknown = []
+    for cls, coeff in composed.terms.items():
+        if _ideal_decision(G, C, cls.raw) is not None:
+            continue
+        i = index.get(cls.raw)
+        if i is None:
+            unknown.append(cls)
+        else:
+            reduced[i] = coeff
+    ok = not unknown and reduced == ({} if cell < 0 else {cell: 1})
+    return reduced, unknown, ok
+
+
 def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
                            check: bool = False) -> dict:
     """Check the generator product rules against the ring: multiply the
@@ -853,9 +877,7 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
     mismatches the moves record, which each report gets as a fresh copy.
     The table, the orbit traversal that checks every pair against the
     moves, every composition and every ideal decision run on each call:
-    they are the check.  The summands of ``compose`` are canonical, so
-    each is decided by its key, without canonicalizing it again as
-    ``is_in_ideal`` would.
+    they are the check, and ``_reduce`` drops and indexes the summands.
 
     The report gives the checked table, as generator indices with -1 for
     zero, under ``"table"``; ``"pairs"`` counts the pairs checked,
@@ -905,19 +927,9 @@ def verify_hat_vs_quotient(G: FiniteGroup, C: FiniteGroup,
     for pair in reps:
         a, b = divmod(pair, n)
         composed = compose(elements[a], elements[b], check=check)
-        # distinct summands are distinct classes, so no index repeats
-        reduced = {}
-        unknown = []
-        for cls, coeff in composed.terms.items():
-            if _ideal_decision(G, C, cls.raw) is not None:
-                continue
-            i = index.get(cls.raw)
-            if i is None:
-                unknown.append(cls)
-            else:
-                reduced[i] = coeff
         cell = table[a][b]
-        if unknown or reduced != ({} if cell < 0 else {cell: 1}):
+        reduced, unknown, ok = _reduce(G, C, index, composed, cell)
+        if not ok:
             mismatches.append({
                 "left": gens[a].describe(),
                 "right": gens[b].describe(),

@@ -18,7 +18,7 @@ from fibredburnside.groups import (
     FiniteGroup, GroupError, ProductEmbedding, Subgroup, _generating_sequence,
     automorphisms, center, double_coset_representatives,
     elements_to_mask, homomorphisms, mask_to_elements, pairs_to_raw,
-    product_embedding, subgroup_of_mask, subgroups)
+    product_embedding, subgroups)
 from fibredburnside.monomial import FiniteAction, MonomialSet
 from fibredburnside.hat import (
     FactorizationWitness, HatGenerator, _fibre_embeddings, _iso_to_catalog,
@@ -292,8 +292,8 @@ def ref_compose_raw(emb_gh: ProductEmbedding, emb_hk: ProductEmbedding,
     for (h, k), c in zip(u_dec, mu):
         u_by_first.setdefault(h, []).append((k, c))
 
-    A = Subgroup(H, p2v, elements_to_mask(p2v))
-    B = Subgroup(H, p1u, elements_to_mask(p1u))
+    A = Subgroup(H, elements_to_mask(p2v))
+    B = Subgroup(H, elements_to_mask(p1u))
     out = []
     for h in double_coset_representatives(H, A, B):
         twist = H.conjugation_perm(hinv[h])  # x -> h^-1 x h
@@ -761,12 +761,12 @@ def ref_bouc_factorize(X):
     G, H = emb.factors
     C = X.fibre
     coords = [emb.decode(x) for x in X.elements]
-    E = subgroup_of_mask(G, elements_to_mask(g for g, _ in coords))
-    k1 = subgroup_of_mask(G, elements_to_mask(ref_reduced_kernel(emb, X, 0)))
+    E = Subgroup(G, elements_to_mask(g for g, _ in coords))
+    k1 = Subgroup(G, elements_to_mask(ref_reduced_kernel(emb, X, 0)))
     E_quot, proj_e = _quotient_of_subgroup(E, k1)
     pe = dict(zip(E.elements, proj_e))
-    F = subgroup_of_mask(H, elements_to_mask(h for _, h in coords))
-    k2 = subgroup_of_mask(H, elements_to_mask(ref_reduced_kernel(emb, X, 1)))
+    F = Subgroup(H, elements_to_mask(h for _, h in coords))
+    k2 = Subgroup(H, elements_to_mask(ref_reduced_kernel(emb, X, 1)))
     F_quot, proj_f = _quotient_of_subgroup(F, k2)
     pf = dict(zip(F.elements, proj_f))
     return BoucFactorization(

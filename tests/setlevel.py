@@ -41,7 +41,6 @@ from fibredburnside.groups import (
     product_embedding,
     quotient,
     subgroup_as_group,
-    subgroup_of_mask,
     subgroups,
 )
 from fibredburnside.monomial import FiniteAction, MonomialSet
@@ -271,7 +270,7 @@ def star(emb_gh: ProductEmbedding, U: Subgroup,
         h, k = emb_hk.decode(y)
         for g in by_h.get(h, ()):
             mask |= 1 << emb_gk.encode(g, k)
-    return subgroup_of_mask(emb_gk.ambient, mask)
+    return Subgroup(emb_gk.ambient, mask)
 
 
 def conjugate_pair(D: Subgroup, delta: tuple,
@@ -280,7 +279,7 @@ def conjugate_pair(D: Subgroup, delta: tuple,
     delta is the tuple of values on the elements of D, ascending."""
     G = D.parent
     mask, images = _permute_raw(G.conjugation_perm(g), D.elements, delta)
-    return subgroup_of_mask(G, mask), images
+    return Subgroup(G, mask), images
 
 
 # -- classes whose subgroup projects onto both factors -------------------

@@ -1,12 +1,16 @@
 """The names other code reads from the package: every module's
 ``__all__`` and the package exports resolve, and the benchmark tracer,
 which rebinds the functions it wraps by name, installs over them and
-leaves every module as it found it."""
+leaves every module as it found it.  A warning raised from a module of
+the package fails the test that raised it."""
 
 import importlib
 import os
 import pkgutil
 import sys
+import warnings
+
+import pytest
 
 import fibredburnside
 
@@ -54,3 +58,10 @@ def test_the_benchmark_tracer_installs_over_every_traced_name():
     finally:
         t.uninstall()
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_a_warning_from_the_package_is_an_error():
+    # the filterwarnings entry of pyproject.toml, which every run reads
+    with pytest.raises(UserWarning, match="from groups"):
+        warnings.warn_explicit("from groups", UserWarning, "groups.py", 1,
+                               module="fibredburnside.groups")

@@ -18,6 +18,7 @@ import pytest
 import fibredburnside
 from fibredburnside import goursat, groups
 from fibredburnside.fibred import (
+    TransitiveFibredBiset,
     compose,
     element_of,
     subcharacter_classes,
@@ -571,6 +572,48 @@ def test_check_subgroup_reports_the_first_fault():
         else:
             with pytest.raises(GroupError, match=message):
                 check_subgroup(c3, elements)
+
+
+def _built_subgroups(G, emb):
+    """What every subgroup builder returns on G, and on the subgroups of
+    the two-factor product ``emb``: its projections, kernels, Goursat
+    rebuild, and the D and ker delta of a class on it."""
+    out = list(subgroups(G))
+    out += [groups.center(G), groups.frattini(G), G.full_subgroup(),
+            G.trivial_subgroup()]
+    out += [G.generated_subgroup([g]) for g in range(G.order)]
+    out += [G.generated_subgroup(S.elements) for S in subgroups(G)]
+    left, right = emb.factors
+    c2 = groups.cyclic(2)
+    for D in subgroups(emb.ambient):
+        for side in (1, 2):
+            out += [goursat.projection(emb, D, (side,)),
+                    goursat.kernel_part(emb, D, (side,))]
+        out.append(goursat.rebuild_from_goursat(
+            emb, goursat.goursat_decompose(emb, D)))
+        delta = homomorphisms(D, c2)[-1]
+        out += TransitiveFibredBiset(left, right, c2, D.mask,
+                                     delta).subgroup_and_kernel()
+    return out
+
+
+def test_every_subgroup_builder_returns_a_checked_subgroup():
+    # a subgroup is its mask alone: whatever a builder returns must be the
+    # subgroup that check_subgroup builds from its elements
+    assert groups.Subgroup._fields == ("parent", "mask")
+    cases = [(G, product_embedding(G, G)) for G in small_groups_catalog(8)]
+    emb = product_embedding(quaternion8(), groups.dihedral(8))
+    cases.append((emb.ambient, emb))
+    checked = set()
+    for G, emb in cases:
+        for S in _built_subgroups(G, emb):
+            assert type(S) is groups.Subgroup
+            if S not in checked:
+                assert tuple(S) == tuple(check_subgroup(S.parent,
+                                                        S.elements))
+                checked.add(S)
+    # every subgroup of each product is among them, as the D of a class
+    assert len(checked) > sum(len(subgroups(emb.ambient)) for _, emb in cases)
 
 
 def test_subgroup_parents_compare_by_identity(d8):

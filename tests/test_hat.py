@@ -94,6 +94,31 @@ def test_witnesses_are_valid_on_sample(d8, c2):
     assert checked == 12
 
 
+def test_witness_json_rebuilds_its_factorization(c2, c4):
+    # a and b rebuilt from to_json alone, K from the name "through" gives,
+    # compose to a sum that holds the class; reduction and sweep witnesses
+    # both occur
+    kinds = {"reduction": 0, "sweep": 0}
+    for G in small_groups_catalog(6) + [group_from_spec("C4xC2")]:
+        for C in (c2, c4):
+            for X in transitive_basis(G, G, C):
+                w = is_in_ideal(X)
+                if w is None:
+                    continue
+                data = json.loads(json.dumps(w.to_json()))
+                K = group_from_spec(data["through"])
+                a = transitive_fibred_biset(G, K, C, data["a"]["D"],
+                                            data["a"]["delta"])
+                b = transitive_fibred_biset(K, G, C, data["b"]["D"],
+                                            data["b"]["delta"])
+                terms = compose(element_of(a), element_of(b),
+                                check=True).terms
+                assert X in terms, (X.describe(), data)
+                reduced = hat._reduction_witness(X) is not None
+                kinds["reduction" if reduced else "sweep"] += 1
+    assert kinds["reduction"] and kinds["sweep"], kinds
+
+
 def test_ideal_count_matches_basis_split(s3, c2):
     basis = transitive_basis(s3, s3, c2)
     dim, survivors = hat_dimension(s3, c2)
