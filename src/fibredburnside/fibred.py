@@ -603,9 +603,8 @@ def _bouc_side(X: TransitiveFibredBiset, side: int) -> tuple:
     emb = X.embedding
     G, H = emb.factors
     D, reduced = X.subgroup_and_kernel()
-    E = projection(emb, D, (side,))
-    middle, proj = _quotient_of_subgroup(E, kernel_part(emb, reduced,
-                                                         (side,)))
+    E = projection(emb, D, side)
+    middle, proj = _quotient_of_subgroup(E, kernel_part(emb, reduced, side))
     q = dict(zip(E.elements, proj))
     coords = map(emb.decode, D.elements)
     if side == 1:

@@ -1,10 +1,11 @@
-"""Subgroups of direct products: coordinate projections and kernels,
-and the Goursat correspondence between a subgroup of G x H and its
-five-tuple of projections, kernels and isomorphism of quotients."""
+"""Subgroups of a product G x H: the projections p1, p2 and kernel parts
+k1, k2, read on one side, 1 (G) or 2 (H), and the Goursat
+correspondence between a subgroup of G x H and its five-tuple of
+projections, kernels and isomorphism of quotients."""
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .groups import (
     FiniteGroup,
@@ -12,7 +13,6 @@ from .groups import (
     ProductEmbedding,
     Subgroup,
     elements_to_mask,
-    product_embedding,
     quotient,
     subgroup_as_group,
 )
@@ -26,46 +26,30 @@ __all__ = [
 ]
 
 
-def _check_indices(emb: ProductEmbedding, indices: Sequence[int]) -> tuple:
-    ids = tuple(indices)
-    k = len(emb.factors)
-    if not ids or len(set(ids)) != len(ids) or list(ids) != sorted(ids):
-        raise GroupError(f"invalid index set {indices!r}")
-    if any(not 1 <= i <= k for i in ids):
-        raise GroupError(f"index set {indices!r} out of range for {k} factors")
-    return ids
-
-
-def projection(emb: ProductEmbedding, D: Subgroup,
-               indices: Sequence[int]) -> Subgroup:
-    """Image of D under the coordinate projection p_i (or p_{i,j}, ...)."""
+def _check_side(emb: ProductEmbedding, D: Subgroup, side: int) -> None:
     if D.parent is not emb.ambient:
         raise GroupError("subgroup does not live in this product")
-    ids = _check_indices(emb, indices)
+    if side != 1 and side != 2:
+        raise GroupError(f"side {side!r} is neither 1 (left) nor 2 (right)")
+
+
+def projection(emb: ProductEmbedding, D: Subgroup, side: int) -> Subgroup:
+    """p_side(D): the image of D <= G x H in G (side 1) or H (side 2)."""
+    _check_side(emb, D, side)
+    p = emb.factor_projections[side - 1]
     mask = 0
-    if len(ids) == 1:
-        p = emb.factor_projections[ids[0] - 1]
-        for x in D.elements:
-            mask |= 1 << p[x]
-        return Subgroup(emb.factors[ids[0] - 1], mask)
-    sub = product_embedding(*(emb.factors[i - 1] for i in ids))
-    coords = emb.coords
     for x in D.elements:
-        mask |= 1 << sub.encode(*(coords[x][i - 1] for i in ids))
-    return Subgroup(sub.ambient, mask)
+        mask |= 1 << p[x]
+    return Subgroup(emb.factors[side - 1], mask)
 
 
-def kernel_part(emb: ProductEmbedding, D: Subgroup,
-                indices: Sequence[int]) -> Subgroup:
-    """k_i(D) (or k_{i,j}(D)): the projection of the part of D that is
-    trivial off the chosen coordinates."""
-    if D.parent is not emb.ambient:
-        raise GroupError("subgroup does not live in this product")
-    part = D.mask
-    for i, p in enumerate(emb.factor_projections, 1):
-        if i not in indices:
-            part &= ~elements_to_mask(x for x in D.elements if p[x])
-    return projection(emb, Subgroup(D.parent, part), indices)
+def kernel_part(emb: ProductEmbedding, D: Subgroup, side: int) -> Subgroup:
+    """k_side(D): the projection of the part of D that is trivial on the
+    other side."""
+    _check_side(emb, D, side)
+    other = emb.factor_projections[2 - side]
+    part = D.mask & ~elements_to_mask(x for x in D.elements if other[x])
+    return projection(emb, Subgroup(D.parent, part), side)
 
 
 class GoursatData(NamedTuple):
@@ -100,12 +84,10 @@ def _quotient_of_subgroup(S: Subgroup, N: Subgroup):
 def goursat_decompose(emb: ProductEmbedding, D: Subgroup) -> GoursatData:
     """Goursat data of D <= G x H.  The isomorphism F/k2 -> E/k1 sends
     h k2 to g k1 for any (g, h) in D; it is determined by D."""
-    if len(emb.factors) != 2:
-        raise GroupError("goursat decomposition needs a two-factor product")
-    E = projection(emb, D, (1,))
-    k1 = kernel_part(emb, D, (1,))
-    F = projection(emb, D, (2,))
-    k2 = kernel_part(emb, D, (2,))
+    E = projection(emb, D, 1)
+    k1 = kernel_part(emb, D, 1)
+    F = projection(emb, D, 2)
+    k2 = kernel_part(emb, D, 2)
     EQ, eproj = _quotient_of_subgroup(E, k1)
     FQ, fproj = _quotient_of_subgroup(F, k2)
     emap = dict(zip(E.elements, eproj))

@@ -13,6 +13,14 @@ group standing for its full subgroup, and the homomorphism is the tuple
 of the images of its domain's elements in ascending order;
 ``check_homomorphism`` validates one given from outside.
 
+A product has two factors: ``product_embedding(G, H)`` numbers (g, h)
+as ``g |H| + h``, and its sides are 1 (G) and 2 (H), as in the
+projections and kernel parts of ``goursat``.  A spec of k atoms folds
+from the right through such products, A x (B x (C x ...)), so its
+numbering is the mixed radix of the atoms with the last varying fastest,
+and its labels nest: ``(1,(c,c))`` in C2xC2xC2.  A trivial atom leaves
+the product unchanged.
+
 All values are immutable after construction, and every operation is a
 pure function of its arguments.  Derived data lives in the memo of the
 youngest group it is keyed by (:func:`memoized`), so it dies with that
@@ -627,93 +635,73 @@ def dicyclic(order: int) -> FiniteGroup:
 
 
 class ProductEmbedding:
-    """A group realized as an explicit direct product of named factors,
-    with coordinate encode/decode and the projection homomorphisms.
+    """The direct product G x H of two groups, with coordinate
+    encode/decode and the two projection homomorphisms.  Side 1 is the
+    left factor G and side 2 the right factor H.
 
-    Encoding is mixed-radix with the last factor varying fastest, i.e.
-    lexicographic in the coordinate tuple.  When all factors but one are
-    trivial the ambient *is* that factor (the canonical isomorphism is the
-    identity on indices), which keeps subgroup masks interchangeable.
+    Encoding is ``(g, h) -> g |H| + h``, lexicographic in the pair.  A
+    product of more groups is nested from the right, G x (H x K), whose
+    numbering is the mixed radix of the three with the last varying
+    fastest.  When a factor is trivial the ambient *is* the other factor
+    (the canonical isomorphism is the identity on indices), which keeps
+    subgroup masks interchangeable.
 
-    ``coords[x]`` is the coordinate tuple of ambient element x; the table
-    is built once, and ``decode`` is a lookup in it.  ``encode`` of a
-    two-factor product is ``a * stride + b``; with more factors it is the
-    general mixed-radix sum, which, like ``zip``, reads only as many
-    leading coordinates as it is given.
+    ``coords[x]`` is the pair of ambient element x; the table is built
+    once, and ``decode`` is a lookup in it.
     """
 
-    __slots__ = ("factors", "ambient", "coords", "factor_projections",
-                 "_strides")
+    __slots__ = ("factors", "ambient", "coords", "factor_projections")
 
-    def __init__(self, factors: tuple, ambient: FiniteGroup, strides: tuple,
-                 coords: tuple):
+    def __init__(self, factors: tuple, ambient: FiniteGroup, coords: tuple):
         self.factors = factors
         self.ambient = ambient
-        self._strides = strides
         self.coords = coords
-        self.factor_projections = tuple(
-            tuple(c[i] for c in coords) for i in range(len(factors)))
+        self.factor_projections = tuple(zip(*coords))
 
-    def encode(self, *coords: int) -> int:
-        strides = self._strides
-        if len(strides) == 2:
-            a, b = coords
-            return a * strides[0] + b
-        return sum(c * s for c, s in zip(coords, strides))
+    def encode(self, g: int, h: int) -> int:
+        return g * self.factors[1].order + h
 
     def decode(self, x: int) -> tuple:
         return self.coords[x]
 
     def __repr__(self):
-        names = " x ".join(f.name for f in self.factors)
-        return f"ProductEmbedding({names})"
+        left, right = self.factors
+        return f"ProductEmbedding({left.name} x {right.name})"
 
 
 @memoized
-def product_embedding(*factors: FiniteGroup) -> ProductEmbedding:
-    """Memoized product: the same factor tuple yields the same embedding
-    (and hence the very same ambient group object).  Groups hash by
-    identity, so the key holds the factor groups themselves."""
-    if not factors:
-        raise GroupError("product of no factors")
-    orders = [f.order for f in factors]
-    strides = []
-    s = 1
-    for o in reversed(orders):
-        strides.append(s)
-        s *= o
-    strides = tuple(reversed(strides))
-    coords = tuple(itertools.product(*(range(o) for o in orders)))
-    nontrivial = [f for f in factors if f.order > 1]
-    if len(nontrivial) <= 1:
-        ambient = nontrivial[0] if nontrivial else factors[0]
+def product_embedding(left: FiniteGroup, right: FiniteGroup
+                      ) -> ProductEmbedding:
+    """Memoized product: the same pair of factors yields the same
+    embedding (and hence the very same ambient group object).  Groups
+    hash by identity, so the key holds the factor groups themselves."""
+    coords = tuple(itertools.product(range(left.order), range(right.order)))
+    if right.order == 1:
+        ambient = left
+    elif left.order == 1:
+        ambient = right
     else:
-        # fold the factors in from the right: with R the product of the
-        # later factors (order m), row (a, b) of f x R is
-        # f.table[a] x R.table[b] in mixed radix, that is the blocks
-        # x*m + R.table[b] for x in f.table[a], each block built once
-        rows = factors[-1].table
-        m = factors[-1].order
-        for f in reversed(factors[:-1]):
-            shifts = [(x * m).__add__ for x in range(f.order)]
-            blocks = [[list(map(s, r)) for s in shifts] for r in rows]
-            table = []
-            for fr in f.table:
-                for blk in blocks:
-                    row = []
-                    for x in fr:
-                        row += blk[x]
-                    table.append(tuple(row))
-            rows = tuple(table)
-            m *= f.order
+        # row (a, b) is left.table[a] x right.table[b] in mixed radix,
+        # that is the blocks x m + right.table[b] for x in left.table[a],
+        # each block built once
+        m = right.order
+        shifts = [(x * m).__add__ for x in range(left.order)]
+        blocks = [[list(map(s, r)) for s in shifts] for r in right.table]
+        rows = []
+        for fr in left.table:
+            for blk in blocks:
+                row = []
+                for x in fr:
+                    row += blk[x]
+                rows.append(tuple(row))
         labels = None
-        if all(f.labels is not None for f in factors):
-            labels = tuple("(" + ",".join(ls) + ")" for ls in
-                           itertools.product(*(f.labels for f in factors)))
-        name = "x".join(f.name for f in factors)
+        if left.labels is not None and right.labels is not None:
+            labels = tuple(f"({a},{b})" for a, b in
+                           itertools.product(left.labels, right.labels))
         ambient = FiniteGroup._from_rows(
-            rows, labels, name, max(f._serial for f in factors))
-    return ProductEmbedding(factors, ambient, strides, coords)
+            tuple(rows), labels, f"{left.name}x{right.name}",
+            max(left._serial, right._serial))
+    return ProductEmbedding((left, right), ambient, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -1148,8 +1136,10 @@ def group_from_spec(spec: str) -> FiniteGroup:
 
     Atoms are Cn, D2n, Q8, Sn (n <= 4), A4 and Dicn (order 4n, n >= 2),
     connected with ``x``, so every catalog name parses to its group.
-    The same normalized spec returns the same object, as atoms and
-    products are memoized.  A spec of order above
+    Three or more atoms fold from the right through two-factor products,
+    ``A x (B x C)``, and a C1 atom drops out: ``C2xC1xC2`` is
+    ``C2xC2``.  The same normalized spec returns the same object, as
+    atoms and products are memoized.  A spec of order above
     ``SUBGROUP_ORDER_BOUND`` raises ``BoundExceededError`` before any
     table is built.
     """
@@ -1164,6 +1154,7 @@ def group_from_spec(spec: str) -> FiniteGroup:
     atoms = [_parse_atom(t) for t in tokens]
     _check_bound("group order", math.prod(o for o, _ in atoms))
     factors = [build() for _, build in atoms]
-    if len(factors) == 1:
-        return factors[0]
-    return product_embedding(*factors).ambient
+    G = factors.pop()
+    for f in reversed(factors):
+        G = product_embedding(f, G).ambient
+    return G

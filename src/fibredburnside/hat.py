@@ -269,13 +269,10 @@ def _iso_to_catalog(grp: FiniteGroup):
 
 def _side_map(emb_from, emb_to, side: int, images) -> list:
     """Element map between products that applies ``images`` to one factor
-    (0 = left, 1 = right) and keeps the other."""
-    out = []
-    for coords in emb_from.coords:
-        coords = list(coords)
-        coords[side] = images[coords[side]]
-        out.append(emb_to.encode(*coords))
-    return out
+    (1 = left, 2 = right) and keeps the other."""
+    if side == 1:
+        return [emb_to.encode(images[g], h) for g, h in emb_from.coords]
+    return [emb_to.encode(g, images[h]) for g, h in emb_from.coords]
 
 
 def _full_side(emb, D, kernel, side: int) -> bool:
@@ -283,8 +280,8 @@ def _full_side(emb, D, kernel, side: int) -> bool:
     has p_side(D) the whole factor and k_side(ker delta) = 1, for side 1
     (left) or 2 (right): the test of the sixth cut of the module
     docstring."""
-    return (projection(emb, D, (side,)).order == emb.factors[side - 1].order
-            and kernel_part(emb, kernel, (side,)).order == 1)
+    return (projection(emb, D, side).order == emb.factors[side - 1].order
+            and kernel_part(emb, kernel, side).order == 1)
 
 
 def _reduction_witness(X: TransitiveFibredBiset
@@ -301,8 +298,8 @@ def _reduction_witness(X: TransitiveFibredBiset
             continue
         middle, left_cls, right_cls = _bouc_side(X, side)
         K, phi = _iso_to_catalog(middle)
-        a = canonicalize(_twisted(left_cls, 1, phi, K))
-        b = canonicalize(_twisted(right_cls, 0, phi, K))
+        a = canonicalize(_twisted(left_cls, 2, phi, K))
+        b = canonicalize(_twisted(right_cls, 1, phi, K))
         h = next(_summand_reps(X, a, b), None)
         if h is None:
             raise GroupError("constructed factorization lost the class")
@@ -352,7 +349,7 @@ def _maximal_below(G: FiniteGroup) -> List[FiniteGroup]:
 def _orbits(emb, seeds, moves) -> Dict[tuple, tuple]:
     """The canonical class keys over the two factors of ``emb`` reached
     from the keys ``seeds`` by ``moves``, (side, automorphism) twists of
-    one factor (0 = left, 1 = right).  Every seed is a root, and the keys
+    one factor (1 = left, 2 = right).  Every seed is a root, and the keys
     are walked depth first from the last seed.  Each key maps to
     (root, sigma, tau): the key is the root twisted by the automorphisms
     sigma of the left and tau of the right factor (image tuples)."""
@@ -369,7 +366,7 @@ def _orbits(emb, seeds, moves) -> Dict[tuple, tuple]:
             new = _canonical_raw(amb, *_permute_raw(perm, elements, key[1]))
             if new not in found:
                 twist = list(word)
-                twist[side] = tuple(s[x] for x in word[side])
+                twist[side - 1] = tuple(s[x] for x in word[side - 1])
                 found[new] = (root, *twist)
                 stack.append(new)
     return found
@@ -456,8 +453,8 @@ def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
     reps = []
     for classes, emb, moves in (
             (lefts, product_embedding(G, K),
-             [(0, s) for s in gens] + [(1, s) for s in _aut_generators(K)]),
-            (rights, product_embedding(K, G), [(1, s) for s in gens])):
+             [(1, s) for s in gens] + [(2, s) for s in _aut_generators(K)]),
+            (rights, product_embedding(K, G), [(2, s) for s in gens])):
         reached = {}
         reps.append([])
         for cls in classes:
@@ -472,21 +469,21 @@ def _ideal_sweep(G: FiniteGroup, C: FiniteGroup, K: FiniteGroup) -> dict:
                 summands.setdefault(
                     _canonical_raw(emb_gg.ambient, mask, delta), (a, b, h))
     closure = _orbits(emb_gg, summands,
-                      [(side, s) for side in (0, 1) for s in gens])
+                      [(side, s) for side in (1, 2) for s in gens])
     return {key: summands[root] + (sigma, tau)
             for key, (root, sigma, tau) in closure.items()}
 
 
 def _twisted(X: TransitiveFibredBiset, side: int, images: tuple,
              target: Optional[FiniteGroup] = None) -> TransitiveFibredBiset:
-    """X with a map applied to one factor (0 = left, 1 = right): an
+    """X with a map applied to one factor (1 = left, 2 = right): an
     automorphism of that factor, or an isomorphism onto ``target``.  The
     result is left uncanonicalized so that its compositions keep their
     double-coset representatives."""
     factors = [X.left, X.right]
     emb = emb_to = X.embedding
     if target is not None:
-        factors[side] = target
+        factors[side - 1] = target
         emb_to = product_embedding(*factors)
     elif images == tuple(range(len(images))):
         return X
@@ -497,8 +494,8 @@ def _twisted(X: TransitiveFibredBiset, side: int, images: tuple,
 
 def _sweep_witness(K: FiniteGroup, entry: tuple) -> FactorizationWitness:
     a, b, h, sigma, tau = entry
-    return FactorizationWitness(K=K, a=_twisted(a, 0, sigma),
-                                b=_twisted(b, 1, tau), which_summand=h)
+    return FactorizationWitness(K=K, a=_twisted(a, 1, sigma),
+                                b=_twisted(b, 2, tau), which_summand=h)
 
 
 def is_in_ideal(X: TransitiveFibredBiset) -> Optional[FactorizationWitness]:
@@ -997,10 +994,10 @@ def counterexample_verify(catalog_bound: int = 7) -> dict:
     val = images[emb.encode(2, 0)]
     step("delta(x^2, 1) = c^2 != 1", val == 2, f"value index {val}")
 
-    p1 = goursat.projection(emb, D, (1,))
-    p2 = goursat.projection(emb, D, (2,))
-    k1 = goursat.kernel_part(emb, D, (1,))
-    k2 = goursat.kernel_part(emb, D, (2,))
+    p1 = goursat.projection(emb, D, 1)
+    p2 = goursat.projection(emb, D, 2)
+    k1 = goursat.kernel_part(emb, D, 1)
+    k2 = goursat.kernel_part(emb, D, 2)
     step("p1(D) = G and p2(D) = H",
          p1.order == G.order and p2.order == H.order,
          f"|p1| = {p1.order}, |p2| = {p2.order}")

@@ -272,7 +272,7 @@ def _orbit_partition(n_points: int, moves: List[Sequence[int]]):
     return rep, roots
 
 
-def _glue(n1: int, n2: int, moves, rows, shifts, free=()):
+def _glue(n1: int, n2: int, moves, rows, shifts, free):
     """The orbits of pairs of points of two sets of sizes n1 and n2 under
     a group that may contain a fibre C.  C acts freely on the first set,
     whose point p = t |C| + c is c times the base point t |C|, and on the

@@ -333,10 +333,11 @@ def ref_compose_raw(emb_gh: ProductEmbedding, emb_hk: ProductEmbedding,
 
 def ref_full_side(emb, C, side):
     """The classes over the two factors of ``emb`` whose projection on
-    ``side`` (0 = left, 1 = right) is the whole factor."""
-    target = emb.factors[side].order
+    ``side`` (1 = left, 2 = right) is the whole factor."""
+    target = emb.factors[side - 1].order
     return [cls for cls in transitive_basis(*emb.factors, C)
-            if len({emb.decode(x)[side] for x in cls.elements}) == target]
+            if len({emb.decode(x)[side - 1] for x in cls.elements})
+            == target]
 
 
 def ref_ideal_sweep(G, C, K):
@@ -346,8 +347,8 @@ def ref_ideal_sweep(G, C, K):
     amb = product_embedding(G, G).ambient
     emb_gk = product_embedding(G, K)
     emb_kg = product_embedding(K, G)
-    lefts = ref_full_side(emb_gk, C, 0)
-    rights = ref_full_side(emb_kg, C, 1)
+    lefts = ref_full_side(emb_gk, C, 1)
+    rights = ref_full_side(emb_kg, C, 2)
     out = {}
     for a in lefts:
         for b in rights:
@@ -373,11 +374,11 @@ def ref_twist(emb, key, sigma, tau):
 def ref_orbits(emb, keys, sides):
     """Each key's orbit, as a frozenset of canonical keys: the key twisted
     by every pair of ``automorphisms(left).all`` x
-    ``automorphisms(right).all``, a factor whose side (0 = left,
-    1 = right) is not in ``sides`` taking the identity only."""
+    ``automorphisms(right).all``, a factor whose side (1 = left,
+    2 = right) is not in ``sides`` taking the identity only."""
     twists = [automorphisms(f).all if side in sides
               else [tuple(range(f.order))]
-              for side, f in enumerate(emb.factors)]
+              for side, f in enumerate(emb.factors, 1)]
     return {key: frozenset(ref_twist(emb, key, sigma, tau)
                            for sigma in twists[0] for tau in twists[1])
             for key in keys}
@@ -711,35 +712,31 @@ def ref_dicyclic(order):
 #    ``goursat.kernel_part``
 
 
-def _ref_pick(emb, D, indices, trivial_off):
-    """Decode every element of D and encode its chosen coordinates; with
-    ``trivial_off`` skip the elements that are not trivial off them.
-    Returns (target group, sorted elements)."""
-    sub = (None if len(indices) == 1
-           else product_embedding(*(emb.factors[i - 1] for i in indices)))
-    others = [i for i in range(1, len(emb.factors) + 1) if i not in indices]
+def _ref_pick(emb, D, side, trivial_off):
+    """Decode every element of D and keep its coordinate on ``side``
+    (1 = left, 2 = right); with ``trivial_off`` skip the elements that
+    are not trivial on the other side.  Returns (target group, sorted
+    elements)."""
     out = set()
     for x in D.elements:
         coords = emb.decode(x)
-        if trivial_off and any(coords[i - 1] != 0 for i in others):
+        if trivial_off and coords[2 - side] != 0:
             continue
-        picked = tuple(coords[i - 1] for i in indices)
-        out.add(picked[0] if sub is None else sub.encode(*picked))
-    target = emb.factors[indices[0] - 1] if sub is None else sub.ambient
-    return target, tuple(sorted(out))
+        out.add(coords[side - 1])
+    return emb.factors[side - 1], tuple(sorted(out))
 
 
-def ref_projection(emb, D, indices):
-    return _ref_pick(emb, D, indices, False)
+def ref_projection(emb, D, side):
+    return _ref_pick(emb, D, side, False)
 
 
-def ref_kernel_part(emb, D, indices):
-    return _ref_pick(emb, D, indices, True)
+def ref_kernel_part(emb, D, side):
+    return _ref_pick(emb, D, side, True)
 
 
 def ref_reduced_kernel(emb, X, side):
-    """Elements g of the side's factor with (g embedded alone) in D and
-    trivial character."""
+    """Elements g of the side's factor (1 = left, 2 = right) with
+    (g embedded alone) in D and trivial character."""
     return ref_raw_reduced_kernel(emb, X.elements, X.delta, side)
 
 
@@ -749,8 +746,8 @@ def ref_raw_reduced_kernel(emb, elements, values, side):
     out = []
     for x, c in zip(elements, values):
         coords = emb.decode(x)
-        if coords[1 - side] == 0 and c == 0:
-            out.append(coords[side])
+        if coords[2 - side] == 0 and c == 0:
+            out.append(coords[side - 1])
     return sorted(out)
 
 
@@ -762,11 +759,11 @@ def ref_bouc_factorize(X):
     C = X.fibre
     coords = [emb.decode(x) for x in X.elements]
     E = Subgroup(G, elements_to_mask(g for g, _ in coords))
-    k1 = Subgroup(G, elements_to_mask(ref_reduced_kernel(emb, X, 0)))
+    k1 = Subgroup(G, elements_to_mask(ref_reduced_kernel(emb, X, 1)))
     E_quot, proj_e = _quotient_of_subgroup(E, k1)
     pe = dict(zip(E.elements, proj_e))
     F = Subgroup(H, elements_to_mask(h for _, h in coords))
-    k2 = Subgroup(H, elements_to_mask(ref_reduced_kernel(emb, X, 1)))
+    k2 = Subgroup(H, elements_to_mask(ref_reduced_kernel(emb, X, 2)))
     F_quot, proj_f = _quotient_of_subgroup(F, k2)
     pf = dict(zip(F.elements, proj_f))
     return BoucFactorization(
@@ -783,13 +780,15 @@ def ref_bouc_factorize(X):
 
 def ref_class_keys(left, right, C, side=None):
     """Sorted canonical keys of the classes over left x right, filtered
-    to a full projection on ``side`` by decoding every element."""
+    to a full projection on ``side`` (1 = left, 2 = right) by decoding
+    every element."""
     emb = product_embedding(left, right)
     subs = subgroups(emb.ambient)
     if side is not None:
-        target = emb.factors[side].order
+        target = emb.factors[side - 1].order
         subs = [D for D in subs
-                if len({emb.coords[x][side] for x in D.elements}) == target]
+                if len({emb.coords[x][side - 1] for x in D.elements})
+                == target]
     return sorted({_canonical_raw(emb.ambient, D.mask, hom)
                    for D in subs for hom in homomorphisms(D, C)})
 
@@ -806,7 +805,7 @@ def ref_kept_keys(G, K, C):
                 in ref_class_keys(left, right, C, side)
                 if ref_raw_reduced_kernel(emb, mask_to_elements(mask),
                                           delta, side) == [0]]
-    return kept(G, K, 0), kept(K, G, 1)
+    return kept(G, K, 1), kept(K, G, 2)
 
 
 def ref_full_projection_subgroups(left, right):
@@ -844,8 +843,8 @@ def ref_reduction_witness(X):
         if middle.order >= G.order:
             continue
         K, phi = _iso_to_catalog(middle)
-        a = canonicalize(_twisted(left_cls, 1, phi, K))
-        b = canonicalize(_twisted(right_cls, 0, phi, K))
+        a = canonicalize(_twisted(left_cls, 2, phi, K))
+        b = canonicalize(_twisted(right_cls, 1, phi, K))
         h = next(_summand_reps(X, a, b), None)
         if h is None:
             raise GroupError("constructed factorization lost the class")

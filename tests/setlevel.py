@@ -75,7 +75,7 @@ def mackey_glue(emb_ab: ProductEmbedding, X: FiniteAction,
          for b in B.generators()],
         [(X.table[emb_ab.encode(a, 0)], T.table[emb_br.encode(0, r)])
          for a, r in emb_ar.coords],
-        [range(T.size)])
+        [range(T.size)], free=())
     return emb_ar, FiniteAction(emb_ar.ambient, table)
 
 
@@ -98,7 +98,7 @@ def tensor_sets(emb_ac: ProductEmbedding, T: FiniteAction,
          for c in C.generators()],
         [(T.table[emb_ac.encode(a, c)], Y.table[emb_bc.encode(b, 0)])
          for ab, c in emb_abc.coords for a, b in [emb_ab.coords[ab]]],
-        [range(Y.size)])
+        [range(Y.size)], free=())
     return emb_abc, FiniteAction(emb_abc.ambient, table)
 
 
@@ -290,8 +290,8 @@ def _full_projection_subgroups(left: FiniteGroup,
                                right: FiniteGroup) -> List[Subgroup]:
     emb = product_embedding(left, right)
     return [D for D in subgroups(emb.ambient)
-            if projection(emb, D, (1,)).order == left.order
-            and projection(emb, D, (2,)).order == right.order]
+            if projection(emb, D, 1).order == left.order
+            and projection(emb, D, 2).order == right.order]
 
 
 def random_full_projection_class(rng: random.Random, left: FiniteGroup,

@@ -65,10 +65,10 @@ def test_criterion_1_counterexample_regression():
     delta = check_homomorphism(D, c4, (images[x] for x in D.elements))
 
     # (a) projections and kernels
-    ok_a = (projection(emb, D, (1,)).order == 8
-            and projection(emb, D, (2,)).order == 8
-            and kernel_part(emb, D, (1,)).elements == (0, 2)
-            and kernel_part(emb, D, (2,)).elements == (0, 2))
+    ok_a = (projection(emb, D, 1).order == 8
+            and projection(emb, D, 2).order == 8
+            and kernel_part(emb, D, 1).elements == (0, 2)
+            and kernel_part(emb, D, 2).elements == (0, 2))
 
     # (b) closed form of X o X-op
     X = canonicalize(fibred.TransitiveFibredBiset(q8, d8, c4, D.mask, delta))

@@ -70,9 +70,8 @@ def test_subgroup_builders_return_consistent_triples():
                 assert_triple(S, amb)
             for D in subs[::max(1, len(subs) // 3)]:
                 for i, factor in ((1, G), (2, H)):
-                    assert_triple(goursat.projection(emb, D, (i,)), factor)
-                    assert_triple(goursat.kernel_part(emb, D, (i,)), factor)
-                assert_triple(goursat.projection(emb, D, (1, 2)), amb)
+                    assert_triple(goursat.projection(emb, D, i), factor)
+                    assert_triple(goursat.kernel_part(emb, D, i), factor)
                 data = goursat.goursat_decompose(emb, D)
                 for S, factor in ((data.E, G), (data.k1, G), (data.F, H),
                                   (data.k2, H)):
@@ -96,18 +95,18 @@ def test_subgroup_builders_return_consistent_triples():
 def test_projection_of_diagonal(q8):
     emb = product_embedding(q8, q8)
     D = diagonal(emb)
-    assert goursat.projection(emb, D, (1,)).order == 8
-    assert goursat.projection(emb, D, (2,)).order == 8
-    assert goursat.kernel_part(emb, D, (1,)).order == 1
-    assert goursat.kernel_part(emb, D, (2,)).order == 1
+    assert goursat.projection(emb, D, 1).order == 8
+    assert goursat.projection(emb, D, 2).order == 8
+    assert goursat.kernel_part(emb, D, 1).order == 1
+    assert goursat.kernel_part(emb, D, 2).order == 1
 
 
 def test_projection_counterexample(q8d8, counterexample_subgroup):
     D = counterexample_subgroup
-    assert goursat.projection(q8d8, D, (1,)).order == 8
-    assert goursat.projection(q8d8, D, (2,)).order == 8
-    k1 = goursat.kernel_part(q8d8, D, (1,))
-    k2 = goursat.kernel_part(q8d8, D, (2,))
+    assert goursat.projection(q8d8, D, 1).order == 8
+    assert goursat.projection(q8d8, D, 2).order == 8
+    k1 = goursat.kernel_part(q8d8, D, 1)
+    k2 = goursat.kernel_part(q8d8, D, 2)
     assert k1.elements == (0, 2)  # <x^2>
     assert k2.elements == (0, 2)  # <a^2>
 
@@ -115,37 +114,39 @@ def test_projection_counterexample(q8d8, counterexample_subgroup):
 def test_projection_of_one_sided_product(q8, c2):
     emb = product_embedding(q8, c2)
     D = emb.ambient.subgroup(emb.encode(g, 0) for g in range(8))
-    assert goursat.projection(emb, D, (2,)).order == 1
-    assert goursat.kernel_part(emb, D, (1,)).order == 8
+    assert goursat.projection(emb, D, 2).order == 1
+    assert goursat.kernel_part(emb, D, 1).order == 8
 
 
 def test_projection_three_factors(q8, d8, c4):
-    emb = product_embedding(q8, d8, c4)
-    # the twisted diagonal of the counterexample pair inside G x H x C
+    # the twisted diagonal of the counterexample pair inside (G x H) x C
     emb2 = product_embedding(q8, d8)
+    emb = product_embedding(emb2.ambient, c4)
     D2 = emb2.ambient.generated_subgroup([emb2.encode(1, 1),
                                           emb2.encode(4, 4)])
     images = _extend_hom(emb2.ambient, D2.elements,
                          [emb2.encode(1, 1), emb2.encode(4, 4)], c4, (2, 3))
     dd = emb.ambient.subgroup(
-        emb.encode(*emb2.decode(x), c4.inv(images[x])) for x in D2.elements)
-    # delta carries (y,b)^2 = (x^2, 1) to c^2, so nothing survives in k1
-    assert goursat.kernel_part(emb, dd, (1,)).order == 1
-    assert goursat.kernel_part(emb, dd, (3,)).order == 1
-    p12 = goursat.projection(emb, dd, (1, 2))
+        emb.encode(x, c4.inv(images[x])) for x in D2.elements)
+    # delta carries (y,b)^2 = (x^2, 1) to c^2, so nothing survives in the
+    # part of G trivial on H x C
+    assert goursat.kernel_part(
+        emb2, goursat.kernel_part(emb, dd, 1), 1).order == 1
+    assert goursat.kernel_part(emb, dd, 2).order == 1
+    p12 = goursat.projection(emb, dd, 1)
     assert p12.parent is emb2.ambient
     assert p12.elements == D2.elements
 
 
 def test_projection_invalid_indices(q8, c2):
+    # a side is 1 (left) or 2 (right), never 0, 3 or an index tuple
     emb = product_embedding(q8, c2)
     D = emb.ambient.trivial_subgroup()
-    with pytest.raises(GroupError):
-        goursat.projection(emb, D, (3,))
-    with pytest.raises(GroupError):
-        goursat.projection(emb, D, ())
-    with pytest.raises(GroupError):
-        goursat.projection(emb, D, (2, 1))
+    for read in (goursat.projection, goursat.kernel_part):
+        for side in (0, 3, (1,)):
+            with pytest.raises(GroupError,
+                               match=r"neither 1 \(left\) nor 2 \(right\)"):
+                read(emb, D, side)
 
 
 # -- star product ------------------------------------------------------------
@@ -162,7 +163,7 @@ def test_star_blown_diagonal_is_idempotent(q8, d8):
     emb_gh = product_embedding(q8, d8)
     D = emb_gh.ambient.generated_subgroup([emb_gh.encode(1, 1),
                                            emb_gh.encode(4, 4)])
-    k1 = goursat.kernel_part(emb_gh, D, (1,))
+    k1 = goursat.kernel_part(emb_gh, D, 1)
     emb = product_embedding(q8, q8)
     dp = emb.ambient.subgroup(
         emb.encode(g1, g2)
@@ -227,10 +228,10 @@ def test_star_projection_containments(rng):
         V = subs2[rng.randrange(len(subs2))]
         emb_gk = product_embedding(G, K)
         UV = setlevel.star(emb_gh, U, emb_hk, V)
-        p1_uv = goursat.projection(emb_gk, UV, (1,)).mask
-        assert p1_uv & ~goursat.projection(emb_gh, U, (1,)).mask == 0
-        k1_u = goursat.kernel_part(emb_gh, U, (1,)).mask
-        assert k1_u & ~goursat.kernel_part(emb_gk, UV, (1,)).mask == 0
+        p1_uv = goursat.projection(emb_gk, UV, 1).mask
+        assert p1_uv & ~goursat.projection(emb_gh, U, 1).mask == 0
+        k1_u = goursat.kernel_part(emb_gh, U, 1).mask
+        assert k1_u & ~goursat.kernel_part(emb_gk, UV, 1).mask == 0
 
 
 # -- goursat decomposition ---------------------------------------------------

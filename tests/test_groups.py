@@ -291,9 +291,11 @@ def test_from_json_accepts_null_labels_and_name():
 # -- direct products ---------------------------------------------------------
 
 
-def test_product_of_no_factors_is_refused():
-    with pytest.raises(GroupError, match="^product of no factors$"):
-        product_embedding()
+def test_product_takes_exactly_two_factors(c2):
+    # a product of more groups is nested, as ``group_from_spec`` folds it
+    for factors in ((), (c2,), (c2, c2, c2)):
+        with pytest.raises(TypeError):
+            product_embedding(*factors)
 
 
 def test_product_with_trivial_is_identity(c1, q8):
@@ -339,21 +341,16 @@ def test_product_ordering_is_lexicographic(c2, c4):
 
 
 def _reference_products():
-    """Every ordered pair of catalog groups of order <= 8, three-factor
-    products, products with trivial factors in every position, and
-    products of order above 64, which ``product_embedding`` supports
+    """Every ordered pair of catalog groups of order <= 8, C1 with itself
+    and products of order above 64, which ``product_embedding`` supports
     although the orbit oracle no longer builds them: (C3 x Q8) x C4 of
     order 96, and (D8 x Q8) x C4 and (Q8 x D8) x C4 of order 256, the
     coset spaces of the counterexample's check."""
     cat = small_groups_catalog(8)
-    c1, c2, c3, c4 = (groups.cyclic(n) for n in (1, 2, 3, 4))
-    s3 = groups.symmetric(3)
+    c1, c3, c4 = (groups.cyclic(n) for n in (1, 3, 4))
     q8 = quaternion8()
     d8 = groups.dihedral(8)
-    return ([(g, h) for g in cat for h in cat]
-            + [(c2, c3, c2), (s3, c2, c4), (c2, c2, c2), (q8, c2, c3),
-               (c3, s3, c1), (c2, c1, c3), (c1, q8, c1), (c1, c1),
-               (c1, c1, c1)]
+    return ([(g, h) for g in cat for h in cat] + [(c1, c1)]
             + [(product_embedding(c3, q8).ambient, c4),
                (product_embedding(d8, q8).ambient, c4),
                (product_embedding(q8, d8).ambient, c4)])
@@ -363,6 +360,70 @@ def test_product_tables_match_cell_by_cell_reference():
     for factors in _reference_products():
         emb = product_embedding(*factors)
         assert emb.ambient.table == ref_product_table(factors), factors
+
+
+# specs of three or more atoms, trivial atoms in every position among them
+SPECS_OF_THREE_OR_MORE_ATOMS = (
+    "C2xC2xC2", "C2xC3xC2", "S3xC2xC4", "Q8xC2xC3", "C2xC3xC2xC2",
+    "C3xS3xC1", "C2xC1xC3", "C1xQ8xC1", "C1xC1xC1", "C2xC1xC2", "C1xC2xC3",
+    "C1xC1xC2")
+
+
+def _fold(spec):
+    """The first atom of ``spec`` and the embedding of its product with
+    the rest, which ``group_from_spec`` folds from the right; None for
+    one atom."""
+    first, _, rest = spec.partition("x")
+    if not rest:
+        return None
+    return rest, product_embedding(group_from_spec(first),
+                                   group_from_spec(rest))
+
+
+def _spec_decode(spec, x):
+    """The atom coordinates of element x of ``group_from_spec(spec)``,
+    read through the nested pairs of its fold."""
+    fold = _fold(spec)
+    if fold is None:
+        return (x,)
+    rest, emb = fold
+    g, r = emb.decode(x)
+    return (g, *_spec_decode(rest, r))
+
+
+def _spec_encode(spec, coords):
+    fold = _fold(spec)
+    if fold is None:
+        return coords[0]
+    rest, emb = fold
+    return emb.encode(coords[0], _spec_encode(rest, coords[1:]))
+
+
+@pytest.mark.parametrize("spec", SPECS_OF_THREE_OR_MORE_ATOMS)
+def test_spec_products_match_the_k_factor_references(spec):
+    # the right fold through pairs gives the k-factor mixed-radix table
+    # and numbering, with the last atom varying fastest
+    atoms = [group_from_spec(t) for t in spec.split("x")]
+    orders = [A.order for A in atoms]
+    G = group_from_spec(spec)
+    assert G.table == ref_product_table(atoms)
+    for x in range(G.order):
+        coords = _spec_decode(spec, x)
+        assert coords == ref_decode(orders, x)
+        assert _spec_encode(spec, coords) == ref_encode(orders, *coords) == x
+
+
+def test_a_trivial_atom_leaves_the_product():
+    assert group_from_spec("C2xC1xC2") is group_from_spec("C2xC2")
+    assert group_from_spec("C1xC2xC3") is group_from_spec("C2xC3")
+    assert group_from_spec("C1xC1xC2") is groups.cyclic(2)
+
+
+def test_spec_labels_nest_from_the_right():
+    G = group_from_spec("C2xC2xC2")
+    assert G.name == "C2xC2xC2"
+    assert (G.labels[0], G.labels[3], G.labels[7]) == \
+        ("(1,(1,1))", "(1,(c,c))", "(c,(c,c))")
 
 
 def test_derived_tables_are_never_validated(monkeypatch, q8, d8, c4):
@@ -389,7 +450,8 @@ def test_internal_tables_are_tuples_of_ints(q8, d8):
     # product, subgroup and quotient tables skip the public constructor's
     # entry check, so they must be built as tuples of ints
     built = [product_embedding(q8, d8).ambient,
-             product_embedding(d8, q8, groups.cyclic(3)).ambient,
+             product_embedding(
+                 d8, product_embedding(q8, groups.cyclic(3)).ambient).ambient,
              subgroup_as_group(q8.subgroup([0, 1, 2, 3]))[0],
              quotient(q8, groups.center(q8))[0]]
     for H in built:
@@ -409,15 +471,6 @@ def test_encode_decode_match_generic_reference():
             assert emb.encode(*coords) == x
         for coords in itertools.product(*(range(o) for o in orders)):
             assert emb.encode(*coords) == ref_encode(orders, *coords)
-
-
-def test_encode_with_two_coordinates_on_three_factors(c2, c3, s3):
-    emb = product_embedding(c2, s3, c3)
-    orders = [2, 6, 3]
-    for a in range(2):
-        for b in range(6):
-            expected = a * 18 + b * 3
-            assert emb.encode(a, b) == ref_encode(orders, a, b) == expected
 
 
 def test_closure_mask_matches_pairwise_reference(monkeypatch):
@@ -528,8 +581,8 @@ def test_lagrange(q8, d8, s3):
 
 
 def test_subgroup_bound():
-    big = product_embedding(quaternion8(), quaternion8(),
-                            groups.cyclic(2)).ambient
+    big = product_embedding(quaternion8(), product_embedding(
+        quaternion8(), groups.cyclic(2)).ambient).ambient
     assert big.order == 128
     with pytest.raises(BoundExceededError):
         subgroups(big)
@@ -587,8 +640,8 @@ def _built_subgroups(G, emb):
     c2 = groups.cyclic(2)
     for D in subgroups(emb.ambient):
         for side in (1, 2):
-            out += [goursat.projection(emb, D, (side,)),
-                    goursat.kernel_part(emb, D, (side,))]
+            out += [goursat.projection(emb, D, side),
+                    goursat.kernel_part(emb, D, side)]
         out.append(goursat.rebuild_from_goursat(
             emb, goursat.goursat_decompose(emb, D)))
         delta = homomorphisms(D, c2)[-1]

@@ -132,9 +132,9 @@ def compare_orbits(G, C) -> int:
         rights = sorted(map(opposite, lefts), key=lambda b: b.raw)
         reps = []
         for classes, emb, moves in (
-                (lefts, product_embedding(G, K), [(0, s) for s in gens]
-                 + [(1, s) for s in hat._aut_generators(K)]),
-                (rights, product_embedding(K, G), [(1, s) for s in gens])):
+                (lefts, product_embedding(G, K), [(1, s) for s in gens]
+                 + [(2, s) for s in hat._aut_generators(K)]),
+                (rights, product_embedding(K, G), [(2, s) for s in gens])):
             keys = [cls.raw for cls in classes]
             ref = ref_orbits(emb, keys, {side for side, _ in moves})
             firsts = {}
@@ -162,8 +162,8 @@ def compare_orbits(G, C) -> int:
                     seeds.setdefault(_canonical_raw(emb_gg.ambient, mask,
                                                     delta))
         closure = hat._orbits(emb_gg, list(seeds),
-                              [(side, s) for side in (0, 1) for s in gens])
-        ref = ref_orbits(emb_gg, list(seeds), {0, 1})
+                              [(side, s) for side in (1, 2) for s in gens])
+        ref = ref_orbits(emb_gg, list(seeds), {1, 2})
         assert set(closure) == set().union(*ref.values())
         assert all(closure[seed][0] == seed for seed in seeds)
         assert all(root in seeds and key in ref[root]
@@ -280,19 +280,19 @@ def test_nontrivial_outer_kernel_stays_in_every_summand(order):
             emb_kg = product_embedding(K, G)
             for c_spec in ("C2", "C3", "C4"):
                 C = group_from_spec(c_spec)
-                lefts = [(a, set(ref_reduced_kernel(emb_gk, a, 0)))
-                         for a in ref_full_side(emb_gk, C, 0)]
-                rights = [(b, set(ref_reduced_kernel(emb_kg, b, 1)))
-                          for b in ref_full_side(emb_kg, C, 1)]
+                lefts = [(a, set(ref_reduced_kernel(emb_gk, a, 1)))
+                         for a in ref_full_side(emb_gk, C, 1)]
+                rights = [(b, set(ref_reduced_kernel(emb_kg, b, 2)))
+                          for b in ref_full_side(emb_kg, C, 2)]
                 for a, ka in lefts:
                     for b, kb in rights:
                         pairs += 1
                         for _, mask, delta in _compose_raw(a, b):
                             elements = mask_to_elements(mask)
                             assert ka <= set(ref_raw_reduced_kernel(
-                                emb_gg, elements, delta, 0))
-                            assert kb <= set(ref_raw_reduced_kernel(
                                 emb_gg, elements, delta, 1))
+                            assert kb <= set(ref_raw_reduced_kernel(
+                                emb_gg, elements, delta, 2))
     assert pairs
 
 

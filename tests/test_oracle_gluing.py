@@ -343,7 +343,7 @@ def _mutated_glue(monkeypatch, mutate):
     real = monomial._glue
     calls = []
 
-    def glue(n1, n2, moves, rows, shifts, free=()):
+    def glue(n1, n2, moves, rows, shifts, free):
         args = (n1, n2, moves, rows, shifts, free)
         calls.append(args)
         return mutate(real, args)
@@ -384,7 +384,7 @@ def test_stabilizer_with_two_fibre_values_is_not_a_twisted_diagonal(
     def keep_every_orbit(glue, args):
         n1, n2, moves, rows, shifts, free = args
         dropped.append(len(glue(*args)[2]))
-        kept = glue(n1, n2, moves, rows, shifts)
+        kept = glue(n1, n2, moves, rows, shifts, ())
         dropped[-1] = len(kept[2]) - dropped[-1]
         return kept
 

@@ -3,8 +3,6 @@ kernels and full-projection filters) read through ``goursat`` against the
 decode loops kept in ``helpers``, exactly: same target group, same sorted
 element tuples, same ordered lists."""
 
-import itertools
-
 import pytest
 
 from fibredburnside import goursat, hat
@@ -31,19 +29,14 @@ def _pairs(name):
     return list(dict.fromkeys((G, H) for G, H, _ in CASES[name]))
 
 
-def _index_sets(k):
-    return [ids for r in range(1, k + 1)
-            for ids in itertools.combinations(range(1, k + 1), r)]
-
-
 def _assert_sections(emb):
     for D in subgroups(emb.ambient):
-        for ids in _index_sets(len(emb.factors)):
-            for new, ref in ((goursat.projection(emb, D, ids),
-                              ref_projection(emb, D, ids)),
-                             (goursat.kernel_part(emb, D, ids),
-                              ref_kernel_part(emb, D, ids))):
-                assert (new.parent, new.elements) == ref, (emb, D, ids)
+        for side in (1, 2):
+            for new, ref in ((goursat.projection(emb, D, side),
+                              ref_projection(emb, D, side)),
+                             (goursat.kernel_part(emb, D, side),
+                              ref_kernel_part(emb, D, side))):
+                assert (new.parent, new.elements) == ref, (emb, D, side)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -53,7 +46,9 @@ def test_projection_and_kernel_part_match_reference(name):
 
 
 def test_three_factor_sections_match_reference():
-    _assert_sections(product_embedding(cyclic(2), cyclic(3), cyclic(2)))
+    # three groups as a product has them: nested, C2 x (C3 x C2)
+    _assert_sections(product_embedding(
+        cyclic(2), product_embedding(cyclic(3), cyclic(2)).ambient))
 
 
 def _class_id(X):
